@@ -24,7 +24,6 @@ from .decomposition import (
     DecomposedDataset,
     LabelCodec,
     assign_sublabels,
-    compose_label,
     decompose,
 )
 from .entropy import (
@@ -83,7 +82,6 @@ __all__ = [
     "DecomposedDataset",
     "LabelCodec",
     "assign_sublabels",
-    "compose_label",
     "decompose",
     "EntropyConfig",
     "GlcmMatrix",

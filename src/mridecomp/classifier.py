@@ -251,28 +251,38 @@ def predict_subclass(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
     return forward(model, x[None])[0]
 
 
-def compose_probabilities(codec: LabelCodec, probs: np.ndarray) -> dict[str, float]:
-    """Sum subclass probabilities into per-class totals."""
-    totals = {cls: 0.0 for cls in codec.classes}
-    for sid, p in enumerate(probs):
-        totals[codec.class_of(sid)] += float(p)
+def compose_probabilities(codec: LabelCodec, probs: np.ndarray) -> np.ndarray:
+    """Per-class totals of an (n, n_sublabels) probability matrix, shape (n, n_classes).
+
+    Subclass columns are added into their class in sublabel-id order, so the
+    totals are reproducible bit for bit.
+    """
+    totals = np.zeros((probs.shape[0], len(codec.classes)))
+    for sid, ci in enumerate(codec.class_indices()):
+        totals[:, ci] += probs[:, sid]
     return totals
 
 
-def predict_composed(model: ClassifierModel, x: np.ndarray, mode: str = "argmax-strip") -> str:
-    """Predict an original class label for one sample.
+def compose_predictions(
+    codec: LabelCodec, probs: np.ndarray, mode: str = "argmax-strip"
+) -> np.ndarray:
+    """Original-class index (into codec.classes) for each row of a probability matrix.
 
     argmax-strip: argmax over subclasses, then drop the cluster index.
-    prob-sum: sum subclass probabilities per class, argmax over classes.
+    prob-sum: argmax over the per-class probability totals.
+    Ties break toward the first subclass or class in codec order.
     """
     if mode not in COMPOSE_MODES:
         raise ConfigError(f"unknown compose mode {mode!r}; expected one of {COMPOSE_MODES}")
-    probs = predict_subclass(model, x)
     if mode == "argmax-strip":
-        return model.codec.class_of(int(np.argmax(probs)))
-    totals = compose_probabilities(model.codec, probs)
-    # ties break toward the first class in codec order
-    return max(model.codec.classes, key=lambda cls: (totals[cls], -model.codec.classes.index(cls)))
+        return codec.class_indices()[np.argmax(probs, axis=1)]
+    return np.argmax(compose_probabilities(codec, probs), axis=1)
+
+
+def predict_composed(model: ClassifierModel, x: np.ndarray, mode: str = "argmax-strip") -> str:
+    """Predict an original class label for one sample (see compose_predictions)."""
+    probs = predict_subclass(model, x)
+    return model.codec.classes[int(compose_predictions(model.codec, probs[None], mode)[0])]
 
 
 def model_to_json(model: ClassifierModel, path) -> None:

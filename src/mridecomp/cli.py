@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 import time
@@ -17,48 +16,36 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import TrainConfig, model_from_json, model_to_json, train
-from .config import PipelineConfig, load_config, save_config
-from .decomposition import (
-    centroids_to_json,
-    codec_from_json,
-    codec_to_json,
-    decompose,
-    write_report_csv,
-    write_sublabeled_csv,
-)
+from .classifier import model_from_json, model_to_json
+from .config import PipelineConfig, load_config
+from .decomposition import codec_from_json, write_sublabeled_csv
 from .errors import ConfigError, EmptyFile, ParseError, PipelineError, StageError
 from .evaluation import evaluate, render_metrics_table, report_to_dict
 from .features import load_precomputed, save_features
 from .manifest import read_manifest
 from .pipeline import (
     build_backend,
-    derive_seed,
     extract_feature_matrix,
+    run_decompose_stage,
     run_pipeline,
     run_slices_stage,
+    run_train_stage,
     write_entropy_csv,
 )
-from .reduction import (
-    apply_standardize,
-    fit_standardize,
-    pca_fit,
-    pca_to_dict,
-    pca_transform,
-    save_params,
-    scaler_to_dict,
-)
+from .reduction import save_params
 from .synth import generate_dataset
 
 logger = logging.getLogger(__name__)
 
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, help="pipeline config JSON (defaults used if omitted)")
-    sub.add_argument("--manifest", type=Path, help="dataset manifest CSV")
     sub.add_argument("--out", type=Path, help="output directory")
     sub.add_argument("--seed", type=int, help="override the config seed")
-    sub.add_argument("--force", action="store_true", help="recompute cached artifacts")
+
+
+def _add_manifest(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--manifest", type=Path, help="dataset manifest CSV")
+    sub.add_argument("--force", action="store_true", help="recompute cached slices")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,16 +56,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labelled dataset")
-    _add_common(p)
+    p.add_argument("--out", type=Path, help="output directory")
+    p.add_argument("--seed", type=int, help="data seed (default 0)")
     p.add_argument("--subjects", type=int, default=6, help="subjects per class (default 6)")
     p.add_argument("--nz", type=int, default=30, help="axial slices per volume (default 30)")
     p.add_argument("--classes", default="CN,MCI,AD", help="comma-separated class names")
 
     p = sub.add_parser("slices", help="rank slices by texture entropy and cache the top ones")
     _add_common(p)
+    _add_manifest(p)
 
     p = sub.add_parser("features", help="extract per-slice feature vectors")
     _add_common(p)
+    _add_manifest(p)
 
     p = sub.add_parser("decompose", help="standardize, reduce, and cluster a feature CSV")
     _add_common(p)
@@ -96,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run the full pipeline end to end")
     _add_common(p)
+    _add_manifest(p)
 
     return parser
 
@@ -112,10 +103,6 @@ def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name) is None:
             raise ConfigError(f"--{name} is required for this command")
-
-
-def _seed_of(args, cfg: PipelineConfig) -> int:
-    return args.seed if args.seed is not None else cfg.seed
 
 
 def cmd_synth(args) -> int:
@@ -174,32 +161,12 @@ def cmd_features(args) -> int:
 def cmd_decompose(args) -> int:
     _require(args, "out")
     cfg = _load_cfg(args)
-    seed = _seed_of(args, cfg)
     X = load_precomputed(args.features)
     args.out.mkdir(parents=True, exist_ok=True)
 
-    scaler = fit_standardize(X)
-    save_params(scaler_to_dict(scaler), args.out / "scaler.json")
-    X_scaled = apply_standardize(X, scaler)
-    pca = pca_fit(X_scaled, cfg.pca.variance_threshold)
-    save_params(pca_to_dict(pca), args.out / "pca.json")
-    X_red = pca_transform(X_scaled, pca)
-    save_features(X_red, args.out / "reduced_features.csv")
-
-    if cfg.decomposition.mode == "elbow":
-        ds = decompose(
-            X_red,
-            elbow_range=(cfg.decomposition.k_min, cfg.decomposition.k_max),
-            seed=seed,
-            n_init=cfg.decomposition.n_init,
-        )
-    else:
-        ds = decompose(X_red, k=cfg.decomposition.k, seed=seed, n_init=cfg.decomposition.n_init)
-    codec_to_json(ds.codec, args.out / "codec.json")
-    centroids_to_json(ds.centroids, args.out / "centroids.json")
-    write_report_csv(ds, args.out / "decomposition_report.csv")
+    ds = run_decompose_stage(X, np.ones(X.n, dtype=bool), cfg, args.out).decomposed
     names = [ds.codec.subclass_name(int(s)) for s in ds.sublabels]
-    write_sublabeled_csv(X_red, names, args.out / "sublabeled_features.csv")
+    write_sublabeled_csv(ds.features, names, args.out / "sublabeled_features.csv")
     write_sublabeled_csv(X, names, args.out / "sublabeled_original_features.csv")
     counts = {
         ds.codec.subclass_name(i): int((ds.sublabels == i).sum())
@@ -212,38 +179,18 @@ def cmd_decompose(args) -> int:
 def cmd_train(args) -> int:
     _require(args, "out")
     cfg = _load_cfg(args)
-    seed = _seed_of(args, cfg)
     codec = codec_from_json(args.codec)
     X = load_precomputed(args.features)
     y = np.asarray([codec.parse_subclass_name(label) for label in X.labels], dtype=np.int64)
     args.out.mkdir(parents=True, exist_ok=True)
 
-    models_dir = args.out / "models"
-    models_dir.mkdir(exist_ok=True)
-    results = {}
-    losses_record = {}
-    for i, lr in enumerate(cfg.training.learning_rates):
-        cell = f"lr={lr!r}"
-        tcfg = TrainConfig(
-            learning_rate=lr,
-            epochs=cfg.training.epochs,
-            batch_size=cfg.training.batch_size,
-            hidden_dim=cfg.training.hidden_dim,
-            beta1=cfg.training.beta1,
-            beta2=cfg.training.beta2,
-            eps=cfg.training.eps,
-            seed=derive_seed(seed, 4, i),
-        )
-        result = train(X.values, y, codec, tcfg)
-        results[cell] = result
-        model_to_json(result.model, models_dir / f"cell-{i}.json")
-        losses_record[cell] = {"train": result.epoch_losses, "validation": None}
-    best = min(results, key=lambda c: (results[c].final_loss,))
-    model_to_json(results[best].model, args.out / "model.json")
-    with open(args.out / "losses.json", "w") as fh:
-        json.dump(losses_record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"trained {len(results)} cells; best {best} (final loss {results[best].final_loss:.6f})")
+    grid = run_train_stage(X.values, y, codec, cfg, args.out)
+    best = grid.results[grid.best_cell]
+    model_to_json(best.model, args.out / "model.json")
+    print(
+        f"trained {len(grid.results)} cells; best {grid.best_cell} "
+        f"(final loss {best.final_loss:.6f})"
+    )
     return 0
 
 
@@ -256,9 +203,7 @@ def cmd_evaluate(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
 
     report = evaluate(model, X.values, y, cfg.compose_mode)
-    with open(args.out / "metrics.json", "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_params(report_to_dict(report), args.out / "metrics.json")
     m = report.composed_metrics
     table = render_metrics_table(
         [

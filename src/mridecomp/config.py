@@ -8,11 +8,11 @@ config fails before any work starts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
+from .classifier import COMPOSE_MODES, TrainConfig
 from .errors import ConfigError
 
-COMPOSE_MODES = ("argmax-strip", "prob-sum")
 DECOMPOSITION_MODES = ("fixed", "elbow")
 FEATURE_BACKENDS = ("raw", "onnx")
 CONFIG_VERSION = 1
@@ -102,25 +102,31 @@ class TrainingConfig:
     eps: float = 1e-8
     validation_fraction: float = 0.2
 
+    def train_config(self, learning_rate: float, seed: int) -> TrainConfig:
+        """Classifier settings of one learning-rate cell; TrainConfig checks them."""
+        return TrainConfig(
+            learning_rate=learning_rate,
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            hidden_dim=self.hidden_dim,
+            beta1=self.beta1,
+            beta2=self.beta2,
+            eps=self.eps,
+            seed=seed,
+        )
+
     def validate(self) -> None:
         if not self.learning_rates:
             raise ConfigError("training.learning_rates must be non-empty")
-        if any(lr <= 0 for lr in self.learning_rates):
-            raise ConfigError(f"training.learning_rates must be > 0, got {self.learning_rates}")
-        if self.epochs < 1:
-            raise ConfigError(f"training.epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"training.batch_size must be >= 1, got {self.batch_size}")
-        if self.hidden_dim < 0:
-            raise ConfigError(f"training.hidden_dim must be >= 0, got {self.hidden_dim}")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ConfigError("training Adam betas must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ConfigError(f"training.eps must be > 0, got {self.eps}")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigError(
                 f"training.validation_fraction must be in [0, 1), got {self.validation_fraction}"
             )
+        try:
+            for lr in self.learning_rates:
+                self.train_config(lr, seed=0)
+        except ConfigError as exc:
+            raise ConfigError(f"training: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -226,47 +232,7 @@ def load_config(path) -> PipelineConfig:
     return config_from_dict(obj)
 
 
-def config_to_dict(cfg: PipelineConfig) -> dict:
-    return {
-        "version": cfg.version,
-        "classes": list(cfg.classes),
-        "seed": cfg.seed,
-        "compose_mode": cfg.compose_mode,
-        "slice_selection": {
-            "levels": cfg.slice_selection.levels,
-            "offset": list(cfg.slice_selection.offset),
-            "symmetric": cfg.slice_selection.symmetric,
-            "top_k": cfg.slice_selection.top_k,
-        },
-        "features": {
-            "backend": cfg.features.backend,
-            "side": cfg.features.side,
-            "model_path": cfg.features.model_path,
-            "sidecar_path": cfg.features.sidecar_path,
-        },
-        "pca": {"variance_threshold": cfg.pca.variance_threshold},
-        "decomposition": {
-            "mode": cfg.decomposition.mode,
-            "k": cfg.decomposition.k,
-            "k_min": cfg.decomposition.k_min,
-            "k_max": cfg.decomposition.k_max,
-            "n_init": cfg.decomposition.n_init,
-        },
-        "training": {
-            "learning_rates": list(cfg.training.learning_rates),
-            "epochs": cfg.training.epochs,
-            "batch_size": cfg.training.batch_size,
-            "hidden_dim": cfg.training.hidden_dim,
-            "beta1": cfg.training.beta1,
-            "beta2": cfg.training.beta2,
-            "eps": cfg.training.eps,
-            "validation_fraction": cfg.training.validation_fraction,
-        },
-        "split": {"train_frac": cfg.split.train_frac},
-    }
-
-
 def save_config(cfg: PipelineConfig, path) -> None:
     with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -2,9 +2,9 @@
 
 Each original class is clustered independently; the (class, cluster) pairs
 are mapped to a dense id space by LabelCodec. Subclass names follow the
-``{class}_{cluster+1}`` pattern (e.g. CN_1, CN_2). compose_label strips the
-cluster index to recover the original class, so per-class sample counts are
-conserved by construction.
+``{class}_{cluster+1}`` pattern (e.g. CN_1, CN_2). LabelCodec.class_of strips
+the cluster index to recover the original class, so per-class sample counts
+are conserved by construction.
 """
 
 from __future__ import annotations
@@ -82,6 +82,10 @@ class LabelCodec:
 
     def class_of(self, sublabel: int) -> str:
         return self.decode(sublabel)[0]
+
+    def class_indices(self) -> np.ndarray:
+        """Index into classes of every sublabel id, in id order."""
+        return np.repeat(np.arange(len(self.classes)), self.cluster_counts)
 
     def to_dict(self) -> dict:
         return {"classes": list(self.classes), "cluster_counts": list(self.cluster_counts)}
@@ -174,11 +178,6 @@ def decompose(
         wcss=wcss,
         chosen_k=chosen_k,
     )
-
-
-def compose_label(codec: LabelCodec, sublabel: int) -> str:
-    """Map a dense sublabel id back to its original class name."""
-    return codec.class_of(sublabel)
 
 
 def assign_sublabels(

@@ -107,15 +107,6 @@ def slice_entropy(s: Slice2D, cfg: EntropyConfig = EntropyConfig()) -> float:
     return glcm_entropy(g)
 
 
-def histogram_entropy(s: Slice2D, cfg: EntropyConfig = EntropyConfig()) -> float:
-    """Alternative scorer: entropy of the quantized intensity histogram."""
-    q = quantize(s, cfg.levels)
-    counts = np.bincount(q.indices.ravel(), minlength=cfg.levels).astype(np.float64)
-    p = counts / counts.sum()
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
 def rank_slices(slices, cfg: EntropyConfig = EntropyConfig(), scorer=None) -> list[RankedSlice]:
     """Score a single subject's slices and sort them by descending entropy.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import COMPOSE_MODES, ClassifierModel, compose_probabilities, forward
+from .classifier import ClassifierModel, compose_predictions, forward
 from .decomposition import LabelCodec
 from .errors import ConfigError, EmptyTestSet, TooFewSubjects
 
@@ -161,12 +161,10 @@ def evaluate(
 ) -> EvalReport:
     """Confusion matrices and metrics over subclasses and composed classes.
 
-    Under argmax-strip the composed matrix is the subclass matrix aggregated
-    through the codec (an exact integer identity); under prob-sum composed
-    predictions are recomputed from summed probabilities.
+    Composed predictions come from compose_predictions; under argmax-strip
+    the composed matrix equals the subclass matrix aggregated through the
+    codec (an exact integer identity).
     """
-    if mode not in COMPOSE_MODES:
-        raise ConfigError(f"unknown compose mode {mode!r}; expected one of {COMPOSE_MODES}")
     X = np.asarray(X, dtype=np.float64)
     sublabels = np.asarray(sublabels, dtype=np.int64)
     if X.shape[0] == 0:
@@ -174,20 +172,12 @@ def evaluate(
 
     codec = model.codec
     probs = forward(model, X)
-    sub_pred = np.argmax(probs, axis=1)
-    sub_matrix = confusion_matrix(sublabels, sub_pred, codec.n_sublabels)
-
-    class_index = {cls: i for i, cls in enumerate(codec.classes)}
-    true_classes = np.asarray([class_index[codec.class_of(int(s))] for s in sublabels])
-    if mode == "argmax-strip":
-        composed_matrix = aggregate_confusion(sub_matrix, codec)
-    else:
-        pred_classes = np.empty(X.shape[0], dtype=np.int64)
-        for i in range(X.shape[0]):
-            totals = compose_probabilities(codec, probs[i])
-            best = max(codec.classes, key=lambda c: (totals[c], -class_index[c]))
-            pred_classes[i] = class_index[best]
-        composed_matrix = confusion_matrix(true_classes, pred_classes, len(codec.classes))
+    sub_matrix = confusion_matrix(sublabels, np.argmax(probs, axis=1), codec.n_sublabels)
+    composed_matrix = confusion_matrix(
+        codec.class_indices()[sublabels],
+        compose_predictions(codec, probs, mode),
+        len(codec.classes),
+    )
 
     subclass_names = tuple(codec.subclass_name(i) for i in range(codec.n_sublabels))
     return EvalReport(

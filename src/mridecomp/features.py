@@ -203,11 +203,6 @@ class OnnxBackend(FeatureBackend):
         return vector
 
 
-def extract_external(s: Slice2D, model_path, sidecar_path=None) -> np.ndarray:
-    """One-shot external extraction; prefer OnnxBackend for repeated use."""
-    return OnnxBackend(model_path, sidecar_path=sidecar_path).extract(s)
-
-
 def run_shape_probe(model, input_shape) -> int:
     """Feature length obtained by pushing a zero tensor through the model."""
     out = minionnx.run_model(model, np.zeros(input_shape, dtype=np.float64))

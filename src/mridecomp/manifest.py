@@ -1,13 +1,15 @@
 """Dataset manifest CSV: one row per subject with label and volume path.
 
 Header: subject_id,label,path with optional trailing metadata columns
-age,sex,mmse. Relative volume paths are resolved against the manifest's
-own directory so a dataset folder can be moved as a unit.
+age,sex,mmse. Subject ids must be plain file stems. Relative volume paths
+are resolved against the manifest's own directory so a dataset folder can
+be moved as a unit.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +18,8 @@ from .errors import EmptyFile, ParseError
 DEFAULT_LABELS = ("CN", "MCI", "AD")
 REQUIRED_COLUMNS = ("subject_id", "label", "path")
 OPTIONAL_COLUMNS = ("age", "sex", "mmse")
+# subject ids name files (cache/<id>.npz), so they must be plain file stems
+SAFE_SUBJECT_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,11 @@ def read_manifest(
             raw_path = record[2].strip()
             if not subject_id:
                 raise ParseError(f"{path}:{lineno}: empty subject_id")
+            if not SAFE_SUBJECT_ID.fullmatch(subject_id):
+                raise ParseError(
+                    f"{path}:{lineno}: subject_id {subject_id!r} is not a safe file stem "
+                    "(letters, digits, '.', '_' and '-', not starting with '.')"
+                )
             if subject_id in seen:
                 raise ParseError(f"{path}:{lineno}: duplicate subject_id {subject_id!r}")
             seen.add(subject_id)

@@ -6,6 +6,10 @@ Leakage policy: the scaler, PCA, and per-class clustering are fit on
 gradient-training subjects only. Validation subjects (used for epoch
 curves) and test subjects receive sublabels by nearest class-consistent
 centroid. Hyperparameter cells are ranked by final training loss.
+
+The decompose and train subcommands call the same stage functions
+(run_decompose_stage, run_train_stage) with the same derived seeds, so a
+standalone chain fed the gradient-train rows reproduces a pipeline run.
 """
 
 from __future__ import annotations
@@ -14,17 +18,19 @@ import csv
 import json
 import logging
 import time
+import zipfile
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .classifier import TrainConfig, TrainResult, model_to_json, train
+from .classifier import TrainResult, model_to_json, train
 from .config import PipelineConfig, save_config
 from .decomposition import (
     DecomposedDataset,
+    LabelCodec,
     assign_sublabels,
     centroids_to_json,
     codec_to_json,
@@ -33,7 +39,7 @@ from .decomposition import (
     write_sublabeled_csv,
 )
 from .entropy import EntropyConfig, RankedSlice, rank_slices, select_top_k
-from .errors import PipelineError, StageError
+from .errors import IoError, PipelineError, StageError
 from .evaluation import EvalReport, evaluate, render_metrics_table, report_to_dict, subject_split
 from .features import (
     FeatureBackend,
@@ -80,6 +86,54 @@ def _cache_path(cache_dir: Path, subject_id: str) -> Path:
     return cache_dir / f"{subject_id}.npz"
 
 
+def _cache_key(row: ManifestRow, cfg: PipelineConfig) -> str:
+    """Everything a cache entry depends on: slice settings, package version and
+    the volume's identity. The volume is identified by resolved path, size and
+    mtime, not by a digest of its bytes, which would read every volume twice.
+    """
+    path = row.path.resolve()
+    try:
+        st = path.stat()
+    except OSError as exc:
+        raise IoError(f"cannot read {row.path}: {exc}") from exc
+    return json.dumps(
+        {
+            "slice_selection": asdict(cfg.slice_selection),
+            "version": __version__,
+            "path": str(path),
+            "size": st.st_size,
+            "mtime_ns": st.st_mtime_ns,
+        },
+        sort_keys=True,
+    )
+
+
+def _read_cache(cache_file: Path, key: str, subject_id: str):
+    """(selected, ranked) from a readable cache entry written under the same key, else None."""
+    if not cache_file.exists():
+        return None
+    try:
+        with np.load(cache_file) as npz:
+            if "key" not in npz.files or str(npz["key"]) != key:
+                return None
+            pixels = npz["pixels"]
+            indices = npz["indices"]
+            all_indices = npz["all_indices"]
+            all_entropies = npz["all_entropies"]
+    except (OSError, ValueError, zipfile.BadZipFile):
+        logger.warning("cache entry %s is unreadable; recomputing it", cache_file)
+        return None
+    selected = [
+        Slice2D(subject_id=subject_id, slice_index=int(i), pixels=p)
+        for i, p in zip(indices, pixels)
+    ]
+    ranked = [
+        RankedSlice(subject_id=subject_id, slice_index=int(i), entropy=float(h))
+        for i, h in zip(all_indices, all_entropies)
+    ]
+    return selected, ranked
+
+
 def _select_for_subject(row: ManifestRow, ecfg: EntropyConfig, top_k: int):
     volume = read_nifti(row.path, subject_id=row.subject_id)
     slices = extract_axial_slices(volume)
@@ -89,11 +143,13 @@ def _select_for_subject(row: ManifestRow, ecfg: EntropyConfig, top_k: int):
         logger.warning(
             "subject %s has only %d slices, below top_k=%d", row.subject_id, len(ranked), top_k
         )
-    chosen = select_top_k(ranked, k)
-    chosen_idx = {r.slice_index for r in chosen}
-    selected = sorted(
-        (s for s in slices if s.slice_index in chosen_idx), key=lambda s: s.slice_index
-    )
+    chosen_idx = {r.slice_index for r in select_top_k(ranked, k)}
+    # copies, so the float64 volume is freed once ranking is done
+    selected = [
+        Slice2D(s.subject_id, s.slice_index, s.pixels.copy())
+        for s in slices
+        if s.slice_index in chosen_idx
+    ]
     return selected, ranked
 
 
@@ -103,7 +159,11 @@ def run_slices_stage(
     out_dir: Path,
     force: bool = False,
 ) -> SliceStage:
-    """Rank and cache informative slices per subject; errors are isolated."""
+    """Rank and cache informative slices per subject; errors are isolated.
+
+    A cache entry is reused only when it was computed under the same key
+    (see _cache_key); force recomputes every entry.
+    """
     ecfg = EntropyConfig(
         levels=cfg.slice_selection.levels,
         offset=cfg.slice_selection.offset,
@@ -119,31 +179,20 @@ def run_slices_stage(
     for row in rows:
         cache_file = _cache_path(cache_dir, row.subject_id)
         try:
-            if cache_file.exists() and not force:
-                with np.load(cache_file) as npz:
-                    pixels = npz["pixels"]
-                    indices = npz["indices"]
-                    all_indices = npz["all_indices"]
-                    all_entropies = npz["all_entropies"]
-                selected[row.subject_id] = [
-                    Slice2D(subject_id=row.subject_id, slice_index=int(i), pixels=p)
-                    for i, p in zip(indices, pixels)
-                ]
-                ranked_all[row.subject_id] = [
-                    RankedSlice(subject_id=row.subject_id, slice_index=int(i), entropy=float(h))
-                    for i, h in zip(all_indices, all_entropies)
-                ]
-                continue
-            chosen, ranked = _select_for_subject(row, ecfg, top_k)
-            selected[row.subject_id] = chosen
-            ranked_all[row.subject_id] = ranked
-            np.savez(
-                cache_file,
-                pixels=np.stack([s.pixels for s in chosen]),
-                indices=np.asarray([s.slice_index for s in chosen], dtype=np.int64),
-                all_indices=np.asarray([r.slice_index for r in ranked], dtype=np.int64),
-                all_entropies=np.asarray([r.entropy for r in ranked], dtype=np.float64),
-            )
+            key = _cache_key(row, cfg)
+            cached = None if force else _read_cache(cache_file, key, row.subject_id)
+            if cached is None:
+                chosen, ranked = _select_for_subject(row, ecfg, top_k)
+                np.savez(
+                    cache_file,
+                    key=np.asarray(key),
+                    pixels=np.stack([s.pixels for s in chosen]),
+                    indices=np.asarray([s.slice_index for s in chosen], dtype=np.int64),
+                    all_indices=np.asarray([r.slice_index for r in ranked], dtype=np.int64),
+                    all_entropies=np.asarray([r.entropy for r in ranked], dtype=np.float64),
+                )
+                cached = chosen, ranked
+            selected[row.subject_id], ranked_all[row.subject_id] = cached
         except (PipelineError, OSError) as exc:
             logger.error("subject %s failed: %s", row.subject_id, exc)
             errors[row.subject_id] = str(exc)
@@ -193,6 +242,84 @@ def _subject_mask(X: FeatureMatrix, subjects: set[str]) -> np.ndarray:
 
 
 @dataclass
+class DecomposeStage:
+    reduced: FeatureMatrix  # every input row, standardized and projected
+    decomposed: DecomposedDataset  # the fit rows with their sublabels
+    seed: int
+
+
+def run_decompose_stage(
+    X: FeatureMatrix, fit_rows: np.ndarray, cfg: PipelineConfig, out_dir: Path
+) -> DecomposeStage:
+    """Fit the scaler, PCA and per-class k-means on X's fit_rows (a boolean
+    mask) and project every row.
+
+    Writes scaler.json, pca.json, reduced_features.csv (all rows), codec.json,
+    centroids.json and decomposition_report.csv into out_dir.
+    """
+    scaler = fit_standardize(X.rows(fit_rows))
+    save_params(scaler_to_dict(scaler), out_dir / "scaler.json")
+    X_scaled = apply_standardize(X, scaler)
+    pca = pca_fit(X_scaled.rows(fit_rows), cfg.pca.variance_threshold)
+    save_params(pca_to_dict(pca), out_dir / "pca.json")
+    reduced = pca_transform(X_scaled, pca)
+    save_features(reduced, out_dir / "reduced_features.csv")
+
+    dcfg = cfg.decomposition
+    seed = derive_seed(cfg.seed, _TAG_DECOMPOSE)
+    ds = decompose(
+        reduced.rows(fit_rows),
+        k=dcfg.k,
+        elbow_range=(dcfg.k_min, dcfg.k_max) if dcfg.mode == "elbow" else None,
+        seed=seed,
+        n_init=dcfg.n_init,
+    )
+    codec_to_json(ds.codec, out_dir / "codec.json")
+    centroids_to_json(ds.centroids, out_dir / "centroids.json")
+    write_report_csv(ds, out_dir / "decomposition_report.csv")
+    return DecomposeStage(reduced=reduced, decomposed=ds, seed=seed)
+
+
+@dataclass
+class TrainStage:
+    results: dict[str, TrainResult]
+    seeds: dict[str, int]
+    best_cell: str
+
+
+def run_train_stage(
+    X: np.ndarray,
+    y: np.ndarray,
+    codec: LabelCodec,
+    cfg: PipelineConfig,
+    out_dir: Path,
+    X_val: np.ndarray | None = None,
+    y_val: np.ndarray | None = None,
+) -> TrainStage:
+    """Train one model per learning rate on sublabels y; the best cell has
+    the lowest final training loss. The validation rows only draw loss curves.
+
+    Writes models/cell-<i>.json and losses.json into out_dir.
+    """
+    models_dir = out_dir / "models"
+    models_dir.mkdir(exist_ok=True)
+    results: dict[str, TrainResult] = {}
+    seeds: dict[str, int] = {}
+    losses = {}
+    for i, lr in enumerate(cfg.training.learning_rates):
+        cell = f"lr={lr!r}"
+        seeds[cell] = derive_seed(cfg.seed, _TAG_TRAIN, i)
+        tcfg = cfg.training.train_config(lr, seeds[cell])
+        result = train(X, y, codec, tcfg, X_val=X_val, y_val=y_val)
+        results[cell] = result
+        model_to_json(result.model, models_dir / f"cell-{i}.json")
+        losses[cell] = {"train": result.epoch_losses, "validation": result.val_losses}
+    save_params(losses, out_dir / "losses.json")
+    best_cell = min(results, key=lambda c: results[c].final_loss)
+    return TrainStage(results=results, seeds=seeds, best_cell=best_cell)
+
+
+@dataclass
 class RunResult:
     run_dir: Path
     report: EvalReport
@@ -219,8 +346,6 @@ def run_pipeline(
         "base": cfg.seed,
         "split": derive_seed(cfg.seed, _TAG_SPLIT),
         "validation_split": derive_seed(cfg.seed, _TAG_VALIDATION),
-        "decompose": derive_seed(cfg.seed, _TAG_DECOMPOSE),
-        "train_cells": {},
     }
 
     @contextmanager
@@ -271,97 +396,35 @@ def run_pipeline(
             "validation": val_subjects,
             "test": test_subjects,
         }
-        with open(run_dir / "split.json", "w") as fh:
-            json.dump(split_record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_params(split_record, run_dir / "split.json")
         grad_mask = _subject_mask(X, set(grad_subjects))
         val_mask = _subject_mask(X, set(val_subjects))
         test_mask = _subject_mask(X, set(test_subjects))
 
-    with stage("standardize_reduce"):
-        X_grad = X.rows(np.flatnonzero(grad_mask))
-        scaler = fit_standardize(X_grad)
-        save_params(scaler_to_dict(scaler), run_dir / "scaler.json")
-        X_scaled = apply_standardize(X, scaler)
-        pca = pca_fit(X_scaled.rows(np.flatnonzero(grad_mask)), cfg.pca.variance_threshold)
-        save_params(pca_to_dict(pca), run_dir / "pca.json")
-        X_red = pca_transform(X_scaled, pca)
-        save_features(X_red, run_dir / "reduced_features.csv")
-        R_grad = X_red.rows(np.flatnonzero(grad_mask))
-        R_val = X_red.rows(np.flatnonzero(val_mask))
-        R_test = X_red.rows(np.flatnonzero(test_mask))
-
     with stage("decompose"):
-        if cfg.decomposition.mode == "elbow":
-            ds: DecomposedDataset = decompose(
-                R_grad,
-                elbow_range=(cfg.decomposition.k_min, cfg.decomposition.k_max),
-                seed=seeds["decompose"],
-                n_init=cfg.decomposition.n_init,
-            )
-        else:
-            ds = decompose(
-                R_grad,
-                k=cfg.decomposition.k,
-                seed=seeds["decompose"],
-                n_init=cfg.decomposition.n_init,
-            )
-        codec_to_json(ds.codec, run_dir / "codec.json")
-        centroids_to_json(ds.centroids, run_dir / "centroids.json")
-        write_report_csv(ds, run_dir / "decomposition_report.csv")
+        dec = run_decompose_stage(X, grad_mask, cfg, run_dir)
+        ds = dec.decomposed
+        R_grad = ds.features
+        R_val = dec.reduced.rows(val_mask)
+        R_test = dec.reduced.rows(test_mask)
         train_names = [ds.codec.subclass_name(int(s)) for s in ds.sublabels]
         write_sublabeled_csv(R_grad, train_names, run_dir / "sublabeled_train.csv")
-        y_val = (
-            assign_sublabels(R_val, ds.codec, ds.centroids) if R_val.n > 0 else np.empty(0, int)
-        )
-        y_test = assign_sublabels(R_test, ds.codec, ds.centroids) if R_test.n > 0 else None
-        if y_test is not None:
+        y_val = assign_sublabels(R_val, ds.codec, ds.centroids)
+        y_test = assign_sublabels(R_test, ds.codec, ds.centroids)
+        if R_test.n > 0:
             test_names = [ds.codec.subclass_name(int(s)) for s in y_test]
             write_sublabeled_csv(R_test, test_names, run_dir / "sublabeled_test.csv")
 
     with stage("train"):
-        models_dir = run_dir / "models"
-        models_dir.mkdir(exist_ok=True)
-        cell_results: dict[str, TrainResult] = {}
-        losses_record = {}
-        for i, lr in enumerate(cfg.training.learning_rates):
-            cell = f"lr={lr!r}"
-            cell_seed = derive_seed(cfg.seed, _TAG_TRAIN, i)
-            seeds["train_cells"][cell] = cell_seed
-            tcfg = TrainConfig(
-                learning_rate=lr,
-                epochs=cfg.training.epochs,
-                batch_size=cfg.training.batch_size,
-                hidden_dim=cfg.training.hidden_dim,
-                beta1=cfg.training.beta1,
-                beta2=cfg.training.beta2,
-                eps=cfg.training.eps,
-                seed=cell_seed,
-            )
-            result = train(
-                R_grad.values,
-                ds.sublabels,
-                ds.codec,
-                tcfg,
-                X_val=R_val.values if R_val.n > 0 else None,
-                y_val=y_val if R_val.n > 0 else None,
-            )
-            cell_results[cell] = result
-            model_to_json(result.model, models_dir / f"cell-{i}.json")
-            losses_record[cell] = {
-                "train": result.epoch_losses,
-                "validation": result.val_losses,
-            }
-        with open(run_dir / "losses.json", "w") as fh:
-            json.dump(losses_record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        best_cell = min(cell_results, key=lambda c: (cell_results[c].final_loss,))
-        with open(run_dir / "seeds.json", "w") as fh:
-            json.dump(seeds, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        grid = run_train_stage(
+            R_grad.values, ds.sublabels, ds.codec, cfg, run_dir, X_val=R_val.values, y_val=y_val
+        )
+        cell_results, best_cell = grid.results, grid.best_cell
+        seeds.update(decompose=dec.seed, train_cells=grid.seeds)
+        save_params(seeds, run_dir / "seeds.json")
 
     with stage("evaluate"):
-        if R_test.n == 0 or y_test is None:
+        if R_test.n == 0:
             raise ValueError("test set is empty after the subject split")
         cell_reports: dict[str, EvalReport] = {}
         for cell, result in cell_results.items():
@@ -379,9 +442,7 @@ def run_pipeline(
                 for cell in cell_results
             },
         }
-        with open(run_dir / "metrics.json", "w") as fh:
-            json.dump(metrics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_params(metrics, run_dir / "metrics.json")
 
         table_rows = []
         for cell in cell_results:
@@ -423,9 +484,7 @@ def run_pipeline(
         "n_slices": X.n,
         "reduced_dim": R_grad.m,
     }
-    with open(run_dir / "run_info.json", "w") as fh:
-        json.dump(run_info, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_params(run_info, run_dir / "run_info.json")
 
     return RunResult(
         run_dir=run_dir, report=report, best_cell=best_cell, cell_results=cell_results

@@ -114,6 +114,7 @@ def pca_to_dict(model: PcaModel) -> dict:
 
 
 def save_params(obj: dict, path) -> None:
+    """Write a JSON object with sorted keys, as every JSON artifact is written."""
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -219,10 +219,8 @@ def test_compose_modes_can_disagree():
     np.testing.assert_allclose(predict_subclass(model, x), probs, atol=1e-12)
     assert predict_composed(model, x, mode="argmax-strip") == "AD"
     assert predict_composed(model, x, mode="prob-sum") == "MCI"
-    summed = compose_probabilities(CODEC_3x2, np.asarray(probs))
-    np.testing.assert_allclose(
-        [summed["AD"], summed["CN"], summed["MCI"]], [0.4, 0.1, 0.5], atol=1e-12
-    )
+    summed = compose_probabilities(CODEC_3x2, np.asarray([probs]))
+    np.testing.assert_allclose(summed, [[0.4, 0.1, 0.5]], atol=1e-12)
 
 
 def test_compose_modes_agree_when_concentrated():

@@ -100,6 +100,45 @@ def test_pipeline_subcommand(data_dir, tmp_path, capsys):
     assert "composed test accuracy" in out
 
 
+def test_standalone_chain_reproduces_pipeline(data_dir, tmp_path):
+    """decompose + train on the gradient-train rows rebuild the pipeline's artifacts."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"training": {"learning_rates": [0.01, 0.001], "epochs": 30}}))
+    run = tmp_path / "run"
+    common = ["--config", str(cfg_path)]
+    manifest = str(data_dir / "manifest.csv")
+    assert main(["pipeline", "--manifest", manifest, "--out", str(run), *common]) == 0
+
+    grad = set(json.loads((run / "split.json").read_text())["gradient_train"])
+    header, *rows = (run / "features.csv").read_text().splitlines(keepends=True)
+    grad_csv = tmp_path / "grad_features.csv"
+    grad_csv.write_text(header + "".join(r for r in rows if r.split(",", 1)[0] in grad))
+
+    dec, tr = tmp_path / "dec", tmp_path / "tr"
+    assert main(["decompose", "--features", str(grad_csv), "--out", str(dec), *common]) == 0
+    assert main(
+        [
+            "train",
+            "--features", str(dec / "sublabeled_features.csv"),
+            "--codec", str(dec / "codec.json"),
+            "--out", str(tr),
+            *common,
+        ]
+    ) == 0
+
+    fitted = ["scaler.json", "pca.json", "codec.json", "centroids.json", "decomposition_report.csv"]
+    for name in fitted:
+        assert (dec / name).read_bytes() == (run / name).read_bytes(), name
+    assert (dec / "sublabeled_features.csv").read_bytes() == (
+        run / "sublabeled_train.csv"
+    ).read_bytes()
+    models = sorted(p.name for p in (run / "models").glob("cell-*.json"))
+    assert models == sorted(p.name for p in (tr / "models").glob("cell-*.json"))
+    assert len(models) == 2
+    for name in models:
+        assert (tr / "models" / name).read_bytes() == (run / "models" / name).read_bytes(), name
+
+
 def test_seed_override_is_deterministic(data_dir, tmp_path):
     work = tmp_path / "work"
     main(["features", "--manifest", str(data_dir / "manifest.csv"), "--out", str(work)])
@@ -146,6 +185,46 @@ def test_unknown_config_key_exits_1(data_dir, tmp_path, capsys):
 def test_missing_required_flag_exits_1(capsys):
     assert main(["slices", "--out", "/tmp/x"]) == 1
     assert "--manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--out", "x", "--config", "cfg.json"],
+        ["synth", "--out", "x", "--force"],
+        ["decompose", "--features", "f.csv", "--out", "x", "--manifest", "m.csv"],
+        ["train", "--features", "f.csv", "--codec", "c.json", "--out", "x", "--force"],
+        ["evaluate", "--features", "f.csv", "--model", "m.json", "--out", "x", "--force"],
+    ],
+)
+def test_flags_a_subcommand_ignores_are_rejected(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_unsafe_subject_id_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("subject_id,label,path\nCN00,CN,a.nii\n../escape,CN,b.nii\n")
+    assert main(["slices", "--manifest", str(bad), "--out", str(tmp_path / "work")]) == 1
+    err = capsys.readouterr().err
+    assert ":3:" in err and "../escape" in err
+    assert not (tmp_path / "escape.npz").exists()
+
+
+def test_slice_cache_follows_config(data_dir, tmp_path):
+    """A rerun into the same --out under new slice settings matches a fresh run."""
+    manifest = str(data_dir / "manifest.csv")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"slice_selection": {"levels": 16, "top_k": 5}}))
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert main(["slices", "--manifest", manifest, "--out", str(reused)]) == 0
+    first = (reused / "entropies.csv").read_bytes()
+    for out in (reused, fresh):
+        argv = ["slices", "--manifest", manifest, "--config", str(cfg_path), "--out", str(out)]
+        assert main(argv) == 0
+    assert (reused / "entropies.csv").read_bytes() == (fresh / "entropies.csv").read_bytes()
+    assert (reused / "entropies.csv").read_bytes() != first
 
 
 def test_synth_validation_exits_1(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Pipeline configuration: parsing, validation, round trips."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -13,7 +14,6 @@ from mridecomp.config import (
     SplitConfig,
     TrainingConfig,
     config_from_dict,
-    config_to_dict,
     load_config,
     save_config,
 )
@@ -32,7 +32,7 @@ def test_defaults_are_valid():
 
 def test_dict_round_trip():
     cfg = PipelineConfig(seed=7)
-    again = config_from_dict(config_to_dict(cfg))
+    again = config_from_dict(asdict(cfg))
     assert again == cfg
 
 

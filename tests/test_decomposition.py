@@ -10,7 +10,6 @@ from mridecomp.decomposition import (
     centroids_to_json,
     codec_from_json,
     codec_to_json,
-    compose_label,
     decompose,
     decomposition_report,
     write_report_csv,
@@ -63,7 +62,7 @@ def test_codec_round_trip_all_ids():
         cls, cluster = codec.decode(sid)
         assert codec.encode(cls, cluster) == sid
         assert codec.parse_subclass_name(codec.subclass_name(sid)) == sid
-        assert compose_label(codec, sid) == cls
+        assert codec.class_of(sid) == cls
 
 
 def test_codec_rejects_bad_lookups():

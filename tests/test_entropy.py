@@ -12,7 +12,6 @@ from mridecomp.entropy import (
     GlcmMatrix,
     glcm,
     glcm_entropy,
-    histogram_entropy,
     rank_slices,
     select_top_k,
     slice_entropy,
@@ -163,11 +162,6 @@ def test_affine_intensity_invariance(rng):
         for a in (0.5, 3.0):
             for b in (-10.0, 100.0):
                 assert slice_entropy(make_slice(a * pixels + b), cfg) == base
-
-
-def test_histogram_scorer_zero_for_constant(rng):
-    assert histogram_entropy(make_slice(np.zeros((6, 6)))) == 0.0
-    assert histogram_entropy(make_slice(rng.normal(size=(6, 6)))) > 0.0
 
 
 # --- ranking -----------------------------------------------------------------

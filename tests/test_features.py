@@ -18,7 +18,6 @@ from mridecomp.features import (
     OnnxBackend,
     RawPixelBackend,
     bilinear_resize,
-    extract_external,
     extract_raw,
     load_precomputed,
     save_features,
@@ -349,5 +348,5 @@ def test_extract_external_one_shot(tmp_path, rng):
     path = ob.write_linear_model(tmp_path / "id.onnx", W, np.zeros(16))
     ob.write_sidecar(path, input_shape=[1, 16])
     s = make_slice(rng.normal(size=(4, 4)))
-    got = extract_external(s, path)
+    got = OnnxBackend(path).extract(s)
     np.testing.assert_allclose(got, bilinear_resize(s.pixels, 1, 16).ravel(), atol=1e-12)

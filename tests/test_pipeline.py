@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from mridecomp import pipeline
 from mridecomp.config import PipelineConfig, TrainingConfig
 from mridecomp.errors import StageError
-from mridecomp.pipeline import run_pipeline
+from mridecomp.manifest import ManifestRow, read_manifest
+from mridecomp.pipeline import run_pipeline, run_slices_stage, write_entropy_csv
 from mridecomp.synth import generate_dataset, write_nifti
 
 EXPECTED_FILES = {
@@ -162,6 +164,54 @@ def test_slice_cache_reused_and_force_recomputes(dataset, tmp_path):
         if p.stat().st_mtime_ns != stamps[p.name]
     ]
     assert changed == sorted(stamps)
+
+
+def test_slice_cache_misses_after_volume_rewrite(dataset, tmp_path):
+    _, rows = dataset
+    copies = []
+    for row in rows[:2]:
+        copy = tmp_path / row.path.name
+        copy.write_bytes(row.path.read_bytes())
+        copies.append(ManifestRow(row.subject_id, row.label, copy))
+    cfg = quick_config()
+    run_slices_stage(copies, cfg, tmp_path / "reused")
+    write_nifti(copies[0].path, np.random.default_rng(3).uniform(0.0, 200.0, size=(24, 24, 8)))
+    for out in ("reused", "fresh"):
+        stage = run_slices_stage(copies, cfg, tmp_path / out)
+        write_entropy_csv(stage, tmp_path / out / "entropies.csv")
+    assert (tmp_path / "reused" / "entropies.csv").read_bytes() == (
+        tmp_path / "fresh" / "entropies.csv"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize("payload", [b"garbage\n", b"PK\x03\x04truncated"])
+def test_unreadable_cache_entry_is_recomputed(dataset, tmp_path, payload):
+    manifest_path, _ = dataset
+    rows = read_manifest(manifest_path)[:1]
+    fresh = run_slices_stage(rows, quick_config(), tmp_path / "fresh")
+    (tmp_path / "reused" / "cache").mkdir(parents=True)
+    (tmp_path / "reused" / "cache" / f"{rows[0].subject_id}.npz").write_bytes(payload)
+    reused = run_slices_stage(rows, quick_config(), tmp_path / "reused")
+    assert not reused.errors
+    assert reused.ranked_all == fresh.ranked_all
+
+
+def test_selected_slices_do_not_pin_volumes(dataset, tmp_path, monkeypatch):
+    manifest_path, _ = dataset
+    volumes = []
+
+    def recording_read_nifti(*args, **kwargs):
+        volumes.append(real_read_nifti(*args, **kwargs))
+        return volumes[-1]
+
+    real_read_nifti = pipeline.read_nifti
+    monkeypatch.setattr(pipeline, "read_nifti", recording_read_nifti)
+    rows = read_manifest(manifest_path)
+    stage = run_slices_stage(rows, quick_config(), tmp_path)
+    assert len(volumes) == len(rows)
+    for volume in volumes:
+        for s in stage.selected[volume.subject_id]:
+            assert not np.shares_memory(s.pixels, volume.voxels)
 
 
 def test_missing_manifest_fails_in_manifest_stage(tmp_path):
