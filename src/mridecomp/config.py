@@ -118,6 +118,11 @@ class TrainingConfig:
     def validate(self) -> None:
         if not self.learning_rates:
             raise ConfigError("training.learning_rates must be non-empty")
+        if len(set(self.learning_rates)) != len(self.learning_rates):
+            # cells are named lr=<value>, so equal rates would share one name
+            raise ConfigError(
+                f"training.learning_rates must be distinct, got {list(self.learning_rates)}"
+            )
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigError(
                 f"training.validation_fraction must be in [0, 1), got {self.validation_fraction}"

@@ -64,15 +64,18 @@ def glcm(
     if r0 >= r1 or c0 >= c1:
         raise EmptyGlcm(f"no pixel pair fits offset {offset} in a {idx.shape} slice")
 
-    left = idx[r0:r1, c0:c1].ravel()
-    right = idx[r0 + dr : r1 + dr, c0 + dc : c1 + dc].ravel()
     levels = q.levels
-    counts = np.bincount(left * levels + right, minlength=levels * levels)
+    # pair codes on the 2-D windows keep the slice's layout, so the one
+    # ravel below is a view and a Fortran-ordered slice is never copied to C order
+    codes = idx[r0:r1, c0:c1] * levels
+    codes += idx[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
+    counts = np.bincount(codes.ravel(order="K"), minlength=levels * levels)
     matrix = counts.reshape(levels, levels).astype(np.float64)
     if symmetric:
         matrix = matrix + matrix.T
     if normalize:
-        matrix = matrix / matrix.sum()
+        # the counts sum to the pair count exactly, so no sum is needed
+        matrix /= codes.size * (2 if symmetric else 1)
     matrix.setflags(write=False)
     return GlcmMatrix(levels=levels, probabilities=matrix, normalized=normalize)
 

@@ -9,13 +9,18 @@ axial axis.
 
 Supported datatype codes: 2 (uint8), 4 (int16), 8 (int32), 16 (float32),
 64 (float64). Stored values are mapped through scl_slope * v + scl_inter
-unless scl_slope == 0, which by convention means "no scaling".
+unless scl_slope == 0, which by convention means "no scaling"; a scaled
+volume is decoded to float64. An unscaled volume keeps its stored dtype, in
+native byte order, and quantize promotes one slice at a time to float64, so
+a 128^3 float32 volume never exists as a 16 MB float64 copy.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,9 +46,10 @@ DATATYPES = {2: ("u1", 8), 4: ("i2", 16), 8: ("i4", 32), 16: ("f4", 32), 64: ("f
 class Volume:
     """A decoded 3-D scalar grid.
 
-    voxels is an (nx, ny, nz) float64 array laid out from the file's
-    column-major order; it is marked read-only so volumes can be shared
-    across workers.
+    voxels is an (nx, ny, nz) array laid out from the file's column-major
+    order. It is in the stored dtype (native byte order) when no scl_slope
+    scaling applies and float64 when it does. It is marked read-only so
+    volumes can be shared across workers.
     """
 
     subject_id: str
@@ -57,7 +63,7 @@ class Volume:
             raise DimensionError(
                 f"voxel grid {self.voxels.shape} does not match dims {self.dims}"
             )
-        if not np.isfinite(self.voxels).all():
+        if self.voxels.dtype.kind == "f" and not np.isfinite(self.voxels).all():
             raise MalformedHeader("voxel payload contains non-finite values after scaling")
         self.voxels.setflags(write=False)
 
@@ -82,13 +88,12 @@ class QuantizedSlice:
 def _read_bytes(path) -> bytes:
     try:
         with open(path, "rb") as fh:
-            head = fh.read(2)
-            fh.seek(0)
-            if head == GZIP_MAGIC:
-                with gzip.open(fh) as gz:
-                    return gz.read()
-            return fh.read()
-    except OSError as exc:
+            raw = fh.read()
+        # gzip.decompress checks the CRC and length like gzip.open; one call
+        # on the whole file is faster than gzip.open's 8 KB reads
+        return gzip.decompress(raw) if raw[:2] == GZIP_MAGIC else raw
+    except (OSError, EOFError, zlib.error) as exc:
+        # OSError includes gzip.BadGzipFile; EOFError is a truncated stream
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
@@ -137,16 +142,21 @@ def read_nifti(path, subject_id: str | None = None) -> Volume:
     if any(d != 1 for d in trailing):
         raise DimensionError(f"{path}: trailing dims {tuple(trailing)} must all be 1")
 
+    if not math.isfinite(vox_offset):
+        raise MalformedHeader(f"{path}: vox_offset {vox_offset} is not finite")
     offset = int(vox_offset) if vox_offset >= HEADER_SIZE else HEADER_SIZE
     dtype = np.dtype(base).newbyteorder(end)
     count = nx * ny * nz
-    payload = raw[offset : offset + count * dtype.itemsize]
+    payload = memoryview(raw)[offset : offset + count * dtype.itemsize]
     if len(payload) < count * dtype.itemsize:
         raise MalformedHeader(f"{path}: truncated voxel payload")
 
-    values = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+    stored = np.frombuffer(payload, dtype=dtype)
     if scl_slope != 0.0 and (scl_slope, scl_inter) != (1.0, 0.0):
-        values = values * np.float64(scl_slope) + np.float64(scl_inter)
+        values = stored.astype(np.float64) * np.float64(scl_slope) + np.float64(scl_inter)
+    else:
+        # a view of raw in native byte order; a copy only for foreign byte order
+        values = stored.astype(dtype.newbyteorder("="), copy=False)
 
     voxels = values.reshape((nx, ny, nz), order="F")
     return Volume(
@@ -176,19 +186,24 @@ def extract_axial_slices(volume: Volume) -> list[Slice2D]:
 def quantize(s: Slice2D, levels: int) -> QuantizedSlice:
     """Discretize pixel intensities into `levels` grey levels by min-max binning.
 
-    index = floor((p - min) / (max - min) * levels), clamped to levels-1;
-    a constant slice maps entirely to level 0. Invariant under positive
-    affine intensity maps.
+    index = floor((p - min) / (max - min) * levels), clamped to levels-1,
+    computed in float64 whatever the stored dtype; a constant slice maps
+    entirely to level 0. Invariant under positive affine intensity maps.
+    The indices keep the slice's memory layout (Fortran order for a slice
+    of a volume).
     """
     if levels < 2:
         raise InvalidLevels(f"levels must be >= 2, got {levels}")
-    pixels = s.pixels
+    pixels = np.asarray(s.pixels, dtype=np.float64)
     lo = pixels.min()
     hi = pixels.max()
     if hi == lo:
         indices = np.zeros(pixels.shape, dtype=np.int64)
     else:
-        scaled = (pixels - lo) / (hi - lo) * levels
-        indices = np.minimum(np.floor(scaled).astype(np.int64), levels - 1)
+        scaled = pixels - lo
+        scaled /= hi - lo
+        scaled *= levels
+        indices = scaled.astype(np.int64)  # scaled >= 0, so truncation is floor
+        np.minimum(indices, levels - 1, out=indices)
     indices.setflags(write=False)
     return QuantizedSlice(levels=levels, indices=indices)

@@ -17,8 +17,10 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 import time
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -80,6 +82,9 @@ class SliceStage:
     selected: dict[str, list[Slice2D]]
     ranked_all: dict[str, list[RankedSlice]]
     errors: dict[str, str]
+    workers: int = 1  # threads the stage ran subjects on
+    cache_hits: int = 0  # subjects read from their cache entry
+    cache_misses: int = 0  # subjects computed and written to the cache
 
 
 def _cache_path(cache_dir: Path, subject_id: str) -> Path:
@@ -144,13 +149,43 @@ def _select_for_subject(row: ManifestRow, ecfg: EntropyConfig, top_k: int):
             "subject %s has only %d slices, below top_k=%d", row.subject_id, len(ranked), top_k
         )
     chosen_idx = {r.slice_index for r in select_top_k(ranked, k)}
-    # copies, so the float64 volume is freed once ranking is done
+    # copies in the stored dtype, so the volume is freed once ranking is done;
+    # the feature backends promote pixels to float64 themselves
     selected = [
         Slice2D(s.subject_id, s.slice_index, s.pixels.copy())
         for s in slices
         if s.slice_index in chosen_idx
     ]
     return selected, ranked
+
+
+def _slices_for_subject(
+    row: ManifestRow, cfg: PipelineConfig, ecfg: EntropyConfig, cache_dir: Path, force: bool
+):
+    """(selected, ranked, cache_hit) for one subject, from its cache entry when
+    that was written under the same key, else computed and written."""
+    cache_file = _cache_path(cache_dir, row.subject_id)
+    key = _cache_key(row, cfg)
+    cached = None if force else _read_cache(cache_file, key, row.subject_id)
+    if cached is not None:
+        return (*cached, True)
+    chosen, ranked = _select_for_subject(row, ecfg, cfg.slice_selection.top_k)
+    np.savez(
+        cache_file,
+        key=np.asarray(key),
+        pixels=np.stack([s.pixels for s in chosen]),
+        indices=np.asarray([s.slice_index for s in chosen], dtype=np.int64),
+        all_indices=np.asarray([r.slice_index for r in ranked], dtype=np.int64),
+        all_entropies=np.asarray([r.entropy for r in ranked], dtype=np.float64),
+    )
+    return chosen, ranked, False
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def run_slices_stage(
@@ -161,42 +196,46 @@ def run_slices_stage(
 ) -> SliceStage:
     """Rank and cache informative slices per subject; errors are isolated.
 
-    A cache entry is reused only when it was computed under the same key
-    (see _cache_key); force recomputes every entry.
+    Subjects run on a thread pool with one worker per available CPU (decode,
+    inflate and the numpy kernels release the GIL); results are merged in
+    manifest order, so the outcome does not depend on the worker count. A
+    PipelineError or OSError becomes errors[subject_id]; any other exception
+    propagates. A cache entry is reused only when it was computed under the
+    same key (see _cache_key); force recomputes every entry.
     """
     ecfg = EntropyConfig(
         levels=cfg.slice_selection.levels,
         offset=cfg.slice_selection.offset,
         symmetric=cfg.slice_selection.symmetric,
     )
-    top_k = cfg.slice_selection.top_k
     cache_dir = out_dir / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
 
-    selected: dict[str, list[Slice2D]] = {}
-    ranked_all: dict[str, list[RankedSlice]] = {}
-    errors: dict[str, str] = {}
-    for row in rows:
-        cache_file = _cache_path(cache_dir, row.subject_id)
+    def attempt(row: ManifestRow):
         try:
-            key = _cache_key(row, cfg)
-            cached = None if force else _read_cache(cache_file, key, row.subject_id)
-            if cached is None:
-                chosen, ranked = _select_for_subject(row, ecfg, top_k)
-                np.savez(
-                    cache_file,
-                    key=np.asarray(key),
-                    pixels=np.stack([s.pixels for s in chosen]),
-                    indices=np.asarray([s.slice_index for s in chosen], dtype=np.int64),
-                    all_indices=np.asarray([r.slice_index for r in ranked], dtype=np.int64),
-                    all_entropies=np.asarray([r.entropy for r in ranked], dtype=np.float64),
-                )
-                cached = chosen, ranked
-            selected[row.subject_id], ranked_all[row.subject_id] = cached
+            return _slices_for_subject(row, cfg, ecfg, cache_dir, force), None
         except (PipelineError, OSError) as exc:
             logger.error("subject %s failed: %s", row.subject_id, exc)
-            errors[row.subject_id] = str(exc)
-    return SliceStage(selected=selected, ranked_all=ranked_all, errors=errors)
+            return None, str(exc)
+
+    workers = max(1, min(_available_cpus(), len(rows)))
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        outcomes = list(pool.map(attempt, rows))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+    stage = SliceStage(selected={}, ranked_all={}, errors={}, workers=workers)
+    for row, (done, error) in zip(rows, outcomes):
+        if error is not None:
+            stage.errors[row.subject_id] = error
+            continue
+        stage.selected[row.subject_id], stage.ranked_all[row.subject_id], hit = done
+        if hit:
+            stage.cache_hits += 1
+        else:
+            stage.cache_misses += 1
+    return stage
 
 
 def write_entropy_csv(stage: SliceStage, path: Path) -> None:
@@ -348,15 +387,19 @@ def run_pipeline(
         "validation_split": derive_seed(cfg.seed, _TAG_VALIDATION),
     }
 
+    stage_seconds: dict[str, float] = {}
+
     @contextmanager
     def stage(name):
         logger.info("stage %s", name)
+        t0 = time.perf_counter()
         try:
             yield
         except StageError:
             raise
         except Exception as exc:
             raise StageError(name, exc) from exc
+        stage_seconds[name] = time.perf_counter() - t0
 
     with stage("manifest"):
         rows = read_manifest(manifest_path, allowed_labels=cfg.classes)
@@ -483,6 +526,9 @@ def run_pipeline(
         "n_subjects": len(rows),
         "n_slices": X.n,
         "reduced_dim": R_grad.m,
+        "stage_seconds": stage_seconds,
+        "slice_workers": slice_stage.workers,
+        "slice_cache": {"hits": slice_stage.cache_hits, "misses": slice_stage.cache_misses},
     }
     save_params(run_info, run_dir / "run_info.json")
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +168,15 @@ def test_bad_config_exits_1(data_dir, tmp_path, capsys):
     assert "train_frac" in capsys.readouterr().err
 
 
+def test_duplicate_learning_rates_exit_1(data_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"training": {"learning_rates": [0.01, 1e-2]}}')
+    argv = ["pipeline", "--manifest", str(data_dir / "manifest.csv"), "--config", str(cfg_path)]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 1
+    assert "learning_rates must be distinct" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "models").exists()
+
+
 def test_unknown_config_key_exits_1(data_dir, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"sliceselection": {"levels": 8}}))
@@ -250,6 +260,33 @@ def test_missing_volume_exits_2(data_dir, tmp_path, capsys):
     assert "error: subject" in err
     # the healthy subjects were still processed
     assert (work / "entropies.csv").exists()
+
+
+def test_corrupt_gzip_volume_exits_2(data_dir, tmp_path, capsys):
+    lines = (data_dir / "manifest.csv").read_text().splitlines()
+    for i in range(1, len(lines)):  # the manifest is written elsewhere: absolute paths
+        volume = lines[i].split(",")[2]
+        lines[i] = lines[i].replace(volume, str(data_dir / volume))
+    gz_lines = [i for i, line in enumerate(lines) if ".nii.gz" in line][:2]
+    for i, cut in zip(gz_lines, ("truncated", "flipped")):
+        volume = lines[i].split(",")[2]
+        data = bytearray(Path(volume).read_bytes())
+        if cut == "truncated":
+            del data[len(data) // 2 :]
+        else:
+            data[len(data) // 2] ^= 0x10
+        (tmp_path / f"{cut}.nii.gz").write_bytes(bytes(data))
+        lines[i] = lines[i].replace(volume, str(tmp_path / f"{cut}.nii.gz"))
+    broken = tmp_path / "broken.csv"
+    broken.write_text("\n".join(lines) + "\n")
+
+    work = tmp_path / "work"
+    assert main(["slices", "--manifest", str(broken), "--out", str(work)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for i in gz_lines:
+        assert f"error: subject {lines[i].split(',')[0]}" in err
+    assert len(list((work / "cache").glob("*.npz"))) == len(lines) - 1 - len(gz_lines)
 
 
 def test_pipeline_stage_failure_exits_2(data_dir, tmp_path, capsys):

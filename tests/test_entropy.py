@@ -113,6 +113,33 @@ def test_glcm_matches_brute_force(seed, nr, nc, levels, dr, dc, symmetric, norma
         assert glcm_entropy(g) == pytest.approx(entropy_brute(expected), abs=1e-12)
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 100_000),
+    nr=st.integers(2, 6),
+    nc=st.integers(2, 6),
+    levels=st.integers(2, 8),
+    dr=st.integers(-2, 2),
+    dc=st.integers(-2, 2),
+    layout=st.sampled_from(["fortran", "volume_slice", "strided"]),
+)
+def test_glcm_matches_brute_force_on_views(seed, nr, nc, levels, dr, dc, layout):
+    """Slices of a volume are Fortran-ordered or strided views, not C-contiguous arrays."""
+    if (dr, dc) == (0, 0) or abs(dr) >= nr or abs(dc) >= nc:
+        return
+    rng = np.random.default_rng(seed)
+    if layout == "fortran":
+        idx = np.asfortranarray(rng.integers(0, levels, size=(nr, nc)))
+    elif layout == "volume_slice":
+        idx = np.asfortranarray(rng.integers(0, levels, size=(nr, nc, 3)))[:, :, 1]
+    else:
+        idx = rng.integers(0, levels, size=(2 * nr, 3 * nc))[::2, ::3]
+    assert not idx.flags.c_contiguous
+    g = glcm(QuantizedSlice(levels=levels, indices=idx), offset=(dr, dc))
+    expected = glcm_brute(np.ascontiguousarray(idx), levels, (dr, dc), True, True)
+    np.testing.assert_allclose(g.probabilities, expected, atol=1e-12)
+
+
 def test_zero_offset_rejected():
     with pytest.raises(ZeroOffset):
         glcm(quantized([[0, 1]]), offset=(0, 0))

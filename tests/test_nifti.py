@@ -13,9 +13,10 @@ from mridecomp.errors import (
     InvalidLevels,
     IoError,
     MalformedHeader,
+    PipelineError,
     UnsupportedDatatype,
 )
-from mridecomp.nifti import extract_axial_slices, quantize, read_nifti
+from mridecomp.nifti import DATATYPES, Slice2D, extract_axial_slices, quantize, read_nifti
 from mridecomp.synth import write_nifti
 
 from conftest import make_slice
@@ -234,6 +235,77 @@ def test_non_finite_payload_rejected(tmp_path):
         read_nifti(path)
 
 
+@pytest.mark.parametrize("datatype", sorted(DATATYPES))
+@pytest.mark.parametrize("end", ["<", ">"])
+@pytest.mark.parametrize("scaling", [(0.0, 0.0), (1.0, 0.0), (2.5, -1.0)])
+def test_decode_matches_float64_reference(tmp_path, rng, datatype, end, scaling):
+    """Voxels equal today's float64 decode; unscaled ones keep the stored dtype."""
+    base, bitpix = DATATYPES[datatype]
+    slope, inter = scaling
+    hdr = build_header(datatype=datatype, bitpix=bitpix, scl_slope=slope, scl_inter=inter, end=end)
+    payload = rng.integers(0, 200, size=48).astype(end + base).tobytes()
+    path = tmp_path / "v.nii"
+    path.write_bytes(bytes(hdr) + b"\x00" * 4 + payload)
+
+    reference = np.frombuffer(payload, dtype=end + base).astype(np.float64)
+    scaled = slope != 0.0 and (slope, inter) != (1.0, 0.0)
+    if scaled:
+        reference = reference * np.float64(slope) + np.float64(inter)
+    vol = read_nifti(path)
+    np.testing.assert_array_equal(vol.voxels, reference.reshape((4, 4, 3), order="F"))
+    expected = np.dtype(np.float64) if scaled else np.dtype(base).newbyteorder("=")
+    assert vol.voxels.dtype == expected
+    assert not vol.voxels.flags.writeable
+
+
+def test_corrupt_gzip_raises_io_error(tmp_path):
+    hdr = build_header()
+    blob = gzip.compress(bytes(hdr) + b"\x00" * 4 + np.arange(48, dtype="<f4").tobytes())
+    flipped = bytearray(blob)
+    flipped[len(blob) // 2] ^= 0x10
+    for name, data in (("truncated", blob[: len(blob) - 12]), ("flipped", bytes(flipped))):
+        path = tmp_path / f"{name}.nii.gz"
+        path.write_bytes(data)
+        with pytest.raises(IoError):
+            read_nifti(path)
+
+
+def test_non_finite_vox_offset_rejected(tmp_path):
+    path = tmp_path / "inf.nii"
+    path.write_bytes(bytes(build_header(vox_offset=float("inf"))) + bytes(4 + 48 * 4))
+    with pytest.raises(MalformedHeader):
+        read_nifti(path)
+
+
+def _valid_volume_bytes() -> bytes:
+    hdr = build_header(datatype=4, bitpix=16, scl_slope=2.0, scl_inter=1.0)
+    return bytes(hdr) + b"\x00" * 4 + np.arange(48, dtype="<i2").tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    compress=st.booleans(),
+    cut=st.one_of(st.none(), st.integers(0, 500)),
+    position=st.integers(0, 500),
+    patch=st.binary(min_size=0, max_size=4),
+)
+def test_corrupt_bytes_raise_only_pipeline_errors(tmp_path_factory, compress, cut, position, patch):
+    """Truncated or overwritten .nii / .nii.gz bytes decode or raise a PipelineError."""
+    blob = bytearray(_valid_volume_bytes())
+    if compress:
+        blob = bytearray(gzip.compress(bytes(blob), mtime=0))
+    position %= len(blob)
+    blob[position : position + len(patch)] = patch
+    if cut is not None:
+        del blob[cut % len(blob) :]
+    path = tmp_path_factory.mktemp("fuzz") / ("v.nii.gz" if compress else "v.nii")
+    path.write_bytes(bytes(blob))
+    try:
+        read_nifti(path)
+    except PipelineError:
+        pass
+
+
 def test_extract_axial_slices(tmp_path, rng):
     source = rng.normal(size=(6, 5, 4))
     path = tmp_path / "v.nii"
@@ -268,6 +340,18 @@ def test_quantize_constant_slice_all_zero():
 def test_quantize_rejects_single_level():
     with pytest.raises(InvalidLevels):
         quantize(make_slice(np.zeros((2, 2))), 1)
+
+
+@pytest.mark.parametrize("dtype", ["u1", "i2", "i4", "f4"])
+@pytest.mark.parametrize("levels", [2, 8, 16])
+def test_quantize_narrow_dtype_matches_float64(dtype, levels, rng):
+    stored = rng.integers(0, 250, size=(9, 7, 3)).astype(dtype, order="F")
+    stored[0, 0, 1] = 3  # keep the middle slice non-constant
+    narrow = Slice2D("s", 1, stored[:, :, 1])
+    wide = Slice2D("s", 1, stored[:, :, 1].astype(np.float64))
+    np.testing.assert_array_equal(quantize(narrow, levels).indices, quantize(wide, levels).indices)
+    flat = Slice2D("s", 0, np.full((4, 4), 7, dtype=dtype))
+    assert (quantize(flat, levels).indices == 0).all()
 
 
 @settings(deadline=None, max_examples=50)

@@ -214,6 +214,59 @@ def test_selected_slices_do_not_pin_volumes(dataset, tmp_path, monkeypatch):
             assert not np.shares_memory(s.pixels, volume.voxels)
 
 
+def _artifacts(run_dir):
+    return {
+        p.relative_to(run_dir).as_posix(): p.read_bytes()
+        for p in sorted(run_dir.rglob("*"))
+        if p.is_file() and p.name != "run_info.json" and p.parent.name != "cache"
+    }
+
+
+def test_outputs_do_not_depend_on_worker_count(dataset, tmp_path, monkeypatch):
+    manifest_path, rows = dataset
+    runs = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(pipeline, "_available_cpus", lambda: cpus)
+        runs[cpus] = tmp_path / f"cpus{cpus}"
+        run_pipeline(manifest_path, quick_config(), runs[cpus])
+        info = json.loads((runs[cpus] / "run_info.json").read_text())
+        assert info["slice_workers"] == cpus
+    assert _artifacts(runs[1]) == _artifacts(runs[3])
+    for row in rows:
+        with np.load(runs[1] / "cache" / f"{row.subject_id}.npz") as a, np.load(
+            runs[3] / "cache" / f"{row.subject_id}.npz"
+        ) as b:
+            assert a.files == b.files
+            for name in a.files:
+                if name != "key":  # the key holds the resolved volume path only
+                    np.testing.assert_array_equal(a[name], b[name])
+                    assert a[name].dtype == b[name].dtype
+
+
+def test_run_info_records_stage_times_and_cache_use(dataset, tmp_path):
+    manifest_path, rows = dataset
+    run_dir = tmp_path / "run"
+    for expected_hits in (0, len(rows)):
+        run_pipeline(manifest_path, quick_config(), run_dir)
+        info = json.loads((run_dir / "run_info.json").read_text())
+        stages = {"manifest", "slices", "features", "split", "decompose", "train", "evaluate"}
+        assert set(info["stage_seconds"]) == stages
+        assert all(t >= 0.0 for t in info["stage_seconds"].values())
+        misses = len(rows) - expected_hits
+        assert info["slice_cache"] == {"hits": expected_hits, "misses": misses}
+
+
+def test_unexpected_subject_error_propagates(dataset, tmp_path, monkeypatch):
+    manifest_path, _ = dataset
+
+    def broken_read_nifti(*args, **kwargs):
+        raise RuntimeError("not a pipeline error")
+
+    monkeypatch.setattr(pipeline, "read_nifti", broken_read_nifti)
+    with pytest.raises(RuntimeError, match="not a pipeline error"):
+        run_slices_stage(read_manifest(manifest_path), quick_config(), tmp_path)
+
+
 def test_missing_manifest_fails_in_manifest_stage(tmp_path):
     with pytest.raises(StageError) as excinfo:
         run_pipeline(tmp_path / "nope.csv", quick_config(), tmp_path / "run")
