@@ -10,13 +10,13 @@ summing subclass probabilities per class.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .decomposition import LabelCodec
-from .errors import ConfigError, DimMismatch, MissingSubclass
+from .errors import ConfigError, DimMismatch, MissingSubclass, ParseError
 
 COMPOSE_MODES = ("argmax-strip", "prob-sum")
 
@@ -55,8 +55,14 @@ class ClassifierModel:
     codec: LabelCodec
     params: dict[str, np.ndarray] = field(default_factory=dict)
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        i, h, o = self.input_dim, self.hidden_dim, self.output_dim
+        if h > 0:
+            return {"W1": (i, h), "b1": (h,), "W2": (h, o), "b2": (o,)}
+        return {"W": (i, o), "b": (o,)}
+
     def param_names(self) -> list[str]:
-        return ["W1", "b1", "W2", "b2"] if self.hidden_dim > 0 else ["W", "b"]
+        return list(self.param_shapes())
 
 
 @dataclass(frozen=True)
@@ -286,29 +292,39 @@ def predict_composed(model: ClassifierModel, x: np.ndarray, mode: str = "argmax-
 
 
 def model_to_json(model: ClassifierModel, path) -> None:
-    payload = {
-        "input_dim": model.input_dim,
-        "hidden_dim": model.hidden_dim,
-        "output_dim": model.output_dim,
-        "codec": model.codec.to_dict(),
-        "params": {k: v.tolist() for k, v in model.params.items()},
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(
+        {
+            "input_dim": model.input_dim,
+            "hidden_dim": model.hidden_dim,
+            "output_dim": model.output_dim,
+            "codec": model.codec.to_dict(),
+            "params": {k: v.tolist() for k, v in model.params.items()},
+        },
+        path,
+    )
 
 
 def model_from_json(path) -> ClassifierModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    model = ClassifierModel(
-        input_dim=int(payload["input_dim"]),
-        hidden_dim=int(payload["hidden_dim"]),
-        output_dim=int(payload["output_dim"]),
-        codec=LabelCodec.from_dict(payload["codec"]),
-        params={k: np.asarray(v, dtype=np.float64) for k, v in payload["params"].items()},
-    )
-    expected = set(model.param_names())
-    if set(model.params) != expected:
-        raise DimMismatch(f"model file has params {sorted(model.params)}, expected {sorted(expected)}")
+    """Load a model_to_json file. Undecodable JSON or a missing or mistyped key
+    raises ParseError; parameters that do not fit the declared dims raise
+    DimMismatch."""
+    payload = read_json(path)
+    try:
+        model = ClassifierModel(
+            input_dim=int(payload["input_dim"]),
+            hidden_dim=int(payload["hidden_dim"]),
+            output_dim=int(payload["output_dim"]),
+            codec=LabelCodec.from_dict(payload["codec"]),
+            params={k: np.asarray(v, dtype=np.float64) for k, v in payload["params"].items()},
+        )
+    except KeyError as exc:
+        raise ParseError(f"{path}: model file lacks key {exc}") from None
+    except (TypeError, ValueError, AttributeError, ParseError) as exc:
+        raise ParseError(f"{path}: malformed model file: {exc}") from None
+    shapes = {name: p.shape for name, p in model.params.items()}
+    if shapes != model.param_shapes() or model.output_dim != model.codec.n_sublabels:
+        raise DimMismatch(
+            f"{path}: expected params {model.param_shapes()} for {model.codec.n_sublabels} "
+            f"subclasses, got {shapes} with output_dim {model.output_dim}"
+        )
     return model

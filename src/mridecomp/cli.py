@@ -16,10 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json
 from .classifier import model_from_json, model_to_json
 from .config import PipelineConfig, load_config
-from .decomposition import codec_from_json, write_sublabeled_csv
-from .errors import ConfigError, EmptyFile, ParseError, PipelineError, StageError
+from .decomposition import codec_from_json, decomposition_report
+from .errors import ConfigError, EmptyFile, ParseError, PipelineError
 from .evaluation import evaluate, render_metrics_table, report_to_dict
 from .features import load_precomputed, save_features
 from .manifest import read_manifest
@@ -32,7 +33,6 @@ from .pipeline import (
     run_train_stage,
     write_entropy_csv,
 )
-from .reduction import save_params
 from .synth import generate_dataset
 
 logger = logging.getLogger(__name__)
@@ -165,13 +165,9 @@ def cmd_decompose(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
 
     ds = run_decompose_stage(X, np.ones(X.n, dtype=bool), cfg, args.out).decomposed
-    names = [ds.codec.subclass_name(int(s)) for s in ds.sublabels]
-    write_sublabeled_csv(ds.features, names, args.out / "sublabeled_features.csv")
-    write_sublabeled_csv(X, names, args.out / "sublabeled_original_features.csv")
-    counts = {
-        ds.codec.subclass_name(i): int((ds.sublabels == i).sum())
-        for i in range(ds.codec.n_sublabels)
-    }
+    save_features(ds.codec.relabel(ds.features, ds.sublabels), args.out / "sublabeled_features.csv")
+    save_features(ds.codec.relabel(X, ds.sublabels), args.out / "sublabeled_original_features.csv")
+    counts = {row["subclass"]: row["count"] for row in decomposition_report(ds)}
     print(f"decomposed into {ds.codec.n_sublabels} subclasses: {counts}")
     return 0
 
@@ -181,7 +177,7 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     codec = codec_from_json(args.codec)
     X = load_precomputed(args.features)
-    y = np.asarray([codec.parse_subclass_name(label) for label in X.labels], dtype=np.int64)
+    y = codec.parse_labels(X.labels)
     args.out.mkdir(parents=True, exist_ok=True)
 
     grid = run_train_stage(X.values, y, codec, cfg, args.out)
@@ -199,11 +195,11 @@ def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
     model = model_from_json(args.model)
     X = load_precomputed(args.features)
-    y = np.asarray([model.codec.parse_subclass_name(label) for label in X.labels], dtype=np.int64)
+    y = model.codec.parse_labels(X.labels)
     args.out.mkdir(parents=True, exist_ok=True)
 
     report = evaluate(model, X.values, y, cfg.compose_mode)
-    save_params(report_to_dict(report), args.out / "metrics.json")
+    write_json(report_to_dict(report), args.out / "metrics.json")
     m = report.composed_metrics
     table = render_metrics_table(
         [
@@ -256,9 +252,6 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, EmptyFile) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,11 +7,12 @@ config fails before any work starts.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
+from .artifacts import read_json
 from .classifier import COMPOSE_MODES, TrainConfig
-from .errors import ConfigError
+from .entropy import EntropyConfig
+from .errors import ConfigError, ParseError
 
 DECOMPOSITION_MODES = ("fixed", "elbow")
 FEATURE_BACKENDS = ("raw", "onnx")
@@ -19,10 +20,9 @@ CONFIG_VERSION = 1
 
 
 @dataclass(frozen=True)
-class SliceSelectionConfig:
-    levels: int = 8
-    offset: tuple[int, int] = (0, 1)
-    symmetric: bool = True
+class SliceSelectionConfig(EntropyConfig):
+    """The slice scorer's settings plus how many ranked slices to keep."""
+
     top_k: int = 20
 
     def validate(self) -> None:
@@ -230,14 +230,7 @@ def config_from_dict(obj: dict) -> PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        obj = read_json(path)
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from None
     return config_from_dict(obj)
-
-
-def save_config(cfg: PipelineConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")

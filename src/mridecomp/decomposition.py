@@ -9,15 +9,14 @@ are conserved by construction.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import read_json, write_table
 from .cluster import elbow_select_k, kmeans_restarts
-from .errors import ClassTooSmall, EmptyInput, InvalidK, UnknownSublabel
+from .errors import ClassTooSmall, EmptyInput, InvalidK, ParseError, UnknownSublabel
 from .features import FeatureMatrix
 
 logger = logging.getLogger(__name__)
@@ -80,6 +79,14 @@ class LabelCodec:
             raise UnknownSublabel(f"malformed subclass name {name!r}")
         return self.encode(cls, int(suffix) - 1)
 
+    def relabel(self, X: FeatureMatrix, sublabels) -> FeatureMatrix:
+        """X with the subclass name of each row's sublabel id in the label column."""
+        return replace(X, labels=tuple(self.subclass_name(int(s)) for s in sublabels))
+
+    def parse_labels(self, names) -> np.ndarray:
+        """Sublabel ids of subclass names, e.g. the labels of a sublabeled CSV."""
+        return np.asarray([self.parse_subclass_name(name) for name in names], dtype=np.int64)
+
     def class_of(self, sublabel: int) -> str:
         return self.decode(sublabel)[0]
 
@@ -92,10 +99,16 @@ class LabelCodec:
 
     @staticmethod
     def from_dict(obj: dict) -> "LabelCodec":
-        return LabelCodec(
-            classes=tuple(obj["classes"]),
-            cluster_counts=tuple(int(c) for c in obj["cluster_counts"]),
-        )
+        """Inverse of to_dict; a missing or mistyped key raises ParseError."""
+        try:
+            return LabelCodec(
+                classes=tuple(obj["classes"]),
+                cluster_counts=tuple(int(c) for c in obj["cluster_counts"]),
+            )
+        except KeyError as exc:
+            raise ParseError(f"codec lacks key {exc}") from None
+        except (TypeError, ValueError, InvalidK) as exc:
+            raise ParseError(f"malformed codec: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -216,40 +229,13 @@ def decomposition_report(ds: DecomposedDataset) -> list[dict]:
 
 
 def write_report_csv(ds: DecomposedDataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subclass", "class", "count", "class_wcss"])
-        for row in decomposition_report(ds):
-            writer.writerow([row["subclass"], row["class"], row["count"], repr(row["class_wcss"])])
-
-
-def write_sublabeled_csv(X: FeatureMatrix, names: list[str], path) -> None:
-    """Feature CSV with subclass names in the label column."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject_id", "label"] + [f"f{j}" for j in range(X.m)])
-        for sid, name, row in zip(X.subject_ids, names, X.values):
-            writer.writerow([sid, name] + [repr(float(v)) for v in row])
-
-
-def codec_to_json(codec: LabelCodec, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(codec.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    header = ["subclass", "class", "count", "class_wcss"]
+    write_table(path, header, ([row[k] for k in header] for row in decomposition_report(ds)))
 
 
 def codec_from_json(path) -> LabelCodec:
-    with open(path) as fh:
-        return LabelCodec.from_dict(json.load(fh))
-
-
-def centroids_to_json(centroids: dict[str, np.ndarray], path) -> None:
-    with open(path, "w") as fh:
-        json.dump({cls: c.tolist() for cls, c in centroids.items()}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def centroids_from_json(path) -> dict[str, np.ndarray]:
-    with open(path) as fh:
-        raw = json.load(fh)
-    return {cls: np.asarray(c, dtype=np.float64) for cls, c in raw.items()}
+    obj = read_json(path)
+    try:
+        return LabelCodec.from_dict(obj)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None

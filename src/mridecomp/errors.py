@@ -69,7 +69,7 @@ class ShapeMismatch(PipelineError):
 
 
 class ParseError(PipelineError):
-    """CSV content violates the expected schema."""
+    """CSV or JSON content is undecodable or violates the expected schema."""
 
 
 class EmptyFile(PipelineError):

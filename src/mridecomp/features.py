@@ -1,9 +1,9 @@
 """Slice-to-vector feature backends and the feature CSV interchange.
 
 Every backend is a deterministic map from a 2-D slice to a fixed-length
-vector: the raw-pixel baseline (bilinear resample + flatten), an external
-ONNX model with a JSON sidecar describing preprocessing, or features
-precomputed elsewhere and loaded from CSV.
+vector: the raw-pixel baseline (bilinear resample + flatten) or an external
+ONNX model with a JSON sidecar describing preprocessing. Features computed
+elsewhere enter through the CSV interchange instead (load_precomputed).
 
 Feature CSV schema: header ``subject_id,label,f0..f{m-1}``, one row per
 slice. Floats are written with shortest round-trip repr so export followed
@@ -13,7 +13,6 @@ by import is bit-identical.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import minionnx
+from .artifacts import read_json, write_table
 from .errors import EmptyFile, InvalidSide, ModelLoadError, ParseError, ShapeMismatch
 from .nifti import Slice2D
 
@@ -147,12 +147,9 @@ class OnnxBackend(FeatureBackend):
             sidecar_path = model_path.with_name(model_path.name + ".json")
         self.model = minionnx.load_model(model_path)
         try:
-            with open(sidecar_path) as fh:
-                sidecar = json.load(fh)
-        except OSError as exc:
-            raise ModelLoadError(f"cannot read sidecar {sidecar_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ModelLoadError(f"sidecar {sidecar_path} is not valid JSON: {exc}") from exc
+            sidecar = read_json(sidecar_path)
+        except (OSError, ParseError) as exc:
+            raise ModelLoadError(f"cannot read sidecar: {exc}") from exc
 
         shape = sidecar.get("input_shape")
         declared = self.model.inputs.get(self.model.feed_names[0]) or []
@@ -209,20 +206,16 @@ def run_shape_probe(model, input_shape) -> int:
     return int(np.asarray(out).size)
 
 
-def _format_value(v: float) -> str:
-    return repr(float(v))
-
-
 def save_features(matrix: FeatureMatrix, path) -> None:
     """Write a FeatureMatrix in the feature CSV interchange format."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject_id", "label"] + [f"f{i}" for i in range(matrix.m)])
-        for i in range(matrix.n):
-            writer.writerow(
-                [matrix.subject_ids[i], matrix.labels[i]]
-                + [_format_value(v) for v in matrix.values[i]]
-            )
+    write_table(
+        path,
+        ["subject_id", "label"] + [f"f{i}" for i in range(matrix.m)],
+        (
+            [sid, label] + row.tolist()
+            for sid, label, row in zip(matrix.subject_ids, matrix.labels, matrix.values)
+        ),
+    )
 
 
 def load_precomputed(path) -> FeatureMatrix:

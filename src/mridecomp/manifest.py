@@ -3,7 +3,8 @@
 Header: subject_id,label,path with optional trailing metadata columns
 age,sex,mmse. Subject ids must be plain file stems. Relative volume paths
 are resolved against the manifest's own directory so a dataset folder can
-be moved as a unit.
+be moved as a unit; read_manifest returns absolute paths (symlinks are not
+resolved), so a manifest written from its rows is valid from any directory.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .artifacts import write_table
 from .errors import EmptyFile, ParseError
 
 DEFAULT_LABELS = ("CN", "MCI", "AD")
@@ -81,9 +83,7 @@ def read_manifest(
                 )
             if not raw_path:
                 raise ParseError(f"{path}:{lineno}: empty path")
-            vol_path = Path(raw_path)
-            if not vol_path.is_absolute():
-                vol_path = path.parent / vol_path
+            vol_path = (path.parent / raw_path).absolute()
 
             meta: dict = {"age": None, "sex": None, "mmse": None}
             for col, cell in zip(extras, record[3:]):
@@ -107,22 +107,16 @@ def read_manifest(
 def write_manifest(rows: list[ManifestRow], path, relative_to: Path | None = None) -> None:
     """Write rows; paths are made relative to ``relative_to`` when possible."""
     has_meta = any(r.age is not None or r.sex is not None or r.mmse is not None for r in rows)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = list(REQUIRED_COLUMNS) + (list(OPTIONAL_COLUMNS) if has_meta else [])
-        writer.writerow(header)
+
+    def records():
         for row in rows:
             p = row.path
-            if relative_to is not None:
-                try:
-                    p = p.relative_to(relative_to)
-                except ValueError:
-                    pass
+            if relative_to is not None and p.is_relative_to(relative_to):
+                p = p.relative_to(relative_to)
             record = [row.subject_id, row.label, str(p)]
             if has_meta:
-                record += [
-                    "" if row.age is None else repr(row.age),
-                    "" if row.sex is None else row.sex,
-                    "" if row.mmse is None else repr(row.mmse),
-                ]
-            writer.writerow(record)
+                record += ["" if v is None else v for v in (row.age, row.sex, row.mmse)]
+            yield record
+
+    header = list(REQUIRED_COLUMNS) + (list(OPTIONAL_COLUMNS) if has_meta else [])
+    write_table(path, header, records())

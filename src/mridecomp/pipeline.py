@@ -14,7 +14,6 @@ standalone chain fed the gradient-train rows reproduces a pipeline run.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import os
@@ -28,19 +27,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .artifacts import write_json, write_table
 from .classifier import TrainResult, model_to_json, train
-from .config import PipelineConfig, save_config
+from .config import PipelineConfig, SliceSelectionConfig
 from .decomposition import (
     DecomposedDataset,
     LabelCodec,
     assign_sublabels,
-    centroids_to_json,
-    codec_to_json,
     decompose,
     write_report_csv,
-    write_sublabeled_csv,
 )
-from .entropy import EntropyConfig, RankedSlice, rank_slices, select_top_k
+from .entropy import RankedSlice, rank_slices, select_top_k
 from .errors import IoError, PipelineError, StageError
 from .evaluation import EvalReport, evaluate, render_metrics_table, report_to_dict, subject_split
 from .features import (
@@ -58,7 +55,6 @@ from .reduction import (
     pca_fit,
     pca_to_dict,
     pca_transform,
-    save_params,
     scaler_to_dict,
 )
 
@@ -118,14 +114,16 @@ def _read_cache(cache_file: Path, key: str, subject_id: str):
     if not cache_file.exists():
         return None
     try:
-        with np.load(cache_file) as npz:
+        # np.load leaves a file it opened itself open when it raises
+        with open(cache_file, "rb") as fh, np.load(fh) as npz:
             if "key" not in npz.files or str(npz["key"]) != key:
                 return None
             pixels = npz["pixels"]
             indices = npz["indices"]
             all_indices = npz["all_indices"]
             all_entropies = npz["all_entropies"]
-    except (OSError, ValueError, zipfile.BadZipFile):
+    # TypeError: the entry is a bare .npy array, which is no context manager
+    except (OSError, ValueError, TypeError, zipfile.BadZipFile):
         logger.warning("cache entry %s is unreadable; recomputing it", cache_file)
         return None
     selected = [
@@ -139,14 +137,15 @@ def _read_cache(cache_file: Path, key: str, subject_id: str):
     return selected, ranked
 
 
-def _select_for_subject(row: ManifestRow, ecfg: EntropyConfig, top_k: int):
+def _select_for_subject(row: ManifestRow, scfg: SliceSelectionConfig):
     volume = read_nifti(row.path, subject_id=row.subject_id)
     slices = extract_axial_slices(volume)
-    ranked = rank_slices(slices, ecfg)
-    k = min(top_k, len(ranked))
-    if k < top_k:
+    ranked = rank_slices(slices, scfg)
+    k = min(scfg.top_k, len(ranked))
+    if k < scfg.top_k:
         logger.warning(
-            "subject %s has only %d slices, below top_k=%d", row.subject_id, len(ranked), top_k
+            "subject %s has only %d slices, below top_k=%d",
+            row.subject_id, len(ranked), scfg.top_k,
         )
     chosen_idx = {r.slice_index for r in select_top_k(ranked, k)}
     # copies in the stored dtype, so the volume is freed once ranking is done;
@@ -159,9 +158,7 @@ def _select_for_subject(row: ManifestRow, ecfg: EntropyConfig, top_k: int):
     return selected, ranked
 
 
-def _slices_for_subject(
-    row: ManifestRow, cfg: PipelineConfig, ecfg: EntropyConfig, cache_dir: Path, force: bool
-):
+def _slices_for_subject(row: ManifestRow, cfg: PipelineConfig, cache_dir: Path, force: bool):
     """(selected, ranked, cache_hit) for one subject, from its cache entry when
     that was written under the same key, else computed and written."""
     cache_file = _cache_path(cache_dir, row.subject_id)
@@ -169,7 +166,7 @@ def _slices_for_subject(
     cached = None if force else _read_cache(cache_file, key, row.subject_id)
     if cached is not None:
         return (*cached, True)
-    chosen, ranked = _select_for_subject(row, ecfg, cfg.slice_selection.top_k)
+    chosen, ranked = _select_for_subject(row, cfg.slice_selection)
     np.savez(
         cache_file,
         key=np.asarray(key),
@@ -203,17 +200,12 @@ def run_slices_stage(
     propagates. A cache entry is reused only when it was computed under the
     same key (see _cache_key); force recomputes every entry.
     """
-    ecfg = EntropyConfig(
-        levels=cfg.slice_selection.levels,
-        offset=cfg.slice_selection.offset,
-        symmetric=cfg.slice_selection.symmetric,
-    )
     cache_dir = out_dir / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
 
     def attempt(row: ManifestRow):
         try:
-            return _slices_for_subject(row, cfg, ecfg, cache_dir, force), None
+            return _slices_for_subject(row, cfg, cache_dir, force), None
         except (PipelineError, OSError) as exc:
             logger.error("subject %s failed: %s", row.subject_id, exc)
             return None, str(exc)
@@ -240,16 +232,14 @@ def run_slices_stage(
 
 def write_entropy_csv(stage: SliceStage, path: Path) -> None:
     """Per-slice entropy table: subject_id,slice_index,entropy,selected."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject_id", "slice_index", "entropy", "selected"])
+
+    def rows():
         for subject_id in sorted(stage.ranked_all):
             chosen = {s.slice_index for s in stage.selected[subject_id]}
-            by_index = sorted(stage.ranked_all[subject_id], key=lambda r: r.slice_index)
-            for r in by_index:
-                writer.writerow(
-                    [subject_id, r.slice_index, repr(r.entropy), int(r.slice_index in chosen)]
-                )
+            for r in sorted(stage.ranked_all[subject_id], key=lambda r: r.slice_index):
+                yield [subject_id, r.slice_index, r.entropy, int(r.slice_index in chosen)]
+
+    write_table(path, ["subject_id", "slice_index", "entropy", "selected"], rows())
 
 
 def build_backend(cfg: PipelineConfig) -> FeatureBackend:
@@ -297,10 +287,10 @@ def run_decompose_stage(
     centroids.json and decomposition_report.csv into out_dir.
     """
     scaler = fit_standardize(X.rows(fit_rows))
-    save_params(scaler_to_dict(scaler), out_dir / "scaler.json")
+    write_json(scaler_to_dict(scaler), out_dir / "scaler.json")
     X_scaled = apply_standardize(X, scaler)
     pca = pca_fit(X_scaled.rows(fit_rows), cfg.pca.variance_threshold)
-    save_params(pca_to_dict(pca), out_dir / "pca.json")
+    write_json(pca_to_dict(pca), out_dir / "pca.json")
     reduced = pca_transform(X_scaled, pca)
     save_features(reduced, out_dir / "reduced_features.csv")
 
@@ -313,8 +303,8 @@ def run_decompose_stage(
         seed=seed,
         n_init=dcfg.n_init,
     )
-    codec_to_json(ds.codec, out_dir / "codec.json")
-    centroids_to_json(ds.centroids, out_dir / "centroids.json")
+    write_json(ds.codec.to_dict(), out_dir / "codec.json")
+    write_json({cls: c.tolist() for cls, c in ds.centroids.items()}, out_dir / "centroids.json")
     write_report_csv(ds, out_dir / "decomposition_report.csv")
     return DecomposeStage(reduced=reduced, decomposed=ds, seed=seed)
 
@@ -353,7 +343,7 @@ def run_train_stage(
         results[cell] = result
         model_to_json(result.model, models_dir / f"cell-{i}.json")
         losses[cell] = {"train": result.epoch_losses, "validation": result.val_losses}
-    save_params(losses, out_dir / "losses.json")
+    write_json(losses, out_dir / "losses.json")
     best_cell = min(results, key=lambda c: results[c].final_loss)
     return TrainStage(results=results, seeds=seeds, best_cell=best_cell)
 
@@ -379,7 +369,7 @@ def run_pipeline(
     started = time.time()
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, run_dir / "config.json")
+    write_json(asdict(cfg), run_dir / "config.json")
 
     seeds = {
         "base": cfg.seed,
@@ -439,7 +429,7 @@ def run_pipeline(
             "validation": val_subjects,
             "test": test_subjects,
         }
-        save_params(split_record, run_dir / "split.json")
+        write_json(split_record, run_dir / "split.json")
         grad_mask = _subject_mask(X, set(grad_subjects))
         val_mask = _subject_mask(X, set(val_subjects))
         test_mask = _subject_mask(X, set(test_subjects))
@@ -450,13 +440,11 @@ def run_pipeline(
         R_grad = ds.features
         R_val = dec.reduced.rows(val_mask)
         R_test = dec.reduced.rows(test_mask)
-        train_names = [ds.codec.subclass_name(int(s)) for s in ds.sublabels]
-        write_sublabeled_csv(R_grad, train_names, run_dir / "sublabeled_train.csv")
+        save_features(ds.codec.relabel(R_grad, ds.sublabels), run_dir / "sublabeled_train.csv")
         y_val = assign_sublabels(R_val, ds.codec, ds.centroids)
         y_test = assign_sublabels(R_test, ds.codec, ds.centroids)
         if R_test.n > 0:
-            test_names = [ds.codec.subclass_name(int(s)) for s in y_test]
-            write_sublabeled_csv(R_test, test_names, run_dir / "sublabeled_test.csv")
+            save_features(ds.codec.relabel(R_test, y_test), run_dir / "sublabeled_test.csv")
 
     with stage("train"):
         grid = run_train_stage(
@@ -464,7 +452,7 @@ def run_pipeline(
         )
         cell_results, best_cell = grid.results, grid.best_cell
         seeds.update(decompose=dec.seed, train_cells=grid.seeds)
-        save_params(seeds, run_dir / "seeds.json")
+        write_json(seeds, run_dir / "seeds.json")
 
     with stage("evaluate"):
         if R_test.n == 0:
@@ -485,7 +473,7 @@ def run_pipeline(
                 for cell in cell_results
             },
         }
-        save_params(metrics, run_dir / "metrics.json")
+        write_json(metrics, run_dir / "metrics.json")
 
         table_rows = []
         for cell in cell_results:
@@ -530,7 +518,7 @@ def run_pipeline(
         "slice_workers": slice_stage.workers,
         "slice_cache": {"hits": slice_stage.cache_hits, "misses": slice_stage.cache_misses},
     }
-    save_params(run_info, run_dir / "run_info.json")
+    write_json(run_info, run_dir / "run_info.json")
 
     return RunResult(
         run_dir=run_dir, report=report, best_cell=best_cell, cell_results=cell_results

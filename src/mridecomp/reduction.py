@@ -9,7 +9,6 @@ so the largest-magnitude entry of each component is positive.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,10 +110,3 @@ def pca_to_dict(model: PcaModel) -> dict:
         "explained_variance_ratio": model.explained_variance_ratio.tolist(),
         "mean": model.mean.tolist(),
     }
-
-
-def save_params(obj: dict, path) -> None:
-    """Write a JSON object with sorted keys, as every JSON artifact is written."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")

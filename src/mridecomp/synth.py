@@ -20,8 +20,6 @@ from .errors import DimensionError, IoError, UnsupportedDatatype
 from .manifest import ManifestRow, write_manifest
 from .nifti import DATATYPES, HEADER_SIZE
 
-_NP_DTYPES = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8"}
-
 # per-class texture parameters, cycled if more classes are requested
 _BLOCK_SIZES = (3, 4, 6)
 _AMPLITUDES = (60.0, 120.0, 180.0)
@@ -49,7 +47,7 @@ def write_nifti(
         raise ValueError(f"byteorder must be '<' or '>', got {byteorder!r}")
 
     nx, ny, nz = voxels.shape
-    bitpix = DATATYPES[datatype_code][1]
+    dtype, bitpix = DATATYPES[datatype_code]
     vox_offset = float(HEADER_SIZE + 4)
 
     header = bytearray(HEADER_SIZE)
@@ -63,7 +61,7 @@ def write_nifti(
     struct.pack_into(byteorder + "f", header, 116, scl_inter)
     header[344:348] = b"n+1\x00"
 
-    data = voxels.astype(byteorder + _NP_DTYPES[datatype_code]).tobytes(order="F")
+    data = voxels.astype(byteorder + dtype).tobytes(order="F")
     blob = bytes(header) + b"\x00" * 4 + data
 
     path = Path(path)

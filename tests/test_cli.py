@@ -140,6 +140,52 @@ def test_standalone_chain_reproduces_pipeline(data_dir, tmp_path):
         assert (tr / "models" / name).read_bytes() == (run / "models" / name).read_bytes(), name
 
 
+_CODEC = {"classes": ["A"], "cluster_counts": [2]}
+_MODEL = {
+    "input_dim": 1,
+    "hidden_dim": 0,
+    "output_dim": 2,
+    "codec": _CODEC,
+    "params": {"W": [[0.5, -0.5]], "b": [0.0, 0.0]},
+}
+
+
+@pytest.mark.parametrize(
+    "flag, document, code",
+    [
+        pytest.param("--model", "{not json", 1, id="model-not-json"),
+        pytest.param("--codec", "{not json", 1, id="codec-not-json"),
+        pytest.param("--codec", {"classes": ["A"]}, 1, id="codec-without-cluster_counts"),
+        pytest.param("--codec", {**_CODEC, "cluster_counts": ["two"]}, 1, id="codec-mistyped"),
+        pytest.param(
+            "--model",
+            {k: v for k, v in _MODEL.items() if k != "input_dim"},
+            1,
+            id="model-without-input_dim",
+        ),
+        pytest.param("--model", {**_MODEL, "codec": {"classes": "A"}}, 1, id="model-bad-codec"),
+        pytest.param(
+            "--model",
+            {**_MODEL, "params": {"W": [[0.5, -0.5, 0.0]], "b": [0.0, 0.0]}},
+            2,
+            id="model-W-shape",
+        ),
+    ],
+)
+def test_malformed_model_or_codec_exits_without_traceback(tmp_path, capsys, flag, document, code):
+    """evaluate --model / train --codec: a bad file is an error naming it, not a crash."""
+    features = tmp_path / "sublabeled.csv"
+    features.write_text("subject_id,label,f0\ns0,A_1,-1.0\ns1,A_2,1.0\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text(document if isinstance(document, str) else json.dumps(document))
+    command = "evaluate" if flag == "--model" else "train"
+    argv = [command, "--features", str(features), flag, str(bad), "--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: {bad}" in err
+
+
 def test_seed_override_is_deterministic(data_dir, tmp_path):
     work = tmp_path / "work"
     main(["features", "--manifest", str(data_dir / "manifest.csv"), "--out", str(work)])

@@ -5,6 +5,7 @@ from dataclasses import asdict
 
 import pytest
 
+from mridecomp.artifacts import write_json
 from mridecomp.config import (
     DecompositionConfig,
     FeatureConfig,
@@ -15,7 +16,6 @@ from mridecomp.config import (
     TrainingConfig,
     config_from_dict,
     load_config,
-    save_config,
 )
 from mridecomp.errors import ConfigError
 
@@ -39,7 +39,7 @@ def test_dict_round_trip():
 def test_file_round_trip(tmp_path):
     cfg = PipelineConfig(seed=3)
     path = tmp_path / "cfg.json"
-    save_config(cfg, path)
+    write_json(asdict(cfg), path)
     assert load_config(path) == cfg
 
 

@@ -3,20 +3,17 @@
 import numpy as np
 import pytest
 
+from mridecomp.artifacts import read_json, write_json
 from mridecomp.decomposition import (
     LabelCodec,
     assign_sublabels,
-    centroids_from_json,
-    centroids_to_json,
     codec_from_json,
-    codec_to_json,
     decompose,
     decomposition_report,
     write_report_csv,
-    write_sublabeled_csv,
 )
 from mridecomp.errors import ClassTooSmall, EmptyInput, InvalidK, UnknownSublabel
-from mridecomp.features import FeatureMatrix, load_precomputed
+from mridecomp.features import FeatureMatrix, load_precomputed, save_features
 
 
 def matrix(values, labels, subjects=None):
@@ -93,7 +90,7 @@ def test_codec_validation():
 def test_codec_json_round_trip(tmp_path):
     codec = LabelCodec(classes=("AD", "CN"), cluster_counts=(2, 3))
     path = tmp_path / "codec.json"
-    codec_to_json(codec, path)
+    write_json(codec.to_dict(), path)
     assert codec_from_json(path) == codec
 
 
@@ -237,18 +234,20 @@ def test_sublabeled_csv_loads_back(tmp_path, rng):
     ds = decompose(X, k=2, seed=0)
     names = [ds.codec.subclass_name(int(s)) for s in ds.sublabels]
     path = tmp_path / "sub.csv"
-    write_sublabeled_csv(X, names, path)
+    save_features(ds.codec.relabel(X, ds.sublabels), path)
     loaded = load_precomputed(path)
     np.testing.assert_array_equal(loaded.values, X.values)
     assert list(loaded.labels) == names
+    assert loaded.subject_ids == X.subject_ids
+    np.testing.assert_array_equal(ds.codec.parse_labels(loaded.labels), ds.sublabels)
 
 
 def test_centroids_json_round_trip(tmp_path, rng):
     X = three_class_data(rng)
     ds = decompose(X, k=2, seed=0)
     path = tmp_path / "centroids.json"
-    centroids_to_json(ds.centroids, path)
-    loaded = centroids_from_json(path)
+    write_json({cls: c.tolist() for cls, c in ds.centroids.items()}, path)
+    loaded = read_json(path)
     assert set(loaded) == set(ds.centroids)
     for cls in loaded:
-        np.testing.assert_allclose(loaded[cls], ds.centroids[cls], atol=1e-15)
+        np.testing.assert_array_equal(np.asarray(loaded[cls]), ds.centroids[cls])

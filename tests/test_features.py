@@ -108,6 +108,15 @@ def test_feature_csv_round_trip_bit_identical(tmp_path, rng):
     save_features(loaded, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
+    edge = [1e-05, 1e16, 5e-324, -0.0, 0.1, 1 / 3]
+    E = FeatureMatrix(values=np.array([edge]), labels=("CN",), subject_ids=("s0",))
+    save_features(E, tmp_path / "edge.csv")
+    row = (tmp_path / "edge.csv").read_text().splitlines()[1]
+    assert row == "s0,CN," + ",".join(repr(float(v)) for v in edge)
+    loaded = load_precomputed(tmp_path / "edge.csv").values
+    np.testing.assert_array_equal(loaded, E.values)
+    np.testing.assert_array_equal(np.signbit(loaded), np.signbit(E.values))
+
 
 def test_feature_csv_header_contract(tmp_path, rng):
     X = make_matrix(rng, n=2, m=3)

@@ -1,6 +1,8 @@
 """End-to-end pipeline runs: artifacts, determinism, leakage, caching."""
 
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,7 +186,16 @@ def test_slice_cache_misses_after_volume_rewrite(dataset, tmp_path):
     ).read_bytes()
 
 
-@pytest.mark.parametrize("payload", [b"garbage\n", b"PK\x03\x04truncated"])
+def _npy_bytes() -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"garbage\n", b"PK\x03\x04truncated", pytest.param(_npy_bytes(), id="npy-array")],
+)
 def test_unreadable_cache_entry_is_recomputed(dataset, tmp_path, payload):
     manifest_path, _ = dataset
     rows = read_manifest(manifest_path)[:1]
@@ -194,6 +205,18 @@ def test_unreadable_cache_entry_is_recomputed(dataset, tmp_path, payload):
     reused = run_slices_stage(rows, quick_config(), tmp_path / "reused")
     assert not reused.errors
     assert reused.ranked_all == fresh.ranked_all
+
+
+def test_run_manifest_is_valid_from_any_directory(dataset, tmp_path, monkeypatch):
+    """A manifest given by a cwd-relative path still yields a reusable run manifest."""
+    manifest_path, rows = dataset
+    monkeypatch.chdir(manifest_path.parent.parent)
+    relative = Path(manifest_path.parent.name) / manifest_path.name
+    run_pipeline(relative, quick_config(), tmp_path / "run")
+    monkeypatch.chdir(tmp_path)
+    copied = read_manifest(tmp_path / "run" / "manifest.csv")
+    assert [r.subject_id for r in copied] == [r.subject_id for r in rows]
+    assert all(r.path.is_file() for r in copied)
 
 
 def test_selected_slices_do_not_pin_volumes(dataset, tmp_path, monkeypatch):
