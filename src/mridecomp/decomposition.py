@@ -100,14 +100,16 @@ class LabelCodec:
     @staticmethod
     def from_dict(obj: dict) -> "LabelCodec":
         """Inverse of to_dict; a missing or mistyped key raises ParseError."""
+        if not isinstance(obj, dict) or not {"classes", "cluster_counts"} <= obj.keys():
+            raise ParseError("a codec needs the keys classes and cluster_counts")
+        classes, counts = obj["classes"], obj["cluster_counts"]
+        if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
+            raise ParseError("codec classes must be a list of strings")
+        if not (isinstance(counts, list) and all(type(c) is int for c in counts)):
+            raise ParseError("codec cluster_counts must be a list of integers")
         try:
-            return LabelCodec(
-                classes=tuple(obj["classes"]),
-                cluster_counts=tuple(int(c) for c in obj["cluster_counts"]),
-            )
-        except KeyError as exc:
-            raise ParseError(f"codec lacks key {exc}") from None
-        except (TypeError, ValueError, InvalidK) as exc:
+            return LabelCodec(classes=tuple(classes), cluster_counts=tuple(counts))
+        except InvalidK as exc:
             raise ParseError(f"malformed codec: {exc}") from None
 
 

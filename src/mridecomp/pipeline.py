@@ -115,15 +115,18 @@ def _read_cache(cache_file: Path, key: str, subject_id: str):
         return None
     try:
         # np.load leaves a file it opened itself open when it raises
-        with open(cache_file, "rb") as fh, np.load(fh) as npz:
-            if "key" not in npz.files or str(npz["key"]) != key:
-                return None
-            pixels = npz["pixels"]
-            indices = npz["indices"]
-            all_indices = npz["all_indices"]
-            all_entropies = npz["all_entropies"]
-    # TypeError: the entry is a bare .npy array, which is no context manager
-    except (OSError, ValueError, TypeError, zipfile.BadZipFile):
+        with open(cache_file, "rb") as fh:
+            npz = np.load(fh)
+            if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy entry
+                raise ValueError("not an .npz archive")
+            with npz:
+                if "key" not in npz.files or str(npz["key"]) != key:
+                    return None
+                pixels = npz["pixels"]
+                indices = npz["indices"]
+                all_indices = npz["all_indices"]
+                all_entropies = npz["all_entropies"]
+    except (OSError, ValueError, zipfile.BadZipFile):
         logger.warning("cache entry %s is unreadable; recomputing it", cache_file)
         return None
     selected = [

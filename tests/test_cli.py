@@ -157,6 +157,8 @@ _MODEL = {
         pytest.param("--codec", "{not json", 1, id="codec-not-json"),
         pytest.param("--codec", {"classes": ["A"]}, 1, id="codec-without-cluster_counts"),
         pytest.param("--codec", {**_CODEC, "cluster_counts": ["two"]}, 1, id="codec-mistyped"),
+        pytest.param("--codec", {"classes": "AD", "cluster_counts": [1, 1]}, 1, id="codec-str-classes"),
+        pytest.param("--codec", {**_CODEC, "cluster_counts": [2.7]}, 1, id="codec-float-count"),
         pytest.param(
             "--model",
             {k: v for k, v in _MODEL.items() if k != "input_dim"},

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mridecomp.artifacts import read_json, write_json
+from mridecomp.config import PipelineConfig
 from mridecomp.decomposition import (
     LabelCodec,
     assign_sublabels,
@@ -14,6 +15,7 @@ from mridecomp.decomposition import (
 )
 from mridecomp.errors import ClassTooSmall, EmptyInput, InvalidK, UnknownSublabel
 from mridecomp.features import FeatureMatrix, load_precomputed, save_features
+from mridecomp.pipeline import run_decompose_stage
 
 
 def matrix(values, labels, subjects=None):
@@ -244,10 +246,10 @@ def test_sublabeled_csv_loads_back(tmp_path, rng):
 
 def test_centroids_json_round_trip(tmp_path, rng):
     X = three_class_data(rng)
-    ds = decompose(X, k=2, seed=0)
-    path = tmp_path / "centroids.json"
-    write_json({cls: c.tolist() for cls, c in ds.centroids.items()}, path)
-    loaded = read_json(path)
-    assert set(loaded) == set(ds.centroids)
+    fit_rows = np.ones(X.n, dtype=bool)
+    stage = run_decompose_stage(X, fit_rows, PipelineConfig(), tmp_path)
+    centroids = stage.decomposed.centroids
+    loaded = read_json(tmp_path / "centroids.json")
+    assert set(loaded) == set(centroids)
     for cls in loaded:
-        np.testing.assert_array_equal(np.asarray(loaded[cls]), ds.centroids[cls])
+        np.testing.assert_array_equal(np.asarray(loaded[cls]), centroids[cls])
