@@ -14,8 +14,6 @@ from .classifier import (
     gradient_check,
     model_from_json,
     model_to_json,
-    predict_composed,
-    predict_subclass,
     train,
 )
 from .cluster import ElbowResult, KMeansResult, elbow_select_k, kmeans, kmeans_restarts
@@ -69,8 +67,6 @@ __all__ = [
     "gradient_check",
     "model_from_json",
     "model_to_json",
-    "predict_composed",
-    "predict_subclass",
     "train",
     "ElbowResult",
     "KMeansResult",

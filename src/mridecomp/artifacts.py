@@ -20,13 +20,21 @@ def write_json(obj, path) -> None:
         fh.write("\n")
 
 
-def read_json(path):
-    """The decoded document; ParseError names the file if it is not JSON."""
+def open_input(path, newline=None):
+    """path opened for reading text; ParseError names the file if it cannot be opened."""
     try:
-        with open(path) as fh:
+        return open(path, newline=newline)
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
+def read_json(path):
+    """The decoded document; ParseError names the file if it is unreadable or not JSON."""
+    with open_input(path) as fh:
+        try:
             return json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
 def write_table(path, header, rows) -> None:

@@ -249,14 +249,6 @@ def train(
     return TrainResult(model=model, epoch_losses=epoch_losses, val_losses=val_losses)
 
 
-def predict_subclass(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
-    """Probability vector over subclasses for a single sample."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.input_dim:
-        raise DimMismatch(f"expected a vector of length {model.input_dim}, got shape {x.shape}")
-    return forward(model, x[None])[0]
-
-
 def compose_probabilities(codec: LabelCodec, probs: np.ndarray) -> np.ndarray:
     """Per-class totals of an (n, n_sublabels) probability matrix, shape (n, n_classes).
 
@@ -283,12 +275,6 @@ def compose_predictions(
     if mode == "argmax-strip":
         return codec.class_indices()[np.argmax(probs, axis=1)]
     return np.argmax(compose_probabilities(codec, probs), axis=1)
-
-
-def predict_composed(model: ClassifierModel, x: np.ndarray, mode: str = "argmax-strip") -> str:
-    """Predict an original class label for one sample (see compose_predictions)."""
-    probs = predict_subclass(model, x)
-    return model.codec.classes[int(compose_predictions(model.codec, probs[None], mode)[0])]
 
 
 def model_to_json(model: ClassifierModel, path) -> None:

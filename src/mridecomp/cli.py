@@ -31,20 +31,20 @@ from .pipeline import (
     run_pipeline,
     run_slices_stage,
     run_train_stage,
-    write_entropy_csv,
 )
 from .synth import generate_dataset
 
 logger = logging.getLogger(__name__)
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+
+def _add_common(sub: argparse.ArgumentParser, out_required: bool = True) -> None:
     sub.add_argument("--config", type=Path, help="pipeline config JSON (defaults used if omitted)")
-    sub.add_argument("--out", type=Path, help="output directory")
+    sub.add_argument("--out", type=Path, required=out_required, help="output directory")
     sub.add_argument("--seed", type=int, help="override the config seed")
 
 
 def _add_manifest(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--manifest", type=Path, help="dataset manifest CSV")
+    sub.add_argument("--manifest", type=Path, required=True, help="dataset manifest CSV")
     sub.add_argument("--force", action="store_true", help="recompute cached slices")
 
 
@@ -56,8 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labelled dataset")
-    p.add_argument("--out", type=Path, help="output directory")
-    p.add_argument("--seed", type=int, help="data seed (default 0)")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
+    p.add_argument("--seed", type=int, default=0, help="data seed (default 0)")
     p.add_argument("--subjects", type=int, default=6, help="subjects per class (default 6)")
     p.add_argument("--nz", type=int, default=30, help="axial slices per volume (default 30)")
     p.add_argument("--classes", default="CN,MCI,AD", help="comma-separated class names")
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=Path, required=True, help="model checkpoint JSON")
 
     p = sub.add_parser("pipeline", help="run the full pipeline end to end")
-    _add_common(p)
+    _add_common(p, out_required=False)
     _add_manifest(p)
 
     return parser
@@ -99,14 +99,7 @@ def _load_cfg(args) -> PipelineConfig:
     return cfg
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise ConfigError(f"--{name} is required for this command")
-
-
 def cmd_synth(args) -> int:
-    _require(args, "out")
     classes = tuple(c.strip() for c in str(args.classes).split(",") if c.strip())
     if args.subjects < 2:
         raise ConfigError(f"--subjects must be >= 2, got {args.subjects}")
@@ -114,52 +107,42 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"--nz must be >= 4, got {args.nz}")
     if len(classes) < 2:
         raise ConfigError(f"need at least 2 classes, got {classes!r}")
-    seed = args.seed if args.seed is not None else 0
     manifest_path, rows = generate_dataset(
-        args.out, subjects_per_class=args.subjects, nz=args.nz, seed=seed, classes=classes
+        args.out, subjects_per_class=args.subjects, nz=args.nz, seed=args.seed, classes=classes
     )
     print(f"wrote {len(rows)} volumes and {manifest_path}")
     return 0
 
 
-def cmd_slices(args) -> int:
-    _require(args, "manifest", "out")
+def _slices(args):
+    """(cfg, rows of the subjects that did not fail, stage) after running the
+    slice stage into --out; each failed subject is reported on stderr."""
     cfg = _load_cfg(args)
     rows = read_manifest(args.manifest, allowed_labels=cfg.classes)
     args.out.mkdir(parents=True, exist_ok=True)
     stage = run_slices_stage(rows, cfg, args.out, force=args.force)
-    write_entropy_csv(stage, args.out / "entropies.csv")
+    for sid, msg in sorted(stage.errors.items()):
+        print(f"error: subject {sid}: {msg}", file=sys.stderr)
+    return cfg, [r for r in rows if r.subject_id not in stage.errors], stage
+
+
+def cmd_slices(args) -> int:
+    _, _, stage = _slices(args)
     n_slices = sum(len(v) for v in stage.selected.values())
     print(f"selected {n_slices} slices across {len(stage.selected)} subjects")
-    if stage.errors:
-        for sid, msg in sorted(stage.errors.items()):
-            print(f"error: subject {sid}: {msg}", file=sys.stderr)
-        return 2
-    return 0
+    return 2 if stage.errors else 0
 
 
 def cmd_features(args) -> int:
-    _require(args, "manifest", "out")
-    cfg = _load_cfg(args)
-    rows = read_manifest(args.manifest, allowed_labels=cfg.classes)
-    args.out.mkdir(parents=True, exist_ok=True)
-    stage = run_slices_stage(rows, cfg, args.out, force=args.force)
-    write_entropy_csv(stage, args.out / "entropies.csv")
-    ok_rows = [r for r in rows if r.subject_id not in stage.errors]
+    cfg, ok_rows, stage = _slices(args)
     if ok_rows:
-        backend = build_backend(cfg)
-        X = extract_feature_matrix(ok_rows, stage, backend)
+        X = extract_feature_matrix(ok_rows, stage, build_backend(cfg))
         save_features(X, args.out / "features.csv")
         print(f"wrote {X.n} x {X.m} feature matrix to {args.out / 'features.csv'}")
-    if stage.errors:
-        for sid, msg in sorted(stage.errors.items()):
-            print(f"error: subject {sid}: {msg}", file=sys.stderr)
-        return 2
-    return 0
+    return 2 if stage.errors else 0
 
 
 def cmd_decompose(args) -> int:
-    _require(args, "out")
     cfg = _load_cfg(args)
     X = load_precomputed(args.features)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -173,7 +156,6 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _require(args, "out")
     cfg = _load_cfg(args)
     codec = codec_from_json(args.codec)
     X = load_precomputed(args.features)
@@ -191,7 +173,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _require(args, "out")
     cfg = _load_cfg(args)
     model = model_from_json(args.model)
     X = load_precomputed(args.features)
@@ -200,24 +181,13 @@ def cmd_evaluate(args) -> int:
 
     report = evaluate(model, X.values, y, cfg.compose_mode)
     write_json(report_to_dict(report), args.out / "metrics.json")
-    m = report.composed_metrics
-    table = render_metrics_table(
-        [
-            {
-                "name": "composed",
-                "accuracy": m["accuracy"],
-                "specificity": m["macro_specificity"],
-                "sensitivity": m["macro_sensitivity"],
-            }
-        ]
-    )
+    table = render_metrics_table({"composed": report})
     (args.out / "report.txt").write_text(table + "\n")
     print(table)
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    _require(args, "manifest")
     cfg = _load_cfg(args)
     out = args.out if args.out else Path("runs") / f"run-{time.strftime('%Y%m%d-%H%M%S')}"
     result = run_pipeline(args.manifest, cfg, out, force=args.force)

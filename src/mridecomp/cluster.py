@@ -17,6 +17,10 @@ from .errors import EmptyInput, InvalidK, RangeTooShort
 
 logger = logging.getLogger(__name__)
 
+# Lloyd iteration limit and the centroid shift below which it stops
+MAX_ITER = 300
+TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class KMeansResult:
@@ -46,6 +50,21 @@ def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("nkm,nkm->nk", diff, diff)
 
 
+def nearest_centroid(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n,) index of each row's nearest centroid; ties go to the lower index."""
+    return np.argmin(_sq_dists(X, centroids), axis=1)
+
+
+def _means(X: np.ndarray, assignments: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """A copy of centroids with each non-empty cluster moved to its members' mean."""
+    means = centroids.copy()
+    for j in range(len(centroids)):
+        mask = assignments == j
+        if mask.any():
+            means[j] = X[mask].mean(axis=0)
+    return means
+
+
 def _init_plus_plus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]), dtype=np.float64)
@@ -65,17 +84,12 @@ def _init_plus_plus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centroids
 
 
-def kmeans(
-    X: np.ndarray,
-    k: int,
-    seed: int | np.random.SeedSequence = 0,
-    max_iter: int = 300,
-    tol: float = 1e-8,
-) -> KMeansResult:
+def kmeans(X: np.ndarray, k: int, seed: int | np.random.SeedSequence = 0) -> KMeansResult:
     """Lloyd's algorithm with k-means++ seeding.
 
     Stops when assignments are unchanged or the largest centroid shift
-    falls below ``tol``. Raises InvalidK unless 1 <= k <= n.
+    falls below TOL, or after MAX_ITER iterations. Raises InvalidK unless
+    1 <= k <= n.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -92,13 +106,9 @@ def kmeans(
     converged = False
     n_iter = 0
 
-    for n_iter in range(1, max_iter + 1):
-        new_assign = np.argmin(_sq_dists(X, centroids), axis=1)
-        new_centroids = centroids.copy()
-        for j in range(k):
-            mask = new_assign == j
-            if mask.any():
-                new_centroids[j] = X[mask].mean(axis=0)
+    for n_iter in range(1, MAX_ITER + 1):
+        new_assign = nearest_centroid(X, centroids)
+        new_centroids = _means(X, new_assign, centroids)
 
         # repair empty clusters: seize the point farthest from its centroid
         empties = [j for j in range(k) if not (new_assign == j).any()]
@@ -110,22 +120,19 @@ def kmeans(
                 donor = int(np.argmax(dists))
                 new_assign[donor] = j
                 new_centroids[j] = X[donor]
-            for j in range(k):
-                mask = new_assign == j
-                if mask.any():
-                    new_centroids[j] = X[mask].mean(axis=0)
+            new_centroids = _means(X, new_assign, new_centroids)
 
         shift = float(np.max(np.abs(new_centroids - centroids)))
         unchanged = bool(np.array_equal(new_assign, assignments))
         centroids = new_centroids
         assignments = new_assign
-        if unchanged or shift < tol:
+        if unchanged or shift < TOL:
             converged = True
             break
 
     wcss = float(_sq_dists(X, centroids)[np.arange(n), assignments].sum())
     if not converged:
-        logger.warning("kmeans did not converge in %d iterations", max_iter)
+        logger.warning("kmeans did not converge in %d iterations", MAX_ITER)
     return KMeansResult(
         centroids=centroids,
         assignments=assignments,
@@ -140,8 +147,6 @@ def kmeans_restarts(
     k: int,
     seed: int | np.random.SeedSequence = 0,
     n_init: int = 10,
-    max_iter: int = 300,
-    tol: float = 1e-8,
 ) -> KMeansResult:
     """Best-of-n restarts; child seeds derive deterministically from seed."""
     if n_init < 1:
@@ -149,7 +154,7 @@ def kmeans_restarts(
     child_seeds = _as_seedseq(seed).spawn(n_init)
     best: KMeansResult | None = None
     for child in child_seeds:
-        run = kmeans(X, k, seed=child, max_iter=max_iter, tol=tol)
+        run = kmeans(X, k, seed=child)
         if best is None or run.wcss < best.wcss:
             best = run
     assert best is not None

@@ -7,7 +7,8 @@ config fails before any work starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, is_dataclass
 
 from .artifacts import read_json
 from .classifier import COMPOSE_MODES, TrainConfig
@@ -163,6 +164,8 @@ class PipelineConfig:
             raise ConfigError(f"need at least 2 classes, got {self.classes}")
         if len(set(self.classes)) != len(self.classes):
             raise ConfigError(f"duplicate class names in {self.classes}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.compose_mode not in COMPOSE_MODES:
             raise ConfigError(
                 f"compose_mode must be one of {COMPOSE_MODES}, got {self.compose_mode!r}"
@@ -175,55 +178,52 @@ class PipelineConfig:
         self.split.validate()
 
 
-_SECTION_TYPES = {
-    "slice_selection": SliceSelectionConfig,
-    "features": FeatureConfig,
-    "pca": PcaConfig,
-    "decomposition": DecompositionConfig,
-    "training": TrainingConfig,
-    "split": SplitConfig,
+# what a field of each type accepts from JSON; exact type checks, so true/false is no number
+_JSON_TYPES = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    bool: ("true or false", lambda v: type(v) is bool),
+    str: ("a string", lambda v: type(v) is str),
+    str | None: ("a string or null", lambda v: v is None or type(v) is str),
 }
 
-_TUPLE_FIELDS = {"offset", "learning_rates", "classes"}
+
+def _field_value(tp, value, name: str):
+    """value checked against field type tp: a section dataclass, a tuple or a _JSON_TYPES key."""
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {name!r} must be a JSON object")
+        return _build(tp, value, name)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        element = typing.get_args(tp)[0]
+        return tuple(_field_value(element, v, f"{name}[{i}]") for i, v in enumerate(value))
+    expected, accepts = _JSON_TYPES[tp]
+    if not accepts(value):
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    return value
 
 
-def _build_section(cls, obj: dict, section: str):
-    known = set(cls.__dataclass_fields__)
-    unknown = set(obj) - known
+def _build(cls, obj: dict, section: str):
+    """cls from the JSON object obj; section prefixes key names in errors ("" at the root)."""
+    unknown = set(obj) - set(cls.__dataclass_fields__)
     if unknown:
-        raise ConfigError(f"unknown config key(s) in {section}: {sorted(unknown)}")
-    kwargs = {
-        key: tuple(value) if key in _TUPLE_FIELDS and isinstance(value, list) else value
-        for key, value in obj.items()
-    }
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad {section} section: {exc}") from exc
+        where = f" in {section}" if section else ""
+        raise ConfigError(f"unknown config key(s){where}: {sorted(unknown)}")
+    types = typing.get_type_hints(cls)
+    return cls(
+        **{
+            key: _field_value(types[key], value, f"{section}.{key}" if section else key)
+            for key, value in obj.items()
+        }
+    )
 
 
 def config_from_dict(obj: dict) -> PipelineConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
-    known = set(PipelineConfig.__dataclass_fields__)
-    unknown = set(obj) - known
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-
-    kwargs: dict = {}
-    for key, value in obj.items():
-        if key in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be a JSON object")
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
-        elif key in _TUPLE_FIELDS and isinstance(value, list):
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
-    try:
-        cfg = PipelineConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
+    cfg = _build(PipelineConfig, obj, "")
     cfg.validate()
     return cfg
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .artifacts import read_json, write_table
-from .cluster import elbow_select_k, kmeans_restarts
+from .cluster import elbow_select_k, kmeans_restarts, nearest_centroid
 from .errors import ClassTooSmall, EmptyInput, InvalidK, ParseError, UnknownSublabel
 from .features import FeatureMatrix
 
@@ -120,7 +120,6 @@ class DecomposedDataset:
     codec: LabelCodec
     centroids: dict[str, np.ndarray]  # class -> (k_c, m)
     wcss: dict[str, float]
-    chosen_k: dict[str, int]
 
 
 def decompose(
@@ -147,7 +146,6 @@ def decompose(
     sublabels = np.full(X.n, -1, dtype=np.int64)
     centroids: dict[str, np.ndarray] = {}
     wcss: dict[str, float] = {}
-    chosen_k: dict[str, int] = {}
     cluster_counts: list[int] = []
 
     for class_index, cls in enumerate(classes):
@@ -181,7 +179,6 @@ def decompose(
         sublabels[mask] = offset + result.assignments
         centroids[cls] = result.centroids
         wcss[cls] = result.wcss
-        chosen_k[cls] = k_c
         cluster_counts.append(k_c)
 
     codec = LabelCodec(classes=classes, cluster_counts=tuple(cluster_counts))
@@ -191,7 +188,6 @@ def decompose(
         codec=codec,
         centroids=centroids,
         wcss=wcss,
-        chosen_k=chosen_k,
     )
 
 
@@ -203,13 +199,13 @@ def assign_sublabels(
     Used for held-out rows: the class label is trusted, only the cluster
     index within the class is inferred.
     """
+    labels = np.asarray(X.labels)
     sublabels = np.empty(X.n, dtype=np.int64)
-    for i, (row, cls) in enumerate(zip(X.values, X.labels)):
+    for cls in dict.fromkeys(X.labels):
         if cls not in centroids:
             raise UnknownSublabel(f"no centroids for class {cls!r}")
-        cents = centroids[cls]
-        dists = np.einsum("km,km->k", cents - row, cents - row)
-        sublabels[i] = codec.encode(cls, int(np.argmin(dists)))
+        mask = labels == cls
+        sublabels[mask] = codec.encode(cls, 0) + nearest_centroid(X.values[mask], centroids[cls])
     return sublabels
 
 

@@ -69,7 +69,8 @@ class ShapeMismatch(PipelineError):
 
 
 class ParseError(PipelineError):
-    """CSV or JSON content is undecodable or violates the expected schema."""
+    """An input file cannot be opened, or its CSV or JSON content is undecodable
+    or violates the expected schema."""
 
 
 class EmptyFile(PipelineError):

@@ -205,22 +205,15 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
-def render_metrics_table(rows: list[dict]) -> str:
-    """Plain-text table: one row per entry with accuracy/specificity/sensitivity.
-
-    Each row dict needs: name, accuracy, specificity, sensitivity (fractions).
-    """
+def render_metrics_table(reports: dict[str, EvalReport]) -> str:
+    """Plain-text table: one row per named report with its composed accuracy
+    and macro specificity and sensitivity, in percent."""
     headers = ["", "Accuracy (%)", "Specificity (%)", "Sensitivity (%)"]
     cells = [headers]
-    for row in rows:
-        cells.append(
-            [
-                str(row["name"]),
-                f"{100.0 * row['accuracy']:.2f}",
-                f"{100.0 * row['specificity']:.2f}",
-                f"{100.0 * row['sensitivity']:.2f}",
-            ]
-        )
+    for name, report in reports.items():
+        m = report.composed_metrics
+        percents = (m["accuracy"], m["macro_specificity"], m["macro_sensitivity"])
+        cells.append([name] + [f"{100.0 * v:.2f}" for v in percents])
     widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
     lines = []
     for r in cells:

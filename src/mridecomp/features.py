@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import minionnx
-from .artifacts import read_json, write_table
+from .artifacts import open_input, read_json, write_table
 from .errors import EmptyFile, InvalidSide, ModelLoadError, ParseError, ShapeMismatch
 from .nifti import Slice2D
 
@@ -99,18 +99,8 @@ def bilinear_resize(pixels: np.ndarray, out_rows: int, out_cols: int) -> np.ndar
     return top + fr[:, None] * (bottom - top)
 
 
-def extract_raw(s: Slice2D, side: int = 16) -> np.ndarray:
-    """Resample a slice to side x side and flatten row-major."""
-    if side < 2:
-        raise InvalidSide(f"side must be >= 2, got {side}")
-    return bilinear_resize(s.pixels, side, side).ravel()
-
-
 class FeatureBackend:
     """Deterministic slice -> fixed-length vector contract."""
-
-    name: str
-    output_dim: int
 
     def extract(self, s: Slice2D) -> np.ndarray:
         raise NotImplementedError
@@ -123,11 +113,10 @@ class RawPixelBackend(FeatureBackend):
         if side < 2:
             raise InvalidSide(f"side must be >= 2, got {side}")
         self.side = side
-        self.name = f"raw{side}"
-        self.output_dim = side * side
 
     def extract(self, s: Slice2D) -> np.ndarray:
-        return extract_raw(s, self.side)
+        """The slice resampled to side x side, flattened row-major."""
+        return bilinear_resize(s.pixels, self.side, self.side).ravel()
 
 
 class OnnxBackend(FeatureBackend):
@@ -148,7 +137,7 @@ class OnnxBackend(FeatureBackend):
         self.model = minionnx.load_model(model_path)
         try:
             sidecar = read_json(sidecar_path)
-        except (OSError, ParseError) as exc:
+        except ParseError as exc:
             raise ModelLoadError(f"cannot read sidecar: {exc}") from exc
 
         shape = sidecar.get("input_shape")
@@ -166,9 +155,10 @@ class OnnxBackend(FeatureBackend):
         self.std = np.asarray(sidecar.get("std", 1.0), dtype=np.float64)
         if np.any(self.std == 0):
             raise ModelLoadError("sidecar std must be nonzero")
-        self.name = f"onnx:{model_path.name}"
 
-        probe = run_shape_probe(self.model, self.input_shape)
+        # the feature length, found by pushing a zero tensor through the model
+        zeros = np.zeros(self.input_shape, dtype=np.float64)
+        probe = int(np.asarray(minionnx.run_model(self.model, zeros)).size)
         declared_dim = sidecar.get("output_dim")
         if declared_dim is not None and int(declared_dim) != probe:
             raise ShapeMismatch(
@@ -200,12 +190,6 @@ class OnnxBackend(FeatureBackend):
         return vector
 
 
-def run_shape_probe(model, input_shape) -> int:
-    """Feature length obtained by pushing a zero tensor through the model."""
-    out = minionnx.run_model(model, np.zeros(input_shape, dtype=np.float64))
-    return int(np.asarray(out).size)
-
-
 def save_features(matrix: FeatureMatrix, path) -> None:
     """Write a FeatureMatrix in the feature CSV interchange format."""
     write_table(
@@ -220,7 +204,7 @@ def save_features(matrix: FeatureMatrix, path) -> None:
 
 def load_precomputed(path) -> FeatureMatrix:
     """Load a feature CSV written by this tool or an external extractor."""
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

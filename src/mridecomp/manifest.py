@@ -22,6 +22,7 @@ REQUIRED_COLUMNS = ("subject_id", "label", "path")
 OPTIONAL_COLUMNS = ("age", "sex", "mmse")
 # subject ids name files (cache/<id>.npz), so they must be plain file stems
 SAFE_SUBJECT_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
+SAFE_SUBJECT_ID_RULE = "letters, digits, '.', '_' and '-', not starting with '.'"
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ def read_manifest(
             if not SAFE_SUBJECT_ID.fullmatch(subject_id):
                 raise ParseError(
                     f"{path}:{lineno}: subject_id {subject_id!r} is not a safe file stem "
-                    "(letters, digits, '.', '_' and '-', not starting with '.')"
+                    f"({SAFE_SUBJECT_ID_RULE})"
                 )
             if subject_id in seen:
                 raise ParseError(f"{path}:{lineno}: duplicate subject_id {subject_id!r}")

@@ -202,6 +202,9 @@ def run_slices_stage(
     PipelineError or OSError becomes errors[subject_id]; any other exception
     propagates. A cache entry is reused only when it was computed under the
     same key (see _cache_key); force recomputes every entry.
+
+    Writes entropies.csv (subject_id,slice_index,entropy,selected: every
+    ranked slice of every subject that did not fail) into out_dir.
     """
     cache_dir = out_dir / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -230,19 +233,16 @@ def run_slices_stage(
             stage.cache_hits += 1
         else:
             stage.cache_misses += 1
-    return stage
 
-
-def write_entropy_csv(stage: SliceStage, path: Path) -> None:
-    """Per-slice entropy table: subject_id,slice_index,entropy,selected."""
-
-    def rows():
+    def entropy_rows():
         for subject_id in sorted(stage.ranked_all):
             chosen = {s.slice_index for s in stage.selected[subject_id]}
             for r in sorted(stage.ranked_all[subject_id], key=lambda r: r.slice_index):
                 yield [subject_id, r.slice_index, r.entropy, int(r.slice_index in chosen)]
 
-    write_table(path, ["subject_id", "slice_index", "entropy", "selected"], rows())
+    header = ["subject_id", "slice_index", "entropy", "selected"]
+    write_table(out_dir / "entropies.csv", header, entropy_rows())
+    return stage
 
 
 def build_backend(cfg: PipelineConfig) -> FeatureBackend:
@@ -400,7 +400,6 @@ def run_pipeline(
 
     with stage("slices"):
         slice_stage = run_slices_stage(rows, cfg, run_dir, force=force)
-        write_entropy_csv(slice_stage, run_dir / "entropies.csv")
         if slice_stage.errors:
             failed = ", ".join(sorted(slice_stage.errors))
             raise ValueError(f"subjects failed slice selection: {failed}")
@@ -478,22 +477,12 @@ def run_pipeline(
         }
         write_json(metrics, run_dir / "metrics.json")
 
-        table_rows = []
-        for cell in cell_results:
-            m = cell_reports[cell].composed_metrics
-            table_rows.append(
-                {
-                    "name": cell + (" *" if cell == best_cell else ""),
-                    "accuracy": m["accuracy"],
-                    "specificity": m["macro_specificity"],
-                    "sensitivity": m["macro_sensitivity"],
-                }
-            )
+        marked = {c + (" *" if c == best_cell else ""): r for c, r in cell_reports.items()}
         lines = [
             "Composed-class test metrics per hyperparameter cell",
             "(* = selected by lowest final training loss)",
             "",
-            render_metrics_table(table_rows),
+            render_metrics_table(marked),
             "",
             f"Selected cell: {best_cell}",
             f"Test subjects: {len(test_subjects)}; test slices: {R_test.n}",

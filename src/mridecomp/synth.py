@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, IoError, UnsupportedDatatype
-from .manifest import ManifestRow, write_manifest
+from .errors import ConfigError, DimensionError, IoError, UnsupportedDatatype
+from .manifest import SAFE_SUBJECT_ID, SAFE_SUBJECT_ID_RULE, ManifestRow, write_manifest
 from .nifti import DATATYPES, HEADER_SIZE
 
 # per-class texture parameters, cycled if more classes are requested
@@ -107,7 +107,20 @@ def generate_dataset(
     classes: tuple[str, ...] = ("CN", "MCI", "AD"),
     dims: tuple[int, int] = (24, 24),
 ) -> tuple[Path, list[ManifestRow]]:
-    """Generate labelled volumes plus a manifest; returns (manifest_path, rows)."""
+    """Generate labelled volumes plus a manifest; returns (manifest_path, rows).
+
+    Subject ids (and file names) are the class name plus a two-digit index,
+    so class names must be distinct and make safe subject ids (see
+    manifest.SAFE_SUBJECT_ID); ConfigError says which one is not, before
+    anything is written.
+    """
+    if len(set(classes)) != len(classes):
+        raise ConfigError(f"duplicate class names in {classes!r}")
+    for cls in classes:
+        if not cls or not SAFE_SUBJECT_ID.fullmatch(f"{cls}00"):
+            raise ConfigError(
+                f"class name {cls!r} does not make a safe subject id ({SAFE_SUBJECT_ID_RULE})"
+            )
     if subjects_per_class < 2:
         raise ValueError(f"need at least 2 subjects per class, got {subjects_per_class}")
     if nz < 4:

@@ -5,6 +5,7 @@ import pytest
 
 from mridecomp.classifier import (
     TrainConfig,
+    compose_predictions,
     compose_probabilities,
     forward,
     gradient_check,
@@ -13,8 +14,6 @@ from mridecomp.classifier import (
     loss,
     model_from_json,
     model_to_json,
-    predict_composed,
-    predict_subclass,
     train,
 )
 from mridecomp.decomposition import LabelCodec
@@ -86,8 +85,8 @@ def test_probabilities_sum_to_one(rng):
 
 def test_uniform_probabilities_at_zero_weights(rng):
     model = zeroed(init_model(4, CODEC_3x2, seed=0))
-    p = predict_subclass(model, rng.normal(size=4))
-    np.testing.assert_allclose(p, np.full(6, 1 / 6), atol=1e-15)
+    p = forward(model, rng.normal(size=(1, 4)))
+    np.testing.assert_allclose(p, np.full((1, 6), 1 / 6), atol=1e-15)
 
 
 def test_forward_rejects_bad_shapes(rng):
@@ -96,8 +95,6 @@ def test_forward_rejects_bad_shapes(rng):
         forward(model, rng.normal(size=(3, 5)))
     with pytest.raises(DimMismatch):
         forward(model, rng.normal(size=4))
-    with pytest.raises(DimMismatch):
-        predict_subclass(model, rng.normal(size=(2, 4)))
 
 
 def test_hidden_model_parameter_shapes():
@@ -211,14 +208,19 @@ def probability_model(codec, probs):
     return model
 
 
+def composed_class(model, mode):
+    """The class the model predicts for one zero input, composed under mode."""
+    probs = forward(model, np.zeros((1, model.input_dim)))
+    return model.codec.classes[int(compose_predictions(model.codec, probs, mode)[0])]
+
+
 def test_compose_modes_can_disagree():
     # AD_1 .3, AD_2 .1, CN_1 .05, CN_2 .05, MCI_1 .25, MCI_2 .25
     probs = [0.3, 0.1, 0.05, 0.05, 0.25, 0.25]
     model = probability_model(CODEC_3x2, probs)
-    x = np.zeros(1)
-    np.testing.assert_allclose(predict_subclass(model, x), probs, atol=1e-12)
-    assert predict_composed(model, x, mode="argmax-strip") == "AD"
-    assert predict_composed(model, x, mode="prob-sum") == "MCI"
+    np.testing.assert_allclose(forward(model, np.zeros((1, 1))), [probs], atol=1e-12)
+    assert composed_class(model, "argmax-strip") == "AD"
+    assert composed_class(model, "prob-sum") == "MCI"
     summed = compose_probabilities(CODEC_3x2, np.asarray([probs]))
     np.testing.assert_allclose(summed, [[0.4, 0.1, 0.5]], atol=1e-12)
 
@@ -226,15 +228,14 @@ def test_compose_modes_can_disagree():
 def test_compose_modes_agree_when_concentrated():
     probs = [0.9, 0.02, 0.02, 0.02, 0.02, 0.02]
     model = probability_model(CODEC_3x2, probs)
-    x = np.zeros(1)
-    assert predict_composed(model, x, mode="argmax-strip") == "AD"
-    assert predict_composed(model, x, mode="prob-sum") == "AD"
+    assert composed_class(model, "argmax-strip") == "AD"
+    assert composed_class(model, "prob-sum") == "AD"
 
 
 def test_unknown_compose_mode_rejected():
     model = probability_model(CODEC_2x2, [0.25, 0.25, 0.25, 0.25])
     with pytest.raises(ConfigError):
-        predict_composed(model, np.zeros(1), mode="vote")
+        composed_class(model, "vote")
 
 
 # --- serialization ---------------------------------------------------------------

@@ -248,6 +248,69 @@ def test_missing_required_flag_exits_1(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["slices", "--manifest", "m.csv"],
+        ["decompose", "--features", "f.csv"],
+        ["train", "--features", "f.csv", "--codec", "c.json"],
+        ["evaluate", "--features", "f.csv", "--model", "m.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_missing_out_exits_1(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"slice_selection": {"levels": "8"}},
+        {"pca": {"variance_threshold": None}},
+        {"slice_selection": {"offset": "ab"}},
+        {"training": {"learning_rates": 0.01}},
+        {"seed": "x"},
+        {"training": {"epochs": 2.5}},
+        {"decomposition": {"k": True}},
+    ],
+    ids=lambda document: json.dumps(document),
+)
+def test_mistyped_config_value_exits_1(data_dir, tmp_path, capsys, document):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(document))
+    argv = ["pipeline", "--manifest", str(data_dir / "manifest.csv"), "--config", str(cfg_path)]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    section, value = next(iter(document.items()))
+    name = section if not isinstance(value, dict) else f"{section}.{next(iter(value))}"
+    assert f"error: {name} must be" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--features", "missing.csv", "--config", "missing.json"],
+        ["decompose", "--features", "missing.csv"],
+        ["train", "--features", "f.csv", "--codec", "missing.json"],
+        ["evaluate", "--features", "f.csv", "--model", "missing.json"],
+    ],
+    ids=["config", "features", "codec", "model"],
+)
+def test_missing_input_file_exits_1(argv, tmp_path, monkeypatch, capsys):
+    """An input file named by a flag that cannot be opened is a bad argument."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.csv").write_text("subject_id,label,f0\ns0,A_1,-1.0\ns1,A_2,1.0\n")
+    assert main([*argv, "--out", "out"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: missing." in err and "cannot read: No such file or directory" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["synth", "--out", "x", "--config", "cfg.json"],
         ["synth", "--out", "x", "--force"],
         ["decompose", "--features", "f.csv", "--out", "x", "--manifest", "m.csv"],
@@ -288,6 +351,20 @@ def test_slice_cache_follows_config(data_dir, tmp_path):
 def test_synth_validation_exits_1(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path), "--subjects", "1"]) == 1
     assert "--subjects" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "classes, message",
+    [
+        ("CN,CN", "duplicate class names"),
+        ("../x,C", "class name '../x' does not make a safe subject id"),
+    ],
+)
+def test_synth_rejects_unusable_class_names(tmp_path, capsys, classes, message):
+    out = tmp_path / "esc" / "out"
+    assert main(["synth", "--out", str(out), "--classes", classes, "--subjects", "2"]) == 1
+    assert message in capsys.readouterr().err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 def test_unknown_subcommand_exits_1(capsys):

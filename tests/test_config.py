@@ -4,6 +4,8 @@ import json
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mridecomp.artifacts import write_json
 from mridecomp.config import (
@@ -135,3 +137,31 @@ def test_validate_recurses_into_sections():
     cfg = PipelineConfig(pca=PcaConfig(variance_threshold=2.0))
     with pytest.raises(ConfigError, match="variance_threshold"):
         cfg.validate()
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        config_from_dict({"seed": -1})
+
+
+_DEFAULTS = asdict(PipelineConfig())
+_KEYS = [(None, key) for key in _DEFAULTS] + [
+    (section, key) for section, keys in _DEFAULTS.items() if isinstance(keys, dict) for key in keys
+]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(where=st.sampled_from(_KEYS), value=_JSON)
+def test_any_json_value_is_a_config_or_a_config_error(where, value):
+    section, key = where
+    document = {key: value} if section is None else {section: {key: value}}
+    try:
+        assert isinstance(config_from_dict(document), PipelineConfig)
+    except ConfigError:
+        pass

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mridecomp.artifacts import read_json, write_json
 from mridecomp.config import PipelineConfig
@@ -176,7 +178,6 @@ def test_elbow_mode_per_class_counts(rng):
         labels += ["B"] * 12
     X = matrix(np.vstack(values), labels)
     ds = decompose(X, elbow_range=(1, 6), seed=5)
-    assert ds.chosen_k == {"A": 2, "B": 3}
     assert ds.codec.cluster_counts == (2, 3)
 
 
@@ -184,7 +185,7 @@ def test_elbow_mode_small_class_falls_back(rng, caplog):
     X = matrix(rng.normal(size=(4, 2)), ["A", "A", "A", "A"])
     with caplog.at_level("WARNING"):
         ds = decompose(X, elbow_range=(3, 9), seed=0)
-    assert ds.chosen_k == {"A": 1}
+    assert ds.codec.cluster_counts == (1,)
     assert "too few" in caplog.text
 
 
@@ -206,6 +207,43 @@ def test_assign_sublabels_nearest_in_class(rng):
     # the two probes of each class land in different clusters
     for ci in range(3):
         assert assigned[2 * ci] != assigned[2 * ci + 1]
+
+
+def assign_sublabels_per_row(X, codec, centroids):
+    """The row-by-row nearest-centroid rule assign_sublabels vectorises."""
+    sublabels = np.empty(X.n, dtype=np.int64)
+    for i, (row, cls) in enumerate(zip(X.values, X.labels)):
+        if cls not in centroids:
+            raise UnknownSublabel(f"no centroids for class {cls!r}")
+        cents = centroids[cls]
+        dists = np.einsum("km,km->k", cents - row, cents - row)
+        sublabels[i] = codec.encode(cls, int(np.argmin(dists)))
+    return sublabels
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    counts=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    n=st.integers(0, 40),
+    dim=st.integers(1, 5),
+    grid=st.booleans(),
+)
+def test_assign_sublabels_matches_per_row_rule(seed, counts, n, dim, grid):
+    """Rows of interleaved classes get the sublabel the per-row rule gives them,
+    ties between equidistant centroids included (grid draws small integers)."""
+    rng = np.random.default_rng(seed)
+    classes = tuple(f"C{i}" for i in range(len(counts)))
+    codec = LabelCodec(classes=classes, cluster_counts=tuple(counts))
+
+    def draw(*shape):
+        return rng.integers(-2, 3, size=shape).astype(float) if grid else rng.normal(size=shape)
+
+    centroids = {cls: draw(k, dim) for cls, k in zip(classes, counts)}
+    probe = matrix(draw(n, dim), rng.choice(classes, size=n).tolist())
+    np.testing.assert_array_equal(
+        assign_sublabels(probe, codec, centroids), assign_sublabels_per_row(probe, codec, centroids)
+    )
 
 
 def test_assign_sublabels_unknown_class(rng):

