@@ -11,7 +11,6 @@ from .classifier import (
     ClassifierModel,
     TrainConfig,
     TrainResult,
-    gradient_check,
     model_from_json,
     model_to_json,
     train,
@@ -64,7 +63,6 @@ __all__ = [
     "ClassifierModel",
     "TrainConfig",
     "TrainResult",
-    "gradient_check",
     "model_from_json",
     "model_to_json",
     "train",

@@ -10,6 +10,7 @@ summing subclass probabilities per class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,54 +139,43 @@ def loss(model: ClassifierModel, X: np.ndarray, y: np.ndarray) -> float:
     return float(-logp[np.arange(X.shape[0]), y].mean())
 
 
-def gradients(model: ClassifierModel, X: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
-    """Analytic cross-entropy gradients; dZ = (softmax - onehot) / n."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    n = X.shape[0]
+def _backprop(
+    model: ClassifierModel, X: np.ndarray, onehot: np.ndarray, grads: dict[str, np.ndarray]
+) -> None:
+    """Writes the batch's analytic cross-entropy gradients into grads, arrays
+    shaped like model.params; dZ = (softmax - onehot) / n."""
     Z, H = _logits(model, X)
-    P = np.exp(_log_softmax(Z))
-    dZ = P.copy()
-    dZ[np.arange(n), y] -= 1.0
-    dZ /= n
+    dZ = np.exp(_log_softmax(Z)) - onehot
+    dZ /= X.shape[0]
     if model.hidden_dim > 0:
-        grads = {
-            "W2": H.T @ dZ,
-            "b2": dZ.sum(axis=0),
-        }
+        np.matmul(H.T, dZ, out=grads["W2"])
+        np.sum(dZ, axis=0, out=grads["b2"])
         dH = dZ @ model.params["W2"].T
         dH[H <= 0.0] = 0.0
-        grads["W1"] = X.T @ dH
-        grads["b1"] = dH.sum(axis=0)
-        return grads
-    return {"W": X.T @ dZ, "b": dZ.sum(axis=0)}
+        np.matmul(X.T, dH, out=grads["W1"])
+        np.sum(dH, axis=0, out=grads["b1"])
+    else:
+        np.matmul(X.T, dZ, out=grads["W"])
+        np.sum(dZ, axis=0, out=grads["b"])
 
 
-def gradient_check(
-    model: ClassifierModel, X: np.ndarray, y: np.ndarray, step: float = 1e-5
-) -> float:
-    """Max relative error of analytic gradients vs central finite differences."""
+def gradients(model: ClassifierModel, X: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
+    """Analytic cross-entropy gradients of integer sublabels y under the model."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if X.shape[0] == 0:
-        raise DimMismatch("gradient check needs a non-empty batch")
-    analytic = gradients(model, X, y)
-    worst = 0.0
-    for name in model.param_names():
-        param = model.params[name]
-        flat = param.ravel()
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            plus = loss(model, X, y)
-            flat[idx] = orig - step
-            minus = loss(model, X, y)
-            flat[idx] = orig
-            numeric = (plus - minus) / (2.0 * step)
-            ga = float(analytic[name].ravel()[idx])
-            rel = abs(ga - numeric) / max(1e-6, abs(ga), abs(numeric))
-            worst = max(worst, rel)
-    return worst
+    grads = {name: np.empty_like(p) for name, p in model.params.items()}
+    _backprop(model, X, np.eye(model.output_dim)[y], grads)
+    return grads
+
+
+def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Consecutive pieces of a flat buffer, one view per name, shaped as given."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return views
 
 
 def train(
@@ -201,6 +191,10 @@ def train(
     epoch_losses[0] is the pre-training loss; entry e is the full training
     loss after epoch e. Raises MissingSubclass if any codec id has no
     training sample.
+
+    The parameters, gradients and both moments each live in one flat buffer
+    (model.params holds views into the first), so a step is one gradient
+    pass and one Adam update of the whole vector.
     """
     X = np.asarray(X, dtype=np.float64)
     sublabels = np.asarray(sublabels, dtype=np.int64)
@@ -217,9 +211,13 @@ def train(
             )
 
     model = init_model(X.shape[1], codec, hidden_dim=cfg.hidden_dim, seed=cfg.seed)
+    shapes = model.param_shapes()
+    theta = np.concatenate([model.params[name].ravel() for name in shapes])
+    model.params = _views(theta, shapes)
+    grad = np.zeros_like(theta)
+    grads = _views(grad, shapes)
+    m1, m2, step, denom = (np.zeros_like(theta) for _ in range(4))
     rng = np.random.default_rng(cfg.seed)
-    m1 = {k: np.zeros_like(v) for k, v in model.params.items()}
-    m2 = {k: np.zeros_like(v) for k, v in model.params.items()}
     step_count = 0
 
     epoch_losses = [loss(model, X, sublabels)]
@@ -228,20 +226,32 @@ def train(
         val_losses = [loss(model, X_val, y_val)]
 
     n = X.shape[0]
+    onehot = np.eye(codec.n_sublabels)[sublabels]
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
+        X_epoch, onehot_epoch = X[order], onehot[order]
         for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            grads = gradients(model, X[batch], sublabels[batch])
+            batch = slice(start, start + cfg.batch_size)
+            _backprop(model, X_epoch[batch], onehot_epoch[batch], grads)
             step_count += 1
             bc1 = 1.0 - cfg.beta1**step_count
             bc2 = 1.0 - cfg.beta2**step_count
-            for name, g in grads.items():
-                m1[name] = cfg.beta1 * m1[name] + (1.0 - cfg.beta1) * g
-                m2[name] = cfg.beta2 * m2[name] + (1.0 - cfg.beta2) * (g * g)
-                m_hat = m1[name] / bc1
-                v_hat = m2[name] / bc2
-                model.params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            # m1 = beta1*m1 + (1-beta1)*g and m2 = beta2*m2 + (1-beta2)*(g*g), then
+            # theta -= lr*(m1/bc1) / (sqrt(m2/bc2) + eps), one operation at a time
+            m1 *= cfg.beta1
+            np.multiply(grad, 1.0 - cfg.beta1, out=step)
+            m1 += step
+            np.multiply(grad, grad, out=step)
+            step *= 1.0 - cfg.beta2
+            m2 *= cfg.beta2
+            m2 += step
+            np.divide(m1, bc1, out=step)
+            step *= cfg.learning_rate
+            np.divide(m2, bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += cfg.eps
+            step /= denom
+            theta -= step
         epoch_losses.append(loss(model, X, sublabels))
         if val_losses is not None:
             val_losses.append(loss(model, X_val, y_val))

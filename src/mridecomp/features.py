@@ -1,9 +1,10 @@
 """Slice-to-vector feature backends and the feature CSV interchange.
 
-Every backend is a deterministic map from a 2-D slice to a fixed-length
-vector: the raw-pixel baseline (bilinear resample + flatten) or an external
-ONNX model with a JSON sidecar describing preprocessing. Features computed
-elsewhere enter through the CSV interchange instead (load_precomputed).
+Every backend is a deterministic map from a stack of 2-D slices to one
+fixed-length vector per slice: the raw-pixel baseline (bilinear resample +
+flatten) or an external ONNX model with a JSON sidecar describing
+preprocessing. Features computed elsewhere enter through the CSV
+interchange instead (load_precomputed).
 
 Feature CSV schema: header ``subject_id,label,f0..f{m-1}``, one row per
 slice. Floats are written with shortest round-trip repr so export followed
@@ -22,7 +23,6 @@ import numpy as np
 from . import minionnx
 from .artifacts import open_input, read_json, write_table
 from .errors import EmptyFile, InvalidSide, ModelLoadError, ParseError, ShapeMismatch
-from .nifti import Slice2D
 
 logger = logging.getLogger(__name__)
 
@@ -69,15 +69,20 @@ class FeatureMatrix:
 
 
 def bilinear_resize(pixels: np.ndarray, out_rows: int, out_cols: int) -> np.ndarray:
-    """Resample a 2-D grid with bilinear interpolation, half-pixel centers.
+    """Resample the last two axes of (..., rows, cols) with bilinear
+    interpolation, half-pixel centers; a 2-D grid is the case with no
+    leading axes.
 
-    Same-size input is returned unchanged and constants are preserved
-    exactly (interpolation uses the v0 + t*(v1-v0) form).
+    The result is a C-ordered float64 array (its layout decides how later
+    matrix products round); same-size input is returned as a copy and
+    constants are preserved exactly (interpolation uses the v0 + t*(v1-v0)
+    form). Only the four gathered corner grids are promoted to float64, never
+    the whole input.
     """
-    src = np.asarray(pixels, dtype=np.float64)
-    in_rows, in_cols = src.shape
+    src = np.asarray(pixels)
+    in_rows, in_cols = src.shape[-2:]
     if (in_rows, in_cols) == (out_rows, out_cols):
-        return src.copy()
+        return src.astype(np.float64, order="C")
 
     def axis_coords(n_out, n_in):
         coords = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
@@ -92,17 +97,32 @@ def bilinear_resize(pixels: np.ndarray, out_rows: int, out_cols: int) -> np.ndar
     r1 = np.minimum(r0 + 1, in_rows - 1)
     c1 = np.minimum(c0 + 1, in_cols - 1)
 
-    top = src[np.ix_(r0, c0)]
-    top = top + fc[None, :] * (src[np.ix_(r0, c1)] - top)
-    bottom = src[np.ix_(r1, c0)]
-    bottom = bottom + fc[None, :] * (src[np.ix_(r1, c1)] - bottom)
+    # np.take keeps the leading axes outermost, so every grid stays C-ordered
+    rows0, rows1 = np.take(src, r0, axis=-2), np.take(src, r1, axis=-2)
+
+    def corner(rows, c):
+        return np.take(rows, c, axis=-1).astype(np.float64)
+
+    top = corner(rows0, c0)
+    top = top + fc * (corner(rows0, c1) - top)
+    bottom = corner(rows1, c0)
+    bottom = bottom + fc * (corner(rows1, c1) - bottom)
     return top + fr[:, None] * (bottom - top)
 
 
-class FeatureBackend:
-    """Deterministic slice -> fixed-length vector contract."""
+def _as_stack(stack) -> np.ndarray:
+    stack = np.asarray(stack)
+    if stack.ndim != 3:
+        raise ShapeMismatch(f"expected a slice stack (n, rows, cols), got shape {stack.shape}")
+    return stack
 
-    def extract(self, s: Slice2D) -> np.ndarray:
+
+class FeatureBackend:
+    """Deterministic contract: a stack of n same-shape slices (n, rows, cols)
+    maps to n fixed-length feature rows (n, m), each row a function of its
+    slice alone."""
+
+    def extract(self, stack: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -114,20 +134,23 @@ class RawPixelBackend(FeatureBackend):
             raise InvalidSide(f"side must be >= 2, got {side}")
         self.side = side
 
-    def extract(self, s: Slice2D) -> np.ndarray:
-        """The slice resampled to side x side, flattened row-major."""
-        return bilinear_resize(s.pixels, self.side, self.side).ravel()
+    def extract(self, stack: np.ndarray) -> np.ndarray:
+        """Each slice resampled to side x side, flattened row-major."""
+        stack = _as_stack(stack)
+        return bilinear_resize(stack, self.side, self.side).reshape(len(stack), -1)
 
 
 class OnnxBackend(FeatureBackend):
     """External neural extractor in ONNX format.
 
-    The sidecar JSON (default: model path + ".json") declares preprocessing:
+    The sidecar JSON (default: model path + ".json") is an object declaring
+    preprocessing:
       input_shape  rank-2/3/4 shape the model expects, e.g. [1, 3, 224, 224]
       mean, std    per-channel (or scalar) normalization constants
       output_dim   optional expected feature length, checked at load
     Single-channel slices are replicated across the channel axis when the
-    model wants more channels.
+    model wants more channels. A stack is resampled and normalised at once;
+    the model then runs on one slice at a time.
     """
 
     def __init__(self, model_path, sidecar_path=None):
@@ -139,20 +162,36 @@ class OnnxBackend(FeatureBackend):
             sidecar = read_json(sidecar_path)
         except ParseError as exc:
             raise ModelLoadError(f"cannot read sidecar: {exc}") from exc
+        if not isinstance(sidecar, dict):
+            raise ModelLoadError(f"sidecar {sidecar_path} must be a JSON object")
 
         shape = sidecar.get("input_shape")
         declared = self.model.inputs.get(self.model.feed_names[0]) or []
         if shape is None:
             shape = [d for d in declared]
-        if not shape or any(d is None or d <= 0 for d in shape):
+        if not isinstance(shape, list) or not shape or any(
+            type(d) is not int or d <= 0 for d in shape
+        ):
             raise ModelLoadError(
                 f"input shape undetermined (sidecar: {shape}, model: {declared})"
             )
         if len(shape) < 2 or len(shape) > 4:
             raise ModelLoadError(f"input rank {len(shape)} unsupported, need 2..4")
-        self.input_shape = tuple(int(d) for d in shape)
-        self.mean = np.asarray(sidecar.get("mean", 0.0), dtype=np.float64)
-        self.std = np.asarray(sidecar.get("std", 1.0), dtype=np.float64)
+        self.input_shape = tuple(shape)
+        minionnx.check_feed_shape(self.model, self.input_shape)
+        image_shape = self.input_shape[-3 if len(shape) > 2 else -2 :]
+        try:
+            self.mean = np.asarray(sidecar.get("mean", 0.0), dtype=np.float64)
+            self.std = np.asarray(sidecar.get("std", 1.0), dtype=np.float64)
+            for constants in (self.mean, self.std):
+                # each must broadcast over one slice's input without growing it
+                fitted = np.broadcast_shapes(self._channel_axis(constants).shape, image_shape)
+                if fitted != image_shape:
+                    raise ValueError(f"shape {constants.shape} does not fit {list(image_shape)}")
+                if not np.isfinite(constants).all():
+                    raise ValueError("values must be finite")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ModelLoadError(f"sidecar {sidecar_path}: bad mean or std: {exc}") from None
         if np.any(self.std == 0):
             raise ModelLoadError("sidecar std must be nonzero")
 
@@ -160,34 +199,43 @@ class OnnxBackend(FeatureBackend):
         zeros = np.zeros(self.input_shape, dtype=np.float64)
         probe = int(np.asarray(minionnx.run_model(self.model, zeros)).size)
         declared_dim = sidecar.get("output_dim")
-        if declared_dim is not None and int(declared_dim) != probe:
+        if declared_dim is not None and declared_dim != probe:
             raise ShapeMismatch(
-                f"model produces {probe} features, sidecar declares {declared_dim}"
+                f"model produces {probe} features, sidecar declares {declared_dim!r}"
             )
         self.output_dim = probe
 
-    def _preprocess(self, s: Slice2D) -> np.ndarray:
+    def _channel_axis(self, constants: np.ndarray) -> np.ndarray:
+        """Per-channel constants laid along the channel axis of a rank-3/4 input."""
+        if len(self.input_shape) == 2 or constants.ndim == 0:
+            return constants
+        return constants.reshape(-1, 1, 1)
+
+    def _preprocess(self, stack: np.ndarray) -> np.ndarray:
+        """Model inputs for a slice stack, one per slice along the first axis."""
         rows, cols = self.input_shape[-2], self.input_shape[-1]
-        image = bilinear_resize(s.pixels, rows, cols)
+        images = bilinear_resize(stack, rows, cols)
         if len(self.input_shape) == 2:
-            return (image - self.mean) / self.std
+            return (images - self.mean) / self.std
         channels = self.input_shape[-3]
-        tensor = np.broadcast_to(image, (channels, rows, cols)).copy()
-        mean = self.mean if self.mean.ndim == 0 else self.mean.reshape(-1, 1, 1)
-        std = self.std if self.std.ndim == 0 else self.std.reshape(-1, 1, 1)
-        tensor = (tensor - mean) / std
+        tensor = np.broadcast_to(images[:, None], (len(images), channels, rows, cols)).copy()
+        tensor = (tensor - self._channel_axis(self.mean)) / self._channel_axis(self.std)
         if len(self.input_shape) == 4:
-            tensor = tensor[None]
+            tensor = tensor[:, None]
         return tensor
 
-    def extract(self, s: Slice2D) -> np.ndarray:
-        out = minionnx.run_model(self.model, self._preprocess(s))
-        vector = np.asarray(out, dtype=np.float64).reshape(-1)
-        if vector.size != self.output_dim:
-            raise ShapeMismatch(
-                f"model returned {vector.size} features, expected {self.output_dim}"
-            )
-        return vector
+    def extract(self, stack: np.ndarray) -> np.ndarray:
+        stack = _as_stack(stack)
+        features = np.empty((len(stack), self.output_dim))
+        for i, tensor in enumerate(self._preprocess(stack)):
+            out = minionnx.run_model(self.model, tensor)
+            vector = np.asarray(out, dtype=np.float64).reshape(-1)
+            if vector.size != self.output_dim:
+                raise ShapeMismatch(
+                    f"model returned {vector.size} features, expected {self.output_dim}"
+                )
+            features[i] = vector
+        return features
 
 
 def save_features(matrix: FeatureMatrix, path) -> None:

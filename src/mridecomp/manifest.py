@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .artifacts import write_table
+from .artifacts import open_input, write_table
 from .errors import EmptyFile, ParseError
 
 DEFAULT_LABELS = ("CN", "MCI", "AD")
@@ -39,7 +39,7 @@ def read_manifest(
     path, allowed_labels: tuple[str, ...] = DEFAULT_LABELS
 ) -> list[ManifestRow]:
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -242,18 +242,23 @@ def _reshape(data: np.ndarray, shape: np.ndarray) -> np.ndarray:
     return data.reshape(target)
 
 
+def check_feed_shape(model: OnnxModel, shape: tuple[int, ...]) -> None:
+    """ShapeMismatch unless the model's declared input accepts a feed of this shape."""
+    name = model.feed_names[0]
+    declared = model.inputs.get(name, [])
+    if declared and len(declared) != len(shape):
+        raise ShapeMismatch(
+            f"model input {name!r} expects rank {len(declared)}, got shape {shape}"
+        )
+    for want, got in zip(declared, shape):
+        if want is not None and want > 0 and want != got:
+            raise ShapeMismatch(f"model input {name!r} expects {declared}, got {shape}")
+
+
 def run_model(model: OnnxModel, feed: np.ndarray) -> np.ndarray:
     """Execute the graph on one input tensor and return the first output."""
     name = model.feed_names[0]
-    declared = model.inputs.get(name, [])
-    if declared and len(declared) != feed.ndim:
-        raise ShapeMismatch(
-            f"model input {name!r} expects rank {len(declared)}, got shape {feed.shape}"
-        )
-    for want, got in zip(declared, feed.shape):
-        if want is not None and want > 0 and want != got:
-            raise ShapeMismatch(f"model input {name!r} expects {declared}, got {feed.shape}")
-
+    check_feed_shape(model, feed.shape)
     values: dict[str, np.ndarray] = dict(model.initializers)
     values[name] = np.asarray(feed, dtype=np.float64)
     for node in model.nodes:

@@ -152,7 +152,7 @@ def _select_for_subject(row: ManifestRow, scfg: SliceSelectionConfig):
         )
     chosen_idx = {r.slice_index for r in select_top_k(ranked, k)}
     # copies in the stored dtype, so the volume is freed once ranking is done;
-    # the feature backends promote pixels to float64 themselves
+    # the feature backends promote only what they resample to float64
     selected = [
         Slice2D(s.subject_id, s.slice_index, s.pixels.copy())
         for s in slices
@@ -254,16 +254,18 @@ def build_backend(cfg: PipelineConfig) -> FeatureBackend:
 def extract_feature_matrix(
     rows: list[ManifestRow], stage: SliceStage, backend: FeatureBackend
 ) -> FeatureMatrix:
+    """One feature row per selected slice, subjects in row order; the backend
+    gets each subject's selected slices as one stack."""
     values = []
     labels = []
     subject_ids = []
     for row in rows:
-        for s in stage.selected[row.subject_id]:
-            values.append(backend.extract(s))
-            labels.append(row.label)
-            subject_ids.append(row.subject_id)
+        selected = stage.selected[row.subject_id]
+        values.append(backend.extract(np.stack([s.pixels for s in selected])))
+        labels += [row.label] * len(selected)
+        subject_ids += [row.subject_id] * len(selected)
     return FeatureMatrix(
-        values=np.asarray(values, dtype=np.float64),
+        values=np.concatenate(values).astype(np.float64, order="C", copy=False),
         labels=tuple(labels),
         subject_ids=tuple(subject_ids),
     )

@@ -1,0 +1,158 @@
+"""Reference implementations the tests compare the package against.
+
+train_reference, resize_reference and onnx_features_reference are the
+straightforward forms of classifier.train (one gradient dict and one Adam
+update per parameter per step, a fancy-indexed batch per step), of
+features.bilinear_resize (one 2-D grid, promoted to float64 whole) and of
+OnnxBackend.extract (one slice at a time). The package's versions must give
+the same bytes. gradient_check compares analytic gradients with central finite
+differences.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from mridecomp import minionnx
+from mridecomp.classifier import TrainResult, gradients, init_model, loss
+from mridecomp.errors import DimMismatch, MissingSubclass
+
+
+def gradients_reference(model, X, y) -> dict[str, np.ndarray]:
+    """Analytic cross-entropy gradients; dZ = (softmax - onehot) / n."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n = X.shape[0]
+    if model.hidden_dim > 0:
+        H = np.maximum(X @ model.params["W1"] + model.params["b1"], 0.0)
+        Z = H @ model.params["W2"] + model.params["b2"]
+    else:
+        H = None
+        Z = X @ model.params["W"] + model.params["b"]
+    shifted = Z - Z.max(axis=1, keepdims=True)
+    P = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
+    dZ = P.copy()
+    dZ[np.arange(n), y] -= 1.0
+    dZ /= n
+    if model.hidden_dim > 0:
+        grads = {
+            "W2": H.T @ dZ,
+            "b2": dZ.sum(axis=0),
+        }
+        dH = dZ @ model.params["W2"].T
+        dH[H <= 0.0] = 0.0
+        grads["W1"] = X.T @ dH
+        grads["b1"] = dH.sum(axis=0)
+        return grads
+    return {"W": X.T @ dZ, "b": dZ.sum(axis=0)}
+
+
+def train_reference(X, sublabels, codec, cfg, X_val=None, y_val=None) -> TrainResult:
+    """Mini-batch Adam, one gradient dict and one update per parameter per step."""
+    X = np.asarray(X, dtype=np.float64)
+    sublabels = np.asarray(sublabels, dtype=np.int64)
+    present = set(np.unique(sublabels).tolist())
+    for sid in range(codec.n_sublabels):
+        if sid not in present:
+            raise MissingSubclass(f"subclass {codec.subclass_name(sid)} has no training samples")
+
+    model = init_model(X.shape[1], codec, hidden_dim=cfg.hidden_dim, seed=cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
+    m1 = {k: np.zeros_like(v) for k, v in model.params.items()}
+    m2 = {k: np.zeros_like(v) for k, v in model.params.items()}
+    step_count = 0
+
+    epoch_losses = [loss(model, X, sublabels)]
+    val_losses = None
+    if X_val is not None and y_val is not None and len(y_val) > 0:
+        val_losses = [loss(model, X_val, y_val)]
+
+    n = X.shape[0]
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            grads = gradients_reference(model, X[batch], sublabels[batch])
+            step_count += 1
+            bc1 = 1.0 - cfg.beta1**step_count
+            bc2 = 1.0 - cfg.beta2**step_count
+            for name, g in grads.items():
+                m1[name] = cfg.beta1 * m1[name] + (1.0 - cfg.beta1) * g
+                m2[name] = cfg.beta2 * m2[name] + (1.0 - cfg.beta2) * (g * g)
+                m_hat = m1[name] / bc1
+                v_hat = m2[name] / bc2
+                model.params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        epoch_losses.append(loss(model, X, sublabels))
+        if val_losses is not None:
+            val_losses.append(loss(model, X_val, y_val))
+
+    return TrainResult(model=model, epoch_losses=epoch_losses, val_losses=val_losses)
+
+
+def resize_reference(pixels, out_rows: int, out_cols: int) -> np.ndarray:
+    """Bilinear resample of one 2-D grid, half-pixel centers, v0 + t*(v1-v0)."""
+    src = np.asarray(pixels, dtype=np.float64)
+    in_rows, in_cols = src.shape
+    if (in_rows, in_cols) == (out_rows, out_cols):
+        return src.copy()
+
+    def axis_coords(n_out, n_in):
+        coords = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+        coords = np.clip(coords, 0.0, n_in - 1.0)
+        lo = np.floor(coords).astype(np.int64)
+        lo = np.minimum(lo, n_in - 2) if n_in > 1 else np.zeros_like(lo)
+        frac = coords - lo
+        return lo, frac
+
+    r0, fr = axis_coords(out_rows, in_rows)
+    c0, fc = axis_coords(out_cols, in_cols)
+    r1 = np.minimum(r0 + 1, in_rows - 1)
+    c1 = np.minimum(c0 + 1, in_cols - 1)
+
+    top = src[np.ix_(r0, c0)]
+    top = top + fc[None, :] * (src[np.ix_(r0, c1)] - top)
+    bottom = src[np.ix_(r1, c0)]
+    bottom = bottom + fc[None, :] * (src[np.ix_(r1, c1)] - bottom)
+    return top + fr[:, None] * (bottom - top)
+
+
+def onnx_features_reference(backend, pixels) -> np.ndarray:
+    """OnnxBackend's feature vector for one 2-D slice, preprocessed on its own."""
+    rows, cols = backend.input_shape[-2], backend.input_shape[-1]
+    image = resize_reference(pixels, rows, cols)
+    if len(backend.input_shape) == 2:
+        tensor = (image - backend.mean) / backend.std
+    else:
+        channels = backend.input_shape[-3]
+        tensor = np.broadcast_to(image, (channels, rows, cols)).copy()
+        mean = backend.mean if backend.mean.ndim == 0 else backend.mean.reshape(-1, 1, 1)
+        std = backend.std if backend.std.ndim == 0 else backend.std.reshape(-1, 1, 1)
+        tensor = (tensor - mean) / std
+        if len(backend.input_shape) == 4:
+            tensor = tensor[None]
+    return np.asarray(minionnx.run_model(backend.model, tensor), dtype=np.float64).reshape(-1)
+
+
+def gradient_check(model, X: np.ndarray, y: np.ndarray, step: float = 1e-5) -> float:
+    """Max relative error of analytic gradients vs central finite differences."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if X.shape[0] == 0:
+        raise DimMismatch("gradient check needs a non-empty batch")
+    analytic = gradients(model, X, y)
+    worst = 0.0
+    for name in model.param_names():
+        param = model.params[name]
+        flat = param.ravel()
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + step
+            plus = loss(model, X, y)
+            flat[idx] = orig - step
+            minus = loss(model, X, y)
+            flat[idx] = orig
+            numeric = (plus - minus) / (2.0 * step)
+            ga = float(analytic[name].ravel()[idx])
+            rel = abs(ga - numeric) / max(1e-6, abs(ga), abs(numeric))
+            worst = max(worst, rel)
+    return worst

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mridecomp.classifier import (
     TrainConfig,
     compose_predictions,
     compose_probabilities,
     forward,
-    gradient_check,
     gradients,
     init_model,
     loss,
@@ -18,6 +19,8 @@ from mridecomp.classifier import (
 )
 from mridecomp.decomposition import LabelCodec
 from mridecomp.errors import ConfigError, DimMismatch, MissingSubclass
+
+from oracles import gradient_check, gradients_reference, train_reference
 
 CODEC_2x2 = LabelCodec(classes=("A", "B"), cluster_counts=(2, 2))
 CODEC_3x2 = LabelCodec(classes=("AD", "CN", "MCI"), cluster_counts=(2, 2, 2))
@@ -195,6 +198,84 @@ def test_train_rejects_mismatched_rows(rng):
     y = np.array([0, 1, 2, 3])
     with pytest.raises(DimMismatch):
         train(X, y, CODEC_2x2, TrainConfig(epochs=1))
+
+
+# --- bit identity with the per-parameter Adam loop ---------------------------------
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def batch_layouts(draw):
+    """(n, batch_size): a ragged last batch, one batch holding every row, or
+    one row per batch."""
+    kind = draw(st.sampled_from(["ragged", "whole", "single"]))
+    if kind == "ragged":
+        batch_size = draw(st.integers(2, 12))
+        n = batch_size * draw(st.integers(2, 4)) + draw(st.integers(1, batch_size - 1))
+    elif kind == "whole":
+        n = draw(st.integers(4, 30))
+        batch_size = n + draw(st.integers(0, 8))
+    else:
+        n, batch_size = draw(st.integers(4, 20)), 1
+    return n, batch_size
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    layout=batch_layouts(),
+    hidden_dim=st.sampled_from([0, 1, 5]),
+    dim=st.integers(1, 4),
+    epochs=st.integers(1, 4),
+    learning_rate=st.sampled_from([0.3, 0.01, 0.001]),
+    seed=st.integers(0, 2**32 - 1),
+    n_val=st.sampled_from([0, 1, 7]),
+)
+def test_train_matches_per_parameter_loop_bit_for_bit(
+    layout, hidden_dim, dim, epochs, learning_rate, seed, n_val
+):
+    n, batch_size = layout
+    rng = np.random.default_rng(seed)
+    X = rng.normal(scale=3.0, size=(n, dim))
+    y = rng.permutation(np.arange(n) % CODEC_2x2.n_sublabels)
+    X_val = rng.normal(scale=3.0, size=(n_val, dim)) if n_val else None
+    y_val = rng.integers(0, CODEC_2x2.n_sublabels, size=n_val) if n_val else None
+    cfg = TrainConfig(
+        learning_rate=learning_rate,
+        epochs=epochs,
+        batch_size=batch_size,
+        hidden_dim=hidden_dim,
+        seed=seed % 1000,
+    )
+    got = train(X, y, CODEC_2x2, cfg, X_val=X_val, y_val=y_val)
+    want = train_reference(X, y, CODEC_2x2, cfg, X_val=X_val, y_val=y_val)
+    assert _same_bytes(got.epoch_losses, want.epoch_losses)
+    assert (got.val_losses is None) == (want.val_losses is None) == (n_val == 0)
+    if n_val:
+        assert _same_bytes(got.val_losses, want.val_losses)
+    assert list(got.model.params) == list(want.model.params)
+    for name, param in want.model.params.items():
+        assert _same_bytes(got.model.params[name], param), name
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(1, 12),
+    hidden_dim=st.sampled_from([0, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradients_match_reference_bit_for_bit(n, hidden_dim, seed):
+    rng = np.random.default_rng(seed)
+    model = init_model(3, CODEC_3x2, hidden_dim=hidden_dim, seed=seed % 1000, scale=0.7)
+    X = rng.normal(size=(n, 3))
+    y = rng.integers(0, CODEC_3x2.n_sublabels, size=n)
+    got, want = gradients(model, X, y), gradients_reference(model, X, y)
+    assert list(got) == model.param_names()
+    for name in want:
+        assert _same_bytes(got[name], want[name]), name
 
 
 # --- composition -----------------------------------------------------------------

@@ -295,8 +295,9 @@ def test_mistyped_config_value_exits_1(data_dir, tmp_path, capsys, document):
         ["decompose", "--features", "missing.csv"],
         ["train", "--features", "f.csv", "--codec", "missing.json"],
         ["evaluate", "--features", "f.csv", "--model", "missing.json"],
+        ["slices", "--manifest", "missing.csv"],
     ],
-    ids=["config", "features", "codec", "model"],
+    ids=["config", "features", "codec", "model", "manifest"],
 )
 def test_missing_input_file_exits_1(argv, tmp_path, monkeypatch, capsys):
     """An input file named by a flag that cannot be opened is a bad argument."""

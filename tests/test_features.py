@@ -1,8 +1,11 @@
 """Feature backends: bilinear resize, raw pixels, CSV interchange, ONNX."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mridecomp import minionnx
@@ -11,6 +14,7 @@ from mridecomp.errors import (
     InvalidSide,
     ModelLoadError,
     ParseError,
+    PipelineError,
     ShapeMismatch,
 )
 from mridecomp.features import (
@@ -24,6 +28,7 @@ from mridecomp.features import (
 
 import conftest as ob  # the test-side ONNX builder
 from conftest import make_slice
+from oracles import onnx_features_reference, resize_reference
 
 
 # --- bilinear resize ---------------------------------------------------------
@@ -68,17 +73,83 @@ def test_resize_respects_value_range(seed, out_r, out_c):
     assert out.max() <= src.max() + 1e-12
 
 
+DTYPES = [np.uint8, np.int16, np.int32, np.float32, np.float64]
+
+
+def same_bytes(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def stored_values(rng, dtype, shape):
+    """Values spanning an integer dtype's whole range, or wide floats."""
+    if np.issubdtype(dtype, np.integer):
+        info = np.iinfo(dtype)
+        return rng.integers(info.min, info.max, size=shape, endpoint=True, dtype=dtype)
+    return rng.normal(scale=500.0, size=shape).astype(dtype)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    dtype=st.sampled_from(DTYPES),
+    n=st.integers(1, 4),
+    in_r=st.integers(1, 9),
+    in_c=st.integers(1, 9),
+    out_r=st.integers(1, 12),
+    out_c=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dtype=np.int16, n=3, in_r=7, in_c=5, out_r=1, out_c=16, seed=0)
+@example(dtype=np.uint8, n=2, in_r=6, in_c=9, out_r=16, out_c=1, seed=1)
+def test_stacked_resize_matches_per_grid_reference(dtype, n, in_r, in_c, out_r, out_c, seed):
+    """Up- and down-sampling of stored-dtype grids, as Fortran-ordered volume
+    slice views, one at a time and stacked, give the reference's bytes in
+    C order."""
+    rng = np.random.default_rng(seed)
+    volume = np.asfortranarray(stored_values(rng, dtype, (in_r, in_c, n)))
+    grids = [volume[:, :, i] for i in range(n)]
+    want = np.stack([resize_reference(g, out_r, out_c) for g in grids])
+    for grid, expected in zip(grids, want):
+        got = bilinear_resize(grid, out_r, out_c)
+        assert got.flags.c_contiguous and same_bytes(got, expected)
+    for stack in (np.stack(grids), np.moveaxis(volume, 2, 0)):
+        got = bilinear_resize(stack, out_r, out_c)
+        assert got.flags.c_contiguous and same_bytes(got, want)
+
+
+def test_stacked_resize_promotes_only_the_gathered_grids():
+    stack = np.zeros((64, 128, 128), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        bilinear_resize(stack, 16, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * stack.nbytes  # a float64 copy of the stack alone is 8x
+
+
+def test_raw_backend_stack_matches_per_slice_reference(rng):
+    stack = stored_values(rng, np.int16, (5, 24, 20))
+    got = RawPixelBackend(side=16).extract(stack)
+    want = np.stack([resize_reference(p, 16, 16).ravel() for p in stack])
+    assert got.flags.c_contiguous and same_bytes(got, want)
+
+
+def test_extract_rejects_a_single_slice(rng):
+    with pytest.raises(ShapeMismatch, match="stack"):
+        RawPixelBackend(side=4).extract(rng.normal(size=(6, 6)))
+
+
 def test_extract_raw_shape_and_validation(rng):
     s = make_slice(rng.normal(size=(24, 24)))
-    v = RawPixelBackend(side=16).extract(s)
-    assert v.shape == (256,)
+    v = RawPixelBackend(side=16).extract(s.pixels[None])
+    assert v.shape == (1, 256)
     with pytest.raises(InvalidSide):
         RawPixelBackend(side=1)
 
 
 def test_raw_backend_metadata(rng):
     backend = RawPixelBackend(side=8)
-    assert backend.extract(make_slice(rng.normal(size=(10, 12)))).shape == (64,)
+    assert backend.extract(make_slice(rng.normal(size=(10, 12))).pixels[None]).shape == (1, 64)
     with pytest.raises(InvalidSide):
         RawPixelBackend(side=0)
 
@@ -295,7 +366,7 @@ def test_onnx_backend_rank2_linear(tmp_path, rng):
     backend = OnnxBackend(path)
     assert backend.output_dim == 5
     s = make_slice(rng.normal(size=(9, 9)))
-    got = backend.extract(s)
+    got = backend.extract(s.pixels[None])[0]
     # oracle: resize slice to the declared (1, 16) strip, then affine map
     strip = bilinear_resize(s.pixels, 1, 16)
     np.testing.assert_allclose(got, (strip @ W + b).ravel(), atol=1e-10)
@@ -313,7 +384,7 @@ def test_onnx_backend_rank4_with_channel_replication(tmp_path, rng):
     backend = OnnxBackend(path)
     assert backend.output_dim == out_dim
     s = make_slice(rng.normal(size=(7, 7)))
-    got = backend.extract(s)
+    got = backend.extract(s.pixels[None])[0]
 
     image = bilinear_resize(s.pixels, side, side)
     stacked = np.stack([(image - m) / sd for m, sd in zip(mean, std)])
@@ -354,5 +425,76 @@ def test_extract_external_one_shot(tmp_path, rng):
     path = ob.write_linear_model(tmp_path / "id.onnx", W, np.zeros(16))
     ob.write_sidecar(path, input_shape=[1, 16])
     s = make_slice(rng.normal(size=(4, 4)))
-    got = OnnxBackend(path).extract(s)
+    got = OnnxBackend(path).extract(s.pixels[None])[0]
     np.testing.assert_allclose(got, bilinear_resize(s.pixels, 1, 16).ravel(), atol=1e-12)
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_onnx_stack_matches_per_slice_reference(tmp_path, rng, monkeypatch, rank):
+    if rank == 2:
+        path = ob.write_linear_model(tmp_path / "m.onnx", rng.normal(size=(16, 5)), np.ones(5))
+        ob.write_sidecar(path, input_shape=[1, 16], mean=3.0, std=7.0)
+    else:
+        path, _, _ = ob.write_conv_style_model(tmp_path / "m.onnx", side=4, channels=3, out_dim=6)
+        ob.write_sidecar(path, input_shape=[1, 3, 4, 4], mean=[0.0, 1.0, 2.0], std=[1.0, 2.0, 4.0])
+    backend = OnnxBackend(path)
+    volume = np.asfortranarray(stored_values(rng, np.uint8, (9, 11, 4)))
+    stack = np.moveaxis(volume, 2, 0)
+    calls = []
+    run_model = minionnx.run_model
+    monkeypatch.setattr(minionnx, "run_model", lambda *a: calls.append(a) or run_model(*a))
+    got = backend.extract(stack)
+    assert len(calls) == len(stack)  # one model run per slice
+    want = np.stack([onnx_features_reference(backend, volume[:, :, i]) for i in range(4)])
+    assert same_bytes(got, want)
+
+
+# --- ONNX inputs that are damaged or malformed -------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+SIDECAR_KEYS = st.sampled_from(["input_shape", "mean", "std", "output_dim"])
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sidecar=JSON_VALUES | st.dictionaries(SIDECAR_KEYS, JSON_VALUES))
+def test_any_json_sidecar_loads_or_raises_a_pipeline_error(tmp_path, sidecar):
+    path = ob.write_linear_model(tmp_path / "lin.onnx", np.eye(16)[:, :4], np.zeros(4))
+    (tmp_path / "lin.onnx.json").write_text(json.dumps(sidecar))
+    try:
+        backend = OnnxBackend(path)
+    except PipelineError:
+        return
+    features = backend.extract(np.arange(2 * 5 * 5, dtype=np.uint8).reshape(2, 5, 5))
+    assert features.shape == (2, 4)
+
+
+def test_sidecar_that_is_not_an_object_is_a_model_load_error(tmp_path):
+    path = ob.write_linear_model(tmp_path / "lin.onnx", np.eye(4), np.zeros(4))
+    (tmp_path / "lin.onnx.json").write_text("[]")
+    with pytest.raises(ModelLoadError, match="lin.onnx.json"):
+        OnnxBackend(path)
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_every_truncated_model_loads_or_raises_a_pipeline_error(tmp_path, rank):
+    if rank == 2:
+        path = ob.write_linear_model(tmp_path / "m.onnx", np.eye(16)[:, :4], np.zeros(4))
+        ob.write_sidecar(path, input_shape=[1, 16])
+    else:
+        path, _, _ = ob.write_conv_style_model(tmp_path / "m.onnx", side=4, channels=3, out_dim=6)
+        ob.write_sidecar(path, input_shape=[1, 3, 4, 4])
+    whole = path.read_bytes()
+    loaded = 0
+    for cut in range(len(whole)):
+        path.write_bytes(whole[:cut])
+        try:
+            backend = OnnxBackend(path)
+        except PipelineError:
+            continue
+        loaded += 1
+        assert backend.extract(np.ones((1, 6, 6))).shape == (1, backend.output_dim)
+    assert loaded < len(whole)
