@@ -214,9 +214,8 @@ def train(
     shapes = model.param_shapes()
     theta = np.concatenate([model.params[name].ravel() for name in shapes])
     model.params = _views(theta, shapes)
-    grad = np.zeros_like(theta)
+    grad, m1, m2, step, denom = (np.zeros_like(theta) for _ in range(5))
     grads = _views(grad, shapes)
-    m1, m2, step, denom = (np.zeros_like(theta) for _ in range(4))
     rng = np.random.default_rng(cfg.seed)
     step_count = 0
 

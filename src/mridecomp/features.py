@@ -214,11 +214,10 @@ class OnnxBackend(FeatureBackend):
     def _preprocess(self, stack: np.ndarray) -> np.ndarray:
         """Model inputs for a slice stack, one per slice along the first axis."""
         rows, cols = self.input_shape[-2], self.input_shape[-1]
-        images = bilinear_resize(stack, rows, cols)
-        if len(self.input_shape) == 2:
-            return (images - self.mean) / self.std
-        channels = self.input_shape[-3]
-        tensor = np.broadcast_to(images[:, None], (len(images), channels, rows, cols)).copy()
+        tensor = bilinear_resize(stack, rows, cols)
+        if len(self.input_shape) > 2:
+            channels = self.input_shape[-3]
+            tensor = np.broadcast_to(tensor[:, None], (len(tensor), channels, rows, cols)).copy()
         tensor = (tensor - self._channel_axis(self.mean)) / self._channel_axis(self.std)
         if len(self.input_shape) == 4:
             tensor = tensor[:, None]
