@@ -20,7 +20,7 @@ from .artifacts import write_json
 from .classifier import model_from_json, model_to_json
 from .config import PipelineConfig, load_config
 from .decomposition import codec_from_json, decomposition_report
-from .errors import ConfigError, EmptyFile, ParseError, PipelineError
+from .errors import ConfigError, EmptyFile, ParseError, PipelineError, StageError
 from .evaluation import evaluate, render_metrics_table, report_to_dict
 from .features import load_precomputed, save_features
 from .manifest import read_manifest
@@ -190,7 +190,13 @@ def cmd_evaluate(args) -> int:
 def cmd_pipeline(args) -> int:
     cfg = _load_cfg(args)
     out = args.out if args.out else Path("runs") / f"run-{time.strftime('%Y%m%d-%H%M%S')}"
-    result = run_pipeline(args.manifest, cfg, out, force=args.force)
+    try:
+        result = run_pipeline(args.manifest, cfg, out, force=args.force)
+    except StageError as exc:
+        # a manifest that cannot be read or parsed is bad input, as for `slices`
+        if exc.stage == "manifest" and isinstance(exc.cause, (ParseError, EmptyFile)):
+            raise exc.cause from None
+        raise
     acc = result.report.composed_accuracy
     print(f"run directory: {result.run_dir}")
     print(f"selected cell: {result.best_cell}")

@@ -6,7 +6,8 @@ feed-forward feature extractors: MatMul, Gemm, Add, Sub, Mul, Relu,
 Flatten, Reshape, Identity. Anything else raises ModelLoadError.
 
 raw_data tensor payloads are little-endian per the ONNX standard; nodes
-are assumed topologically sorted, as the standard requires.
+must be topologically sorted, as the standard requires: load_model rejects a
+node that reads a tensor no earlier node, initializer or the input defines.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from .errors import ModelLoadError, ShapeMismatch
 # TensorProto.DataType -> numpy dtype (little-endian)
 _TENSOR_DTYPES = {1: "<f4", 6: "<i4", 7: "<i8", 11: "<f8"}
 
+# op -> (fewest, most) named inputs; every supported op has one output
 _SUPPORTED_OPS = {
-    "MatMul", "Gemm", "Add", "Sub", "Mul", "Relu", "Flatten", "Reshape", "Identity",
+    "MatMul": (2, 2), "Gemm": (2, 3), "Add": (2, 2), "Sub": (2, 2), "Mul": (2, 2),
+    "Relu": (1, 1), "Flatten": (1, 1), "Reshape": (2, 2), "Identity": (1, 1),
 }
 
 
@@ -234,7 +237,31 @@ def load_model(path) -> OnnxModel:
         raise ModelLoadError(
             f"{path}: expected exactly one model input, got {graph.feed_names}"
         )
+    _check_wiring(graph, path)
     return graph
+
+
+def _check_wiring(graph: OnnxModel, path) -> None:
+    """ModelLoadError unless every tensor a node or the graph output reads is
+    the feed, an initializer or an earlier node's output, and every node has
+    its op's number of inputs and one output."""
+    defined = set(graph.initializers) | set(graph.feed_names)
+    for node in graph.nodes:
+        inputs = [i for i in node.inputs if i]
+        fewest, most = _SUPPORTED_OPS[node.op_type]
+        if not fewest <= len(inputs) <= most:
+            raise ModelLoadError(
+                f"{path}: {node.op_type} node takes {fewest}..{most} inputs, got {inputs}"
+            )
+        for name in inputs:
+            if name not in defined:
+                raise ModelLoadError(f"{path}: {node.op_type} node reads undefined tensor {name!r}")
+        if len(node.outputs) != 1:
+            raise ModelLoadError(f"{path}: {node.op_type} node must have one output, got {node.outputs}")
+        defined.add(node.outputs[0])
+    for name in graph.outputs:
+        if name not in defined:
+            raise ModelLoadError(f"{path}: graph output {name!r} is never computed")
 
 
 def _reshape(data: np.ndarray, shape: np.ndarray) -> np.ndarray:
@@ -263,30 +290,37 @@ def run_model(model: OnnxModel, feed: np.ndarray) -> np.ndarray:
     values[name] = np.asarray(feed, dtype=np.float64)
     for node in model.nodes:
         args = [values[i] for i in node.inputs if i]
-        op = node.op_type
-        if op == "MatMul":
-            out = args[0] @ args[1]
-        elif op == "Gemm":
-            a = args[0].T if node.attrs.get("transA") else args[0]
-            b = args[1].T if node.attrs.get("transB") else args[1]
-            out = node.attrs.get("alpha", 1.0) * (a @ b)
-            if len(args) > 2:
-                out = out + node.attrs.get("beta", 1.0) * args[2]
-        elif op == "Add":
-            out = args[0] + args[1]
-        elif op == "Sub":
-            out = args[0] - args[1]
-        elif op == "Mul":
-            out = args[0] * args[1]
-        elif op == "Relu":
-            out = np.maximum(args[0], 0.0)
-        elif op == "Flatten":
-            axis = node.attrs.get("axis", 1)
-            lead = int(np.prod(args[0].shape[:axis])) if axis else 1
-            out = args[0].reshape(lead, -1)
-        elif op == "Reshape":
-            out = _reshape(args[0], args[1])
-        else:  # Identity
-            out = args[0]
-        values[node.outputs[0]] = out
+        try:
+            values[node.outputs[0]] = _apply(node, args)
+        except (ValueError, IndexError, TypeError) as exc:
+            # numpy's broadcast, matmul and reshape errors for tensors that do not fit
+            raise ShapeMismatch(f"{node.op_type} -> {node.outputs[0]!r}: {exc}") from None
     return values[model.outputs[0]]
+
+
+def _apply(node: OnnxNode, args: list[np.ndarray]) -> np.ndarray:
+    op = node.op_type
+    if op == "MatMul":
+        return args[0] @ args[1]
+    if op == "Gemm":
+        a = args[0].T if node.attrs.get("transA") else args[0]
+        b = args[1].T if node.attrs.get("transB") else args[1]
+        out = node.attrs.get("alpha", 1.0) * (a @ b)
+        if len(args) > 2:
+            out = out + node.attrs.get("beta", 1.0) * args[2]
+        return out
+    if op == "Add":
+        return args[0] + args[1]
+    if op == "Sub":
+        return args[0] - args[1]
+    if op == "Mul":
+        return args[0] * args[1]
+    if op == "Relu":
+        return np.maximum(args[0], 0.0)
+    if op == "Flatten":
+        axis = node.attrs.get("axis", 1)
+        lead = int(np.prod(args[0].shape[:axis])) if axis else 1
+        return args[0].reshape(lead, -1)
+    if op == "Reshape":
+        return _reshape(args[0], args[1])
+    return args[0]  # Identity

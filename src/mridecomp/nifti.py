@@ -85,13 +85,41 @@ class QuantizedSlice:
     indices: np.ndarray
 
 
+# deflate's best case is 1032:1 (RFC 1951: a 258-byte match per ~2 bits), so a
+# gzip trailer claiming more output than this per input byte is forged
+MAX_DEFLATE_RATIO = 1032
+
+
+def _gunzip(raw: bytes) -> bytes:
+    """Inflate a gzip file as gzip.decompress does.
+
+    A single-member file is inflated by one zlib call into a buffer of the
+    size its trailer states (ISIZE, RFC 1952), not grown in blocks and joined
+    into a copy. That result is used only if the file's last 8 bytes are the
+    trailer of the member just inflated (same length and CRC32) and ISIZE
+    lies between a NIfTI header and deflate's ratio times the file size. Any
+    other file (several members, zero padding, trailing bytes, a forged
+    ISIZE, a corrupt stream) decodes or fails in gzip.decompress. A file
+    whose last member repeats the first one's length and CRC32, such as a
+    member concatenated with itself, yields the first member only.
+    """
+    crc, isize = struct.unpack("<2I", raw[-8:]) if len(raw) >= 8 else (0, 0)
+    if HEADER_SIZE <= isize <= MAX_DEFLATE_RATIO * len(raw):
+        try:
+            out = zlib.decompress(raw, wbits=31, bufsize=isize)
+        except zlib.error:  # gzip.decompress gives the error, or skips a header CRC
+            out = b""
+        if len(out) == isize and zlib.crc32(out) == crc:
+            return out
+        del out
+    return gzip.decompress(raw)
+
+
 def _read_bytes(path) -> bytes:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        # gzip.decompress checks the CRC and length like gzip.open; one call
-        # on the whole file is faster than gzip.open's 8 KB reads
-        return gzip.decompress(raw) if raw[:2] == GZIP_MAGIC else raw
+        return _gunzip(raw) if raw[:2] == GZIP_MAGIC else raw
     except (OSError, EOFError, zlib.error) as exc:
         # OSError includes gzip.BadGzipFile; EOFError is a truncated stream
         raise IoError(f"cannot read {path}: {exc}") from exc
@@ -153,7 +181,10 @@ def read_nifti(path, subject_id: str | None = None) -> Volume:
 
     stored = np.frombuffer(payload, dtype=dtype)
     if scl_slope != 0.0 and (scl_slope, scl_inter) != (1.0, 0.0):
-        values = stored.astype(np.float64) * np.float64(scl_slope) + np.float64(scl_inter)
+        # in place, so a scaled volume holds one float64 array, not two
+        values = stored.astype(np.float64)
+        values *= np.float64(scl_slope)
+        values += np.float64(scl_inter)
     else:
         # a view of raw in native byte order; a copy only for foreign byte order
         values = stored.astype(dtype.newbyteorder("="), copy=False)
@@ -194,16 +225,18 @@ def quantize(s: Slice2D, levels: int) -> QuantizedSlice:
     """
     if levels < 2:
         raise InvalidLevels(f"levels must be >= 2, got {levels}")
-    pixels = np.asarray(s.pixels, dtype=np.float64)
-    lo = pixels.min()
-    hi = pixels.max()
+    pixels = np.asarray(s.pixels)
+    # min and max are exact in the stored dtype, and so is their float64 value
+    lo = np.float64(pixels.min())
+    hi = np.float64(pixels.max())
     if hi == lo:
         indices = np.zeros(pixels.shape, dtype=np.int64)
     else:
-        scaled = pixels - lo
+        scaled = np.subtract(pixels, lo, dtype=np.float64)
         scaled /= hi - lo
         scaled *= levels
-        indices = scaled.astype(np.int64)  # scaled >= 0, so truncation is floor
-        np.minimum(indices, levels - 1, out=indices)
+        # scaled >= 0, so clamping first and truncating is min(floor, levels-1)
+        np.minimum(scaled, levels - 1, out=scaled)
+        indices = scaled.astype(np.int64)
     indices.setflags(write=False)
     return QuantizedSlice(levels=levels, indices=indices)

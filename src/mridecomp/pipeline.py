@@ -369,12 +369,11 @@ def run_pipeline(
 ) -> RunResult:
     """Execute every stage, wrapping failures as StageError(stage, cause).
 
-    Partial outputs are retained in the run directory for debugging.
+    Nothing is written until the manifest has been read; after that, partial
+    outputs are retained in the run directory for debugging.
     """
     started = time.time()
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_json(asdict(cfg), run_dir / "config.json")
 
     seeds = {
         "base": cfg.seed,
@@ -398,6 +397,8 @@ def run_pipeline(
 
     with stage("manifest"):
         rows = read_manifest(manifest_path, allowed_labels=cfg.classes)
+        run_dir.mkdir(parents=True, exist_ok=True)
+        write_json(asdict(cfg), run_dir / "config.json")
         write_manifest(rows, run_dir / "manifest.csv")
 
     with stage("slices"):

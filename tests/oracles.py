@@ -1,11 +1,12 @@
 """Reference implementations the tests compare the package against.
 
-train_reference, resize_reference and onnx_features_reference are the
-straightforward forms of classifier.train (one gradient dict and one Adam
-update per parameter per step, a fancy-indexed batch per step), of
-features.bilinear_resize (one 2-D grid, promoted to float64 whole) and of
-OnnxBackend.extract (one slice at a time). The package's versions must give
-the same bytes. gradient_check compares analytic gradients with central finite
+train_reference, resize_reference, onnx_features_reference and
+quantize_reference are the straightforward forms of classifier.train (one
+gradient dict and one Adam update per parameter per step, a fancy-indexed
+batch per step), of features.bilinear_resize (one 2-D grid, promoted to
+float64 whole), of OnnxBackend.extract (one slice at a time) and of
+nifti.quantize (the slice promoted to float64 whole, clamped after the
+integer cast). The package's versions must give the same bytes. gradient_check compares analytic gradients with central finite
 differences.
 """
 
@@ -15,7 +16,8 @@ import numpy as np
 
 from mridecomp import minionnx
 from mridecomp.classifier import TrainResult, gradients, init_model, loss
-from mridecomp.errors import DimMismatch, MissingSubclass
+from mridecomp.errors import DimMismatch, InvalidLevels, MissingSubclass
+from mridecomp.nifti import QuantizedSlice
 
 
 def gradients_reference(model, X, y) -> dict[str, np.ndarray]:
@@ -131,6 +133,25 @@ def onnx_features_reference(backend, pixels) -> np.ndarray:
         if len(backend.input_shape) == 4:
             tensor = tensor[None]
     return np.asarray(minionnx.run_model(backend.model, tensor), dtype=np.float64).reshape(-1)
+
+
+def quantize_reference(s, levels: int) -> QuantizedSlice:
+    """floor((p - min) / (max - min) * levels) clamped to levels-1, in float64."""
+    if levels < 2:
+        raise InvalidLevels(f"levels must be >= 2, got {levels}")
+    pixels = np.asarray(s.pixels, dtype=np.float64)
+    lo = pixels.min()
+    hi = pixels.max()
+    if hi == lo:
+        indices = np.zeros(pixels.shape, dtype=np.int64)
+    else:
+        scaled = pixels - lo
+        scaled /= hi - lo
+        scaled *= levels
+        indices = scaled.astype(np.int64)  # scaled >= 0, so truncation is floor
+        np.minimum(indices, levels - 1, out=indices)
+    indices.setflags(write=False)
+    return QuantizedSlice(levels=levels, indices=indices)
 
 
 def gradient_check(model, X: np.ndarray, y: np.ndarray, step: float = 1e-5) -> float:

@@ -296,8 +296,9 @@ def test_mistyped_config_value_exits_1(data_dir, tmp_path, capsys, document):
         ["train", "--features", "f.csv", "--codec", "missing.json"],
         ["evaluate", "--features", "f.csv", "--model", "missing.json"],
         ["slices", "--manifest", "missing.csv"],
+        ["pipeline", "--manifest", "missing.csv"],
     ],
-    ids=["config", "features", "codec", "model", "manifest"],
+    ids=["config", "features", "codec", "model", "manifest", "pipeline-manifest"],
 )
 def test_missing_input_file_exits_1(argv, tmp_path, monkeypatch, capsys):
     """An input file named by a flag that cannot be opened is a bad argument."""
@@ -307,6 +308,7 @@ def test_missing_input_file_exits_1(argv, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error: missing." in err and "cannot read: No such file or directory" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -498,3 +498,127 @@ def test_every_truncated_model_loads_or_raises_a_pipeline_error(tmp_path, rank):
         loaded += 1
         assert backend.extract(np.ones((1, 6, 6))).shape == (1, backend.output_dim)
     assert loaded < len(whole)
+
+
+def test_node_reading_an_undefined_tensor_is_a_model_load_error(tmp_path):
+    g = ob.graph(
+        nodes=[ob.node("MatMul", ["x", "W"], ["y"])],
+        initializers=[],
+        inputs=[ob.value_info("x", [1, 3])],
+        outputs=[ob.value_info("y", [1, 3])],
+    )
+    path = tmp_path / "no_w.onnx"
+    path.write_bytes(ob.model(g))
+    with pytest.raises(ModelLoadError, match="undefined tensor 'W'"):
+        minionnx.load_model(path)
+
+
+def test_graph_output_nothing_computes_is_a_model_load_error(tmp_path):
+    g = ob.graph(
+        nodes=[ob.node("Relu", ["x"], ["r"])],
+        initializers=[],
+        inputs=[ob.value_info("x", [1, 3])],
+        outputs=[ob.value_info("y", [1, 3])],
+    )
+    path = tmp_path / "no_y.onnx"
+    path.write_bytes(ob.model(g))
+    with pytest.raises(ModelLoadError, match="'y'"):
+        minionnx.load_model(path)
+
+
+# (op, inputs, outputs) of a valid graph on a (1, 2, 4, 4) input that the
+# wiring fuzz below mutates by renaming or dropping tensor names
+_WIRED_NODES = [
+    ("Flatten", ["x"], ["flat"]),
+    ("Gemm", ["flat", "W", "b"], ["g"]),
+    ("Relu", ["g"], ["r"]),
+    ("Reshape", ["r", "shape"], ["rs"]),
+    ("MatMul", ["rs", "V"], ["mm"]),
+    ("Mul", ["mm", "s"], ["m"]),
+    ("Sub", ["m", "c"], ["d"]),
+    ("Add", ["d", "c"], ["a"]),
+    ("Identity", ["a"], ["y"]),
+]
+_WIRED_NAMES = sorted(
+    {"x", "W", "b", "shape", "V", "s", "c", "ghost", ""}
+    | {name for _, ins, outs in _WIRED_NODES for name in ins + outs}
+)
+
+
+def _wired_model_bytes(nodes, init_names, input_name, output_name) -> bytes:
+    rng = np.random.default_rng(3)
+    initializers = [
+        ob.tensor_f32(init_names["W"], [5, 32], rng.normal(size=160)),
+        ob.tensor_f32(init_names["b"], [5], rng.normal(size=5)),
+        ob.tensor_i64(init_names["shape"], [2], [0, -1]),
+        ob.tensor_f32(init_names["V"], [5, 3], rng.normal(size=15)),
+        ob.tensor_f32(init_names["s"], [1], [2.0]),
+        ob.tensor_f32(init_names["c"], [3], [0.5, -1.0, 1.5]),
+    ]
+    encoded = [
+        ob.node(op, ins, outs, attrs=[ob.attr_int("transB", 1)] if op == "Gemm" else [])
+        for op, ins, outs in nodes
+    ]
+    g = ob.graph(
+        nodes=encoded,
+        initializers=initializers,
+        inputs=[ob.value_info(input_name, [1, 2, 4, 4])],
+        outputs=[ob.value_info(output_name, [1, 3])],
+    )
+    return ob.model(g)
+
+
+_WIRING_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["node-input", "node-output", "initializer", "graph-input", "graph-output"]),
+        st.integers(0, 100),
+        st.integers(0, 3),
+        st.one_of(st.none(), st.sampled_from(_WIRED_NAMES)),  # None drops the name
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=_WIRING_EDITS)
+@example(edits=[("initializer", 3, 0, "ghost")])  # MatMul reads a V nothing defines
+@example(edits=[("node-output", 8, 0, "mm")])  # graph output y is never computed
+@example(edits=[("node-input", 4, 1, None)])  # MatMul with one input
+@example(edits=[("node-input", 5, 1, "b")])  # Mul of (1, 3) and (5,)
+def test_renamed_or_dropped_tensor_names_load_and_run_or_raise_a_pipeline_error(tmp_path, edits):
+    nodes = [(op, list(ins), list(outs)) for op, ins, outs in _WIRED_NODES]
+    init_names = {name: name for name in ("W", "b", "shape", "V", "s", "c")}
+    names = {"graph-input": "x", "graph-output": "y"}
+    for kind, which, position, new in edits:
+        if kind in ("node-input", "node-output"):
+            _, ins, outs = nodes[which % len(nodes)]
+            listed = ins if kind == "node-input" else outs
+            if listed:
+                i = position % len(listed)
+                if new is None:
+                    del listed[i]
+                else:
+                    listed[i] = new
+        elif kind == "initializer":
+            key = sorted(init_names)[which % len(init_names)]
+            init_names[key] = new or ""
+        else:
+            names[kind] = new or ""
+    path = tmp_path / "wired.onnx"
+    path.write_bytes(_wired_model_bytes(nodes, init_names, names["graph-input"], names["graph-output"]))
+    ob.write_sidecar(path, input_shape=[1, 2, 4, 4])
+    try:
+        backend = OnnxBackend(path)
+        features = backend.extract(np.arange(2 * 6 * 6, dtype=np.uint8).reshape(2, 6, 6))
+    except PipelineError:
+        return
+    assert features.shape == (2, backend.output_dim)
+
+
+def test_unmutated_wired_graph_runs(tmp_path):
+    path = tmp_path / "wired.onnx"
+    init_names = {name: name for name in ("W", "b", "shape", "V", "s", "c")}
+    path.write_bytes(_wired_model_bytes(_WIRED_NODES, init_names, "x", "y"))
+    ob.write_sidecar(path, input_shape=[1, 2, 4, 4])
+    assert OnnxBackend(path).output_dim == 3

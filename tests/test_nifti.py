@@ -2,6 +2,7 @@
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mridecomp.nifti import DATATYPES, Slice2D, extract_axial_slices, quantize, 
 from mridecomp.synth import write_nifti
 
 from conftest import make_slice
+from oracles import quantize_reference
 
 
 def build_header(
@@ -306,6 +308,102 @@ def test_corrupt_bytes_raise_only_pipeline_errors(tmp_path_factory, compress, cu
         pass
 
 
+def _gz_volume_bytes(rng, dims=(12, 10, 8)) -> bytes:
+    """An uncompressed int16 volume with scaling, as a .nii file's bytes."""
+    hdr = build_header(dims=dims, datatype=4, bitpix=16, scl_slope=0.5, scl_inter=-3.0)
+    stored = rng.integers(-2000, 2000, size=int(np.prod(dims))).astype("<i2")
+    return bytes(hdr) + b"\x00" * 4 + stored.tobytes()
+
+
+def _decode_like_gzip_decompress(tmp_path, blob: bytes):
+    """read_nifti of blob beside read_nifti of gzip.decompress(blob) as a plain .nii."""
+    gz_path = tmp_path / "v.nii.gz"
+    gz_path.write_bytes(blob)
+    plain = tmp_path / "reference.nii"
+    plain.write_bytes(gzip.decompress(blob))
+    return read_nifti(gz_path), read_nifti(plain)
+
+
+@pytest.mark.parametrize("layout", ["two-members", "empty-trailing-member", "zero-padding"])
+def test_gzip_member_layouts_decode_like_gzip_decompress(tmp_path, rng, layout):
+    nii = _gz_volume_bytes(rng)
+    if layout == "two-members":
+        # equal halves, so the members' ISIZEs agree and only the CRC tells them apart
+        half = len(nii) // 2
+        blob = gzip.compress(nii[:half], mtime=0) + gzip.compress(nii[half:], mtime=0)
+    elif layout == "empty-trailing-member":  # as BGZF ends its files
+        blob = gzip.compress(nii, mtime=0) + gzip.compress(b"", mtime=0)
+    else:
+        blob = gzip.compress(nii, mtime=0) + b"\x00" * 16
+    vol, reference = _decode_like_gzip_decompress(tmp_path, blob)
+    assert vol.voxels.dtype == reference.voxels.dtype == np.float64
+    np.testing.assert_array_equal(vol.voxels, reference.voxels)
+
+
+def test_empty_leading_member_before_zero_padding_decodes(tmp_path, rng):
+    """An empty first member has the (CRC, ISIZE) of zero padding; it must not end the file."""
+    nii = _gz_volume_bytes(rng)
+    blob = gzip.compress(b"", mtime=0) + gzip.compress(nii, mtime=0) + b"\x00" * 8
+    vol, reference = _decode_like_gzip_decompress(tmp_path, blob)
+    np.testing.assert_array_equal(vol.voxels, reference.voxels)
+
+
+@pytest.mark.parametrize("tail", [b"not gzip", b"trailing garbage after the member", b"\x1f\x8b"])
+def test_trailing_non_gzip_bytes_raise_io_error(tmp_path, rng, tail):
+    blob = gzip.compress(_gz_volume_bytes(rng), mtime=0) + tail
+    with pytest.raises((OSError, EOFError)):
+        gzip.decompress(blob)
+    path = tmp_path / "tail.nii.gz"
+    path.write_bytes(blob)
+    with pytest.raises(IoError):
+        read_nifti(path)
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        try:
+            fn(*args)
+        except PipelineError:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _forged_isize_file(tmp_path, isize=None) -> tuple:
+    nii = bytes(build_header()) + b"\x00" * 4 + np.arange(48, dtype="<f4").tobytes()
+    blob = bytearray(gzip.compress(nii, mtime=0))
+    struct.pack_into("<I", blob, len(blob) - 4, isize if isize else 1032 * len(blob))
+    path = tmp_path / "forged.nii.gz"
+    path.write_bytes(bytes(blob))
+    return path, len(blob)
+
+
+def test_forged_isize_reserves_no_more_than_deflate_allows(tmp_path):
+    path, size = _forged_isize_file(tmp_path, 0xFFFFFFF0)
+    assert _traced_peak(read_nifti, path) < 1032 * size
+
+
+@pytest.mark.parametrize("isize", [0xFFFFFFF0, None], ids=["over-deflate-ratio", "at-deflate-ratio"])
+def test_forged_isize_is_an_io_error(tmp_path, isize):
+    path, _ = _forged_isize_file(tmp_path, isize)
+    with pytest.raises(IoError):  # the real length disagrees with the trailer
+        read_nifti(path)
+
+
+def test_single_member_inflates_into_one_exact_buffer(tmp_path, rng):
+    """Decoding holds the compressed file and one payload-sized buffer, no more."""
+    source = rng.normal(0.0, 100.0, size=(64, 64, 48))
+    path = tmp_path / "big.nii.gz"
+    write_nifti(path, source, datatype_code=16)
+    compressed = path.stat().st_size
+    decompressed = len(gzip.decompress(path.read_bytes()))
+    read_nifti(path)  # warm imports and caches outside the traced window
+    peak = _traced_peak(read_nifti, path)
+    assert peak < compressed + 1.1 * decompressed
+
+
 def test_extract_axial_slices(tmp_path, rng):
     source = rng.normal(size=(6, 5, 4))
     path = tmp_path / "v.nii"
@@ -379,3 +477,45 @@ def test_quantize_preserves_pixel_order(seed):
     flat_q = q.indices.ravel()
     order = np.argsort(flat_p)
     assert (np.diff(flat_q[order]) >= 0).all()
+
+
+_QUANTIZE_DTYPES = ["u1", "i2", "i4", "f4", "f8"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    dtype=st.sampled_from(_QUANTIZE_DTYPES),
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 3)),
+    levels=st.one_of(st.sampled_from([2, 3, 8, 16, 256]), st.integers(2, 300)),
+    layout=st.sampled_from(["F", "C", "transposed"]),
+    fill=st.sampled_from(["random", "extremes", "constant"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quantize_matches_reference_bytes_and_layout(dtype, shape, levels, layout, fill, seed):
+    """quantize gives the reference's int64 indices byte for byte, in the same memory layout."""
+    rng = np.random.default_rng(seed)
+    info = np.iinfo(dtype) if np.dtype(dtype).kind in "iu" else np.finfo(dtype)
+    extremes = np.array([info.min, info.max, 0, 1], dtype=dtype)
+    if fill == "constant":
+        volume = np.full(shape, rng.choice(extremes), dtype=dtype)
+    elif fill == "extremes":
+        volume = rng.choice(extremes, size=shape)
+    elif np.dtype(dtype).kind in "iu":
+        volume = rng.integers(info.min, info.max, size=shape, dtype=dtype, endpoint=True)
+    else:
+        volume = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 6)).astype(dtype)
+    if layout == "transposed":
+        volume = volume.transpose(1, 0, 2)
+    else:
+        volume = np.asarray(volume, order=layout)
+    for i in range(volume.shape[2]):
+        s = Slice2D("s", i, volume[:, :, i])
+        with np.errstate(over="ignore", invalid="ignore"):  # max - min overflows float64
+            got = quantize(s, levels).indices
+            want = quantize_reference(s, levels).indices
+        assert got.dtype == want.dtype == np.int64
+        assert got.strides == want.strides
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
