@@ -114,29 +114,29 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _slices(args):
-    """(cfg, rows of the subjects that did not fail, stage) after running the
-    slice stage into --out; each failed subject is reported on stderr."""
-    cfg = _load_cfg(args)
+def _slices(args, cfg: PipelineConfig, backend=None):
+    """(rows of the subjects that did not fail, stage) after running the slice
+    stage into --out; each failed subject is reported on stderr."""
     rows = read_manifest(args.manifest, allowed_labels=cfg.classes)
     args.out.mkdir(parents=True, exist_ok=True)
-    stage = run_slices_stage(rows, cfg, args.out, force=args.force)
+    stage = run_slices_stage(rows, cfg, args.out, backend, force=args.force)
     for sid, msg in sorted(stage.errors.items()):
         print(f"error: subject {sid}: {msg}", file=sys.stderr)
-    return cfg, [r for r in rows if r.subject_id not in stage.errors], stage
+    return [r for r in rows if r.subject_id not in stage.errors], stage
 
 
 def cmd_slices(args) -> int:
-    _, _, stage = _slices(args)
+    _, stage = _slices(args, _load_cfg(args))
     n_slices = sum(len(v) for v in stage.selected.values())
     print(f"selected {n_slices} slices across {len(stage.selected)} subjects")
     return 2 if stage.errors else 0
 
 
 def cmd_features(args) -> int:
-    cfg, ok_rows, stage = _slices(args)
+    cfg = _load_cfg(args)
+    ok_rows, stage = _slices(args, cfg, build_backend(cfg))
     if ok_rows:
-        X = extract_feature_matrix(ok_rows, stage, build_backend(cfg))
+        X = extract_feature_matrix(ok_rows, stage)
         save_features(X, args.out / "features.csv")
         print(f"wrote {X.n} x {X.m} feature matrix to {args.out / 'features.csv'}")
     return 2 if stage.errors else 0

@@ -220,8 +220,10 @@ def quantize(s: Slice2D, levels: int) -> QuantizedSlice:
     index = floor((p - min) / (max - min) * levels), clamped to levels-1,
     computed in float64 whatever the stored dtype; a constant slice maps
     entirely to level 0. Invariant under positive affine intensity maps.
-    The indices keep the slice's memory layout (Fortran order for a slice
-    of a volume).
+    When max - min overflows float64, the same map is applied to the halved
+    pixels, min and max, so the indices stay in [0, levels) and keep the
+    pixels' order. The indices keep the slice's memory layout (Fortran order
+    for a slice of a volume).
     """
     if levels < 2:
         raise InvalidLevels(f"levels must be >= 2, got {levels}")
@@ -232,8 +234,14 @@ def quantize(s: Slice2D, levels: int) -> QuantizedSlice:
     if hi == lo:
         indices = np.zeros(pixels.shape, dtype=np.int64)
     else:
-        scaled = np.subtract(pixels, lo, dtype=np.float64)
-        scaled /= hi - lo
+        if math.isinf(float(hi) - float(lo)):
+            # halving is exact above the subnormals and keeps order; the halved span is finite
+            scaled = np.multiply(pixels, 0.5, dtype=np.float64)
+            scaled -= lo * 0.5
+            scaled /= hi * 0.5 - lo * 0.5
+        else:
+            scaled = np.subtract(pixels, lo, dtype=np.float64)
+            scaled /= hi - lo
         scaled *= levels
         # scaled >= 0, so clamping first and truncating is min(floor, levels-1)
         np.minimum(scaled, levels - 1, out=scaled)

@@ -21,7 +21,7 @@ import time
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,7 @@ from .features import (
     save_features,
 )
 from .manifest import ManifestRow, read_manifest, write_manifest
-from .nifti import Slice2D, extract_axial_slices, read_nifti
+from .nifti import extract_axial_slices, read_nifti
 from .reduction import (
     apply_standardize,
     fit_standardize,
@@ -73,14 +73,23 @@ _TAG_DECOMPOSE = 3
 _TAG_TRAIN = 4
 
 
+_BUSY_PARTS = ("decode", "rank", "features")  # parts of the slice stage's busy time
+
+
 @dataclass
 class SliceStage:
-    selected: dict[str, list[Slice2D]]
+    """What the slice stage keeps of each subject: the selected slice indices
+    and, when it ran a feature backend, their feature rows; never the pixels."""
+
+    selected: dict[str, np.ndarray]  # selected slice indices, in volume order
+    features: dict[str, np.ndarray]  # one feature row per selected slice, same order
     ranked_all: dict[str, list[RankedSlice]]
     errors: dict[str, str]
     workers: int = 1  # threads the stage ran subjects on
     cache_hits: int = 0  # subjects read from their cache entry
     cache_misses: int = 0  # subjects computed and written to the cache
+    # per-subject seconds in each _BUSY_PARTS part, summed over workers
+    busy_seconds: dict[str, float] = field(default_factory=lambda: dict.fromkeys(_BUSY_PARTS, 0.0))
 
 
 def _cache_path(cache_dir: Path, subject_id: str) -> Path:
@@ -110,7 +119,8 @@ def _cache_key(row: ManifestRow, cfg: PipelineConfig) -> str:
 
 
 def _read_cache(cache_file: Path, key: str, subject_id: str):
-    """(selected, ranked) from a readable cache entry written under the same key, else None."""
+    """(pixels, indices, ranked) from a readable cache entry written under the
+    same key, else None."""
     if not cache_file.exists():
         return None
     try:
@@ -129,20 +139,20 @@ def _read_cache(cache_file: Path, key: str, subject_id: str):
     except (OSError, ValueError, zipfile.BadZipFile):
         logger.warning("cache entry %s is unreadable; recomputing it", cache_file)
         return None
-    selected = [
-        Slice2D(subject_id=subject_id, slice_index=int(i), pixels=p)
-        for i, p in zip(indices, pixels)
-    ]
     ranked = [
         RankedSlice(subject_id=subject_id, slice_index=int(i), entropy=float(h))
         for i, h in zip(all_indices, all_entropies)
     ]
-    return selected, ranked
+    return pixels, indices, ranked
 
 
-def _select_for_subject(row: ManifestRow, scfg: SliceSelectionConfig):
+def _select_for_subject(row: ManifestRow, scfg: SliceSelectionConfig, busy: dict[str, float]):
+    """(pixels, indices, ranked): the selected slices stacked in volume order
+    and the ranking of every slice; adds the decode and rank seconds to busy."""
+    t0 = time.perf_counter()
     volume = read_nifti(row.path, subject_id=row.subject_id)
     slices = extract_axial_slices(volume)
+    t1 = time.perf_counter()
     ranked = rank_slices(slices, scfg)
     k = min(scfg.top_k, len(ranked))
     if k < scfg.top_k:
@@ -151,34 +161,39 @@ def _select_for_subject(row: ManifestRow, scfg: SliceSelectionConfig):
             row.subject_id, len(ranked), scfg.top_k,
         )
     chosen_idx = {r.slice_index for r in select_top_k(ranked, k)}
-    # copies in the stored dtype, so the volume is freed once ranking is done;
+    chosen = [s for s in slices if s.slice_index in chosen_idx]
+    # one stacked copy in the stored dtype, so the volume is freed on return;
     # the feature backends promote only what they resample to float64
-    selected = [
-        Slice2D(s.subject_id, s.slice_index, s.pixels.copy())
-        for s in slices
-        if s.slice_index in chosen_idx
-    ]
-    return selected, ranked
+    pixels = np.stack([s.pixels for s in chosen])
+    indices = np.asarray([s.slice_index for s in chosen], dtype=np.int64)
+    busy["decode"] += t1 - t0
+    busy["rank"] += time.perf_counter() - t1
+    return pixels, indices, ranked
 
 
-def _slices_for_subject(row: ManifestRow, cfg: PipelineConfig, cache_dir: Path, force: bool):
-    """(selected, ranked, cache_hit) for one subject, from its cache entry when
-    that was written under the same key, else computed and written."""
+def _slices_for_subject(
+    row: ManifestRow, cfg: PipelineConfig, cache_dir: Path, force: bool, busy: dict[str, float]
+):
+    """(pixels, indices, ranked, cache_hit) for one subject, from its cache
+    entry when that was written under the same key, else computed and written.
+    Reading the entry counts as decode time in busy."""
     cache_file = _cache_path(cache_dir, row.subject_id)
     key = _cache_key(row, cfg)
+    t0 = time.perf_counter()
     cached = None if force else _read_cache(cache_file, key, row.subject_id)
     if cached is not None:
+        busy["decode"] += time.perf_counter() - t0
         return (*cached, True)
-    chosen, ranked = _select_for_subject(row, cfg.slice_selection)
+    pixels, indices, ranked = _select_for_subject(row, cfg.slice_selection, busy)
     np.savez(
         cache_file,
         key=np.asarray(key),
-        pixels=np.stack([s.pixels for s in chosen]),
-        indices=np.asarray([s.slice_index for s in chosen], dtype=np.int64),
+        pixels=pixels,
+        indices=indices,
         all_indices=np.asarray([r.slice_index for r in ranked], dtype=np.int64),
         all_entropies=np.asarray([r.entropy for r in ranked], dtype=np.float64),
     )
-    return chosen, ranked, False
+    return pixels, indices, ranked, False
 
 
 def _available_cpus() -> int:
@@ -192,16 +207,23 @@ def run_slices_stage(
     rows: list[ManifestRow],
     cfg: PipelineConfig,
     out_dir: Path,
+    backend: FeatureBackend | None = None,
     force: bool = False,
 ) -> SliceStage:
-    """Rank and cache informative slices per subject; errors are isolated.
+    """Rank and cache informative slices per subject, and turn each subject's
+    selected slices into feature rows with backend; subject errors are isolated.
 
     Subjects run on a thread pool with one worker per available CPU (decode,
-    inflate and the numpy kernels release the GIL); results are merged in
-    manifest order, so the outcome does not depend on the worker count. A
-    PipelineError or OSError becomes errors[subject_id]; any other exception
-    propagates. A cache entry is reused only when it was computed under the
-    same key (see _cache_key); force recomputes every entry.
+    inflate and the numpy kernels release the GIL), so backend.extract is
+    called from several threads at once, once per subject. Each worker keeps
+    only the selected slice indices and their feature rows (none without a
+    backend); the pixels go to the cache entry and are dropped. Results are
+    merged in manifest order, so the outcome does not depend on the worker
+    count. A PipelineError or OSError while decoding or ranking becomes
+    errors[subject_id]; any exception from the backend raises
+    StageError("features"), and any other exception propagates. A cache
+    entry is reused only when it was computed under the same key (see
+    _cache_key); force recomputes every entry.
 
     Writes entropies.csv (subject_id,slice_index,entropy,selected: every
     ranked slice of every subject that did not fail) into out_dir.
@@ -210,11 +232,22 @@ def run_slices_stage(
     cache_dir.mkdir(parents=True, exist_ok=True)
 
     def attempt(row: ManifestRow):
+        busy = dict.fromkeys(_BUSY_PARTS, 0.0)
         try:
-            return _slices_for_subject(row, cfg, cache_dir, force), None
+            pixels, indices, ranked, hit = _slices_for_subject(row, cfg, cache_dir, force, busy)
         except (PipelineError, OSError) as exc:
             logger.error("subject %s failed: %s", row.subject_id, exc)
-            return None, str(exc)
+            return None, str(exc), busy
+        features = None
+        if backend is not None:
+            t0 = time.perf_counter()
+            try:
+                features = backend.extract(pixels)
+            except Exception as exc:
+                # a backend fault fails the run's features stage, not one subject
+                raise StageError("features", exc) from exc
+            busy["features"] += time.perf_counter() - t0
+        return (indices, features, ranked, hit), None, busy
 
     workers = max(1, min(_available_cpus(), len(rows)))
     pool = ThreadPoolExecutor(max_workers=workers)
@@ -223,12 +256,16 @@ def run_slices_stage(
     finally:
         pool.shutdown(cancel_futures=True)
 
-    stage = SliceStage(selected={}, ranked_all={}, errors={}, workers=workers)
-    for row, (done, error) in zip(rows, outcomes):
+    stage = SliceStage(selected={}, features={}, ranked_all={}, errors={}, workers=workers)
+    for row, (done, error, busy) in zip(rows, outcomes):
+        for part, seconds in busy.items():
+            stage.busy_seconds[part] += seconds
         if error is not None:
             stage.errors[row.subject_id] = error
             continue
-        stage.selected[row.subject_id], stage.ranked_all[row.subject_id], hit = done
+        stage.selected[row.subject_id], features, stage.ranked_all[row.subject_id], hit = done
+        if features is not None:
+            stage.features[row.subject_id] = features
         if hit:
             stage.cache_hits += 1
         else:
@@ -236,7 +273,7 @@ def run_slices_stage(
 
     def entropy_rows():
         for subject_id in sorted(stage.ranked_all):
-            chosen = {s.slice_index for s in stage.selected[subject_id]}
+            chosen = set(stage.selected[subject_id].tolist())
             for r in sorted(stage.ranked_all[subject_id], key=lambda r: r.slice_index):
                 yield [subject_id, r.slice_index, r.entropy, int(r.slice_index in chosen)]
 
@@ -251,19 +288,16 @@ def build_backend(cfg: PipelineConfig) -> FeatureBackend:
     return OnnxBackend(cfg.features.model_path, cfg.features.sidecar_path)
 
 
-def extract_feature_matrix(
-    rows: list[ManifestRow], stage: SliceStage, backend: FeatureBackend
-) -> FeatureMatrix:
-    """One feature row per selected slice, subjects in row order; the backend
-    gets each subject's selected slices as one stack."""
+def extract_feature_matrix(rows: list[ManifestRow], stage: SliceStage) -> FeatureMatrix:
+    """The feature rows the slice stage extracted, subjects in row order."""
     values = []
     labels = []
     subject_ids = []
     for row in rows:
-        selected = stage.selected[row.subject_id]
-        values.append(backend.extract(np.stack([s.pixels for s in selected])))
-        labels += [row.label] * len(selected)
-        subject_ids += [row.subject_id] * len(selected)
+        n_selected = len(stage.selected[row.subject_id])
+        values.append(stage.features[row.subject_id])
+        labels += [row.label] * n_selected
+        subject_ids += [row.subject_id] * n_selected
     return FeatureMatrix(
         values=np.concatenate(values).astype(np.float64, order="C", copy=False),
         labels=tuple(labels),
@@ -393,7 +427,7 @@ def run_pipeline(
             raise
         except Exception as exc:
             raise StageError(name, exc) from exc
-        stage_seconds[name] = time.perf_counter() - t0
+        stage_seconds[name] = stage_seconds.get(name, 0.0) + time.perf_counter() - t0
 
     with stage("manifest"):
         rows = read_manifest(manifest_path, allowed_labels=cfg.classes)
@@ -401,15 +435,19 @@ def run_pipeline(
         write_json(asdict(cfg), run_dir / "config.json")
         write_manifest(rows, run_dir / "manifest.csv")
 
+    # the slice stage extracts each subject's features as soon as its slices
+    # are selected; loading the backend, and any fault of it, belong to "features"
+    with stage("features"):
+        backend = build_backend(cfg)
+
     with stage("slices"):
-        slice_stage = run_slices_stage(rows, cfg, run_dir, force=force)
+        slice_stage = run_slices_stage(rows, cfg, run_dir, backend, force=force)
         if slice_stage.errors:
             failed = ", ".join(sorted(slice_stage.errors))
             raise ValueError(f"subjects failed slice selection: {failed}")
 
     with stage("features"):
-        backend = build_backend(cfg)
-        X = extract_feature_matrix(rows, slice_stage, backend)
+        X = extract_feature_matrix(rows, slice_stage)
         save_features(X, run_dir / "features.csv")
 
     with stage("split"):
@@ -511,6 +549,7 @@ def run_pipeline(
         "reduced_dim": R_grad.m,
         "stage_seconds": stage_seconds,
         "slice_workers": slice_stage.workers,
+        "slice_busy_seconds": slice_stage.busy_seconds,
         "slice_cache": {"hits": slice_stage.cache_hits, "misses": slice_stage.cache_misses},
     }
     write_json(run_info, run_dir / "run_info.json")

@@ -136,12 +136,15 @@ def onnx_features_reference(backend, pixels) -> np.ndarray:
 
 
 def quantize_reference(s, levels: int) -> QuantizedSlice:
-    """floor((p - min) / (max - min) * levels) clamped to levels-1, in float64."""
+    """floor((p - min) / (max - min) * levels) clamped to levels-1, in float64
+    (on halved values when max - min overflows)."""
     if levels < 2:
         raise InvalidLevels(f"levels must be >= 2, got {levels}")
     pixels = np.asarray(s.pixels, dtype=np.float64)
     lo = pixels.min()
     hi = pixels.max()
+    if np.isinf(float(hi) - float(lo)):  # max - min overflows float64: halve everything
+        pixels, lo, hi = pixels / 2, lo / 2, hi / 2
     if hi == lo:
         indices = np.zeros(pixels.shape, dtype=np.int64)
     else:

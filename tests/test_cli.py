@@ -417,6 +417,21 @@ def test_corrupt_gzip_volume_exits_2(data_dir, tmp_path, capsys):
     assert len(list((work / "cache").glob("*.npz"))) == len(lines) - 1 - len(gz_lines)
 
 
+@pytest.mark.parametrize("command", ["features", "pipeline"])
+def test_unloadable_model_exits_2(data_dir, tmp_path, capsys, command):
+    model = tmp_path / "enc.onnx"
+    model.write_bytes(b"not an onnx model")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"features": {"backend": "onnx", "model_path": str(model)}}))
+    out = tmp_path / "out"
+    argv = [command, "--manifest", str(data_dir / "manifest.csv"), "--config", str(config)]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+    assert not (out / "features.csv").exists()
+
+
 def test_pipeline_stage_failure_exits_2(data_dir, tmp_path, capsys):
     broken = tmp_path / "broken.csv"
     lines = (data_dir / "manifest.csv").read_text().splitlines()

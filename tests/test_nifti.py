@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mridecomp.entropy import slice_entropy
 from mridecomp.errors import (
     DimensionError,
     InvalidLevels,
@@ -435,6 +436,15 @@ def test_quantize_constant_slice_all_zero():
     assert (q.indices == 0).all()
 
 
+def test_quantize_span_beyond_float64():
+    """max - min overflows float64: the indices still rank the pixels within [0, levels)."""
+    s = make_slice(np.array([[-1.7e308, 1.7e308], [0.0, 1.0]]))
+    with np.errstate(all="raise"):
+        q = quantize(s, 8)
+    np.testing.assert_array_equal(q.indices, [[0, 7], [4, 4]])
+    assert slice_entropy(s) > 0.0
+
+
 def test_quantize_rejects_single_level():
     with pytest.raises(InvalidLevels):
         quantize(make_slice(np.zeros((2, 2))), 1)
@@ -510,9 +520,8 @@ def test_quantize_matches_reference_bytes_and_layout(dtype, shape, levels, layou
         volume = np.asarray(volume, order=layout)
     for i in range(volume.shape[2]):
         s = Slice2D("s", i, volume[:, :, i])
-        with np.errstate(over="ignore", invalid="ignore"):  # max - min overflows float64
-            got = quantize(s, levels).indices
-            want = quantize_reference(s, levels).indices
+        got = quantize(s, levels).indices
+        want = quantize_reference(s, levels).indices
         assert got.dtype == want.dtype == np.int64
         assert got.strides == want.strides
         assert got.flags.c_contiguous == want.flags.c_contiguous

@@ -1,6 +1,8 @@
 """End-to-end pipeline runs: artifacts, determinism, leakage, caching."""
 
+import dataclasses
 import io
+import itertools
 import json
 from pathlib import Path
 
@@ -8,11 +10,14 @@ import numpy as np
 import pytest
 
 from mridecomp import pipeline
-from mridecomp.config import PipelineConfig, TrainingConfig
-from mridecomp.errors import StageError
+from mridecomp.config import PipelineConfig, SliceSelectionConfig, TrainingConfig
+from mridecomp.errors import ShapeMismatch, StageError
+from mridecomp.features import OnnxBackend, RawPixelBackend
 from mridecomp.manifest import ManifestRow, read_manifest
 from mridecomp.pipeline import run_pipeline, run_slices_stage
 from mridecomp.synth import generate_dataset, write_nifti
+
+from conftest import write_conv_style_model, write_sidecar
 
 EXPECTED_FILES = {
     "centroids.json",
@@ -218,7 +223,21 @@ def test_run_manifest_is_valid_from_any_directory(dataset, tmp_path, monkeypatch
     assert all(r.path.is_file() for r in copied)
 
 
-def test_selected_slices_do_not_pin_volumes(dataset, tmp_path, monkeypatch):
+def _held_arrays(obj):
+    """Every ndarray reachable from obj through dataclass fields, dicts and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _held_arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _held_arrays(value)
+    elif dataclasses.is_dataclass(obj):
+        yield from _held_arrays(vars(obj))
+
+
+def test_slice_stage_holds_feature_rows_not_pixels(dataset, tmp_path, monkeypatch):
     manifest_path, _ = dataset
     volumes = []
 
@@ -229,11 +248,69 @@ def test_selected_slices_do_not_pin_volumes(dataset, tmp_path, monkeypatch):
     real_read_nifti = pipeline.read_nifti
     monkeypatch.setattr(pipeline, "read_nifti", recording_read_nifti)
     rows = read_manifest(manifest_path)
-    stage = run_slices_stage(rows, quick_config(), tmp_path)
+    stage = run_slices_stage(rows, quick_config(), tmp_path, RawPixelBackend(side=4))
     assert len(volumes) == len(rows)
-    for volume in volumes:
-        for s in stage.selected[volume.subject_id]:
-            assert not np.shares_memory(s.pixels, volume.voxels)
+    for row in rows:
+        assert stage.features[row.subject_id].shape == (len(stage.selected[row.subject_id]), 16)
+    smallest_rows = min(f.nbytes for f in stage.features.values())
+    for array in _held_arrays(stage):
+        assert array.nbytes <= smallest_rows
+        assert not any(np.shares_memory(array, v.voxels) for v in volumes)
+
+
+def test_onnx_features_from_worker_pool_match_serial_extract(dataset, tmp_path, monkeypatch):
+    manifest_path, _ = dataset
+    model_path, _, _ = write_conv_style_model(tmp_path / "enc.onnx", side=6, channels=3, out_dim=5)
+    write_sidecar(
+        model_path, input_shape=[1, 3, 6, 6], mean=[90.0, 100.0, 110.0], std=[40.0, 50.0, 60.0]
+    )
+    backend = OnnxBackend(model_path)
+    monkeypatch.setattr(pipeline, "_available_cpus", lambda: 2)
+    rows = read_manifest(manifest_path)
+    stage = run_slices_stage(rows, quick_config(), tmp_path / "out", backend)
+    assert stage.workers == 2 and not stage.errors
+    for row in rows:
+        with np.load(tmp_path / "out" / "cache" / f"{row.subject_id}.npz") as entry:
+            np.testing.assert_array_equal(entry["indices"], stage.selected[row.subject_id])
+            serial = backend.extract(entry["pixels"])
+        got = stage.features[row.subject_id]
+        assert got.dtype == serial.dtype
+        assert got.tobytes() == serial.tobytes()
+
+
+class _FailsOnThirdSubject(RawPixelBackend):
+    def __init__(self):
+        super().__init__(side=4)
+        self.calls = itertools.count()
+
+    def extract(self, stack):
+        if next(self.calls) == 2:
+            raise ShapeMismatch("model returned 3 features, expected 16")
+        return super().extract(stack)
+
+
+def test_backend_error_fails_features_stage(dataset, tmp_path, monkeypatch):
+    manifest_path, _ = dataset
+    monkeypatch.setattr(pipeline, "build_backend", lambda cfg: _FailsOnThirdSubject())
+    with pytest.raises(StageError) as excinfo:
+        run_pipeline(manifest_path, quick_config(), tmp_path / "run")
+    assert excinfo.value.stage == "features"
+    assert isinstance(excinfo.value.cause, ShapeMismatch)
+    assert str(excinfo.value) == "stage 'features' failed: model returned 3 features, expected 16"
+
+
+def test_float64_volume_beyond_float64_span_is_ranked(tmp_path):
+    """A slice whose max - min overflows float64 still scores a finite, positive entropy."""
+    voxels = np.random.default_rng(5).uniform(0.0, 200.0, size=(24, 24, 6))
+    voxels[0, 0, 2], voxels[23, 23, 2] = -1.7e308, 1.7e308
+    write_nifti(tmp_path / "wide.nii", voxels, datatype_code=64)
+    rows = [ManifestRow("wide", "CN", tmp_path / "wide.nii")]
+    cfg = PipelineConfig(slice_selection=SliceSelectionConfig(top_k=3))
+    stage = run_slices_stage(rows, cfg, tmp_path / "out", RawPixelBackend(side=4))
+    assert not stage.errors
+    entropy = {r.slice_index: r.entropy for r in stage.ranked_all["wide"]}
+    assert 0.0 < entropy[2] < 6.0
+    assert np.isfinite(stage.features["wide"]).all()
 
 
 def _artifacts(run_dir):
@@ -276,6 +353,10 @@ def test_run_info_records_stage_times_and_cache_use(dataset, tmp_path):
         assert all(t >= 0.0 for t in info["stage_seconds"].values())
         misses = len(rows) - expected_hits
         assert info["slice_cache"] == {"hits": expected_hits, "misses": misses}
+        busy = info["slice_busy_seconds"]
+        assert set(busy) == {"decode", "rank", "features"}
+        assert busy["decode"] > 0.0 and busy["features"] > 0.0
+        assert (busy["rank"] > 0.0) == (misses > 0)
 
 
 def test_unexpected_subject_error_propagates(dataset, tmp_path, monkeypatch):
