@@ -23,14 +23,24 @@ COMPOSE_MODES = ("argmax-strip", "prob-sum")
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.01
+class TrainSettings:
+    """The training settings every learning-rate cell shares: epochs, batch
+    size, hidden width (0 = plain softmax head) and the Adam constants.
+    config.TrainingConfig extends it with the grid's learning rates."""
+
     epochs: int = 200
     batch_size: int = 64
     hidden_dim: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+
+@dataclass(frozen=True)
+class TrainConfig(TrainSettings):
+    """One training run's settings, checked when constructed."""
+
+    learning_rate: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -62,9 +72,6 @@ class ClassifierModel:
             return {"W1": (i, h), "b1": (h,), "W2": (h, o), "b2": (o,)}
         return {"W": (i, o), "b": (o,)}
 
-    def param_names(self) -> list[str]:
-        return list(self.param_shapes())
-
 
 @dataclass(frozen=True)
 class TrainResult:
@@ -82,21 +89,20 @@ def init_model(
     codec: LabelCodec,
     hidden_dim: int = 0,
     seed: int = 0,
-    scale: float = 0.01,
 ) -> ClassifierModel:
-    """Small seeded Gaussian weights, zero biases."""
+    """Seeded Gaussian weights (standard deviation 0.01), zero biases."""
     rng = np.random.default_rng(seed)
     output_dim = codec.n_sublabels
     if hidden_dim > 0:
         params = {
-            "W1": rng.normal(0.0, scale, size=(input_dim, hidden_dim)),
+            "W1": rng.normal(0.0, 0.01, size=(input_dim, hidden_dim)),
             "b1": np.zeros(hidden_dim),
-            "W2": rng.normal(0.0, scale, size=(hidden_dim, output_dim)),
+            "W2": rng.normal(0.0, 0.01, size=(hidden_dim, output_dim)),
             "b2": np.zeros(output_dim),
         }
     else:
         params = {
-            "W": rng.normal(0.0, scale, size=(input_dim, output_dim)),
+            "W": rng.normal(0.0, 0.01, size=(input_dim, output_dim)),
             "b": np.zeros(output_dim),
         }
     return ClassifierModel(
@@ -157,15 +163,6 @@ def _backprop(
     else:
         np.matmul(X.T, dZ, out=grads["W"])
         np.sum(dZ, axis=0, out=grads["b"])
-
-
-def gradients(model: ClassifierModel, X: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
-    """Analytic cross-entropy gradients of integer sublabels y under the model."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    grads = {name: np.empty_like(p) for name, p in model.params.items()}
-    _backprop(model, X, np.eye(model.output_dim)[y], grads)
-    return grads
 
 
 def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:

@@ -8,10 +8,10 @@ config fails before any work starts.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .artifacts import read_json
-from .classifier import COMPOSE_MODES, TrainConfig
+from .classifier import COMPOSE_MODES, TrainConfig, TrainSettings
 from .entropy import EntropyConfig
 from .errors import ConfigError, ParseError
 
@@ -93,28 +93,17 @@ class DecompositionConfig:
 
 
 @dataclass(frozen=True)
-class TrainingConfig:
+class TrainingConfig(TrainSettings):
+    """The learning-rate grid plus the settings its cells share; unlike
+    TrainConfig it is checked by validate, not when constructed."""
+
     learning_rates: tuple[float, ...] = (0.01, 0.001)
-    epochs: int = 200
-    batch_size: int = 64
-    hidden_dim: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     validation_fraction: float = 0.2
 
     def train_config(self, learning_rate: float, seed: int) -> TrainConfig:
         """Classifier settings of one learning-rate cell; TrainConfig checks them."""
-        return TrainConfig(
-            learning_rate=learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            hidden_dim=self.hidden_dim,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-            seed=seed,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(TrainSettings)}
+        return TrainConfig(learning_rate=learning_rate, seed=seed, **shared)
 
     def validate(self) -> None:
         if not self.learning_rates:

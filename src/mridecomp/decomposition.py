@@ -2,9 +2,9 @@
 
 Each original class is clustered independently; the (class, cluster) pairs
 are mapped to a dense id space by LabelCodec. Subclass names follow the
-``{class}_{cluster+1}`` pattern (e.g. CN_1, CN_2). LabelCodec.class_of strips
-the cluster index to recover the original class, so per-class sample counts
-are conserved by construction.
+``{class}_{cluster+1}`` pattern (e.g. CN_1, CN_2). LabelCodec.decode returns
+the original class with the cluster index, so per-class sample counts are
+conserved by construction.
 """
 
 from __future__ import annotations
@@ -86,9 +86,6 @@ class LabelCodec:
     def parse_labels(self, names) -> np.ndarray:
         """Sublabel ids of subclass names, e.g. the labels of a sublabeled CSV."""
         return np.asarray([self.parse_subclass_name(name) for name in names], dtype=np.int64)
-
-    def class_of(self, sublabel: int) -> str:
-        return self.decode(sublabel)[0]
 
     def class_indices(self) -> np.ndarray:
         """Index into classes of every sublabel id, in id order."""

@@ -110,19 +110,17 @@ def slice_entropy(s: Slice2D, cfg: EntropyConfig = EntropyConfig()) -> float:
     return glcm_entropy(g)
 
 
-def rank_slices(slices, cfg: EntropyConfig = EntropyConfig(), scorer=None) -> list[RankedSlice]:
+def rank_slices(slices, cfg: EntropyConfig = EntropyConfig()) -> list[RankedSlice]:
     """Score a single subject's slices and sort them by descending entropy.
 
     Ties break toward the lower slice index so rankings are reproducible.
-    `scorer(slice, cfg) -> float` may replace the co-occurrence scorer.
     """
     if not slices:
         raise EmptyInput("no slices to rank")
     subjects = {s.subject_id for s in slices}
     if len(subjects) != 1:
         raise ValueError(f"rank_slices expects a single subject, got {sorted(subjects)}")
-    score = scorer if scorer is not None else slice_entropy
-    ranked = [RankedSlice(s.subject_id, s.slice_index, score(s, cfg)) for s in slices]
+    ranked = [RankedSlice(s.subject_id, s.slice_index, slice_entropy(s, cfg)) for s in slices]
     return sorted(ranked, key=lambda r: (-r.entropy, r.slice_index))
 
 

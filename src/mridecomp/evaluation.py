@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ClassifierModel, compose_predictions, forward
-from .decomposition import LabelCodec
 from .errors import ConfigError, EmptyTestSet, TooFewSubjects
 
 logger = logging.getLogger(__name__)
@@ -73,18 +72,6 @@ def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, n_labels: int) -> n
     matrix = np.zeros((n_labels, n_labels), dtype=np.int64)
     np.add.at(matrix, (y_true, y_pred), 1)
     return matrix
-
-
-def aggregate_confusion(sub_matrix: np.ndarray, codec: LabelCodec) -> np.ndarray:
-    """Sum subclass confusion cells into original-class cells."""
-    n_classes = len(codec.classes)
-    out = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for i in range(codec.n_sublabels):
-        ci = codec.classes.index(codec.class_of(i))
-        for j in range(codec.n_sublabels):
-            cj = codec.classes.index(codec.class_of(j))
-            out[ci, cj] += sub_matrix[i, j]
-    return out
 
 
 def metrics_from_confusion(matrix: np.ndarray, names: list[str]) -> dict:
@@ -147,10 +134,6 @@ class EvalReport:
     @property
     def composed_accuracy(self) -> float:
         return self.composed_metrics["accuracy"]
-
-    @property
-    def subclass_accuracy(self) -> float:
-        return self.sub_metrics["accuracy"]
 
 
 def evaluate(

@@ -219,11 +219,11 @@ def run_slices_stage(
     only the selected slice indices and their feature rows (none without a
     backend); the pixels go to the cache entry and are dropped. Results are
     merged in manifest order, so the outcome does not depend on the worker
-    count. A PipelineError or OSError while decoding or ranking becomes
-    errors[subject_id]; any exception from the backend raises
-    StageError("features"), and any other exception propagates. A cache
-    entry is reused only when it was computed under the same key (see
-    _cache_key); force recomputes every entry.
+    count. A PipelineError or OSError while decoding or ranking, and feature
+    rows that are not all finite, become errors[subject_id]; any exception
+    from the backend raises StageError("features"), and any other exception
+    propagates. A cache entry is reused only when it was computed under the
+    same key (see _cache_key); force recomputes every entry.
 
     Writes entropies.csv (subject_id,slice_index,entropy,selected: every
     ranked slice of every subject that did not fail) into out_dir.
@@ -247,6 +247,11 @@ def run_slices_stage(
                 # a backend fault fails the run's features stage, not one subject
                 raise StageError("features", exc) from exc
             busy["features"] += time.perf_counter() - t0
+            if not np.isfinite(features).all():
+                # finite voxels can still resample to inf or nan (spans beyond float64)
+                error = f"{row.path}: feature rows are not finite"
+                logger.error("subject %s failed: %s", row.subject_id, error)
+                return None, error, busy
         return (indices, features, ranked, hit), None, busy
 
     workers = max(1, min(_available_cpus(), len(rows)))
@@ -367,10 +372,15 @@ def run_train_stage(
     """Train one model per learning rate on sublabels y; the best cell has
     the lowest final training loss. The validation rows only draw loss curves.
 
-    Writes models/cell-<i>.json and losses.json into out_dir.
+    Writes models/cell-<i>.json and losses.json into out_dir, and removes any
+    other models/cell-*.json, such as one a larger grid left there.
     """
     models_dir = out_dir / "models"
     models_dir.mkdir(exist_ok=True)
+    cells = {f"cell-{i}.json" for i in range(len(cfg.training.learning_rates))}
+    for stale in models_dir.glob("cell-*.json"):
+        if stale.name not in cells:
+            stale.unlink()
     results: dict[str, TrainResult] = {}
     seeds: dict[str, int] = {}
     losses = {}
@@ -444,7 +454,7 @@ def run_pipeline(
         slice_stage = run_slices_stage(rows, cfg, run_dir, backend, force=force)
         if slice_stage.errors:
             failed = ", ".join(sorted(slice_stage.errors))
-            raise ValueError(f"subjects failed slice selection: {failed}")
+            raise ValueError(f"subjects failed slice selection or feature extraction: {failed}")
 
     with stage("features"):
         X = extract_feature_matrix(rows, slice_stage)

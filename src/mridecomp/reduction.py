@@ -94,11 +94,6 @@ def pca_transform(X: FeatureMatrix, model: PcaModel) -> FeatureMatrix:
     return FeatureMatrix(values=projected, labels=X.labels, subject_ids=X.subject_ids)
 
 
-def pca_inverse(values: np.ndarray, model: PcaModel) -> np.ndarray:
-    """Back-project reduced rows into the original feature space."""
-    return np.asarray(values) @ model.components + model.mean
-
-
 def scaler_to_dict(params: ScalerParams) -> dict:
     return {"means": params.means.tolist(), "stds": params.stds.tolist()}
 

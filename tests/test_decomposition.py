@@ -63,7 +63,7 @@ def test_codec_round_trip_all_ids():
         cls, cluster = codec.decode(sid)
         assert codec.encode(cls, cluster) == sid
         assert codec.parse_subclass_name(codec.subclass_name(sid)) == sid
-        assert codec.class_of(sid) == cls
+        assert codec.decode(sid)[0] == cls
 
 
 def test_codec_rejects_bad_lookups():
@@ -118,7 +118,7 @@ def test_sublabels_consistent_with_original_class(rng):
     X = three_class_data(rng)
     ds = decompose(X, k=2, seed=1)
     for label, sub in zip(X.labels, ds.sublabels):
-        assert ds.codec.class_of(int(sub)) == label
+        assert ds.codec.decode(int(sub))[0] == label
 
 
 def test_separated_subgroups_recovered_exactly(rng):
@@ -203,7 +203,7 @@ def test_assign_sublabels_nearest_in_class(rng):
     probe = matrix(np.asarray(probe_values), probe_labels)
     assigned = assign_sublabels(probe, ds.codec, ds.centroids)
     for label, sub in zip(probe_labels, assigned):
-        assert ds.codec.class_of(int(sub)) == label
+        assert ds.codec.decode(int(sub))[0] == label
     # the two probes of each class land in different clusters
     for ci in range(3):
         assert assigned[2 * ci] != assigned[2 * ci + 1]

@@ -213,12 +213,6 @@ def test_rank_slices_rejects_empty_and_mixed_subjects():
         rank_slices([a, b])
 
 
-def test_rank_slices_custom_scorer():
-    slices = [make_slice(np.full((3, 3), i), slice_index=i) for i in range(3)]
-    ranked = rank_slices(slices, scorer=lambda s, cfg: float(s.pixels[0, 0]))
-    assert [r.slice_index for r in ranked] == [2, 1, 0]
-
-
 def test_select_top_k_prefix_and_clamp():
     slices = [make_slice(np.random.default_rng(i).normal(size=(6, 6)), slice_index=i) for i in range(10)]
     ranked = rank_slices(slices)

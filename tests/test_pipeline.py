@@ -321,6 +321,16 @@ def _artifacts(run_dir):
     }
 
 
+def test_rerun_into_a_run_directory_matches_a_fresh_run(dataset, tmp_path):
+    manifest_path, _ = dataset
+    three_rates = PipelineConfig(training=TrainingConfig(learning_rates=(0.01, 0.001, 0.1), epochs=40))
+    run_pipeline(manifest_path, three_rates, tmp_path / "rerun")
+    assert (tmp_path / "rerun" / "models" / "cell-2.json").exists()
+    run_pipeline(manifest_path, quick_config(), tmp_path / "rerun")
+    run_pipeline(manifest_path, quick_config(), tmp_path / "fresh")
+    assert _artifacts(tmp_path / "rerun") == _artifacts(tmp_path / "fresh")
+
+
 def test_outputs_do_not_depend_on_worker_count(dataset, tmp_path, monkeypatch):
     manifest_path, rows = dataset
     runs = {}

@@ -10,9 +10,10 @@ from mridecomp.reduction import (
     apply_standardize,
     fit_standardize,
     pca_fit,
-    pca_inverse,
     pca_transform,
 )
+
+from oracles import pca_inverse
 
 
 def matrix(values, labels=None, subjects=None):
