@@ -1,6 +1,7 @@
 """The one writer and reader of the run directory's JSON and CSV artifacts.
 
-JSON artifacts have sorted keys, a two-space indent and a trailing newline.
+JSON artifacts have sorted keys, a two-space indent and a trailing newline,
+and never hold NaN or Infinity, which are not JSON.
 CSV tables end lines with ``\\n``; the csv module writes a Python float as its
 shortest round-trip repr, so a table read back gives the same bits. Callers
 pass floats as Python floats (``ndarray.tolist()``), one row at a time.
@@ -15,9 +16,10 @@ from .errors import ParseError
 
 
 def write_json(obj, path) -> None:
+    """obj as JSON; a NaN or infinite float raises ValueError before path is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def open_input(path, newline=None):

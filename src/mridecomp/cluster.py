@@ -34,8 +34,12 @@ class KMeansResult:
 @dataclass(frozen=True)
 class ElbowResult:
     k: int
-    wcss_curve: dict[int, float]
+    fits: dict[int, KMeansResult]  # best-of-n_init fit per candidate k
     scores: dict[int, float]  # second difference per interior k
+
+    @property
+    def wcss_curve(self) -> dict[int, float]:
+        return {k: fit.wcss for k, fit in self.fits.items()}
 
 
 def _as_seedseq(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
@@ -169,7 +173,8 @@ def elbow_select_k(
     n_init: int = 10,
 ) -> ElbowResult:
     """Pick the interior k maximizing the second difference of the WCSS
-    curve, wcss(k-1) - 2*wcss(k) + wcss(k+1); ties break toward smaller k."""
+    curve, wcss(k-1) - 2*wcss(k) + wcss(k+1); ties break toward smaller k.
+    fits keeps each candidate's best-of-n_init fit, so k is never fitted twice."""
     if k_min < 1:
         raise InvalidK(f"k_min must be >= 1, got {k_min}")
     if k_max - k_min + 1 < 3:
@@ -179,12 +184,13 @@ def elbow_select_k(
         raise InvalidK(f"k_max={k_max} exceeds the number of points ({n})")
 
     seq = _as_seedseq(seed).spawn(k_max - k_min + 1)
-    wcss_curve: dict[int, float] = {}
-    for k, child in zip(range(k_min, k_max + 1), seq):
-        wcss_curve[k] = kmeans_restarts(X, k, seed=child, n_init=n_init).wcss
+    fits = {
+        k: kmeans_restarts(X, k, seed=child, n_init=n_init)
+        for k, child in zip(range(k_min, k_max + 1), seq)
+    }
 
     scores: dict[int, float] = {}
     for k in range(k_min + 1, k_max):
-        scores[k] = wcss_curve[k - 1] - 2.0 * wcss_curve[k] + wcss_curve[k + 1]
+        scores[k] = fits[k - 1].wcss - 2.0 * fits[k].wcss + fits[k + 1].wcss
     best_k = max(sorted(scores), key=lambda k: (scores[k], -k))
-    return ElbowResult(k=best_k, wcss_curve=wcss_curve, scores=scores)
+    return ElbowResult(k=best_k, fits=fits, scores=scores)

@@ -129,9 +129,10 @@ def decompose(
     """Cluster each class separately and relabel rows with subclass ids.
 
     With elbow_range=(k_min, k_max) the per-class k is chosen by the elbow
-    rule instead of the fixed value; the range is clamped so k_max never
-    exceeds the class size (a class too small for any valid range falls
-    back to a single cluster).
+    rule instead of the fixed value, and the class is clustered with the
+    elbow search's own best-of-n_init fit for that k; the range is clamped
+    so k_max never exceeds the class size (a class too small for any valid
+    range falls back to a single cluster).
     """
     if X.n == 0:
         raise EmptyInput("cannot decompose an empty feature matrix")
@@ -159,24 +160,24 @@ def decompose(
                     "class %s has %d samples, too few for elbow range [%d, %d]; using k=1",
                     cls, n_c, k_min, k_max,
                 )
-                k_c = 1
+                result = kmeans_restarts(rows, 1, seed=class_seed, n_init=n_init)
             else:
                 if k_max_eff != k_max:
                     logger.warning(
                         "class %s: clamping elbow k_max from %d to %d", cls, k_max, k_max_eff
                     )
-                k_c = elbow_select_k(rows, k_min, k_max_eff, seed=class_seed, n_init=n_init).k
+                elbow = elbow_select_k(rows, k_min, k_max_eff, seed=class_seed, n_init=n_init)
+                result = elbow.fits[elbow.k]
         else:
             if n_c < k:
                 raise ClassTooSmall(f"class {cls!r} has {n_c} samples, fewer than k={k}")
-            k_c = k
+            result = kmeans_restarts(rows, k, seed=class_seed, n_init=n_init)
 
-        result = kmeans_restarts(rows, k_c, seed=class_seed, n_init=n_init)
         offset = sum(cluster_counts)
         sublabels[mask] = offset + result.assignments
         centroids[cls] = result.centroids
         wcss[cls] = result.wcss
-        cluster_counts.append(k_c)
+        cluster_counts.append(len(result.centroids))
 
     codec = LabelCodec(classes=classes, cluster_counts=tuple(cluster_counts))
     return DecomposedDataset(

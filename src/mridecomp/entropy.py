@@ -32,7 +32,6 @@ class EntropyConfig:
 class GlcmMatrix:
     levels: int
     probabilities: np.ndarray
-    normalized: bool
 
 
 @dataclass(frozen=True)
@@ -46,13 +45,12 @@ def glcm(
     q: QuantizedSlice,
     offset: tuple[int, int] = (0, 1),
     symmetric: bool = True,
-    normalize: bool = True,
 ) -> GlcmMatrix:
-    """Count grey-level pairs appearing at the given (drow, dcol) offset.
+    """Co-occurrence probabilities of grey-level pairs at the given (drow, dcol) offset.
 
     Cell (i, j) counts in-bounds positions p with q[p] == i and
-    q[p + offset] == j. Symmetric mode adds the transpose; normalize
-    divides by the total pair count.
+    q[p + offset] == j. Symmetric mode adds the transpose; the counts are
+    then divided by the total pair count.
     """
     dr, dc = offset
     if (dr, dc) == (0, 0):
@@ -73,11 +71,10 @@ def glcm(
     matrix = counts.reshape(levels, levels).astype(np.float64)
     if symmetric:
         matrix = matrix + matrix.T
-    if normalize:
-        # the counts sum to the pair count exactly, so no sum is needed
-        matrix /= codes.size * (2 if symmetric else 1)
+    # the counts sum to the pair count exactly, so no sum is needed
+    matrix /= codes.size * (2 if symmetric else 1)
     matrix.setflags(write=False)
-    return GlcmMatrix(levels=levels, probabilities=matrix, normalized=normalize)
+    return GlcmMatrix(levels=levels, probabilities=matrix)
 
 
 def glcm_entropy(g: GlcmMatrix) -> float:
@@ -100,7 +97,7 @@ def slice_entropy(s: Slice2D, cfg: EntropyConfig = EntropyConfig()) -> float:
     """
     q = quantize(s, cfg.levels)
     try:
-        g = glcm(q, offset=cfg.offset, symmetric=cfg.symmetric, normalize=True)
+        g = glcm(q, offset=cfg.offset, symmetric=cfg.symmetric)
     except EmptyGlcm:
         logger.warning(
             "slice %s/%d has no co-occurring pairs at offset %s; scoring 0",

@@ -327,8 +327,9 @@ def run_decompose_stage(
     """Fit the scaler, PCA and per-class k-means on X's fit_rows (a boolean
     mask) and project every row.
 
-    Writes scaler.json, pca.json, reduced_features.csv (all rows), codec.json,
-    centroids.json and decomposition_report.csv into out_dir.
+    Writes scaler.json, pca.json, codec.json, centroids.json and
+    decomposition_report.csv into out_dir; the projected rows are returned,
+    not written.
     """
     scaler = fit_standardize(X.rows(fit_rows))
     write_json(scaler_to_dict(scaler), out_dir / "scaler.json")
@@ -336,7 +337,6 @@ def run_decompose_stage(
     pca = pca_fit(X_scaled.rows(fit_rows), cfg.pca.variance_threshold)
     write_json(pca_to_dict(pca), out_dir / "pca.json")
     reduced = pca_transform(X_scaled, pca)
-    save_features(reduced, out_dir / "reduced_features.csv")
 
     dcfg = cfg.decomposition
     seed = derive_seed(cfg.seed, _TAG_DECOMPOSE)
@@ -371,6 +371,8 @@ def run_train_stage(
 ) -> TrainStage:
     """Train one model per learning rate on sublabels y; the best cell has
     the lowest final training loss. The validation rows only draw loss curves.
+    A loss that is not finite raises StageError("train") with a ValueError
+    naming the cell and the curve, so no JSON artifact is written with it.
 
     Writes models/cell-<i>.json and losses.json into out_dir, and removes any
     other models/cell-*.json, such as one a larger grid left there.
@@ -389,6 +391,12 @@ def run_train_stage(
         seeds[cell] = derive_seed(cfg.seed, _TAG_TRAIN, i)
         tcfg = cfg.training.train_config(lr, seeds[cell])
         result = train(X, y, codec, tcfg, X_val=X_val, y_val=y_val)
+        for curve, values in (("train", result.epoch_losses), ("validation", result.val_losses)):
+            finite = np.isfinite(values or [])
+            if not finite.all():
+                epoch = int(np.argmin(finite))
+                error = ValueError(f"cell {cell}: {curve} loss is first not finite at epoch {epoch}")
+                raise StageError("train", error)
         results[cell] = result
         model_to_json(result.model, models_dir / f"cell-{i}.json")
         losses[cell] = {"train": result.epoch_losses, "validation": result.val_losses}

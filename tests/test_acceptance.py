@@ -88,7 +88,7 @@ def test_criterion_01_entropy_oracle():
             q = quantize(slice_of(pixels), levels=levels)
             counts = glcm_brute(q.indices, levels, offset, symmetric)
             try:
-                g = glcm(q, offset=offset, symmetric=symmetric, normalize=True)
+                g = glcm(q, offset=offset, symmetric=symmetric)
             except Exception:
                 # the offset has no in-bounds pairs for this shape; the
                 # brute-force count must agree that the matrix is empty

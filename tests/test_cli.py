@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mridecomp.artifacts import read_json
 from mridecomp.cli import main
 from mridecomp.features import load_precomputed
 from mridecomp.nifti import read_nifti
@@ -42,17 +43,15 @@ def test_full_standalone_chain(data_dir, tmp_path, capsys):
 
     dec = tmp_path / "dec"
     assert main(["decompose", "--features", str(work / "features.csv"), "--out", str(dec)]) == 0
-    for name in [
-        "scaler.json",
-        "pca.json",
-        "reduced_features.csv",
-        "codec.json",
+    assert sorted(p.name for p in dec.iterdir()) == [
         "centroids.json",
+        "codec.json",
         "decomposition_report.csv",
+        "pca.json",
+        "scaler.json",
         "sublabeled_features.csv",
         "sublabeled_original_features.csv",
-    ]:
-        assert (dec / name).exists(), name
+    ]
 
     tr = tmp_path / "tr"
     assert (
@@ -436,20 +435,32 @@ def test_unloadable_model_exits_2(data_dir, tmp_path, capsys, command):
     assert not (out / "features.csv").exists()
 
 
+def _manifest_with_wide_volume(data_dir, tmp_path, subject, low, high):
+    """A copy of the manifest in which subject reads a float64 copy of its
+    volume with low and high written into the voxels those indices select."""
+    lines = (data_dir / "manifest.csv").read_text().splitlines()
+    for i in range(1, len(lines)):  # the manifest is written elsewhere: absolute paths
+        sid, _, volume = lines[i].split(",")[:3]
+        path = data_dir / volume
+        if sid == subject:
+            voxels = np.array(read_nifti(path).voxels, dtype=np.float64)
+            voxels[low], voxels[high] = -1.7e308, 1.7e308
+            path = tmp_path / "wide.nii"
+            write_nifti(path, voxels, datatype_code=64)
+        lines[i] = lines[i].replace(volume, str(path))
+    manifest = tmp_path / "wide.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
 @pytest.mark.parametrize("command", ["features", "pipeline"])
 def test_subject_with_non_finite_feature_rows_exits_2(data_dir, tmp_path, capsys, caplog, command):
     # finite float64 voxels whose neighbours span more than float64 resample to inf/nan
     lines = (data_dir / "manifest.csv").read_text().splitlines()
-    for i in range(1, len(lines)):  # the manifest is written elsewhere: absolute paths
-        volume = lines[i].split(",")[2]
-        lines[i] = lines[i].replace(volume, str(data_dir / volume))
-    subject, _, volume = lines[2].split(",")[:3]
-    voxels = np.array(read_nifti(volume).voxels, dtype=np.float64)
-    voxels[0, 0, :], voxels[1, 0, :] = -1.7e308, 1.7e308
-    write_nifti(tmp_path / "wide.nii", voxels, datatype_code=64)
-    lines[2] = lines[2].replace(volume, str(tmp_path / "wide.nii"))
-    manifest = tmp_path / "wide.csv"
-    manifest.write_text("\n".join(lines) + "\n")
+    subject = lines[2].split(",")[0]
+    manifest = _manifest_with_wide_volume(
+        data_dir, tmp_path, subject, np.s_[0, 0, :], np.s_[1, 0, :]
+    )
 
     out = tmp_path / "out"
     assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 2
@@ -464,6 +475,47 @@ def test_subject_with_non_finite_feature_rows_exits_2(data_dir, tmp_path, capsys
     else:
         assert f"feature extraction: {subject}" in err
         assert "feature rows are not finite" in caplog.text
+
+
+def test_non_finite_loss_exits_2_and_leaves_no_invalid_json(tmp_path, capsys):
+    # finite feature rows near float64's limit (opposite edge columns of a
+    # validation subject) overflow its validation loss on the acceptance fixture
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--out", str(data_dir), "--subjects", "6", "--nz", "30", "--seed", "0"]) == 0
+    clean = tmp_path / "clean"
+    assert main(["pipeline", "--manifest", str(data_dir / "manifest.csv"), "--out", str(clean)]) == 0
+    subject = read_json(clean / "split.json")["validation"][0]
+    manifest = _manifest_with_wide_volume(
+        data_dir, tmp_path, subject, np.s_[:, 0, :], np.s_[:, -1, :]
+    )
+    capsys.readouterr()
+
+    out = tmp_path / "out"
+    assert main(["pipeline", "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "stage 'train' failed: cell lr=0.01: validation loss is first not finite" in err
+    written = sorted(out.rglob("*.json"))
+    assert written
+    for path in written:
+        text = path.read_text()
+        assert "Infinity" not in text and "NaN" not in text, path
+
+
+def test_train_with_a_non_finite_loss_exits_2(tmp_path, capsys):
+    # finite rows near float64's limit: each row's loss is finite, their sum is not
+    (tmp_path / "codec.json").write_text('{"classes": ["A", "B"], "cluster_counts": [1, 1]}')
+    rows = ["subject_id,label,f0,f1"]
+    rows += [f"a{i},A_1,1.7e308,-1.7e308" for i in range(500)]
+    rows += [f"b{i},B_1,-1.7e308,1.7e308" for i in range(500)]
+    (tmp_path / "rows.csv").write_text("\n".join(rows) + "\n")
+    out = tmp_path / "fit"
+    argv = ["train", "--features", str(tmp_path / "rows.csv"), "--codec", str(tmp_path / "codec.json")]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "stage 'train' failed: cell lr=0.01: train loss is first not finite at epoch 0" in err
+    assert not list(out.rglob("*.json"))
 
 
 def test_pipeline_stage_failure_exits_2(data_dir, tmp_path, capsys):

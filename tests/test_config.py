@@ -45,6 +45,15 @@ def test_file_round_trip(tmp_path):
     assert load_config(path) == cfg
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_write_json_rejects_non_finite_floats_before_opening(tmp_path, value):
+    path = tmp_path / "kept.json"
+    write_json({"kept": 1}, path)
+    with pytest.raises(ValueError):
+        write_json({"losses": [0.5, value]}, path)
+    assert path.read_text() == '{\n  "kept": 1\n}\n'
+
+
 def test_unknown_root_key_rejected():
     with pytest.raises(ConfigError, match="unknown config key"):
         config_from_dict({"seeed": 3})

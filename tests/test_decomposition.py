@@ -1,10 +1,13 @@
 """Class decomposition: codec bijection, per-class clustering, relabeling."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mridecomp import cluster
 from mridecomp.artifacts import read_json, write_json
 from mridecomp.config import PipelineConfig
 from mridecomp.decomposition import (
@@ -163,8 +166,8 @@ def test_empty_input_rejected():
         decompose(matrix(np.zeros((2, 1)), ["A", "A"]), k=0)
 
 
-def test_elbow_mode_per_class_counts(rng):
-    # class A: 2 subgroups, class B: 3 subgroups (simplex placement)
+def two_and_three_groups(rng):
+    """Class A: 2 subgroups, class B: 3 subgroups (simplex placement), 12 rows each."""
     values, labels = [], []
     for g in range(2):
         center = np.zeros(4)
@@ -176,9 +179,41 @@ def test_elbow_mode_per_class_counts(rng):
         center[g + 1] = -25.0
         values.append(center + 0.5 * rng.normal(size=(12, 4)))
         labels += ["B"] * 12
-    X = matrix(np.vstack(values), labels)
-    ds = decompose(X, elbow_range=(1, 6), seed=5)
+    return matrix(np.vstack(values), labels)
+
+
+def test_elbow_mode_per_class_counts(rng):
+    ds = decompose(two_and_three_groups(rng), elbow_range=(1, 6), seed=5)
     assert ds.codec.cluster_counts == (2, 3)
+
+
+def test_elbow_mode_clusters_with_the_elbow_fit(rng, monkeypatch):
+    """Each class keeps the elbow search's own fit for its k: no k-means run
+    beyond the search's n_init restarts per candidate k."""
+    X = two_and_three_groups(rng)
+    seed, n_init, (k_min, k_max) = 5, 4, (1, 6)
+    runs = Counter()
+    kmeans = cluster.kmeans
+
+    def counted(rows, k, seed=0):
+        runs[len(rows)] += 1
+        return kmeans(rows, k, seed=seed)
+
+    monkeypatch.setattr(cluster, "kmeans", counted)
+    ds = decompose(X, elbow_range=(k_min, k_max), seed=seed, n_init=n_init)
+    monkeypatch.undo()
+
+    labels = np.asarray(X.labels)
+    assert runs == {24: (k_max - k_min + 1) * n_init, 36: (k_max - k_min + 1) * n_init}
+    for class_index, cls in enumerate(ds.codec.classes):
+        rows = X.values[labels == cls]
+        class_seed = np.random.SeedSequence([seed, class_index])
+        elbow = cluster.elbow_select_k(rows, k_min, k_max, seed=class_seed, n_init=n_init)
+        fit = elbow.fits[ds.codec.cluster_counts[class_index]]
+        assert ds.centroids[cls].tobytes() == fit.centroids.tobytes()
+        assert ds.wcss[cls] == fit.wcss
+        expected = ds.codec.encode(cls, 0) + fit.assignments
+        np.testing.assert_array_equal(ds.sublabels[labels == cls], expected)
 
 
 def test_elbow_mode_small_class_falls_back(rng, caplog):

@@ -27,8 +27,8 @@ def quantized(indices, levels=None):
     return QuantizedSlice(levels=levels or int(indices.max()) + 1, indices=indices)
 
 
-def glcm_brute(indices, levels, offset, symmetric, normalize):
-    """Independent nested-loop co-occurrence oracle."""
+def glcm_brute(indices, levels, offset, symmetric):
+    """Independent nested-loop co-occurrence oracle: pair counts over their sum."""
     indices = np.asarray(indices)
     nr, nc = indices.shape
     dr, dc = offset
@@ -40,9 +40,7 @@ def glcm_brute(indices, levels, offset, symmetric, normalize):
                 counts[indices[r, c], indices[r2, c2]] += 1
     if symmetric:
         counts = counts + counts.T
-    if normalize:
-        counts = counts / counts.sum()
-    return counts
+    return counts / counts.sum()
 
 
 def entropy_brute(p):
@@ -52,7 +50,7 @@ def entropy_brute(p):
 def test_two_by_two_example():
     # [[0,0],[1,1]] with a rightward offset: pairs (0,0) and (1,1), so the
     # symmetric normalized matrix is diag(0.5, 0.5) and the entropy is 1 bit
-    g = glcm(quantized([[0, 0], [1, 1]]), offset=(0, 1), symmetric=True, normalize=True)
+    g = glcm(quantized([[0, 0], [1, 1]]), offset=(0, 1), symmetric=True)
     np.testing.assert_allclose(g.probabilities, [[0.5, 0.0], [0.0, 0.5]], atol=1e-15)
     assert glcm_entropy(g) == pytest.approx(1.0, abs=1e-12)
 
@@ -61,27 +59,27 @@ def test_known_distribution_entropy():
     g = GlcmMatrix(
         levels=2,
         probabilities=np.array([[0.5, 0.25], [0.25, 0.0]]),
-        normalized=True,
     )
     assert glcm_entropy(g) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_asymmetric_counts():
-    # [[0,1],[1,0]] rightward: pairs (0,1) and (1,0) once each
-    g = glcm(quantized([[0, 1], [1, 0]]), offset=(0, 1), symmetric=False, normalize=False)
-    np.testing.assert_array_equal(g.probabilities, [[0.0, 1.0], [1.0, 0.0]])
+    # [[0,1],[1,0]] rightward: pairs (0,1) and (1,0) once each, of 2 pairs
+    g = glcm(quantized([[0, 1], [1, 0]]), offset=(0, 1), symmetric=False)
+    np.testing.assert_array_equal(g.probabilities, [[0.0, 0.5], [0.5, 0.0]])
 
 
 def test_vertical_offset():
-    g = glcm(quantized([[0, 0], [1, 1]]), offset=(1, 0), symmetric=False, normalize=False)
-    np.testing.assert_array_equal(g.probabilities, [[0.0, 2.0], [0.0, 0.0]])
+    # downward: both pairs are (0,1)
+    g = glcm(quantized([[0, 0], [1, 1]]), offset=(1, 0), symmetric=False)
+    np.testing.assert_array_equal(g.probabilities, [[0.0, 1.0], [0.0, 0.0]])
 
 
 def test_negative_offset_matches_brute_force():
     idx = np.array([[0, 1, 2], [2, 1, 0], [1, 1, 0]])
     for offset in [(0, -1), (-1, 0), (1, 1), (-1, 1)]:
-        g = glcm(quantized(idx), offset=offset, symmetric=False, normalize=False)
-        expected = glcm_brute(idx, 3, offset, symmetric=False, normalize=False)
+        g = glcm(quantized(idx), offset=offset, symmetric=False)
+        expected = glcm_brute(idx, 3, offset, symmetric=False)
         np.testing.assert_array_equal(g.probabilities, expected)
 
 
@@ -94,23 +92,21 @@ def test_negative_offset_matches_brute_force():
     dr=st.integers(-2, 2),
     dc=st.integers(-2, 2),
     symmetric=st.booleans(),
-    normalize=st.booleans(),
 )
-def test_glcm_matches_brute_force(seed, nr, nc, levels, dr, dc, symmetric, normalize):
+def test_glcm_matches_brute_force(seed, nr, nc, levels, dr, dc, symmetric):
     if (dr, dc) == (0, 0):
         return
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, levels, size=(nr, nc))
     q = quantized(idx, levels)
     try:
-        g = glcm(q, offset=(dr, dc), symmetric=symmetric, normalize=normalize)
+        g = glcm(q, offset=(dr, dc), symmetric=symmetric)
     except EmptyGlcm:
         assert abs(dr) >= nr or abs(dc) >= nc
         return
-    expected = glcm_brute(idx, levels, (dr, dc), symmetric, normalize)
-    np.testing.assert_allclose(g.probabilities, expected, atol=1e-12)
-    if normalize:
-        assert glcm_entropy(g) == pytest.approx(entropy_brute(expected), abs=1e-12)
+    expected = glcm_brute(idx, levels, (dr, dc), symmetric)
+    np.testing.assert_array_equal(g.probabilities, expected)
+    assert glcm_entropy(g) == pytest.approx(entropy_brute(expected), abs=1e-12)
 
 
 @settings(deadline=None, max_examples=60)
@@ -136,7 +132,7 @@ def test_glcm_matches_brute_force_on_views(seed, nr, nc, levels, dr, dc, layout)
         idx = rng.integers(0, levels, size=(2 * nr, 3 * nc))[::2, ::3]
     assert not idx.flags.c_contiguous
     g = glcm(QuantizedSlice(levels=levels, indices=idx), offset=(dr, dc))
-    expected = glcm_brute(np.ascontiguousarray(idx), levels, (dr, dc), True, True)
+    expected = glcm_brute(np.ascontiguousarray(idx), levels, (dr, dc), True)
     np.testing.assert_allclose(g.probabilities, expected, atol=1e-12)
 
 
@@ -151,7 +147,8 @@ def test_offset_larger_than_slice_rejected():
 
 
 def test_unnormalized_matrix_rejected_by_entropy():
-    g = glcm(quantized([[0, 0], [1, 1]]), normalize=False)
+    # pair counts of a hand-built matrix, not divided by their sum
+    g = GlcmMatrix(levels=2, probabilities=np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(NotNormalized):
         glcm_entropy(g)
 
@@ -177,7 +174,7 @@ def test_single_pixel_slice_scores_zero():
 def test_slice_entropy_equals_manual_chain(rng):
     s = make_slice(rng.normal(size=(12, 12)))
     cfg = EntropyConfig(levels=8, offset=(0, 1), symmetric=True)
-    manual = glcm_entropy(glcm(quantize(s, 8), offset=(0, 1), symmetric=True, normalize=True))
+    manual = glcm_entropy(glcm(quantize(s, 8), offset=(0, 1), symmetric=True))
     assert slice_entropy(s, cfg) == manual
 
 

@@ -30,7 +30,6 @@ EXPECTED_FILES = {
     "manifest.csv",
     "metrics.json",
     "pca.json",
-    "reduced_features.csv",
     "report.txt",
     "run_info.json",
     "scaler.json",
@@ -63,7 +62,7 @@ def test_run_produces_expected_artifacts(dataset, tmp_path):
     result = run_pipeline(manifest_path, quick_config(), run_dir)
 
     found = {p.name for p in run_dir.iterdir() if p.is_file()}
-    assert EXPECTED_FILES <= found
+    assert found == EXPECTED_FILES
     assert (run_dir / "cache").is_dir()
     assert list((run_dir / "models").glob("cell-*.json"))
 
