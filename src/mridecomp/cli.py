@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: synth, slices, features, decompose, train, evaluate, pipeline.
-Exit codes: 0 success, 1 validation error (bad flags, config, or input
-files), 2 runtime failure.
+Subcommands: synth, slices, features, decompose, train, evaluate, pipeline,
+each run as pipeline.stage(<subcommand>). Exit codes: 0 success, 1 bad input
+(bad flags, or errors.BAD_INPUT: config and input files), 2 a failed subject
+or any other failure, which reads "stage '<name>' failed: <cause>".
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .artifacts import write_json
 from .classifier import model_from_json, model_to_json
 from .config import PipelineConfig, load_config
 from .decomposition import codec_from_json, decomposition_report
-from .errors import ConfigError, EmptyFile, ParseError, PipelineError, StageError
+from .errors import BAD_INPUT, PipelineError
 from .evaluation import evaluate, render_metrics_table, report_to_dict
 from .features import load_precomputed, save_features
 from .manifest import read_manifest
@@ -31,6 +32,7 @@ from .pipeline import (
     run_pipeline,
     run_slices_stage,
     run_train_stage,
+    stage,
 )
 from .synth import generate_dataset
 
@@ -101,12 +103,6 @@ def _load_cfg(args) -> PipelineConfig:
 
 def cmd_synth(args) -> int:
     classes = tuple(c.strip() for c in str(args.classes).split(",") if c.strip())
-    if args.subjects < 2:
-        raise ConfigError(f"--subjects must be >= 2, got {args.subjects}")
-    if args.nz < 4:
-        raise ConfigError(f"--nz must be >= 4, got {args.nz}")
-    if len(classes) < 2:
-        raise ConfigError(f"need at least 2 classes, got {classes!r}")
     manifest_path, rows = generate_dataset(
         args.out, subjects_per_class=args.subjects, nz=args.nz, seed=args.seed, classes=classes
     )
@@ -115,31 +111,31 @@ def cmd_synth(args) -> int:
 
 
 def _slices(args, cfg: PipelineConfig, backend=None):
-    """(rows of the subjects that did not fail, stage) after running the slice
+    """(rows of the subjects that did not fail, SliceStage) after running the slice
     stage into --out; each failed subject is reported on stderr."""
     rows = read_manifest(args.manifest, allowed_labels=cfg.classes)
     args.out.mkdir(parents=True, exist_ok=True)
-    stage = run_slices_stage(rows, cfg, args.out, backend, force=args.force)
-    for sid, msg in sorted(stage.errors.items()):
+    sliced = run_slices_stage(rows, cfg, args.out, backend, force=args.force)
+    for sid, msg in sorted(sliced.errors.items()):
         print(f"error: subject {sid}: {msg}", file=sys.stderr)
-    return [r for r in rows if r.subject_id not in stage.errors], stage
+    return [r for r in rows if r.subject_id not in sliced.errors], sliced
 
 
 def cmd_slices(args) -> int:
-    _, stage = _slices(args, _load_cfg(args))
-    n_slices = sum(len(v) for v in stage.selected.values())
-    print(f"selected {n_slices} slices across {len(stage.selected)} subjects")
-    return 2 if stage.errors else 0
+    _, sliced = _slices(args, _load_cfg(args))
+    n_slices = sum(len(v) for v in sliced.selected.values())
+    print(f"selected {n_slices} slices across {len(sliced.selected)} subjects")
+    return 2 if sliced.errors else 0
 
 
 def cmd_features(args) -> int:
     cfg = _load_cfg(args)
-    ok_rows, stage = _slices(args, cfg, build_backend(cfg))
+    ok_rows, sliced = _slices(args, cfg, build_backend(cfg))
     if ok_rows:
-        X = extract_feature_matrix(ok_rows, stage)
+        X = extract_feature_matrix(ok_rows, sliced)
         save_features(X, args.out / "features.csv")
         print(f"wrote {X.n} x {X.m} feature matrix to {args.out / 'features.csv'}")
-    return 2 if stage.errors else 0
+    return 2 if sliced.errors else 0
 
 
 def cmd_decompose(args) -> int:
@@ -190,13 +186,7 @@ def cmd_evaluate(args) -> int:
 def cmd_pipeline(args) -> int:
     cfg = _load_cfg(args)
     out = args.out if args.out else Path("runs") / f"run-{time.strftime('%Y%m%d-%H%M%S')}"
-    try:
-        result = run_pipeline(args.manifest, cfg, out, force=args.force)
-    except StageError as exc:
-        # a manifest that cannot be read or parsed is bad input, as for `slices`
-        if exc.stage == "manifest" and isinstance(exc.cause, (ParseError, EmptyFile)):
-            raise exc.cause from None
-        raise
+    result = run_pipeline(args.manifest, cfg, out, force=args.force)
     acc = result.report.composed_accuracy
     print(f"run directory: {result.run_dir}")
     print(f"selected cell: {result.best_cell}")
@@ -224,13 +214,11 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
 
     try:
-        return _HANDLERS[args.command](args)
-    except (ConfigError, ParseError, EmptyFile) as exc:
+        with stage(args.command):
+            return _HANDLERS[args.command](args)
+    except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (PipelineError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, BAD_INPUT) else 2
 
 
 if __name__ == "__main__":

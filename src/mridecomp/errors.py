@@ -1,8 +1,8 @@
 """Exception types raised across the pipeline.
 
-Everything derives from PipelineError so callers can catch the package's
-failures with a single except clause. The CLI maps ConfigError/ParseError
-style validation failures to exit code 1 and runtime failures to 2.
+Everything derives from PipelineError, so one except clause catches them all.
+pipeline.stage passes BAD_INPUT through (the CLI exits 1) and wraps any other
+failure as a StageError naming the stage (the CLI exits 2).
 """
 
 
@@ -126,3 +126,6 @@ class StageError(PipelineError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+BAD_INPUT = (ConfigError, ParseError, EmptyFile)

@@ -38,7 +38,7 @@ from .decomposition import (
     write_report_csv,
 )
 from .entropy import RankedSlice, rank_slices, select_top_k
-from .errors import IoError, PipelineError, StageError
+from .errors import BAD_INPUT, IoError, PipelineError, StageError
 from .evaluation import EvalReport, evaluate, render_metrics_table, report_to_dict, subject_split
 from .features import (
     FeatureBackend,
@@ -71,6 +71,22 @@ _TAG_SPLIT = 1
 _TAG_VALIDATION = 2
 _TAG_DECOMPOSE = 3
 _TAG_TRAIN = 4
+
+
+@contextmanager
+def stage(name: str, seconds: dict[str, float] | None = None):
+    """Run a block as stage name: BAD_INPUT and StageError pass through, any other
+    exception becomes StageError(name, cause); its wall time adds to seconds[name]."""
+    logger.info("stage %s", name)
+    t0 = time.perf_counter()
+    try:
+        yield
+    except (*BAD_INPUT, StageError):
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+    if seconds is not None:
+        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
 
 
 _BUSY_PARTS = ("decode", "rank", "features")  # parts of the slice stage's busy time
@@ -371,8 +387,8 @@ def run_train_stage(
 ) -> TrainStage:
     """Train one model per learning rate on sublabels y; the best cell has
     the lowest final training loss. The validation rows only draw loss curves.
-    A loss that is not finite raises StageError("train") with a ValueError
-    naming the cell and the curve, so no JSON artifact is written with it.
+    A loss that is not finite raises ValueError naming the cell and the
+    curve, so no JSON artifact is written with it.
 
     Writes models/cell-<i>.json and losses.json into out_dir, and removes any
     other models/cell-*.json, such as one a larger grid left there.
@@ -395,8 +411,7 @@ def run_train_stage(
             finite = np.isfinite(values or [])
             if not finite.all():
                 epoch = int(np.argmin(finite))
-                error = ValueError(f"cell {cell}: {curve} loss is first not finite at epoch {epoch}")
-                raise StageError("train", error)
+                raise ValueError(f"cell {cell}: {curve} loss is first not finite at epoch {epoch}")
         results[cell] = result
         model_to_json(result.model, models_dir / f"cell-{i}.json")
         losses[cell] = {"train": result.epoch_losses, "validation": result.val_losses}
@@ -419,7 +434,8 @@ def run_pipeline(
     run_dir,
     force: bool = False,
 ) -> RunResult:
-    """Execute every stage, wrapping failures as StageError(stage, cause).
+    """Execute every stage under stage(): bad input, such as an unreadable
+    manifest, raises as it is; any other failure as StageError(stage, cause).
 
     Nothing is written until the manifest has been read; after that, partial
     outputs are retained in the run directory for debugging.
@@ -434,20 +450,7 @@ def run_pipeline(
     }
 
     stage_seconds: dict[str, float] = {}
-
-    @contextmanager
-    def stage(name):
-        logger.info("stage %s", name)
-        t0 = time.perf_counter()
-        try:
-            yield
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(name, exc) from exc
-        stage_seconds[name] = stage_seconds.get(name, 0.0) + time.perf_counter() - t0
-
-    with stage("manifest"):
+    with stage("manifest", stage_seconds):
         rows = read_manifest(manifest_path, allowed_labels=cfg.classes)
         run_dir.mkdir(parents=True, exist_ok=True)
         write_json(asdict(cfg), run_dir / "config.json")
@@ -455,20 +458,20 @@ def run_pipeline(
 
     # the slice stage extracts each subject's features as soon as its slices
     # are selected; loading the backend, and any fault of it, belong to "features"
-    with stage("features"):
+    with stage("features", stage_seconds):
         backend = build_backend(cfg)
 
-    with stage("slices"):
+    with stage("slices", stage_seconds):
         slice_stage = run_slices_stage(rows, cfg, run_dir, backend, force=force)
         if slice_stage.errors:
             failed = ", ".join(sorted(slice_stage.errors))
             raise ValueError(f"subjects failed slice selection or feature extraction: {failed}")
 
-    with stage("features"):
+    with stage("features", stage_seconds):
         X = extract_feature_matrix(rows, slice_stage)
         save_features(X, run_dir / "features.csv")
 
-    with stage("split"):
+    with stage("split", stage_seconds):
         subject_labels = {row.subject_id: row.label for row in rows}
         train_subjects, test_subjects = subject_split(
             subject_labels, cfg.split.train_frac, seed=seeds["split"]
@@ -495,7 +498,7 @@ def run_pipeline(
         val_mask = _subject_mask(X, set(val_subjects))
         test_mask = _subject_mask(X, set(test_subjects))
 
-    with stage("decompose"):
+    with stage("decompose", stage_seconds):
         dec = run_decompose_stage(X, grad_mask, cfg, run_dir)
         ds = dec.decomposed
         R_grad = ds.features
@@ -507,7 +510,7 @@ def run_pipeline(
         if R_test.n > 0:
             save_features(ds.codec.relabel(R_test, y_test), run_dir / "sublabeled_test.csv")
 
-    with stage("train"):
+    with stage("train", stage_seconds):
         grid = run_train_stage(
             R_grad.values, ds.sublabels, ds.codec, cfg, run_dir, X_val=R_val.values, y_val=y_val
         )
@@ -515,7 +518,7 @@ def run_pipeline(
         seeds.update(decompose=dec.seed, train_cells=grid.seeds)
         write_json(seeds, run_dir / "seeds.json")
 
-    with stage("evaluate"):
+    with stage("evaluate", stage_seconds):
         if R_test.n == 0:
             raise ValueError("test set is empty after the subject split")
         cell_reports: dict[str, EvalReport] = {}

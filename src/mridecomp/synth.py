@@ -99,9 +99,11 @@ def generate_dataset(
 
     Subject ids (and file names) are the class name plus a two-digit index,
     so class names must be distinct and make safe subject ids (see
-    manifest.SAFE_SUBJECT_ID); ConfigError says which one is not, before
-    anything is written.
+    manifest.SAFE_SUBJECT_ID). ConfigError names any argument that breaks
+    these rules or the minimum sizes, before anything is written.
     """
+    if len(classes) < 2:
+        raise ConfigError(f"need at least 2 classes, got {classes!r}")
     if len(set(classes)) != len(classes):
         raise ConfigError(f"duplicate class names in {classes!r}")
     for cls in classes:
@@ -110,11 +112,11 @@ def generate_dataset(
                 f"class name {cls!r} does not make a safe subject id ({SAFE_SUBJECT_ID_RULE})"
             )
     if subjects_per_class < 2:
-        raise ValueError(f"need at least 2 subjects per class, got {subjects_per_class}")
+        raise ConfigError(f"need at least 2 subjects per class, got {subjects_per_class}")
     if nz < 4:
-        raise ValueError(f"need at least 4 axial slices, got {nz}")
+        raise ConfigError(f"need at least 4 axial slices, got {nz}")
     if min(dims) < 4:
-        raise ValueError(f"in-plane dims must be >= 4, got {dims}")
+        raise ConfigError(f"in-plane dims must be >= 4, got {dims}")
 
     out_dir = Path(out_dir)
     try:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommand chain, exit codes, artifacts."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 from mridecomp.artifacts import read_json
 from mridecomp.cli import main
-from mridecomp.features import load_precomputed
+from mridecomp.features import load_precomputed, save_features
 from mridecomp.nifti import read_nifti
 from mridecomp.synth import write_nifti
 
@@ -188,7 +189,10 @@ def test_malformed_model_or_codec_exits_without_traceback(tmp_path, capsys, flag
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert f"error: {bad}" in err
+    if code == 1:
+        assert f"error: {bad}" in err
+    else:  # the model loads, so its shapes fail inside the evaluate stage
+        assert err.startswith(f"error: stage 'evaluate' failed: {bad}: expected params ")
 
 
 def test_seed_override_is_deterministic(data_dir, tmp_path):
@@ -356,7 +360,7 @@ def test_slice_cache_follows_config(data_dir, tmp_path):
 
 def test_synth_validation_exits_1(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path), "--subjects", "1"]) == 1
-    assert "--subjects" in capsys.readouterr().err
+    assert "need at least 2 subjects per class, got 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -431,7 +435,7 @@ def test_unloadable_model_exits_2(data_dir, tmp_path, capsys, command):
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.startswith("error: ")
+    assert err.startswith("error: stage 'features' failed: ")
     assert not (out / "features.csv").exists()
 
 
@@ -514,8 +518,43 @@ def test_train_with_a_non_finite_loss_exits_2(tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "stage 'train' failed: cell lr=0.01: train loss is first not finite at epoch 0" in err
+    assert err.startswith(
+        "error: stage 'train' failed: cell lr=0.01: train loss is first not finite at epoch 0"
+    )
     assert not list(out.rglob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "command, stage",
+    [
+        ("synth", "synth"),
+        ("slices", "slices"),
+        ("features", "features"),
+        ("decompose", "decompose"),
+        ("pipeline", "manifest"),
+    ],
+)
+def test_failure_inside_a_subcommand_exits_2(data_dir, tmp_path, capsys, command, stage):
+    """Every subcommand reports a failure inside it as its stage's, as the pipeline does."""
+    manifest = ["--manifest", str(data_dir / "manifest.csv")]
+    if command == "decompose":
+        # finite feature rows whose standard deviations overflow to inf
+        work = tmp_path / "work"
+        assert main(["features", *manifest, "--out", str(work)]) == 0
+        X = load_precomputed(work / "features.csv")
+        save_features(dataclasses.replace(X, values=X.values * 5e305), tmp_path / "huge.csv")
+        argv = ["decompose", "--features", str(tmp_path / "huge.csv")]
+        out = tmp_path / "dec"
+    else:
+        (tmp_path / "file").write_text("")
+        argv = [command] if command == "synth" else [command, *manifest]
+        out = tmp_path / "file" / "out"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stage '{stage}' failed: ")
+    assert "Traceback" not in err
+    assert not (out / "scaler.json").exists()
 
 
 def test_pipeline_stage_failure_exits_2(data_dir, tmp_path, capsys):
@@ -527,7 +566,7 @@ def test_pipeline_stage_failure_exits_2(data_dir, tmp_path, capsys):
 
     code = main(["pipeline", "--manifest", str(broken), "--out", str(tmp_path / "run")])
     assert code == 2
-    assert "slices" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: stage 'slices' failed: ")
 
 
 def test_console_script_installed(tmp_path):

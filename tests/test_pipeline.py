@@ -11,7 +11,7 @@ import pytest
 
 from mridecomp import pipeline
 from mridecomp.config import PipelineConfig, SliceSelectionConfig, TrainingConfig
-from mridecomp.errors import ShapeMismatch, StageError
+from mridecomp.errors import ParseError, ShapeMismatch, StageError
 from mridecomp.features import OnnxBackend, RawPixelBackend
 from mridecomp.manifest import ManifestRow, read_manifest
 from mridecomp.pipeline import run_pipeline, run_slices_stage
@@ -380,9 +380,11 @@ def test_unexpected_subject_error_propagates(dataset, tmp_path, monkeypatch):
 
 
 def test_missing_manifest_fails_in_manifest_stage(tmp_path):
-    with pytest.raises(StageError) as excinfo:
+    # bad input passes the manifest stage unwrapped, so the CLI exits 1 on it
+    with pytest.raises(ParseError) as excinfo:
         run_pipeline(tmp_path / "nope.csv", quick_config(), tmp_path / "run")
-    assert excinfo.value.stage == "manifest"
+    assert str(excinfo.value) == f"{tmp_path / 'nope.csv'}: cannot read: No such file or directory"
+    assert not (tmp_path / "run").exists()
 
 
 def test_missing_volume_fails_in_slices_stage(dataset, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mridecomp.entropy import rank_slices, slice_entropy
+from mridecomp.errors import ConfigError
 from mridecomp.manifest import read_manifest
 from mridecomp.nifti import extract_axial_slices, read_nifti
 from mridecomp.synth import generate_dataset
@@ -99,8 +100,9 @@ def test_custom_classes(tmp_path):
         {"nz": 3},
         {"dims": (3, 24)},
         {"dims": (24, 3)},
+        {"classes": ("A",)},
     ],
 )
 def test_degenerate_parameters_rejected(tmp_path, kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         generate_dataset(tmp_path, **{"subjects_per_class": 2, "nz": 6, **kwargs})
