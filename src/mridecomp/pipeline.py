@@ -16,17 +16,15 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import time
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, pool
 from .artifacts import write_json, write_table
 from .classifier import TrainResult, model_to_json, train
 from .config import PipelineConfig, SliceSelectionConfig
@@ -212,13 +210,6 @@ def _slices_for_subject(
     return pixels, indices, ranked, False
 
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def run_slices_stage(
     rows: list[ManifestRow],
     cfg: PipelineConfig,
@@ -229,7 +220,7 @@ def run_slices_stage(
     """Rank and cache informative slices per subject, and turn each subject's
     selected slices into feature rows with backend; subject errors are isolated.
 
-    Subjects run on a thread pool with one worker per available CPU (decode,
+    Subjects run on pool.map_in_order, one worker per available CPU (decode,
     inflate and the numpy kernels release the GIL), so backend.extract is
     called from several threads at once, once per subject. Each worker keeps
     only the selected slice indices and their feature rows (none without a
@@ -270,12 +261,7 @@ def run_slices_stage(
                 return None, error, busy
         return (indices, features, ranked, hit), None, busy
 
-    workers = max(1, min(_available_cpus(), len(rows)))
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        outcomes = list(pool.map(attempt, rows))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    outcomes, workers = pool.map_in_order(attempt, rows)
 
     stage = SliceStage(selected={}, features={}, ranked_all={}, errors={}, workers=workers)
     for row, (done, error, busy) in zip(rows, outcomes):

@@ -38,8 +38,18 @@ class PcaModel:
 
 
 def fit_standardize(X: FeatureMatrix) -> ScalerParams:
-    values = X.values
-    return ScalerParams(means=values.mean(axis=0), stds=values.std(axis=0))
+    """Column means and population stds; DegenerateInput names the first
+    column (f<j>) whose mean or std overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = X.values.mean(axis=0)
+        stds = X.values.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stds)))
+    if bad.size:
+        raise DegenerateInput(
+            f"feature column f{bad[0]} overflows float64: "
+            "its mean or standard deviation is not finite"
+        )
+    return ScalerParams(means=means, stds=stds)
 
 
 def apply_standardize(X: FeatureMatrix, params: ScalerParams) -> FeatureMatrix:

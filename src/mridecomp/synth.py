@@ -6,6 +6,13 @@ noise, so entropy ranking is guaranteed to prefer the informative band.
 Classes differ in checkerboard block size and amplitude. Files alternate
 between plain .nii and .nii.gz; gzip members are written with mtime=0 so
 identical seeds produce byte-identical files.
+
+generate_dataset builds and writes subjects on the slice stage's thread pool
+(pool.map_in_order: one worker per available CPU, no setting for it; deflate
+and most numpy kernels release the GIL). Each subject draws from its own
+SeedSequence([seed, class_index, subject_index]) and rows come back in
+class-then-subject order, so every file, manifest.csv included, is the same
+byte for byte for any worker count.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import pool
 from .errors import ConfigError, DimensionError, IoError, UnsupportedDatatype
 from .manifest import SAFE_SUBJECT_ID, SAFE_SUBJECT_ID_RULE, ManifestRow, write_manifest
 from .nifti import DATATYPES, HEADER_SIZE
@@ -78,7 +86,8 @@ def _subject_volume(
 ) -> np.ndarray:
     nx, ny = dims
     margin = max(1, nz // 8)
-    voxels = np.zeros((nx, ny, nz), dtype=np.float64)
+    # Fortran order, the NIfTI voxel order, so write_nifti copies it as is
+    voxels = np.zeros((nx, ny, nz), dtype=np.float64, order="F")
     board = _checkerboard(nx, ny, block)
     jitter = rng.uniform(0.9, 1.1)
     for z in range(margin, nz - margin):
@@ -124,20 +133,24 @@ def generate_dataset(
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
 
-    rows: list[ManifestRow] = []
-    for class_index, cls in enumerate(classes):
+    def write_subject(job: tuple[int, str, int]) -> ManifestRow:
+        class_index, cls, subject_index = job
         block = _BLOCK_SIZES[class_index % len(_BLOCK_SIZES)]
         amplitude = _AMPLITUDES[class_index % len(_AMPLITUDES)]
-        for subject_index in range(subjects_per_class):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, class_index, subject_index])
-            )
-            voxels = _subject_volume(dims, nz, block, amplitude, rng)
-            suffix = ".nii" if subject_index % 2 == 0 else ".nii.gz"
-            subject_id = f"{cls}{subject_index:02d}"
-            path = out_dir / f"{subject_id}{suffix}"
-            write_nifti(path, voxels, datatype_code=16)
-            rows.append(ManifestRow(subject_id=subject_id, label=cls, path=path))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, class_index, subject_index]))
+        voxels = _subject_volume(dims, nz, block, amplitude, rng)
+        suffix = ".nii" if subject_index % 2 == 0 else ".nii.gz"
+        subject_id = f"{cls}{subject_index:02d}"
+        path = out_dir / f"{subject_id}{suffix}"
+        write_nifti(path, voxels, datatype_code=16)
+        return ManifestRow(subject_id=subject_id, label=cls, path=path)
+
+    jobs = [
+        (class_index, cls, subject_index)
+        for class_index, cls in enumerate(classes)
+        for subject_index in range(subjects_per_class)
+    ]
+    rows, _ = pool.map_in_order(write_subject, jobs)
 
     manifest_path = out_dir / "manifest.csv"
     write_manifest(rows, manifest_path, relative_to=out_dir)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -524,6 +525,16 @@ def test_train_with_a_non_finite_loss_exits_2(tmp_path, capsys):
     assert not list(out.rglob("*.json"))
 
 
+def _huge_features(data_dir, tmp_path):
+    """The fixture's features.csv scaled by 5e305: finite feature rows whose
+    standard deviations overflow float64."""
+    work = tmp_path / "work"
+    assert main(["features", "--manifest", str(data_dir / "manifest.csv"), "--out", str(work)]) == 0
+    X = load_precomputed(work / "features.csv")
+    save_features(dataclasses.replace(X, values=X.values * 5e305), tmp_path / "huge.csv")
+    return tmp_path / "huge.csv"
+
+
 @pytest.mark.parametrize(
     "command, stage",
     [
@@ -538,12 +549,7 @@ def test_failure_inside_a_subcommand_exits_2(data_dir, tmp_path, capsys, command
     """Every subcommand reports a failure inside it as its stage's, as the pipeline does."""
     manifest = ["--manifest", str(data_dir / "manifest.csv")]
     if command == "decompose":
-        # finite feature rows whose standard deviations overflow to inf
-        work = tmp_path / "work"
-        assert main(["features", *manifest, "--out", str(work)]) == 0
-        X = load_precomputed(work / "features.csv")
-        save_features(dataclasses.replace(X, values=X.values * 5e305), tmp_path / "huge.csv")
-        argv = ["decompose", "--features", str(tmp_path / "huge.csv")]
+        argv = ["decompose", "--features", str(_huge_features(data_dir, tmp_path))]
         out = tmp_path / "dec"
     else:
         (tmp_path / "file").write_text("")
@@ -554,6 +560,22 @@ def test_failure_inside_a_subcommand_exits_2(data_dir, tmp_path, capsys, command
     err = capsys.readouterr().err
     assert err.startswith(f"error: stage '{stage}' failed: ")
     assert "Traceback" not in err
+    assert not (out / "scaler.json").exists()
+
+
+def test_decompose_names_the_feature_column_that_overflows(data_dir, tmp_path, capsys):
+    huge = _huge_features(data_dir, tmp_path)
+    out = tmp_path / "dec"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["decompose", "--features", str(huge), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: stage 'decompose' failed: feature column f0 overflows float64: "
+        "its mean or standard deviation is not finite\n"
+    )
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (out / "scaler.json").exists()
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mridecomp import pipeline
+from mridecomp import pipeline, pool
 from mridecomp.config import PipelineConfig, SliceSelectionConfig, TrainingConfig
 from mridecomp.errors import ParseError, ShapeMismatch, StageError
 from mridecomp.features import OnnxBackend, RawPixelBackend
@@ -264,7 +264,7 @@ def test_onnx_features_from_worker_pool_match_serial_extract(dataset, tmp_path, 
         model_path, input_shape=[1, 3, 6, 6], mean=[90.0, 100.0, 110.0], std=[40.0, 50.0, 60.0]
     )
     backend = OnnxBackend(model_path)
-    monkeypatch.setattr(pipeline, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(pool, "_available_cpus", lambda: 2)
     rows = read_manifest(manifest_path)
     stage = run_slices_stage(rows, quick_config(), tmp_path / "out", backend)
     assert stage.workers == 2 and not stage.errors
@@ -334,7 +334,7 @@ def test_outputs_do_not_depend_on_worker_count(dataset, tmp_path, monkeypatch):
     manifest_path, rows = dataset
     runs = {}
     for cpus in (1, 3):
-        monkeypatch.setattr(pipeline, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(pool, "_available_cpus", lambda: cpus)
         runs[cpus] = tmp_path / f"cpus{cpus}"
         run_pipeline(manifest_path, quick_config(), runs[cpus])
         info = json.loads((runs[cpus] / "run_info.json").read_text())

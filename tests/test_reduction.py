@@ -1,5 +1,7 @@
 """Standard scaler and PCA."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,16 @@ def test_pca_transform_reduces_dimension(rng):
     R = pca_transform(X, model)
     assert R.values.shape == (50, model.n_components)
     assert R.labels == X.labels
+
+
+def test_standardize_names_the_first_column_that_overflows(rng):
+    values = rng.normal(size=(6, 4))
+    values[:, 2] *= 5e305  # finite values, but the std overflows
+    values[:3, 3], values[3:, 3] = 1.7e308, -1.7e308  # the std overflows here too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInput, match=r"^feature column f2 overflows float64: "):
+            fit_standardize(matrix(values))
 
 
 def test_pca_degenerate_inputs(rng):

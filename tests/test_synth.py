@@ -1,10 +1,15 @@
 """Synthetic dataset generator: structure, determinism, entropy contrast."""
 
+import hashlib
+import re
+import threading
+
 import numpy as np
 import pytest
 
+from mridecomp import pool
 from mridecomp.entropy import rank_slices, slice_entropy
-from mridecomp.errors import ConfigError
+from mridecomp.errors import ConfigError, IoError
 from mridecomp.manifest import read_manifest
 from mridecomp.nifti import extract_axial_slices, read_nifti
 from mridecomp.synth import generate_dataset
@@ -106,3 +111,51 @@ def test_custom_classes(tmp_path):
 def test_degenerate_parameters_rejected(tmp_path, kwargs):
     with pytest.raises(ConfigError):
         generate_dataset(tmp_path, **{"subjects_per_class": 2, "nz": 6, **kwargs})
+
+
+def _file_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+# SHA-256 of what generate_dataset(subjects_per_class=2, nz=6, seed=0) writes;
+# any change to the volumes, their gzip members or the manifest shows here
+PINNED_SHA256 = {
+    "AD00.nii": "9bbc45dadc5a2960b1b5cd63ec8291ee1d570dcdf4667253df9d4d09b5a268ba",
+    "AD01.nii.gz": "caf09ba239ce1c9d8a6ef4c10299417fbbbe767029e9dbf3b38e75c389ff05a0",
+    "CN00.nii": "6b224ef1058eab790100f029ae358ef5de2eaf2b439874a2ccd9ecae565e7213",
+    "CN01.nii.gz": "63ab30be15122615754978f404165d2570277597249cb099ba16a7995864cc21",
+    "MCI00.nii": "f7a02654ae4d2d88184d2dd0378a14b5c6ce84c5c0138c635f89a83d66ff8c6c",
+    "MCI01.nii.gz": "77de0619232b04ddfaa58a72984e04026afc3067c499624ce619d2681f51d6cc",
+    "manifest.csv": "77fc2b34e43a57dd44acb312654fa427a99bab5516884771ee7dca0419c27fff",
+}
+
+
+def test_written_files_are_pinned(tmp_path):
+    generate_dataset(tmp_path, subjects_per_class=2, nz=6, seed=0)
+    written = _file_bytes(tmp_path)
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in written.items()} == (
+        PINNED_SHA256
+    )
+
+
+def test_files_do_not_depend_on_worker_count(tmp_path, monkeypatch):
+    written = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(pool, "_available_cpus", lambda: cpus)
+        _, rows = generate_dataset(tmp_path / f"cpus{cpus}", subjects_per_class=3, nz=6, seed=7)
+        assert [r.subject_id for r in rows] == [
+            "CN00", "CN01", "CN02", "MCI00", "MCI01", "MCI02", "AD00", "AD01", "AD02"
+        ]
+        written[cpus] = _file_bytes(tmp_path / f"cpus{cpus}")
+    assert len(written[1]) == 10
+    assert written[1] == written[3]
+
+
+def test_unwritable_subject_file_raises_io_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(pool, "_available_cpus", lambda: 3)
+    (tmp_path / "CN01.nii.gz").mkdir()
+    before = set(threading.enumerate())
+    with pytest.raises(IoError, match=re.escape(f"cannot write {tmp_path / 'CN01.nii.gz'}: ")):
+        generate_dataset(tmp_path, subjects_per_class=2, nz=6, seed=0)
+    assert not (tmp_path / "manifest.csv").exists()
+    assert set(threading.enumerate()) == before
