@@ -11,13 +11,13 @@ summing subclass probabilities per class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import read_json_as, write_json
 from .decomposition import LabelCodec
-from .errors import ConfigError, DimMismatch, MissingSubclass, ParseError
+from .errors import ConfigError, DimMismatch, MissingSubclass
 
 COMPOSE_MODES = ("argmax-strip", "prob-sum")
 
@@ -64,7 +64,7 @@ class ClassifierModel:
     hidden_dim: int  # 0 = plain softmax head
     output_dim: int
     codec: LabelCodec
-    params: dict[str, np.ndarray] = field(default_factory=dict)
+    params: dict[str, np.ndarray]
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         i, h, o = self.input_dim, self.hidden_dim, self.output_dim
@@ -284,35 +284,15 @@ def compose_predictions(
 
 
 def model_to_json(model: ClassifierModel, path) -> None:
-    write_json(
-        {
-            "input_dim": model.input_dim,
-            "hidden_dim": model.hidden_dim,
-            "output_dim": model.output_dim,
-            "codec": model.codec.to_dict(),
-            "params": {k: v.tolist() for k, v in model.params.items()},
-        },
-        path,
-    )
+    # a function of its own, so that the benchmark can time writing checkpoints
+    write_json(model, path)
 
 
 def model_from_json(path) -> ClassifierModel:
-    """Load a model_to_json file. Undecodable JSON or a missing or mistyped key
-    raises ParseError; parameters that do not fit the declared dims raise
-    DimMismatch."""
-    payload = read_json(path)
-    try:
-        model = ClassifierModel(
-            input_dim=int(payload["input_dim"]),
-            hidden_dim=int(payload["hidden_dim"]),
-            output_dim=int(payload["output_dim"]),
-            codec=LabelCodec.from_dict(payload["codec"]),
-            params={k: np.asarray(v, dtype=np.float64) for k, v in payload["params"].items()},
-        )
-    except KeyError as exc:
-        raise ParseError(f"{path}: model file lacks key {exc}") from None
-    except (TypeError, ValueError, AttributeError, ParseError) as exc:
-        raise ParseError(f"{path}: malformed model file: {exc}") from None
+    """Load a model_to_json file. Undecodable JSON or a missing, unknown or
+    mistyped key raises ParseError naming the file; parameters that do not
+    fit the declared dims raise DimMismatch."""
+    model = read_json_as(ClassifierModel, path, "model")
     shapes = {name: p.shape for name, p in model.params.items()}
     if shapes != model.param_shapes() or model.output_dim != model.codec.n_sublabels:
         raise DimMismatch(

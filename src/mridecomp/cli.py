@@ -22,7 +22,7 @@ from .classifier import model_from_json, model_to_json
 from .config import PipelineConfig, load_config
 from .decomposition import codec_from_json, decomposition_report
 from .errors import BAD_INPUT, PipelineError
-from .evaluation import evaluate, render_metrics_table, report_to_dict
+from .evaluation import evaluate, render_metrics_table
 from .features import load_precomputed, save_features
 from .manifest import read_manifest
 from .pipeline import (
@@ -176,7 +176,7 @@ def cmd_evaluate(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
 
     report = evaluate(model, X.values, y, cfg.compose_mode)
-    write_json(report_to_dict(report), args.out / "metrics.json")
+    write_json(report, args.out / "metrics.json")
     table = render_metrics_table({"composed": report})
     (args.out / "report.txt").write_text(table + "\n")
     print(table)

@@ -7,10 +7,9 @@ config fails before any work starts.
 
 from __future__ import annotations
 
-import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 
-from .artifacts import read_json
+from .artifacts import from_json, read_json
 from .classifier import COMPOSE_MODES, TrainConfig, TrainSettings
 from .entropy import EntropyConfig
 from .errors import ConfigError, ParseError
@@ -167,52 +166,11 @@ class PipelineConfig:
         self.split.validate()
 
 
-# what a field of each type accepts from JSON; exact type checks, so true/false is no number
-_JSON_TYPES = {
-    int: ("an integer", lambda v: type(v) is int),
-    float: ("a number", lambda v: type(v) in (int, float)),
-    bool: ("true or false", lambda v: type(v) is bool),
-    str: ("a string", lambda v: type(v) is str),
-    str | None: ("a string or null", lambda v: v is None or type(v) is str),
-}
-
-
-def _field_value(tp, value, name: str):
-    """value checked against field type tp: a section dataclass, a tuple or a _JSON_TYPES key."""
-    if is_dataclass(tp):
-        if not isinstance(value, dict):
-            raise ConfigError(f"config section {name!r} must be a JSON object")
-        return _build(tp, value, name)
-    if typing.get_origin(tp) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{name} must be a list, got {value!r}")
-        element = typing.get_args(tp)[0]
-        return tuple(_field_value(element, v, f"{name}[{i}]") for i, v in enumerate(value))
-    expected, accepts = _JSON_TYPES[tp]
-    if not accepts(value):
-        raise ConfigError(f"{name} must be {expected}, got {value!r}")
-    return value
-
-
-def _build(cls, obj: dict, section: str):
-    """cls from the JSON object obj; section prefixes key names in errors ("" at the root)."""
-    unknown = set(obj) - set(cls.__dataclass_fields__)
-    if unknown:
-        where = f" in {section}" if section else ""
-        raise ConfigError(f"unknown config key(s){where}: {sorted(unknown)}")
-    types = typing.get_type_hints(cls)
-    return cls(
-        **{
-            key: _field_value(types[key], value, f"{section}.{key}" if section else key)
-            for key, value in obj.items()
-        }
-    )
-
-
 def config_from_dict(obj: dict) -> PipelineConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be a JSON object")
-    cfg = _build(PipelineConfig, obj, "")
+    try:
+        cfg = from_json(PipelineConfig, obj, "config")
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from None
     cfg.validate()
     return cfg
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import read_json, write_table
+from .artifacts import read_json_as, write_table
 from .cluster import elbow_select_k, kmeans_restarts, nearest_centroid
-from .errors import ClassTooSmall, EmptyInput, InvalidK, ParseError, UnknownSublabel
+from .errors import ClassTooSmall, EmptyInput, InvalidK, UnknownSublabel
 from .features import FeatureMatrix
 
 logger = logging.getLogger(__name__)
@@ -90,24 +90,6 @@ class LabelCodec:
     def class_indices(self) -> np.ndarray:
         """Index into classes of every sublabel id, in id order."""
         return np.repeat(np.arange(len(self.classes)), self.cluster_counts)
-
-    def to_dict(self) -> dict:
-        return {"classes": list(self.classes), "cluster_counts": list(self.cluster_counts)}
-
-    @staticmethod
-    def from_dict(obj: dict) -> "LabelCodec":
-        """Inverse of to_dict; a missing or mistyped key raises ParseError."""
-        if not isinstance(obj, dict) or not {"classes", "cluster_counts"} <= obj.keys():
-            raise ParseError("a codec needs the keys classes and cluster_counts")
-        classes, counts = obj["classes"], obj["cluster_counts"]
-        if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
-            raise ParseError("codec classes must be a list of strings")
-        if not (isinstance(counts, list) and all(type(c) is int for c in counts)):
-            raise ParseError("codec cluster_counts must be a list of integers")
-        try:
-            return LabelCodec(classes=tuple(classes), cluster_counts=tuple(counts))
-        except InvalidK as exc:
-            raise ParseError(f"malformed codec: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -230,8 +212,5 @@ def write_report_csv(ds: DecomposedDataset, path) -> None:
 
 
 def codec_from_json(path) -> LabelCodec:
-    obj = read_json(path)
-    try:
-        return LabelCodec.from_dict(obj)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    """The codec.json file at path; a bad file raises ParseError naming it."""
+    return read_json_as(LabelCodec, path, "codec")

@@ -175,19 +175,6 @@ def evaluate(
     )
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "classes": list(report.classes),
-        "subclass_names": list(report.subclass_names),
-        "mode": report.mode,
-        "n_samples": report.n_samples,
-        "sub_confusion": report.sub_confusion.tolist(),
-        "composed_confusion": report.composed_confusion.tolist(),
-        "sub_metrics": report.sub_metrics,
-        "composed_metrics": report.composed_metrics,
-    }
-
-
 def render_metrics_table(reports: dict[str, EvalReport]) -> str:
     """Plain-text table: one row per named report with its composed accuracy
     and macro specificity and sensitivity, in percent."""

@@ -37,7 +37,7 @@ from .decomposition import (
 )
 from .entropy import RankedSlice, rank_slices, select_top_k
 from .errors import BAD_INPUT, IoError, PipelineError, StageError
-from .evaluation import EvalReport, evaluate, render_metrics_table, report_to_dict, subject_split
+from .evaluation import EvalReport, evaluate, render_metrics_table, subject_split
 from .features import (
     FeatureBackend,
     FeatureMatrix,
@@ -47,14 +47,7 @@ from .features import (
 )
 from .manifest import ManifestRow, read_manifest, write_manifest
 from .nifti import extract_axial_slices, read_nifti
-from .reduction import (
-    apply_standardize,
-    fit_standardize,
-    pca_fit,
-    pca_to_dict,
-    pca_transform,
-    scaler_to_dict,
-)
+from .reduction import apply_standardize, fit_standardize, pca_fit, pca_transform
 
 logger = logging.getLogger(__name__)
 
@@ -134,7 +127,7 @@ def _cache_key(row: ManifestRow, cfg: PipelineConfig) -> str:
 
 def _read_cache(cache_file: Path, key: str, subject_id: str):
     """(pixels, indices, ranked) from a readable cache entry written under the
-    same key, else None."""
+    same key; None if there is no such entry, False if it is unreadable."""
     if not cache_file.exists():
         return None
     try:
@@ -150,9 +143,8 @@ def _read_cache(cache_file: Path, key: str, subject_id: str):
                 indices = npz["indices"]
                 all_indices = npz["all_indices"]
                 all_entropies = npz["all_entropies"]
-    except (OSError, ValueError, zipfile.BadZipFile):
-        logger.warning("cache entry %s is unreadable; recomputing it", cache_file)
-        return None
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile):  # KeyError: an array is missing
+        return False
     ranked = [
         RankedSlice(subject_id=subject_id, slice_index=int(i), entropy=float(h))
         for i, h in zip(all_indices, all_entropies)
@@ -168,13 +160,7 @@ def _select_for_subject(row: ManifestRow, scfg: SliceSelectionConfig, busy: dict
     slices = extract_axial_slices(volume)
     t1 = time.perf_counter()
     ranked = rank_slices(slices, scfg)
-    k = min(scfg.top_k, len(ranked))
-    if k < scfg.top_k:
-        logger.warning(
-            "subject %s has only %d slices, below top_k=%d",
-            row.subject_id, len(ranked), scfg.top_k,
-        )
-    chosen_idx = {r.slice_index for r in select_top_k(ranked, k)}
+    chosen_idx = {r.slice_index for r in select_top_k(ranked, min(scfg.top_k, len(ranked)))}
     chosen = [s for s in slices if s.slice_index in chosen_idx]
     # one stacked copy in the stored dtype, so the volume is freed on return;
     # the feature backends promote only what they resample to float64
@@ -188,16 +174,17 @@ def _select_for_subject(row: ManifestRow, scfg: SliceSelectionConfig, busy: dict
 def _slices_for_subject(
     row: ManifestRow, cfg: PipelineConfig, cache_dir: Path, force: bool, busy: dict[str, float]
 ):
-    """(pixels, indices, ranked, cache_hit) for one subject, from its cache
-    entry when that was written under the same key, else computed and written.
+    """(pixels, indices, ranked, cache) for one subject, from its cache entry
+    when that was written under the same key ("hit"), else computed and
+    written ("miss", or "unreadable" if the entry there could not be read).
     Reading the entry counts as decode time in busy."""
     cache_file = _cache_path(cache_dir, row.subject_id)
     key = _cache_key(row, cfg)
     t0 = time.perf_counter()
     cached = None if force else _read_cache(cache_file, key, row.subject_id)
-    if cached is not None:
+    if cached:
         busy["decode"] += time.perf_counter() - t0
-        return (*cached, True)
+        return (*cached, "hit")
     pixels, indices, ranked = _select_for_subject(row, cfg.slice_selection, busy)
     np.savez(
         cache_file,
@@ -207,7 +194,7 @@ def _slices_for_subject(
         all_indices=np.asarray([r.slice_index for r in ranked], dtype=np.int64),
         all_entropies=np.asarray([r.entropy for r in ranked], dtype=np.float64),
     )
-    return pixels, indices, ranked, False
+    return pixels, indices, ranked, "miss" if cached is None else "unreadable"
 
 
 def run_slices_stage(
@@ -229,8 +216,10 @@ def run_slices_stage(
     count. A PipelineError or OSError while decoding or ranking, and feature
     rows that are not all finite, become errors[subject_id]; any exception
     from the backend raises StageError("features"), and any other exception
-    propagates. A cache entry is reused only when it was computed under the
-    same key (see _cache_key); force recomputes every entry.
+    propagates. Each subject's warnings and error are logged in the merge,
+    not by the workers, so the log is in manifest order too. A cache entry
+    is reused only when it was computed under the same key (see
+    _cache_key); force recomputes every entry.
 
     Writes entropies.csv (subject_id,slice_index,entropy,selected: every
     ranked slice of every subject that did not fail) into out_dir.
@@ -241,9 +230,8 @@ def run_slices_stage(
     def attempt(row: ManifestRow):
         busy = dict.fromkeys(_BUSY_PARTS, 0.0)
         try:
-            pixels, indices, ranked, hit = _slices_for_subject(row, cfg, cache_dir, force, busy)
+            pixels, indices, ranked, cache = _slices_for_subject(row, cfg, cache_dir, force, busy)
         except (PipelineError, OSError) as exc:
-            logger.error("subject %s failed: %s", row.subject_id, exc)
             return None, str(exc), busy
         features = None
         if backend is not None:
@@ -256,24 +244,31 @@ def run_slices_stage(
             busy["features"] += time.perf_counter() - t0
             if not np.isfinite(features).all():
                 # finite voxels can still resample to inf or nan (spans beyond float64)
-                error = f"{row.path}: feature rows are not finite"
-                logger.error("subject %s failed: %s", row.subject_id, error)
-                return None, error, busy
-        return (indices, features, ranked, hit), None, busy
+                return None, f"{row.path}: feature rows are not finite", busy
+        return (indices, features, ranked, cache), None, busy
 
     outcomes, workers = pool.map_in_order(attempt, rows)
 
     stage = SliceStage(selected={}, features={}, ranked_all={}, errors={}, workers=workers)
+    top_k = cfg.slice_selection.top_k
     for row, (done, error, busy) in zip(rows, outcomes):
+        sid = row.subject_id
         for part, seconds in busy.items():
             stage.busy_seconds[part] += seconds
         if error is not None:
-            stage.errors[row.subject_id] = error
+            logger.error("subject %s failed: %s", sid, error)
+            stage.errors[sid] = error
             continue
-        stage.selected[row.subject_id], features, stage.ranked_all[row.subject_id], hit = done
+        stage.selected[sid], features, ranked, cache = done
+        stage.ranked_all[sid] = ranked
+        if cache == "unreadable":
+            path = _cache_path(cache_dir, sid)
+            logger.warning("cache entry %s is unreadable; recomputing it", path)
+        if len(ranked) < top_k:
+            logger.warning("subject %s has only %d slices, below top_k=%d", sid, len(ranked), top_k)
         if features is not None:
-            stage.features[row.subject_id] = features
-        if hit:
+            stage.features[sid] = features
+        if cache == "hit":
             stage.cache_hits += 1
         else:
             stage.cache_misses += 1
@@ -334,10 +329,10 @@ def run_decompose_stage(
     not written.
     """
     scaler = fit_standardize(X.rows(fit_rows))
-    write_json(scaler_to_dict(scaler), out_dir / "scaler.json")
+    write_json(scaler, out_dir / "scaler.json")
     X_scaled = apply_standardize(X, scaler)
     pca = pca_fit(X_scaled.rows(fit_rows), cfg.pca.variance_threshold)
-    write_json(pca_to_dict(pca), out_dir / "pca.json")
+    write_json(pca, out_dir / "pca.json")
     reduced = pca_transform(X_scaled, pca)
 
     dcfg = cfg.decomposition
@@ -349,8 +344,8 @@ def run_decompose_stage(
         seed=seed,
         n_init=dcfg.n_init,
     )
-    write_json(ds.codec.to_dict(), out_dir / "codec.json")
-    write_json({cls: c.tolist() for cls, c in ds.centroids.items()}, out_dir / "centroids.json")
+    write_json(ds.codec, out_dir / "codec.json")
+    write_json(ds.centroids, out_dir / "centroids.json")
     write_report_csv(ds, out_dir / "decomposition_report.csv")
     return DecomposeStage(reduced=reduced, decomposed=ds, seed=seed)
 
@@ -439,7 +434,7 @@ def run_pipeline(
     with stage("manifest", stage_seconds):
         rows = read_manifest(manifest_path, allowed_labels=cfg.classes)
         run_dir.mkdir(parents=True, exist_ok=True)
-        write_json(asdict(cfg), run_dir / "config.json")
+        write_json(cfg, run_dir / "config.json")
         write_manifest(rows, run_dir / "manifest.csv")
 
     # the slice stage extracts each subject's features as soon as its slices
@@ -518,7 +513,7 @@ def run_pipeline(
             "cells": {
                 cell: {
                     "final_train_loss": cell_results[cell].final_loss,
-                    "test": report_to_dict(cell_reports[cell]),
+                    "test": cell_reports[cell],
                 }
                 for cell in cell_results
             },

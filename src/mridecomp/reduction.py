@@ -103,15 +103,3 @@ def pca_transform(X: FeatureMatrix, model: PcaModel) -> FeatureMatrix:
     projected = (X.values - model.mean) @ model.components.T
     return FeatureMatrix(values=projected, labels=X.labels, subject_ids=X.subject_ids)
 
-
-def scaler_to_dict(params: ScalerParams) -> dict:
-    return {"means": params.means.tolist(), "stds": params.stds.tolist()}
-
-
-def pca_to_dict(model: PcaModel) -> dict:
-    return {
-        "components": model.components.tolist(),
-        "explained_variance": model.explained_variance.tolist(),
-        "explained_variance_ratio": model.explained_variance_ratio.tolist(),
-        "mean": model.mean.tolist(),
-    }

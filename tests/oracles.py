@@ -12,9 +12,16 @@ gradient_check compares analytic gradients with central finite differences.
 gradients runs the package's one gradient formula (classifier._backprop) on
 a whole batch. pca_inverse undoes a PCA projection, and aggregate_confusion
 sums a subclass confusion matrix into classes cell by cell.
+
+glcm_brute and entropy_brute count co-occurring pairs and score them by
+nested loops, brute_force_wcss finds the k-means optimum by enumerating
+every assignment, and same_bytes compares two arrays bit for bit.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -210,3 +217,48 @@ def gradient_check(model, X: np.ndarray, y: np.ndarray, step: float = 1e-5) -> f
             rel = abs(ga - numeric) / max(1e-6, abs(ga), abs(numeric))
             worst = max(worst, rel)
     return worst
+
+
+def same_bytes(a, b) -> bool:
+    """Whether a and b have the same dtype, shape and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def glcm_brute(indices, levels: int, offset, symmetric: bool) -> np.ndarray:
+    """Co-occurrence counts by nested loops over every in-bounds pixel pair."""
+    indices = np.asarray(indices)
+    rows, cols = indices.shape
+    dr, dc = offset
+    counts = np.zeros((levels, levels), dtype=np.float64)
+    for r in range(rows):
+        for c in range(cols):
+            r2, c2 = r + dr, c + dc
+            if 0 <= r2 < rows and 0 <= c2 < cols:
+                counts[indices[r, c], indices[r2, c2]] += 1.0
+    if symmetric:
+        counts = counts + counts.T
+    return counts
+
+
+def entropy_brute(counts) -> float:
+    """Shannon entropy in bits of counts over their sum; 0 for no counts."""
+    total = float(np.sum(counts))
+    if total == 0:
+        return 0.0
+    return -sum(v / total * math.log2(v / total) for v in np.ravel(counts) if v > 0)
+
+
+def brute_force_wcss(X, k: int) -> float:
+    """Exact k-means optimum: the minimum over every assignment of rows to k
+    labels (empty clusters allowed)."""
+    best = math.inf
+    for assignment in itertools.product(range(k), repeat=X.shape[0]):
+        labels = np.asarray(assignment)
+        total = 0.0
+        for c in range(k):
+            members = X[labels == c]
+            if len(members):
+                total += ((members - members.mean(axis=0)) ** 2).sum()
+        best = min(best, total)
+    return best

@@ -9,7 +9,6 @@ oracles.py alone certify the build.
 
 import itertools
 import json
-import math
 import time
 
 import numpy as np
@@ -27,7 +26,7 @@ from mridecomp.pipeline import run_pipeline
 from mridecomp.reduction import pca_fit, pca_transform
 from mridecomp.synth import generate_dataset, write_nifti
 
-from oracles import gradient_check
+from oracles import brute_force_wcss, entropy_brute, glcm_brute, gradient_check
 
 
 def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -44,30 +43,6 @@ def slice_of(pixels) -> Slice2D:
 
 
 # --- criterion 1: GLCM entropy vs brute-force oracle -------------------------------
-
-
-def glcm_brute(indices: np.ndarray, levels: int, offset, symmetric: bool) -> np.ndarray:
-    """Direct nested-loop co-occurrence counting."""
-    dr, dc = offset
-    counts = np.zeros((levels, levels), dtype=np.float64)
-    rows, cols = indices.shape
-    for r in range(rows):
-        for c in range(cols):
-            r2, c2 = r + dr, c + dc
-            if 0 <= r2 < rows and 0 <= c2 < cols:
-                counts[indices[r, c], indices[r2, c2]] += 1.0
-    if symmetric:
-        counts = counts + counts.T
-    return counts
-
-
-def entropy_brute(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
 
 
 def test_criterion_01_entropy_oracle():
@@ -130,21 +105,6 @@ def test_criterion_02_affine_invariance():
 
 
 # --- criterion 3: k-means vs exhaustive optimum --------------------------------------
-
-
-def brute_force_wcss(X: np.ndarray, k: int) -> float:
-    """Exact optimum by enumerating every assignment of points to k labels."""
-    n = X.shape[0]
-    best = math.inf
-    for assignment in itertools.product(range(k), repeat=n):
-        labels = np.asarray(assignment)
-        total = 0.0
-        for c in range(k):
-            members = X[labels == c]
-            if len(members):
-                total += ((members - members.mean(axis=0)) ** 2).sum()
-        best = min(best, total)
-    return best
 
 
 def clustered_instance(rng):

@@ -19,7 +19,13 @@ from mridecomp.classifier import (
 from mridecomp.decomposition import LabelCodec
 from mridecomp.errors import ConfigError, DimMismatch, MissingSubclass
 
-from oracles import gradient_check, gradients, gradients_reference, train_reference
+from oracles import (
+    gradient_check,
+    gradients,
+    gradients_reference,
+    same_bytes,
+    train_reference,
+)
 
 CODEC_2x2 = LabelCodec(classes=("A", "B"), cluster_counts=(2, 2))
 CODEC_3x2 = LabelCodec(classes=("AD", "CN", "MCI"), cluster_counts=(2, 2, 2))
@@ -209,11 +215,6 @@ def test_train_rejects_mismatched_rows(rng):
 # --- bit identity with the per-parameter Adam loop ---------------------------------
 
 
-def _same_bytes(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @st.composite
 def batch_layouts(draw):
     """(n, batch_size): a ragged last batch, one batch holding every row, or
@@ -258,13 +259,13 @@ def test_train_matches_per_parameter_loop_bit_for_bit(
     )
     got = train(X, y, CODEC_2x2, cfg, X_val=X_val, y_val=y_val)
     want = train_reference(X, y, CODEC_2x2, cfg, X_val=X_val, y_val=y_val)
-    assert _same_bytes(got.epoch_losses, want.epoch_losses)
+    assert same_bytes(got.epoch_losses, want.epoch_losses)
     assert (got.val_losses is None) == (want.val_losses is None) == (n_val == 0)
     if n_val:
-        assert _same_bytes(got.val_losses, want.val_losses)
+        assert same_bytes(got.val_losses, want.val_losses)
     assert list(got.model.params) == list(want.model.params)
     for name, param in want.model.params.items():
-        assert _same_bytes(got.model.params[name], param), name
+        assert same_bytes(got.model.params[name], param), name
 
 
 @settings(deadline=None, max_examples=40)
@@ -281,7 +282,7 @@ def test_gradients_match_reference_bit_for_bit(n, hidden_dim, seed):
     got, want = gradients(model, X, y), gradients_reference(model, X, y)
     assert list(got) == list(model.param_shapes())
     for name in want:
-        assert _same_bytes(got[name], want[name]), name
+        assert same_bytes(got[name], want[name]), name
 
 
 # --- composition -----------------------------------------------------------------

@@ -171,6 +171,9 @@ _MODEL = {
             id="model-without-input_dim",
         ),
         pytest.param("--model", {**_MODEL, "codec": {"classes": "A"}}, 1, id="model-bad-codec"),
+        pytest.param("--model", {**_MODEL, "input_dim": 1.0}, 1, id="model-float-input_dim"),
+        pytest.param("--model", {**_MODEL, "note": "x"}, 1, id="model-unknown-key"),
+        pytest.param("--codec", {**_CODEC, "note": "x"}, 1, id="codec-unknown-key"),
         pytest.param(
             "--model",
             {**_MODEL, "params": {"W": [[0.5, -0.5, 0.0]], "b": [0.0, 0.0]}},

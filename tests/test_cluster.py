@@ -1,31 +1,16 @@
 """k-means clustering and elbow selection."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 from mridecomp.cluster import elbow_select_k, kmeans, kmeans_restarts
 from mridecomp.errors import EmptyInput, InvalidK, RangeTooShort
 
+from oracles import brute_force_wcss
+
 
 def wcss_of(X, assignments, centroids):
     return float(((X - centroids[assignments]) ** 2).sum())
-
-
-def brute_force_wcss(X, k):
-    """Exhaustive minimum over all assignments (empty clusters allowed)."""
-    n = X.shape[0]
-    best = np.inf
-    for assign in itertools.product(range(k), repeat=n):
-        assign = np.asarray(assign)
-        total = 0.0
-        for j in range(k):
-            pts = X[assign == j]
-            if len(pts):
-                total += ((pts - pts.mean(axis=0)) ** 2).sum()
-        best = min(best, total)
-    return best
 
 
 def test_two_group_hand_example():

@@ -97,7 +97,7 @@ def test_codec_validation():
 def test_codec_json_round_trip(tmp_path):
     codec = LabelCodec(classes=("AD", "CN"), cluster_counts=(2, 3))
     path = tmp_path / "codec.json"
-    write_json(codec.to_dict(), path)
+    write_json(codec, path)
     assert codec_from_json(path) == codec
 
 

@@ -20,31 +20,12 @@ from mridecomp.errors import EmptyGlcm, EmptyInput, InvalidK, NotNormalized, Zer
 from mridecomp.nifti import QuantizedSlice, quantize
 
 from conftest import make_slice
+from oracles import entropy_brute, glcm_brute
 
 
 def quantized(indices, levels=None):
     indices = np.asarray(indices, dtype=np.int64)
     return QuantizedSlice(levels=levels or int(indices.max()) + 1, indices=indices)
-
-
-def glcm_brute(indices, levels, offset, symmetric):
-    """Independent nested-loop co-occurrence oracle: pair counts over their sum."""
-    indices = np.asarray(indices)
-    nr, nc = indices.shape
-    dr, dc = offset
-    counts = np.zeros((levels, levels), dtype=np.float64)
-    for r in range(nr):
-        for c in range(nc):
-            r2, c2 = r + dr, c + dc
-            if 0 <= r2 < nr and 0 <= c2 < nc:
-                counts[indices[r, c], indices[r2, c2]] += 1
-    if symmetric:
-        counts = counts + counts.T
-    return counts / counts.sum()
-
-
-def entropy_brute(p):
-    return -sum(v * math.log2(v) for v in np.asarray(p).ravel() if v > 0)
 
 
 def test_two_by_two_example():
@@ -79,8 +60,8 @@ def test_negative_offset_matches_brute_force():
     idx = np.array([[0, 1, 2], [2, 1, 0], [1, 1, 0]])
     for offset in [(0, -1), (-1, 0), (1, 1), (-1, 1)]:
         g = glcm(quantized(idx), offset=offset, symmetric=False)
-        expected = glcm_brute(idx, 3, offset, symmetric=False)
-        np.testing.assert_array_equal(g.probabilities, expected)
+        counts = glcm_brute(idx, 3, offset, symmetric=False)
+        np.testing.assert_array_equal(g.probabilities, counts / counts.sum())
 
 
 @settings(deadline=None, max_examples=60)
@@ -104,9 +85,9 @@ def test_glcm_matches_brute_force(seed, nr, nc, levels, dr, dc, symmetric):
     except EmptyGlcm:
         assert abs(dr) >= nr or abs(dc) >= nc
         return
-    expected = glcm_brute(idx, levels, (dr, dc), symmetric)
-    np.testing.assert_array_equal(g.probabilities, expected)
-    assert glcm_entropy(g) == pytest.approx(entropy_brute(expected), abs=1e-12)
+    counts = glcm_brute(idx, levels, (dr, dc), symmetric)
+    np.testing.assert_array_equal(g.probabilities, counts / counts.sum())
+    assert glcm_entropy(g) == pytest.approx(entropy_brute(counts), abs=1e-12)
 
 
 @settings(deadline=None, max_examples=60)
@@ -132,8 +113,8 @@ def test_glcm_matches_brute_force_on_views(seed, nr, nc, levels, dr, dc, layout)
         idx = rng.integers(0, levels, size=(2 * nr, 3 * nc))[::2, ::3]
     assert not idx.flags.c_contiguous
     g = glcm(QuantizedSlice(levels=levels, indices=idx), offset=(dr, dc))
-    expected = glcm_brute(np.ascontiguousarray(idx), levels, (dr, dc), True)
-    np.testing.assert_allclose(g.probabilities, expected, atol=1e-12)
+    counts = glcm_brute(np.ascontiguousarray(idx), levels, (dr, dc), True)
+    np.testing.assert_allclose(g.probabilities, counts / counts.sum(), atol=1e-12)
 
 
 def test_zero_offset_rejected():

@@ -28,7 +28,7 @@ from mridecomp.features import (
 
 import conftest as ob  # the test-side ONNX builder
 from conftest import make_slice
-from oracles import onnx_features_reference, resize_reference
+from oracles import onnx_features_reference, resize_reference, same_bytes
 
 
 # --- bilinear resize ---------------------------------------------------------
@@ -74,10 +74,6 @@ def test_resize_respects_value_range(seed, out_r, out_c):
 
 
 DTYPES = [np.uint8, np.int16, np.int32, np.float32, np.float64]
-
-
-def same_bytes(a, b) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def stored_values(rng, dtype, shape):

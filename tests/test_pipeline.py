@@ -4,6 +4,8 @@ import dataclasses
 import io
 import itertools
 import json
+import logging
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 from mridecomp import pipeline, pool
 from mridecomp.config import PipelineConfig, SliceSelectionConfig, TrainingConfig
-from mridecomp.errors import ParseError, ShapeMismatch, StageError
+from mridecomp.errors import IoError, ParseError, ShapeMismatch, StageError
 from mridecomp.features import OnnxBackend, RawPixelBackend
 from mridecomp.manifest import ManifestRow, read_manifest
 from mridecomp.pipeline import run_pipeline, run_slices_stage
@@ -195,19 +197,61 @@ def _npy_bytes() -> bytes:
     return buf.getvalue()
 
 
+def _entry_without_all_indices(row, cfg) -> bytes:
+    """A cache entry written under the row's own key but lacking an array."""
+    buf = io.BytesIO()
+    key = np.asarray(pipeline._cache_key(row, cfg))
+    np.savez(buf, key=key, pixels=np.zeros((1, 2, 2)), indices=np.zeros(1, dtype=np.int64))
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize(
     "payload",
-    [b"garbage\n", b"PK\x03\x04truncated", pytest.param(_npy_bytes(), id="npy-array")],
+    [
+        b"garbage\n",
+        b"PK\x03\x04truncated",
+        pytest.param(_npy_bytes(), id="npy-array"),
+        pytest.param(_entry_without_all_indices, id="missing-array"),
+    ],
 )
-def test_unreadable_cache_entry_is_recomputed(dataset, tmp_path, payload):
+def test_unreadable_cache_entry_is_recomputed(dataset, tmp_path, payload, caplog):
     manifest_path, _ = dataset
     rows = read_manifest(manifest_path)[:1]
     fresh = run_slices_stage(rows, quick_config(), tmp_path / "fresh")
-    (tmp_path / "reused" / "cache").mkdir(parents=True)
-    (tmp_path / "reused" / "cache" / f"{rows[0].subject_id}.npz").write_bytes(payload)
-    reused = run_slices_stage(rows, quick_config(), tmp_path / "reused")
+    if callable(payload):
+        payload = payload(rows[0], quick_config())
+    entry = tmp_path / "reused" / "cache" / f"{rows[0].subject_id}.npz"
+    entry.parent.mkdir(parents=True)
+    entry.write_bytes(payload)
+    with caplog.at_level(logging.WARNING, logger=pipeline.__name__):
+        reused = run_slices_stage(rows, quick_config(), tmp_path / "reused")
     assert not reused.errors
     assert reused.ranked_all == fresh.ranked_all
+    assert (reused.cache_hits, reused.cache_misses) == (0, 1)
+    assert f"cache entry {entry} is unreadable; recomputing it" in caplog.messages
+
+
+def test_slice_stage_logs_in_manifest_order(dataset, tmp_path, monkeypatch, caplog):
+    """Workers finish out of order, yet each subject's warning or error is
+    logged in manifest order, so stderr does not depend on the schedule."""
+    manifest_path, _ = dataset
+    rows = read_manifest(manifest_path)
+    read = pipeline.read_nifti
+
+    def slow_first_failing_last(path, subject_id):
+        if subject_id == rows[0].subject_id:
+            time.sleep(0.3)
+        if subject_id == rows[-1].subject_id:
+            raise IoError(f"cannot read {path}")
+        return read(path, subject_id=subject_id)
+
+    monkeypatch.setattr(pipeline, "read_nifti", slow_first_failing_last)
+    monkeypatch.setattr(pool, "_available_cpus", lambda: 2)
+    with caplog.at_level(logging.WARNING, logger="mridecomp.pipeline"):
+        assert run_slices_stage(rows, quick_config(), tmp_path).workers == 2
+    expected = [f"subject {r.subject_id} has only 8 slices, below top_k=20" for r in rows[:-1]]
+    expected.append(f"subject {rows[-1].subject_id} failed: cannot read {rows[-1].path}")
+    assert [r.getMessage() for r in caplog.records if r.name == pipeline.__name__] == expected
 
 
 def test_run_manifest_is_valid_from_any_directory(dataset, tmp_path, monkeypatch):
