@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 
@@ -45,12 +46,25 @@ def open_input(path, newline=None):
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} overflows float64")
+    return value
+
+
 def read_json(path):
-    """The decoded document; ParseError names the file if it is unreadable or not JSON."""
+    """The decoded document; ParseError names the file if it is unreadable or
+    not JSON, including the NaN and Infinity tokens and a number, such as
+    1e999, that float64 reads as infinite: write_json never writes them."""
     with open_input(path) as fh:
         try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            return json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
+        except ValueError as exc:  # JSONDecodeError, bytes that are not UTF-8, or a hook's
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 

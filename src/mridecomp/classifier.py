@@ -77,7 +77,6 @@ class ClassifierModel:
 class TrainResult:
     model: ClassifierModel
     epoch_losses: list[float]  # index 0 = loss before any update
-    val_losses: list[float] | None
 
     @property
     def final_loss(self) -> float:
@@ -180,8 +179,6 @@ def train(
     sublabels: np.ndarray,
     codec: LabelCodec,
     cfg: TrainConfig,
-    X_val: np.ndarray | None = None,
-    y_val: np.ndarray | None = None,
 ) -> TrainResult:
     """Mini-batch Adam on cross-entropy over the subclass label space.
 
@@ -217,9 +214,6 @@ def train(
     step_count = 0
 
     epoch_losses = [loss(model, X, sublabels)]
-    val_losses = None
-    if X_val is not None and y_val is not None and len(y_val) > 0:
-        val_losses = [loss(model, X_val, y_val)]
 
     n = X.shape[0]
     onehot = np.eye(codec.n_sublabels)[sublabels]
@@ -249,10 +243,8 @@ def train(
             step /= denom
             theta -= step
         epoch_losses.append(loss(model, X, sublabels))
-        if val_losses is not None:
-            val_losses.append(loss(model, X_val, y_val))
 
-    return TrainResult(model=model, epoch_losses=epoch_losses, val_losses=val_losses)
+    return TrainResult(model=model, epoch_losses=epoch_losses)
 
 
 def compose_probabilities(codec: LabelCodec, probs: np.ndarray) -> np.ndarray:

@@ -97,7 +97,6 @@ class TrainingConfig(TrainSettings):
     TrainConfig it is checked by validate, not when constructed."""
 
     learning_rates: tuple[float, ...] = (0.01, 0.001)
-    validation_fraction: float = 0.2
 
     def train_config(self, learning_rate: float, seed: int) -> TrainConfig:
         """Classifier settings of one learning-rate cell; TrainConfig checks them."""
@@ -111,10 +110,6 @@ class TrainingConfig(TrainSettings):
             # cells are named lr=<value>, so equal rates would share one name
             raise ConfigError(
                 f"training.learning_rates must be distinct, got {list(self.learning_rates)}"
-            )
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ConfigError(
-                f"training.validation_fraction must be in [0, 1), got {self.validation_fraction}"
             )
         try:
             for lr in self.learning_rates:

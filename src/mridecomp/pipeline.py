@@ -2,14 +2,14 @@
 -> class decomposition -> training grid -> evaluation, with every artifact
 written into the run directory as plain CSV/JSON.
 
-Leakage policy: the scaler, PCA, and per-class clustering are fit on
-gradient-training subjects only. Validation subjects (used for epoch
-curves) and test subjects receive sublabels by nearest class-consistent
-centroid. Hyperparameter cells are ranked by final training loss.
+Leakage policy: the scaler, PCA, per-class clustering and classifiers are
+fit on training subjects only. Test subjects receive sublabels by nearest
+class-consistent centroid. Hyperparameter cells are ranked by final
+training loss.
 
 The decompose and train subcommands call the same stage functions
 (run_decompose_stage, run_train_stage) with the same derived seeds, so a
-standalone chain fed the gradient-train rows reproduces a pipeline run.
+standalone chain fed the train rows reproduces a pipeline run.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ def derive_seed(base: int, *tags: int) -> int:
     return int(np.random.SeedSequence([base, *tags]).generate_state(1, np.uint64)[0])
 
 
-# tags for derive_seed; recorded in seeds.json
+# tags for derive_seed, recorded in seeds.json; 2 is unused, and no tag is
+# renumbered, since a tag's value fixes its stage's stream
 _TAG_SPLIT = 1
-_TAG_VALIDATION = 2
 _TAG_DECOMPOSE = 3
 _TAG_TRAIN = 4
 
@@ -363,13 +363,11 @@ def run_train_stage(
     codec: LabelCodec,
     cfg: PipelineConfig,
     out_dir: Path,
-    X_val: np.ndarray | None = None,
-    y_val: np.ndarray | None = None,
 ) -> TrainStage:
     """Train one model per learning rate on sublabels y; the best cell has
-    the lowest final training loss. The validation rows only draw loss curves.
-    A loss that is not finite raises ValueError naming the cell and the
-    curve, so no JSON artifact is written with it.
+    the lowest final training loss. A training loss that is not finite
+    raises ValueError naming the cell and the epoch, so no JSON artifact is
+    written with it.
 
     Writes models/cell-<i>.json and losses.json into out_dir, and removes any
     other models/cell-*.json, such as one a larger grid left there.
@@ -387,15 +385,14 @@ def run_train_stage(
         cell = f"lr={lr!r}"
         seeds[cell] = derive_seed(cfg.seed, _TAG_TRAIN, i)
         tcfg = cfg.training.train_config(lr, seeds[cell])
-        result = train(X, y, codec, tcfg, X_val=X_val, y_val=y_val)
-        for curve, values in (("train", result.epoch_losses), ("validation", result.val_losses)):
-            finite = np.isfinite(values or [])
-            if not finite.all():
-                epoch = int(np.argmin(finite))
-                raise ValueError(f"cell {cell}: {curve} loss is first not finite at epoch {epoch}")
+        result = train(X, y, codec, tcfg)
+        finite = np.isfinite(result.epoch_losses)
+        if not finite.all():
+            epoch = int(np.argmin(finite))
+            raise ValueError(f"cell {cell}: train loss is first not finite at epoch {epoch}")
         results[cell] = result
         model_to_json(result.model, models_dir / f"cell-{i}.json")
-        losses[cell] = {"train": result.epoch_losses, "validation": result.val_losses}
+        losses[cell] = {"train": result.epoch_losses}
     write_json(losses, out_dir / "losses.json")
     best_cell = min(results, key=lambda c: results[c].final_loss)
     return TrainStage(results=results, seeds=seeds, best_cell=best_cell)
@@ -424,11 +421,7 @@ def run_pipeline(
     started = time.time()
     run_dir = Path(run_dir)
 
-    seeds = {
-        "base": cfg.seed,
-        "split": derive_seed(cfg.seed, _TAG_SPLIT),
-        "validation_split": derive_seed(cfg.seed, _TAG_VALIDATION),
-    }
+    seeds = {"base": cfg.seed, "split": derive_seed(cfg.seed, _TAG_SPLIT)}
 
     stage_seconds: dict[str, float] = {}
     with stage("manifest", stage_seconds):
@@ -457,44 +450,22 @@ def run_pipeline(
         train_subjects, test_subjects = subject_split(
             subject_labels, cfg.split.train_frac, seed=seeds["split"]
         )
-        val_frac = cfg.training.validation_fraction
-        if val_frac > 0.0 and len(train_subjects) >= 2:
-            grad_subjects, val_subjects = subject_split(
-                {sid: subject_labels[sid] for sid in train_subjects},
-                1.0 - val_frac,
-                seed=seeds["validation_split"],
-            )
-        else:
-            if val_frac > 0.0:
-                logger.warning("too few training subjects for a validation split")
-            grad_subjects, val_subjects = list(train_subjects), []
-        split_record = {
-            "train": train_subjects,
-            "gradient_train": grad_subjects,
-            "validation": val_subjects,
-            "test": test_subjects,
-        }
-        write_json(split_record, run_dir / "split.json")
-        grad_mask = _subject_mask(X, set(grad_subjects))
-        val_mask = _subject_mask(X, set(val_subjects))
+        write_json({"train": train_subjects, "test": test_subjects}, run_dir / "split.json")
+        train_mask = _subject_mask(X, set(train_subjects))
         test_mask = _subject_mask(X, set(test_subjects))
 
     with stage("decompose", stage_seconds):
-        dec = run_decompose_stage(X, grad_mask, cfg, run_dir)
+        dec = run_decompose_stage(X, train_mask, cfg, run_dir)
         ds = dec.decomposed
-        R_grad = ds.features
-        R_val = dec.reduced.rows(val_mask)
+        R_train = ds.features
         R_test = dec.reduced.rows(test_mask)
-        save_features(ds.codec.relabel(R_grad, ds.sublabels), run_dir / "sublabeled_train.csv")
-        y_val = assign_sublabels(R_val, ds.codec, ds.centroids)
+        save_features(ds.codec.relabel(R_train, ds.sublabels), run_dir / "sublabeled_train.csv")
         y_test = assign_sublabels(R_test, ds.codec, ds.centroids)
         if R_test.n > 0:
             save_features(ds.codec.relabel(R_test, y_test), run_dir / "sublabeled_test.csv")
 
     with stage("train", stage_seconds):
-        grid = run_train_stage(
-            R_grad.values, ds.sublabels, ds.codec, cfg, run_dir, X_val=R_val.values, y_val=y_val
-        )
+        grid = run_train_stage(R_train.values, ds.sublabels, ds.codec, cfg, run_dir)
         cell_results, best_cell = grid.results, grid.best_cell
         seeds.update(decompose=dec.seed, train_cells=grid.seeds)
         write_json(seeds, run_dir / "seeds.json")
@@ -548,7 +519,7 @@ def run_pipeline(
         "elapsed_seconds": time.time() - started,
         "n_subjects": len(rows),
         "n_slices": X.n,
-        "reduced_dim": R_grad.m,
+        "reduced_dim": R_train.m,
         "stage_seconds": stage_seconds,
         "slice_workers": slice_stage.workers,
         "slice_busy_seconds": slice_stage.busy_seconds,

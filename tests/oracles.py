@@ -86,7 +86,7 @@ def gradients_reference(model, X, y) -> dict[str, np.ndarray]:
     return {"W": X.T @ dZ, "b": dZ.sum(axis=0)}
 
 
-def train_reference(X, sublabels, codec, cfg, X_val=None, y_val=None) -> TrainResult:
+def train_reference(X, sublabels, codec, cfg) -> TrainResult:
     """Mini-batch Adam, one gradient dict and one update per parameter per step."""
     X = np.asarray(X, dtype=np.float64)
     sublabels = np.asarray(sublabels, dtype=np.int64)
@@ -102,9 +102,6 @@ def train_reference(X, sublabels, codec, cfg, X_val=None, y_val=None) -> TrainRe
     step_count = 0
 
     epoch_losses = [loss(model, X, sublabels)]
-    val_losses = None
-    if X_val is not None and y_val is not None and len(y_val) > 0:
-        val_losses = [loss(model, X_val, y_val)]
 
     n = X.shape[0]
     for _ in range(cfg.epochs):
@@ -122,10 +119,8 @@ def train_reference(X, sublabels, codec, cfg, X_val=None, y_val=None) -> TrainRe
                 v_hat = m2[name] / bc2
                 model.params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
         epoch_losses.append(loss(model, X, sublabels))
-        if val_losses is not None:
-            val_losses.append(loss(model, X_val, y_val))
 
-    return TrainResult(model=model, epoch_losses=epoch_losses, val_losses=val_losses)
+    return TrainResult(model=model, epoch_losses=epoch_losses)
 
 
 def resize_reference(pixels, out_rows: int, out_cols: int) -> np.ndarray:

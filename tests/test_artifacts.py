@@ -1,13 +1,14 @@
-"""The JSON codec: every fitted dataclass survives write_json and from_json
-unchanged, and from_json rejects what its fields' types do not allow."""
+"""The JSON codec: every fitted dataclass survives write_json, read_json and
+from_json unchanged; read_json rejects numbers write_json cannot write, and
+from_json what its fields' types do not allow."""
 
 import dataclasses
-import json
+import re
 
 import numpy as np
 import pytest
 
-from mridecomp.artifacts import from_json, write_json
+from mridecomp.artifacts import from_json, read_json, write_json
 from mridecomp.classifier import ClassifierModel, init_model
 from mridecomp.config import DecompositionConfig, PipelineConfig, TrainingConfig
 from mridecomp.decomposition import LabelCodec
@@ -39,7 +40,7 @@ def assert_same(got, want):
 def round_trip(obj, tmp_path):
     path = tmp_path / "artifact.json"
     write_json(obj, path)
-    return from_json(type(obj), json.loads(path.read_text()), "artifact")
+    return from_json(type(obj), read_json(path), "artifact")
 
 
 def fitted_scaler_and_pca():
@@ -121,3 +122,20 @@ _MODEL = {
 def test_a_bad_model_document_is_a_parse_error_naming_the_key(document, message):
     with pytest.raises(ParseError, match=message):
         from_json(ClassifierModel, document, "model")
+
+
+@pytest.mark.parametrize(
+    "number, message",
+    [
+        ("NaN", "NaN is not a JSON number"),
+        ("Infinity", "Infinity is not a JSON number"),
+        ("-Infinity", "-Infinity is not a JSON number"),
+        ("1e999", "number 1e999 overflows float64"),
+        ("-1e999", "number -1e999 overflows float64"),
+    ],
+)
+def test_read_json_refuses_a_number_write_json_cannot_write(tmp_path, number, message):
+    path = tmp_path / "scaler.json"
+    path.write_text(f'{{"means": [0.5], "stds": [{number}]}}')
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: invalid JSON: {message}"):
+        read_json(path)

@@ -189,15 +189,6 @@ def test_training_bit_reproducible(rng):
         np.testing.assert_array_equal(a.model.params[name], b.model.params[name])
 
 
-def test_validation_curve_tracked(rng):
-    X, y = blob_dataset(rng, CODEC_2x2)
-    Xv, yv = blob_dataset(rng, CODEC_2x2, per=4)
-    result = train(X, y, CODEC_2x2, TrainConfig(epochs=20, seed=0), X_val=Xv, y_val=yv)
-    assert result.val_losses is not None
-    assert len(result.val_losses) == 21
-    assert result.val_losses[-1] < result.val_losses[0]
-
-
 def test_missing_subclass_rejected(rng):
     X = rng.normal(size=(6, 3))
     y = np.array([0, 0, 1, 1, 2, 2])  # id 3 never appears
@@ -239,17 +230,14 @@ def batch_layouts(draw):
     epochs=st.integers(1, 4),
     learning_rate=st.sampled_from([0.3, 0.01, 0.001]),
     seed=st.integers(0, 2**32 - 1),
-    n_val=st.sampled_from([0, 1, 7]),
 )
 def test_train_matches_per_parameter_loop_bit_for_bit(
-    layout, hidden_dim, dim, epochs, learning_rate, seed, n_val
+    layout, hidden_dim, dim, epochs, learning_rate, seed
 ):
     n, batch_size = layout
     rng = np.random.default_rng(seed)
     X = rng.normal(scale=3.0, size=(n, dim))
     y = rng.permutation(np.arange(n) % CODEC_2x2.n_sublabels)
-    X_val = rng.normal(scale=3.0, size=(n_val, dim)) if n_val else None
-    y_val = rng.integers(0, CODEC_2x2.n_sublabels, size=n_val) if n_val else None
     cfg = TrainConfig(
         learning_rate=learning_rate,
         epochs=epochs,
@@ -257,12 +245,9 @@ def test_train_matches_per_parameter_loop_bit_for_bit(
         hidden_dim=hidden_dim,
         seed=seed % 1000,
     )
-    got = train(X, y, CODEC_2x2, cfg, X_val=X_val, y_val=y_val)
-    want = train_reference(X, y, CODEC_2x2, cfg, X_val=X_val, y_val=y_val)
+    got = train(X, y, CODEC_2x2, cfg)
+    want = train_reference(X, y, CODEC_2x2, cfg)
     assert same_bytes(got.epoch_losses, want.epoch_losses)
-    assert (got.val_losses is None) == (want.val_losses is None) == (n_val == 0)
-    if n_val:
-        assert same_bytes(got.val_losses, want.val_losses)
     assert list(got.model.params) == list(want.model.params)
     for name, param in want.model.params.items():
         assert same_bytes(got.model.params[name], param), name

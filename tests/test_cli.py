@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mridecomp.artifacts import read_json
 from mridecomp.cli import main
 from mridecomp.features import load_precomputed, save_features
 from mridecomp.nifti import read_nifti
@@ -107,7 +106,7 @@ def test_pipeline_subcommand(data_dir, tmp_path, capsys):
 
 
 def test_standalone_chain_reproduces_pipeline(data_dir, tmp_path):
-    """decompose + train on the gradient-train rows rebuild the pipeline's artifacts."""
+    """decompose + train on the train rows rebuild the pipeline's artifacts."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"training": {"learning_rates": [0.01, 0.001], "epochs": 30}}))
     run = tmp_path / "run"
@@ -115,13 +114,13 @@ def test_standalone_chain_reproduces_pipeline(data_dir, tmp_path):
     manifest = str(data_dir / "manifest.csv")
     assert main(["pipeline", "--manifest", manifest, "--out", str(run), *common]) == 0
 
-    grad = set(json.loads((run / "split.json").read_text())["gradient_train"])
+    train = set(json.loads((run / "split.json").read_text())["train"])
     header, *rows = (run / "features.csv").read_text().splitlines(keepends=True)
-    grad_csv = tmp_path / "grad_features.csv"
-    grad_csv.write_text(header + "".join(r for r in rows if r.split(",", 1)[0] in grad))
+    train_csv = tmp_path / "train_features.csv"
+    train_csv.write_text(header + "".join(r for r in rows if r.split(",", 1)[0] in train))
 
     dec, tr = tmp_path / "dec", tmp_path / "tr"
-    assert main(["decompose", "--features", str(grad_csv), "--out", str(dec), *common]) == 0
+    assert main(["decompose", "--features", str(train_csv), "--out", str(dec), *common]) == 0
     assert main(
         [
             "train",
@@ -173,6 +172,19 @@ _MODEL = {
         pytest.param("--model", {**_MODEL, "codec": {"classes": "A"}}, 1, id="model-bad-codec"),
         pytest.param("--model", {**_MODEL, "input_dim": 1.0}, 1, id="model-float-input_dim"),
         pytest.param("--model", {**_MODEL, "note": "x"}, 1, id="model-unknown-key"),
+        pytest.param(
+            "--model",
+            {**_MODEL, "params": {"W": [[float("nan"), -0.5]], "b": [0.0, 0.0]}},
+            1,
+            id="model-NaN-weight",
+        ),
+        pytest.param(
+            "--model",
+            {**_MODEL, "params": {"W": [[0.5, -0.5]], "b": [float("inf"), 0.0]}},
+            1,
+            id="model-Infinity-bias",
+        ),
+        pytest.param("--codec", '{"classes": ["A"], "cluster_counts": [1e999]}', 1, id="codec-1e999"),
         pytest.param("--codec", {**_CODEC, "note": "x"}, 1, id="codec-unknown-key"),
         pytest.param(
             "--model",
@@ -225,6 +237,29 @@ def test_bad_config_exits_1(data_dir, tmp_path, capsys):
     )
     assert code == 1
     assert "train_frac" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("number", ["1e999", "NaN", "-Infinity"])
+def test_config_with_a_non_finite_number_exits_1(data_dir, tmp_path, capsys, number):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(f'{{"training": {{"learning_rates": [{number}]}}}}')
+    argv = ["pipeline", "--manifest", str(data_dir / "manifest.csv"), "--config", str(cfg_path)]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {cfg_path}: invalid JSON: ")
+    assert number.lstrip("-") in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_validation_fraction_is_an_unknown_config_key(data_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"training": {"validation_fraction": 0.2}}')
+    argv = ["pipeline", "--manifest", str(data_dir / "manifest.csv"), "--config", str(cfg_path)]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "unknown config key(s) in training: ['validation_fraction']" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_duplicate_learning_rates_exit_1(data_dir, tmp_path, capsys):
@@ -486,23 +521,21 @@ def test_subject_with_non_finite_feature_rows_exits_2(data_dir, tmp_path, capsys
 
 
 def test_non_finite_loss_exits_2_and_leaves_no_invalid_json(tmp_path, capsys):
-    # finite feature rows near float64's limit (opposite edge columns of a
-    # validation subject) overflow its validation loss on the acceptance fixture
+    # a learning rate near float64's limit overflows the weights in the first epoch
     data_dir = tmp_path / "data"
     assert main(["synth", "--out", str(data_dir), "--subjects", "6", "--nz", "30", "--seed", "0"]) == 0
-    clean = tmp_path / "clean"
-    assert main(["pipeline", "--manifest", str(data_dir / "manifest.csv"), "--out", str(clean)]) == 0
-    subject = read_json(clean / "split.json")["validation"][0]
-    manifest = _manifest_with_wide_volume(
-        data_dir, tmp_path, subject, np.s_[:, 0, :], np.s_[:, -1, :]
-    )
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"training": {"learning_rates": [1e308]}}))
     capsys.readouterr()
 
     out = tmp_path / "out"
-    assert main(["pipeline", "--manifest", str(manifest), "--out", str(out)]) == 2
+    argv = ["pipeline", "--manifest", str(data_dir / "manifest.csv"), "--out", str(out)]
+    assert main(argv + ["--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "stage 'train' failed: cell lr=0.01: validation loss is first not finite" in err
+    assert err.startswith(
+        "error: stage 'train' failed: cell lr=1e+308: train loss is first not finite at epoch 1"
+    )
     written = sorted(out.rglob("*.json"))
     assert written
     for path in written:

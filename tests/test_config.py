@@ -120,7 +120,7 @@ def test_tuple_fields_coerced_from_lists():
         TrainingConfig(hidden_dim=-2),
         TrainingConfig(beta1=1.0),
         TrainingConfig(eps=0.0),
-        TrainingConfig(validation_fraction=1.0),
+        TrainingConfig(beta2=1.0),
         SplitConfig(train_frac=0.0),
         SplitConfig(train_frac=1.0),
         TrainingConfig(learning_rates=(0.01, 0.001, 0.01)),

@@ -475,6 +475,14 @@ def test_sidecar_that_is_not_an_object_is_a_model_load_error(tmp_path):
         OnnxBackend(path)
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "1e999"])
+def test_sidecar_with_a_non_finite_number_is_a_model_load_error(tmp_path, number):
+    path = ob.write_linear_model(tmp_path / "lin.onnx", np.eye(4), np.zeros(4))
+    (tmp_path / "lin.onnx.json").write_text(f'{{"input_shape": [1, 4], "mean": {number}}}')
+    with pytest.raises(ModelLoadError, match="lin.onnx.json: invalid JSON"):
+        OnnxBackend(path)
+
+
 @pytest.mark.parametrize("rank", [2, 4])
 def test_every_truncated_model_loads_or_raises_a_pipeline_error(tmp_path, rank):
     if rank == 2:

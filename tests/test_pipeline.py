@@ -14,6 +14,7 @@ import pytest
 from mridecomp import pipeline, pool
 from mridecomp.config import PipelineConfig, SliceSelectionConfig, TrainingConfig
 from mridecomp.errors import IoError, ParseError, ShapeMismatch, StageError
+from mridecomp.evaluation import subject_split
 from mridecomp.features import OnnxBackend, RawPixelBackend
 from mridecomp.manifest import ManifestRow, read_manifest
 from mridecomp.pipeline import run_pipeline, run_slices_stage
@@ -80,28 +81,26 @@ def test_split_respects_subject_level(dataset, tmp_path):
     manifest_path, rows = dataset
     run_pipeline(manifest_path, quick_config(), tmp_path / "run")
     split = json.loads((tmp_path / "run" / "split.json").read_text())
+    assert set(split) == {"train", "test"}
     all_ids = {r.subject_id for r in rows}
     train = set(split["train"])
     test = set(split["test"])
-    gradient = set(split["gradient_train"])
-    validation = set(split["validation"])
     assert train | test == all_ids
     assert train & test == set()
-    assert gradient | validation == train
-    assert gradient & validation == set()
     # default 0.8 split over 4 subjects/class: 3 train + 1 test each
     assert len(test) == 3 and len(train) == 9
 
 
-def test_validation_disabled(dataset, tmp_path):
-    manifest_path, _ = dataset
-    cfg = PipelineConfig(
-        training=TrainingConfig(learning_rates=(0.01,), epochs=40, validation_fraction=0.0),
-    )
+@pytest.mark.parametrize("seed", [0, 3])
+def test_test_subjects_are_the_seeded_subject_split(dataset, tmp_path, seed):
+    manifest_path, rows = dataset
+    cfg = dataclasses.replace(quick_config(), seed=seed)
     run_pipeline(manifest_path, cfg, tmp_path / "run")
     split = json.loads((tmp_path / "run" / "split.json").read_text())
-    assert split["validation"] == []
-    assert set(split["gradient_train"]) == set(split["train"])
+    labels = {r.subject_id: r.label for r in rows}
+    expected = subject_split(labels, cfg.split.train_frac, seed=pipeline.derive_seed(seed, 1))
+    assert split["test"] == expected[1]
+    assert split["train"] == expected[0]
 
 
 def test_rerun_is_byte_identical(dataset, tmp_path):
@@ -405,11 +404,11 @@ def test_run_info_records_stage_times_and_cache_use(dataset, tmp_path):
         assert set(info["stage_seconds"]) == stages
         assert all(t >= 0.0 for t in info["stage_seconds"].values())
         misses = len(rows) - expected_hits
-        assert info["slice_cache"] == {"hits": expected_hits, "misses": misses}
+        assert info["slice_cache"] == {"hits": expected_hits, "misses": misses}, info
         busy = info["slice_busy_seconds"]
-        assert set(busy) == {"decode", "rank", "features"}
-        assert busy["decode"] > 0.0 and busy["features"] > 0.0
-        assert (busy["rank"] > 0.0) == (misses > 0)
+        assert set(busy) == {"decode", "rank", "features"}, info
+        assert busy["decode"] > 0.0 and busy["features"] > 0.0, info
+        assert (busy["rank"] > 0.0) == (misses > 0), info
 
 
 def test_unexpected_subject_error_propagates(dataset, tmp_path, monkeypatch):
@@ -447,8 +446,8 @@ def test_seeds_recorded(dataset, tmp_path):
     manifest_path, _ = dataset
     run_pipeline(manifest_path, quick_config(), tmp_path / "run")
     seeds = json.loads((tmp_path / "run" / "seeds.json").read_text())
-    assert {"base", "split", "validation_split", "decompose"} <= set(seeds)
-    assert any(k.startswith("train") for k in seeds if k != "base")
+    assert set(seeds) == {"base", "split", "decompose", "train_cells"}
+    assert set(seeds["train_cells"]) == {"lr=0.01"}
 
 
 def test_metrics_shape(dataset, tmp_path):
