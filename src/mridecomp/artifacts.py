@@ -68,10 +68,21 @@ def read_json(path):
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
+def _float64(value) -> bool:
+    """Whether value is a float, or an integer that float() can represent."""
+    if type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            return False
+        return True
+    return type(value) is float
+
+
 # what a field of each type accepts from JSON; exact type checks, so true/false is no number
 _JSON_TYPES = {
     int: ("an integer", lambda v: type(v) is int),
-    float: ("a number", lambda v: type(v) in (int, float)),
+    float: ("a number within float64's range", _float64),
     bool: ("true or false", lambda v: type(v) is bool),
     str: ("a string", lambda v: type(v) is str),
     str | None: ("a string or null", lambda v: v is None or type(v) is str),

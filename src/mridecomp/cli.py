@@ -4,6 +4,8 @@ Subcommands: synth, slices, features, decompose, train, evaluate, pipeline,
 each run as pipeline.stage(<subcommand>). Exit codes: 0 success, 1 bad input
 (bad flags, or errors.BAD_INPUT: config and input files), 2 a failed subject
 or any other failure, which reads "stage '<name>' failed: <cause>".
+slices, features and pipeline decode and rank every volume on each run;
+nothing is cached between runs.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ def _add_common(sub: argparse.ArgumentParser, out_required: bool = True) -> None
 
 def _add_manifest(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--manifest", type=Path, required=True, help="dataset manifest CSV")
-    sub.add_argument("--force", action="store_true", help="recompute cached slices")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nz", type=int, default=30, help="axial slices per volume (default 30)")
     p.add_argument("--classes", default="CN,MCI,AD", help="comma-separated class names")
 
-    p = sub.add_parser("slices", help="rank slices by texture entropy and cache the top ones")
+    p = sub.add_parser("slices", help="rank slices by texture entropy and write entropies.csv")
     _add_common(p)
     _add_manifest(p)
 
@@ -114,8 +115,7 @@ def _slices(args, cfg: PipelineConfig, backend=None):
     """(rows of the subjects that did not fail, SliceStage) after running the slice
     stage into --out; each failed subject is reported on stderr."""
     rows = read_manifest(args.manifest, allowed_labels=cfg.classes)
-    args.out.mkdir(parents=True, exist_ok=True)
-    sliced = run_slices_stage(rows, cfg, args.out, backend, force=args.force)
+    sliced = run_slices_stage(rows, cfg, args.out, backend)
     for sid, msg in sorted(sliced.errors.items()):
         print(f"error: subject {sid}: {msg}", file=sys.stderr)
     return [r for r in rows if r.subject_id not in sliced.errors], sliced
@@ -145,7 +145,6 @@ def cmd_decompose(args) -> int:
 
     ds = run_decompose_stage(X, np.ones(X.n, dtype=bool), cfg, args.out).decomposed
     save_features(ds.codec.relabel(ds.features, ds.sublabels), args.out / "sublabeled_features.csv")
-    save_features(ds.codec.relabel(X, ds.sublabels), args.out / "sublabeled_original_features.csv")
     counts = {row["subclass"]: row["count"] for row in decomposition_report(ds)}
     print(f"decomposed into {ds.codec.n_sublabels} subclasses: {counts}")
     return 0
@@ -186,7 +185,7 @@ def cmd_evaluate(args) -> int:
 def cmd_pipeline(args) -> int:
     cfg = _load_cfg(args)
     out = args.out if args.out else Path("runs") / f"run-{time.strftime('%Y%m%d-%H%M%S')}"
-    result = run_pipeline(args.manifest, cfg, out, force=args.force)
+    result = run_pipeline(args.manifest, cfg, out)
     acc = result.report.composed_accuracy
     print(f"run directory: {result.run_dir}")
     print(f"selected cell: {result.best_cell}")

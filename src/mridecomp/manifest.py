@@ -20,7 +20,8 @@ from .errors import EmptyFile, ParseError
 DEFAULT_LABELS = ("CN", "MCI", "AD")
 REQUIRED_COLUMNS = ("subject_id", "label", "path")
 OPTIONAL_COLUMNS = ("age", "sex", "mmse")
-# subject ids name files (cache/<id>.npz), so they must be plain file stems
+# an input check: subject ids must be plain file stems, as synth's volume
+# names (<id>.nii, <id>.nii.gz) are, so no id can name a path
 SAFE_SUBJECT_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 SAFE_SUBJECT_ID_RULE = "letters, digits, '.', '_' and '-', not starting with '.'"
 

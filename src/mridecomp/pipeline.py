@@ -1,6 +1,8 @@
 """End-to-end pipeline: manifest -> slices -> features -> split -> scaler/PCA
 -> class decomposition -> training grid -> evaluation, with every artifact
-written into the run directory as plain CSV/JSON.
+written into the run directory as plain CSV/JSON. Nothing is kept between
+runs: every run decodes and ranks each volume itself, so a rerun into a
+used run directory computes what a fresh run does.
 
 Leakage policy: the scaler, PCA, per-class clustering and classifiers are
 fit on training subjects only. Test subjects receive sublabels by nearest
@@ -14,12 +16,10 @@ standalone chain fed the train rows reproduces a pipeline run.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
-import zipfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .decomposition import (
     write_report_csv,
 )
 from .entropy import RankedSlice, rank_slices, select_top_k
-from .errors import BAD_INPUT, IoError, PipelineError, StageError
+from .errors import BAD_INPUT, PipelineError, StageError
 from .evaluation import EvalReport, evaluate, render_metrics_table, subject_split
 from .features import (
     FeatureBackend,
@@ -93,63 +93,8 @@ class SliceStage:
     ranked_all: dict[str, list[RankedSlice]]
     errors: dict[str, str]
     workers: int = 1  # threads the stage ran subjects on
-    cache_hits: int = 0  # subjects read from their cache entry
-    cache_misses: int = 0  # subjects computed and written to the cache
     # per-subject seconds in each _BUSY_PARTS part, summed over workers
     busy_seconds: dict[str, float] = field(default_factory=lambda: dict.fromkeys(_BUSY_PARTS, 0.0))
-
-
-def _cache_path(cache_dir: Path, subject_id: str) -> Path:
-    return cache_dir / f"{subject_id}.npz"
-
-
-def _cache_key(row: ManifestRow, cfg: PipelineConfig) -> str:
-    """Everything a cache entry depends on: slice settings, package version and
-    the volume's identity. The volume is identified by resolved path, size and
-    mtime, not by a digest of its bytes, which would read every volume twice.
-    """
-    path = row.path.resolve()
-    try:
-        st = path.stat()
-    except OSError as exc:
-        raise IoError(f"cannot read {row.path}: {exc}") from exc
-    return json.dumps(
-        {
-            "slice_selection": asdict(cfg.slice_selection),
-            "version": __version__,
-            "path": str(path),
-            "size": st.st_size,
-            "mtime_ns": st.st_mtime_ns,
-        },
-        sort_keys=True,
-    )
-
-
-def _read_cache(cache_file: Path, key: str, subject_id: str):
-    """(pixels, indices, ranked) from a readable cache entry written under the
-    same key; None if there is no such entry, False if it is unreadable."""
-    if not cache_file.exists():
-        return None
-    try:
-        # np.load leaves a file it opened itself open when it raises
-        with open(cache_file, "rb") as fh:
-            npz = np.load(fh)
-            if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy entry
-                raise ValueError("not an .npz archive")
-            with npz:
-                if "key" not in npz.files or str(npz["key"]) != key:
-                    return None
-                pixels = npz["pixels"]
-                indices = npz["indices"]
-                all_indices = npz["all_indices"]
-                all_entropies = npz["all_entropies"]
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile):  # KeyError: an array is missing
-        return False
-    ranked = [
-        RankedSlice(subject_id=subject_id, slice_index=int(i), entropy=float(h))
-        for i, h in zip(all_indices, all_entropies)
-    ]
-    return pixels, indices, ranked
 
 
 def _select_for_subject(row: ManifestRow, scfg: SliceSelectionConfig, busy: dict[str, float]):
@@ -171,66 +116,38 @@ def _select_for_subject(row: ManifestRow, scfg: SliceSelectionConfig, busy: dict
     return pixels, indices, ranked
 
 
-def _slices_for_subject(
-    row: ManifestRow, cfg: PipelineConfig, cache_dir: Path, force: bool, busy: dict[str, float]
-):
-    """(pixels, indices, ranked, cache) for one subject, from its cache entry
-    when that was written under the same key ("hit"), else computed and
-    written ("miss", or "unreadable" if the entry there could not be read).
-    Reading the entry counts as decode time in busy."""
-    cache_file = _cache_path(cache_dir, row.subject_id)
-    key = _cache_key(row, cfg)
-    t0 = time.perf_counter()
-    cached = None if force else _read_cache(cache_file, key, row.subject_id)
-    if cached:
-        busy["decode"] += time.perf_counter() - t0
-        return (*cached, "hit")
-    pixels, indices, ranked = _select_for_subject(row, cfg.slice_selection, busy)
-    np.savez(
-        cache_file,
-        key=np.asarray(key),
-        pixels=pixels,
-        indices=indices,
-        all_indices=np.asarray([r.slice_index for r in ranked], dtype=np.int64),
-        all_entropies=np.asarray([r.entropy for r in ranked], dtype=np.float64),
-    )
-    return pixels, indices, ranked, "miss" if cached is None else "unreadable"
-
-
 def run_slices_stage(
     rows: list[ManifestRow],
     cfg: PipelineConfig,
     out_dir: Path,
     backend: FeatureBackend | None = None,
-    force: bool = False,
 ) -> SliceStage:
-    """Rank and cache informative slices per subject, and turn each subject's
-    selected slices into feature rows with backend; subject errors are isolated.
+    """Rank informative slices per subject, and turn each subject's selected
+    slices into feature rows with backend; subject errors are isolated.
 
     Subjects run on pool.map_in_order, one worker per available CPU (decode,
     inflate and the numpy kernels release the GIL), so backend.extract is
-    called from several threads at once, once per subject. Each worker keeps
-    only the selected slice indices and their feature rows (none without a
-    backend); the pixels go to the cache entry and are dropped. Results are
-    merged in manifest order, so the outcome does not depend on the worker
-    count. A PipelineError or OSError while decoding or ranking, and feature
-    rows that are not all finite, become errors[subject_id]; any exception
-    from the backend raises StageError("features"), and any other exception
-    propagates. Each subject's warnings and error are logged in the merge,
-    not by the workers, so the log is in manifest order too. A cache entry
-    is reused only when it was computed under the same key (see
-    _cache_key); force recomputes every entry.
+    called from several threads at once, once per subject. Every run decodes
+    and ranks each subject's volume once. Each worker keeps only the selected
+    slice indices and their feature rows (none without a backend); the pixels
+    are dropped. Results are merged in manifest order, so the outcome does
+    not depend on the worker count. A PipelineError or OSError while decoding
+    or ranking, and feature rows that are not all finite, become
+    errors[subject_id]; any exception from the backend raises
+    StageError("features"), and any other exception propagates. Each
+    subject's warnings and error are logged in the merge, not by the
+    workers, so the log is in manifest order too.
 
     Writes entropies.csv (subject_id,slice_index,entropy,selected: every
-    ranked slice of every subject that did not fail) into out_dir.
+    ranked slice of every subject that did not fail) into out_dir, and
+    nothing else.
     """
-    cache_dir = out_dir / "cache"
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def attempt(row: ManifestRow):
         busy = dict.fromkeys(_BUSY_PARTS, 0.0)
         try:
-            pixels, indices, ranked, cache = _slices_for_subject(row, cfg, cache_dir, force, busy)
+            pixels, indices, ranked = _select_for_subject(row, cfg.slice_selection, busy)
         except (PipelineError, OSError) as exc:
             return None, str(exc), busy
         features = None
@@ -245,7 +162,7 @@ def run_slices_stage(
             if not np.isfinite(features).all():
                 # finite voxels can still resample to inf or nan (spans beyond float64)
                 return None, f"{row.path}: feature rows are not finite", busy
-        return (indices, features, ranked, cache), None, busy
+        return (indices, features, ranked), None, busy
 
     outcomes, workers = pool.map_in_order(attempt, rows)
 
@@ -259,19 +176,12 @@ def run_slices_stage(
             logger.error("subject %s failed: %s", sid, error)
             stage.errors[sid] = error
             continue
-        stage.selected[sid], features, ranked, cache = done
+        stage.selected[sid], features, ranked = done
         stage.ranked_all[sid] = ranked
-        if cache == "unreadable":
-            path = _cache_path(cache_dir, sid)
-            logger.warning("cache entry %s is unreadable; recomputing it", path)
         if len(ranked) < top_k:
             logger.warning("subject %s has only %d slices, below top_k=%d", sid, len(ranked), top_k)
         if features is not None:
             stage.features[sid] = features
-        if cache == "hit":
-            stage.cache_hits += 1
-        else:
-            stage.cache_misses += 1
 
     def entropy_rows():
         for subject_id in sorted(stage.ranked_all):
@@ -406,12 +316,7 @@ class RunResult:
     cell_results: dict[str, TrainResult]
 
 
-def run_pipeline(
-    manifest_path,
-    cfg: PipelineConfig,
-    run_dir,
-    force: bool = False,
-) -> RunResult:
+def run_pipeline(manifest_path, cfg: PipelineConfig, run_dir) -> RunResult:
     """Execute every stage under stage(): bad input, such as an unreadable
     manifest, raises as it is; any other failure as StageError(stage, cause).
 
@@ -436,7 +341,7 @@ def run_pipeline(
         backend = build_backend(cfg)
 
     with stage("slices", stage_seconds):
-        slice_stage = run_slices_stage(rows, cfg, run_dir, backend, force=force)
+        slice_stage = run_slices_stage(rows, cfg, run_dir, backend)
         if slice_stage.errors:
             failed = ", ".join(sorted(slice_stage.errors))
             raise ValueError(f"subjects failed slice selection or feature extraction: {failed}")
@@ -523,7 +428,6 @@ def run_pipeline(
         "stage_seconds": stage_seconds,
         "slice_workers": slice_stage.workers,
         "slice_busy_seconds": slice_stage.busy_seconds,
-        "slice_cache": {"hits": slice_stage.cache_hits, "misses": slice_stage.cache_misses},
     }
     write_json(run_info, run_dir / "run_info.json")
 

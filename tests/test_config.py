@@ -148,6 +148,11 @@ def test_validate_recurses_into_sections():
         cfg.validate()
 
 
+def test_float_field_keeps_an_in_range_integer():
+    cfg = config_from_dict({"training": {"eps": 1, "learning_rates": [1]}})
+    assert type(cfg.training.eps) is int and type(cfg.training.learning_rates[0]) is int
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         config_from_dict({"seed": -1})

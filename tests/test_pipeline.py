@@ -1,7 +1,6 @@
-"""End-to-end pipeline runs: artifacts, determinism, leakage, caching."""
+"""End-to-end pipeline runs: artifacts, determinism, leakage, reruns."""
 
 import dataclasses
-import io
 import itertools
 import json
 import logging
@@ -66,7 +65,7 @@ def test_run_produces_expected_artifacts(dataset, tmp_path):
 
     found = {p.name for p in run_dir.iterdir() if p.is_file()}
     assert found == EXPECTED_FILES
-    assert (run_dir / "cache").is_dir()
+    assert not (run_dir / "cache").exists()
     assert list((run_dir / "models").glob("cell-*.json"))
 
     assert result.run_dir == run_dir
@@ -151,83 +150,24 @@ def test_test_subjects_do_not_influence_training(tmp_path):
         assert model_path.read_bytes() == twin.read_bytes(), model_path.name
 
 
-def test_slice_cache_reused_and_force_recomputes(dataset, tmp_path):
-    manifest_path, _ = dataset
-    cfg = quick_config()
+def test_every_run_decodes_each_volume_once(dataset, tmp_path, monkeypatch):
+    """A rerun into a used run directory decodes every volume again, and
+    neither run writes a cache/ directory."""
+    manifest_path, rows = dataset
+    reads = []
+    real_read_nifti = pipeline.read_nifti
+
+    def counting_read_nifti(path, subject_id):
+        reads.append(subject_id)
+        return real_read_nifti(path, subject_id=subject_id)
+
+    monkeypatch.setattr(pipeline, "read_nifti", counting_read_nifti)
     run_dir = tmp_path / "run"
-    run_pipeline(manifest_path, cfg, run_dir)
-    cache_files = sorted((run_dir / "cache").glob("*.npz"))
-    assert cache_files
-    stamps = {p.name: p.stat().st_mtime_ns for p in cache_files}
-
-    run_pipeline(manifest_path, cfg, run_dir)
-    for p in sorted((run_dir / "cache").glob("*.npz")):
-        assert p.stat().st_mtime_ns == stamps[p.name], f"{p.name} was recomputed"
-
-    run_pipeline(manifest_path, cfg, run_dir, force=True)
-    changed = [
-        p.name
-        for p in sorted((run_dir / "cache").glob("*.npz"))
-        if p.stat().st_mtime_ns != stamps[p.name]
-    ]
-    assert changed == sorted(stamps)
-
-
-def test_slice_cache_misses_after_volume_rewrite(dataset, tmp_path):
-    _, rows = dataset
-    copies = []
-    for row in rows[:2]:
-        copy = tmp_path / row.path.name
-        copy.write_bytes(row.path.read_bytes())
-        copies.append(ManifestRow(row.subject_id, row.label, copy))
-    cfg = quick_config()
-    run_slices_stage(copies, cfg, tmp_path / "reused")
-    write_nifti(copies[0].path, np.random.default_rng(3).uniform(0.0, 200.0, size=(24, 24, 8)))
-    for out in ("reused", "fresh"):
-        run_slices_stage(copies, cfg, tmp_path / out)
-    assert (tmp_path / "reused" / "entropies.csv").read_bytes() == (
-        tmp_path / "fresh" / "entropies.csv"
-    ).read_bytes()
-
-
-def _npy_bytes() -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, np.zeros(3))
-    return buf.getvalue()
-
-
-def _entry_without_all_indices(row, cfg) -> bytes:
-    """A cache entry written under the row's own key but lacking an array."""
-    buf = io.BytesIO()
-    key = np.asarray(pipeline._cache_key(row, cfg))
-    np.savez(buf, key=key, pixels=np.zeros((1, 2, 2)), indices=np.zeros(1, dtype=np.int64))
-    return buf.getvalue()
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        b"garbage\n",
-        b"PK\x03\x04truncated",
-        pytest.param(_npy_bytes(), id="npy-array"),
-        pytest.param(_entry_without_all_indices, id="missing-array"),
-    ],
-)
-def test_unreadable_cache_entry_is_recomputed(dataset, tmp_path, payload, caplog):
-    manifest_path, _ = dataset
-    rows = read_manifest(manifest_path)[:1]
-    fresh = run_slices_stage(rows, quick_config(), tmp_path / "fresh")
-    if callable(payload):
-        payload = payload(rows[0], quick_config())
-    entry = tmp_path / "reused" / "cache" / f"{rows[0].subject_id}.npz"
-    entry.parent.mkdir(parents=True)
-    entry.write_bytes(payload)
-    with caplog.at_level(logging.WARNING, logger=pipeline.__name__):
-        reused = run_slices_stage(rows, quick_config(), tmp_path / "reused")
-    assert not reused.errors
-    assert reused.ranked_all == fresh.ranked_all
-    assert (reused.cache_hits, reused.cache_misses) == (0, 1)
-    assert f"cache entry {entry} is unreadable; recomputing it" in caplog.messages
+    for _ in range(2):
+        reads.clear()
+        run_pipeline(manifest_path, quick_config(), run_dir)
+        assert sorted(reads) == sorted(r.subject_id for r in rows)
+    assert not (run_dir / "cache").exists()
 
 
 def test_slice_stage_logs_in_manifest_order(dataset, tmp_path, monkeypatch, caplog):
@@ -312,9 +252,10 @@ def test_onnx_features_from_worker_pool_match_serial_extract(dataset, tmp_path, 
     stage = run_slices_stage(rows, quick_config(), tmp_path / "out", backend)
     assert stage.workers == 2 and not stage.errors
     for row in rows:
-        with np.load(tmp_path / "out" / "cache" / f"{row.subject_id}.npz") as entry:
-            np.testing.assert_array_equal(entry["indices"], stage.selected[row.subject_id])
-            serial = backend.extract(entry["pixels"])
+        busy = dict.fromkeys(pipeline._BUSY_PARTS, 0.0)
+        pixels, indices, _ = pipeline._select_for_subject(row, quick_config().slice_selection, busy)
+        np.testing.assert_array_equal(indices, stage.selected[row.subject_id])
+        serial = backend.extract(pixels)
         got = stage.features[row.subject_id]
         assert got.dtype == serial.dtype
         assert got.tobytes() == serial.tobytes()
@@ -359,7 +300,7 @@ def _artifacts(run_dir):
     return {
         p.relative_to(run_dir).as_posix(): p.read_bytes()
         for p in sorted(run_dir.rglob("*"))
-        if p.is_file() and p.name != "run_info.json" and p.parent.name != "cache"
+        if p.is_file() and p.name != "run_info.json"
     }
 
 
@@ -375,40 +316,49 @@ def test_rerun_into_a_run_directory_matches_a_fresh_run(dataset, tmp_path):
 
 def test_outputs_do_not_depend_on_worker_count(dataset, tmp_path, monkeypatch):
     manifest_path, rows = dataset
-    runs = {}
+    select = pipeline._select_for_subject
+    runs, selections = {}, {}
+
+    def recording_select(row, scfg, busy):
+        pixels, indices, ranked = select(row, scfg, busy)
+        selections[cpus][row.subject_id] = {
+            "pixels": pixels,
+            "indices": indices,
+            "all_indices": np.asarray([r.slice_index for r in ranked], dtype=np.int64),
+            "all_entropies": np.asarray([r.entropy for r in ranked], dtype=np.float64),
+        }
+        return pixels, indices, ranked
+
+    monkeypatch.setattr(pipeline, "_select_for_subject", recording_select)
     for cpus in (1, 3):
         monkeypatch.setattr(pool, "_available_cpus", lambda: cpus)
         runs[cpus] = tmp_path / f"cpus{cpus}"
+        selections[cpus] = {}
         run_pipeline(manifest_path, quick_config(), runs[cpus])
         info = json.loads((runs[cpus] / "run_info.json").read_text())
         assert info["slice_workers"] == cpus
     assert _artifacts(runs[1]) == _artifacts(runs[3])
     for row in rows:
-        with np.load(runs[1] / "cache" / f"{row.subject_id}.npz") as a, np.load(
-            runs[3] / "cache" / f"{row.subject_id}.npz"
-        ) as b:
-            assert a.files == b.files
-            for name in a.files:
-                if name != "key":  # the key holds the resolved volume path only
-                    np.testing.assert_array_equal(a[name], b[name])
-                    assert a[name].dtype == b[name].dtype
+        a, b = selections[1][row.subject_id], selections[3][row.subject_id]
+        assert a.keys() == b.keys()
+        for name in a:
+            np.testing.assert_array_equal(a[name], b[name])
+            assert a[name].dtype == b[name].dtype
 
 
-def test_run_info_records_stage_times_and_cache_use(dataset, tmp_path):
-    manifest_path, rows = dataset
+def test_run_info_records_stage_times_and_busy_seconds(dataset, tmp_path):
+    manifest_path, _ = dataset
     run_dir = tmp_path / "run"
-    for expected_hits in (0, len(rows)):
+    for _ in range(2):  # the rerun into the same directory decodes and ranks again
         run_pipeline(manifest_path, quick_config(), run_dir)
         info = json.loads((run_dir / "run_info.json").read_text())
         stages = {"manifest", "slices", "features", "split", "decompose", "train", "evaluate"}
         assert set(info["stage_seconds"]) == stages
         assert all(t >= 0.0 for t in info["stage_seconds"].values())
-        misses = len(rows) - expected_hits
-        assert info["slice_cache"] == {"hits": expected_hits, "misses": misses}, info
+        assert "slice_cache" not in info, info
         busy = info["slice_busy_seconds"]
         assert set(busy) == {"decode", "rank", "features"}, info
-        assert busy["decode"] > 0.0 and busy["features"] > 0.0, info
-        assert (busy["rank"] > 0.0) == (misses > 0), info
+        assert busy["decode"] > 0.0 and busy["rank"] > 0.0 and busy["features"] > 0.0, info
 
 
 def test_unexpected_subject_error_propagates(dataset, tmp_path, monkeypatch):
