@@ -3,6 +3,9 @@
 The model is a softmax head, optionally preceded by one hidden ReLU layer
 (hidden_dim > 0). Training minimizes cross-entropy with mini-batch Adam;
 shuffling and initialization are seeded so runs are bit-reproducible.
+train_grid trains a grid of cells (learning rate and seed) in one lockstep
+loop: every numpy call works on all cells' stacked parameters, with each
+cell's arithmetic exactly that of train, which is a one-cell grid.
 Predictions over subclasses compose back to original classes either by
 stripping the cluster index from the argmax subclass (default) or by
 summing subclass probabilities per class.
@@ -11,7 +14,8 @@ summing subclass probabilities per class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -114,16 +118,17 @@ def init_model(
 
 
 def _log_softmax(Z: np.ndarray) -> np.ndarray:
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = Z - np.maximum.reduce(Z, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def _logits(model: ClassifierModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Returns (logits, hidden activations or None)."""
-    if model.hidden_dim > 0:
-        H = np.maximum(X @ model.params["W1"] + model.params["b1"], 0.0)
-        return H @ model.params["W2"] + model.params["b2"], H
-    return X @ model.params["W"] + model.params["b"], None
+def _logits(params: dict[str, np.ndarray], X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Returns (logits, hidden activations or None), for one model or for a
+    stack of them (see _backprop)."""
+    if "W1" in params:
+        H = np.maximum(X @ params["W1"] + params["b1"], 0.0)
+        return H @ params["W2"] + params["b2"], H
+    return X @ params["W"] + params["b"], None
 
 
 def forward(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
@@ -131,7 +136,7 @@ def forward(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise DimMismatch(f"expected (n, {model.input_dim}) inputs, got {X.shape}")
-    Z, _ = _logits(model, X)
+    Z, _ = _logits(model.params, X)
     return np.exp(_log_softmax(Z))
 
 
@@ -139,56 +144,72 @@ def loss(model: ClassifierModel, X: np.ndarray, y: np.ndarray) -> float:
     """Mean cross-entropy of integer sublabels y under the model."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    Z, _ = _logits(model, X)
+    Z, _ = _logits(model.params, X)
     logp = _log_softmax(Z)
     return float(-logp[np.arange(X.shape[0]), y].mean())
 
 
 def _backprop(
-    model: ClassifierModel, X: np.ndarray, onehot: np.ndarray, grads: dict[str, np.ndarray]
+    params: dict[str, np.ndarray],
+    X: np.ndarray,
+    onehot: np.ndarray,
+    grads: dict[str, np.ndarray],
 ) -> None:
-    """Writes the batch's analytic cross-entropy gradients into grads, arrays
-    shaped like model.params; dZ = (softmax - onehot) / n."""
-    Z, H = _logits(model, X)
+    """Writes the batch's analytic cross-entropy gradients of a stack of C
+    models into grads, arrays shaped like params; dZ = (softmax - onehot) / n.
+
+    X and onehot are (C, n, ·), every weight (C, rows, cols) and every bias
+    (C, 1, cols): each cell's slices are one model and its batch."""
+    Z, H = _logits(params, X)
     dZ = np.exp(_log_softmax(Z)) - onehot
-    dZ /= X.shape[0]
-    if model.hidden_dim > 0:
-        np.matmul(H.T, dZ, out=grads["W2"])
-        np.sum(dZ, axis=0, out=grads["b2"])
-        dH = dZ @ model.params["W2"].T
-        dH[H <= 0.0] = 0.0
-        np.matmul(X.T, dH, out=grads["W1"])
-        np.sum(dH, axis=0, out=grads["b1"])
+    dZ /= X.shape[-2]
+    if H is not None:
+        np.matmul(H.swapaxes(1, 2), dZ, out=grads["W2"])
+        np.add.reduce(dZ, axis=1, keepdims=True, out=grads["b2"])
+        dH = dZ @ params["W2"].swapaxes(1, 2)
+        np.putmask(dH, H <= 0.0, 0.0)
+        np.matmul(X.swapaxes(1, 2), dH, out=grads["W1"])
+        np.add.reduce(dH, axis=1, keepdims=True, out=grads["b1"])
     else:
-        np.matmul(X.T, dZ, out=grads["W"])
-        np.sum(dZ, axis=0, out=grads["b"])
+        np.matmul(X.swapaxes(1, 2), dZ, out=grads["W"])
+        np.add.reduce(dZ, axis=1, keepdims=True, out=grads["b"])
 
 
 def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """Consecutive pieces of a flat buffer, one view per name, shaped as given."""
+    """Consecutive pieces of the last axis of a buffer, one view per name,
+    shaped as given after the buffer's leading axes."""
     views, start = {}, 0
     for name, shape in shapes.items():
         size = math.prod(shape)
-        views[name] = flat[start : start + size].reshape(shape)
+        views[name] = flat[..., start : start + size].reshape(flat.shape[:-1] + shape)
         start += size
     return views
 
 
-def train(
+def _settings(cfg: TrainSettings) -> tuple:
+    return tuple(getattr(cfg, f.name) for f in fields(TrainSettings))
+
+
+def train_grid(
     X: np.ndarray,
     sublabels: np.ndarray,
     codec: LabelCodec,
-    cfg: TrainConfig,
-) -> TrainResult:
-    """Mini-batch Adam on cross-entropy over the subclass label space.
+    cfgs: Sequence[TrainConfig],
+) -> list[TrainResult]:
+    """Mini-batch Adam on cross-entropy over the subclass label space, one
+    result per cell of cfgs, in order.
 
-    epoch_losses[0] is the pre-training loss; entry e is the full training
-    loss after epoch e. Raises MissingSubclass if any codec id has no
-    training sample.
+    The cells share every TrainSettings field (ConfigError otherwise) and
+    differ only in learning rate and seed. epoch_losses[0] is a cell's
+    pre-training loss; entry e is its full training loss after epoch e.
+    Raises MissingSubclass if any codec id has no training sample.
 
-    The parameters, gradients and both moments each live in one flat buffer
-    (model.params holds views into the first), so a step is one gradient
-    pass and one Adam update of the whole vector.
+    Every cell steps in lockstep: the parameters and gradients of all C
+    cells live in one (C, P) buffer and both Adam moments in one (2, C, P)
+    buffer (each model.params holds views into its row), and each batch is
+    gathered per cell from that cell's own seeded permutation. A step is one
+    stacked gradient pass and one Adam update of every cell, and each cell's
+    arithmetic is what training it alone would do, bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
     sublabels = np.asarray(sublabels, dtype=np.int64)
@@ -203,48 +224,71 @@ def train(
             raise MissingSubclass(
                 f"subclass {codec.subclass_name(sid)} has no training samples"
             )
+    if not cfgs:
+        raise ConfigError("train_grid needs at least one cell")
+    cfg = cfgs[0]
+    if any(_settings(other) != _settings(cfg) for other in cfgs):
+        raise ConfigError("the cells of a grid must differ only in learning_rate and seed")
 
-    model = init_model(X.shape[1], codec, hidden_dim=cfg.hidden_dim, seed=cfg.seed)
-    shapes = model.param_shapes()
-    theta = np.concatenate([model.params[name].ravel() for name in shapes])
-    model.params = _views(theta, shapes)
-    grad, m1, m2, step, denom = (np.zeros_like(theta) for _ in range(5))
-    grads = _views(grad, shapes)
-    rng = np.random.default_rng(cfg.seed)
+    models = [init_model(X.shape[1], codec, hidden_dim=cfg.hidden_dim, seed=c.seed) for c in cfgs]
+    shapes = models[0].param_shapes()
+    theta = np.stack([np.concatenate([m.params[name].ravel() for name in shapes]) for m in models])
+    for row, model in zip(theta, models):
+        model.params = _views(row, shapes)
+    # the (C, ·) stacks _backprop takes: a bias becomes (C, 1, cols)
+    stacked = {name: (1, *shape)[-2:] for name, shape in shapes.items()}
+    params = _views(theta, stacked)
+    grad = np.zeros_like(theta)
+    grads = _views(grad, stacked)
+    moments, scratch = np.zeros((2, *theta.shape)), np.zeros((2, *theta.shape))
+    update, denom = scratch
+    # Adam's (beta1, beta2), (1 - beta1, 1 - beta2) and both bias corrections,
+    # shaped to scale the first and second moment at once
+    betas = np.array([cfg.beta1, cfg.beta2]).reshape(2, 1, 1)
+    gains = np.array([1.0 - cfg.beta1, 1.0 - cfg.beta2]).reshape(2, 1, 1)
+    corrections = np.empty((2, 1, 1))
+    rates = np.array([c.learning_rate for c in cfgs])[:, None]
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
     step_count = 0
 
-    epoch_losses = [loss(model, X, sublabels)]
+    epoch_losses = [[loss(model, X, sublabels)] for model in models]
 
     n = X.shape[0]
     onehot = np.eye(codec.n_sublabels)[sublabels]
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        X_epoch, onehot_epoch = X[order], onehot[order]
+        orders = np.stack([rng.permutation(n) for rng in rngs])
+        X_epoch, onehot_epoch = X[orders], onehot[orders]
         for start in range(0, n, cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
-            _backprop(model, X_epoch[batch], onehot_epoch[batch], grads)
+            _backprop(params, X_epoch[:, batch], onehot_epoch[:, batch], grads)
             step_count += 1
-            bc1 = 1.0 - cfg.beta1**step_count
-            bc2 = 1.0 - cfg.beta2**step_count
+            corrections[:, 0, 0] = (1.0 - cfg.beta1**step_count, 1.0 - cfg.beta2**step_count)
             # m1 = beta1*m1 + (1-beta1)*g and m2 = beta2*m2 + (1-beta2)*(g*g), then
-            # theta -= lr*(m1/bc1) / (sqrt(m2/bc2) + eps), one operation at a time
-            m1 *= cfg.beta1
-            np.multiply(grad, 1.0 - cfg.beta1, out=step)
-            m1 += step
-            np.multiply(grad, grad, out=step)
-            step *= 1.0 - cfg.beta2
-            m2 *= cfg.beta2
-            m2 += step
-            np.divide(m1, bc1, out=step)
-            step *= cfg.learning_rate
-            np.divide(m2, bc2, out=denom)
+            # theta -= lr*(m1/bc1) / (sqrt(m2/bc2) + eps), one operation at a time;
+            # scratch holds the two moment increments, then m1/bc1 and m2/bc2
+            moments *= betas
+            np.copyto(update, grad)
+            np.multiply(grad, grad, out=denom)
+            scratch *= gains
+            moments += scratch
+            np.divide(moments, corrections, out=scratch)
+            update *= rates
             np.sqrt(denom, out=denom)
             denom += cfg.eps
-            step /= denom
-            theta -= step
-        epoch_losses.append(loss(model, X, sublabels))
+            update /= denom
+            theta -= update
+        for losses, model in zip(epoch_losses, models):
+            losses.append(loss(model, X, sublabels))
 
-    return TrainResult(model=model, epoch_losses=epoch_losses)
+    return [
+        TrainResult(model=model, epoch_losses=losses)
+        for model, losses in zip(models, epoch_losses)
+    ]
+
+
+def train(X: np.ndarray, sublabels: np.ndarray, codec: LabelCodec, cfg: TrainConfig) -> TrainResult:
+    """One cell of train_grid: mini-batch Adam with cfg's settings."""
+    return train_grid(X, sublabels, codec, [cfg])[0]
 
 
 def compose_probabilities(codec: LabelCodec, probs: np.ndarray) -> np.ndarray:

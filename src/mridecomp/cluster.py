@@ -56,16 +56,23 @@ def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 def nearest_centroid(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(n,) index of each row's nearest centroid; ties go to the lower index."""
-    return np.argmin(_sq_dists(X, centroids), axis=1)
+    return _sq_dists(X, centroids).argmin(axis=1)
 
 
-def _means(X: np.ndarray, assignments: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """A copy of centroids with each non-empty cluster moved to its members' mean."""
+def _means(
+    X: np.ndarray, assignments: np.ndarray, centroids: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """A copy of centroids with each non-empty cluster moved to its members'
+    mean; counts[j] is cluster j's size. One stable sort groups each
+    cluster's rows in their order in X, and a cluster's sum divided by its
+    count is what X[mask].mean(axis=0) gives, bit for bit."""
     means = centroids.copy()
-    for j in range(len(centroids)):
-        mask = assignments == j
-        if mask.any():
-            means[j] = X[mask].mean(axis=0)
+    rows = X[assignments.argsort(kind="stable")]
+    start = 0
+    for j, count in enumerate(counts.tolist()):
+        if count:
+            means[j] = np.add.reduce(rows[start : start + count], axis=0) / count
+            start += count
     return means
 
 
@@ -73,7 +80,8 @@ def _init_plus_plus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]), dtype=np.float64)
     centroids[0] = X[rng.integers(n)]
-    closest = np.einsum("nm,nm->n", X - centroids[0], X - centroids[0])
+    diff = X - centroids[0]
+    closest = np.einsum("nm,nm->n", diff, diff)
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -83,8 +91,8 @@ def _init_plus_plus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         probs = closest / total
         idx = rng.choice(n, p=probs)
         centroids[j] = X[idx]
-        d_new = np.einsum("nm,nm->n", X - centroids[j], X - centroids[j])
-        closest = np.minimum(closest, d_new)
+        diff = X - centroids[j]
+        closest = np.minimum(closest, np.einsum("nm,nm->n", diff, diff))
     return centroids
 
 
@@ -112,19 +120,19 @@ def kmeans(X: np.ndarray, k: int, seed: int | np.random.SeedSequence = 0) -> KMe
 
     for n_iter in range(1, MAX_ITER + 1):
         new_assign = nearest_centroid(X, centroids)
-        new_centroids = _means(X, new_assign, centroids)
+        counts = np.bincount(new_assign, minlength=k)
+        new_centroids = _means(X, new_assign, centroids, counts)
 
         # repair empty clusters: seize the point farthest from its centroid
-        empties = [j for j in range(k) if not (new_assign == j).any()]
-        if empties:
+        empties = (counts == 0).nonzero()[0]
+        if empties.size:
             for j in empties:
-                dists = np.einsum(
-                    "nm,nm->n", X - new_centroids[new_assign], X - new_centroids[new_assign]
-                )
-                donor = int(np.argmax(dists))
+                diff = X - new_centroids[new_assign]
+                donor = int(np.argmax(np.einsum("nm,nm->n", diff, diff)))
                 new_assign[donor] = j
                 new_centroids[j] = X[donor]
-            new_centroids = _means(X, new_assign, new_centroids)
+            counts = np.bincount(new_assign, minlength=k)
+            new_centroids = _means(X, new_assign, new_centroids, counts)
 
         shift = float(np.max(np.abs(new_centroids - centroids)))
         unchanged = bool(np.array_equal(new_assign, assignments))

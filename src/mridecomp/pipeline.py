@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, pool
 from .artifacts import write_json, write_table
-from .classifier import TrainResult, model_to_json, train
+from .classifier import TrainResult, model_to_json, train_grid
 from .config import PipelineConfig, SliceSelectionConfig
 from .decomposition import (
     DecomposedDataset,
@@ -274,10 +274,11 @@ def run_train_stage(
     cfg: PipelineConfig,
     out_dir: Path,
 ) -> TrainStage:
-    """Train one model per learning rate on sublabels y; the best cell has
-    the lowest final training loss. A training loss that is not finite
-    raises ValueError naming the cell and the epoch, so no JSON artifact is
-    written with it.
+    """Train one model per learning rate on sublabels y, every cell in one
+    train_grid call; the best cell has the lowest final training loss. The
+    cells are then checked and written in order: a training loss that is not
+    finite raises ValueError naming the cell and the epoch, so no JSON
+    artifact is written with it.
 
     Writes models/cell-<i>.json and losses.json into out_dir, and removes any
     other models/cell-*.json, such as one a larger grid left there.
@@ -288,19 +289,16 @@ def run_train_stage(
     for stale in models_dir.glob("cell-*.json"):
         if stale.name not in cells:
             stale.unlink()
-    results: dict[str, TrainResult] = {}
-    seeds: dict[str, int] = {}
+    rates = cfg.training.learning_rates
+    seeds = {f"lr={lr!r}": derive_seed(cfg.seed, _TAG_TRAIN, i) for i, lr in enumerate(rates)}
+    cfgs = [cfg.training.train_config(lr, seed) for lr, seed in zip(rates, seeds.values())]
+    results = dict(zip(seeds, train_grid(X, y, codec, cfgs)))
     losses = {}
-    for i, lr in enumerate(cfg.training.learning_rates):
-        cell = f"lr={lr!r}"
-        seeds[cell] = derive_seed(cfg.seed, _TAG_TRAIN, i)
-        tcfg = cfg.training.train_config(lr, seeds[cell])
-        result = train(X, y, codec, tcfg)
+    for i, (cell, result) in enumerate(results.items()):
         finite = np.isfinite(result.epoch_losses)
         if not finite.all():
             epoch = int(np.argmin(finite))
             raise ValueError(f"cell {cell}: train loss is first not finite at epoch {epoch}")
-        results[cell] = result
         model_to_json(result.model, models_dir / f"cell-{i}.json")
         losses[cell] = {"train": result.epoch_losses}
     write_json(losses, out_dir / "losses.json")

@@ -6,7 +6,9 @@ gradient dict and one Adam update per parameter per step, a fancy-indexed
 batch per step), of features.bilinear_resize (one 2-D grid, promoted to
 float64 whole), of OnnxBackend.extract (one slice at a time) and of
 nifti.quantize (the slice promoted to float64 whole, clamped after the
-integer cast). The package's versions must give the same bytes.
+integer cast). kmeans_reference is cluster.kmeans with a boolean mask and a
+mean per cluster and per iteration. The package's versions must give the
+same bytes.
 
 gradient_check compares analytic gradients with central finite differences.
 gradients runs the package's one gradient formula (classifier._backprop) on
@@ -27,17 +29,27 @@ import numpy as np
 
 from mridecomp import minionnx
 from mridecomp.classifier import TrainResult, _backprop, init_model, loss
+from mridecomp.cluster import (
+    MAX_ITER,
+    TOL,
+    KMeansResult,
+    _init_plus_plus,
+    _sq_dists,
+    nearest_centroid,
+)
 from mridecomp.errors import DimMismatch, InvalidLevels, MissingSubclass
 from mridecomp.nifti import QuantizedSlice
 
 
 def gradients(model, X, y) -> dict[str, np.ndarray]:
-    """The package's analytic cross-entropy gradients of integer sublabels y."""
+    """The package's analytic cross-entropy gradients of integer sublabels y,
+    from classifier._backprop on a stack of one model."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    grads = {name: np.empty_like(p) for name, p in model.params.items()}
-    _backprop(model, X, np.eye(model.output_dim)[y], grads)
-    return grads
+    params = {name: p.reshape(1, -1, p.shape[-1]) for name, p in model.params.items()}
+    grads = {name: np.empty_like(p) for name, p in params.items()}
+    _backprop(params, X[None], np.eye(model.output_dim)[y][None], grads)
+    return {name: g.reshape(model.params[name].shape) for name, g in grads.items()}
 
 
 def pca_inverse(values, model) -> np.ndarray:
@@ -121,6 +133,47 @@ def train_reference(X, sublabels, codec, cfg) -> TrainResult:
         epoch_losses.append(loss(model, X, sublabels))
 
     return TrainResult(model=model, epoch_losses=epoch_losses)
+
+
+def _masked_means(X, assignments, centroids) -> np.ndarray:
+    means = centroids.copy()
+    for j in range(len(centroids)):
+        mask = assignments == j
+        if mask.any():
+            means[j] = X[mask].mean(axis=0)
+    return means
+
+
+def kmeans_reference(X, k: int, seed) -> KMeansResult:
+    """Lloyd's iterations from cluster's k-means++ seeding: each cluster's
+    members found by a mask, an empty cluster seizes the point farthest
+    from its centroid, then the means are taken again."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    centroids = _init_plus_plus(X, k, np.random.default_rng(seed))
+    assignments = np.full(n, -1, dtype=np.int64)
+    converged = False
+    for n_iter in range(1, MAX_ITER + 1):
+        new_assign = nearest_centroid(X, centroids)
+        new_centroids = _masked_means(X, new_assign, centroids)
+        empties = [j for j in range(k) if not (new_assign == j).any()]
+        if empties:
+            for j in empties:
+                dists = np.einsum(
+                    "nm,nm->n", X - new_centroids[new_assign], X - new_centroids[new_assign]
+                )
+                donor = int(np.argmax(dists))
+                new_assign[donor] = j
+                new_centroids[j] = X[donor]
+            new_centroids = _masked_means(X, new_assign, new_centroids)
+        shift = float(np.max(np.abs(new_centroids - centroids)))
+        unchanged = bool(np.array_equal(new_assign, assignments))
+        centroids, assignments = new_centroids, new_assign
+        if unchanged or shift < TOL:
+            converged = True
+            break
+    wcss = float(_sq_dists(X, centroids)[np.arange(n), assignments].sum())
+    return KMeansResult(centroids, assignments, wcss, n_iter, converged)
 
 
 def resize_reference(pixels, out_rows: int, out_cols: int) -> np.ndarray:

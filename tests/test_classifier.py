@@ -15,6 +15,7 @@ from mridecomp.classifier import (
     model_from_json,
     model_to_json,
     train,
+    train_grid,
 )
 from mridecomp.decomposition import LabelCodec
 from mridecomp.errors import ConfigError, DimMismatch, MissingSubclass
@@ -225,32 +226,62 @@ def batch_layouts(draw):
 @settings(deadline=None, max_examples=60)
 @given(
     layout=batch_layouts(),
-    hidden_dim=st.sampled_from([0, 1, 5]),
+    hidden_dim=st.sampled_from([0, 1, 5, 32]),
     dim=st.integers(1, 4),
     epochs=st.integers(1, 4),
-    learning_rate=st.sampled_from([0.3, 0.01, 0.001]),
+    learning_rates=st.lists(
+        st.sampled_from([0.3, 0.01, 0.001]), min_size=1, max_size=3, unique=True
+    ),
+    cell_seeds=st.lists(st.integers(0, 999), min_size=3, max_size=3, unique=True),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_train_matches_per_parameter_loop_bit_for_bit(
-    layout, hidden_dim, dim, epochs, learning_rate, seed
+    layout, hidden_dim, dim, epochs, learning_rates, cell_seeds, seed
 ):
     n, batch_size = layout
     rng = np.random.default_rng(seed)
     X = rng.normal(scale=3.0, size=(n, dim))
     y = rng.permutation(np.arange(n) % CODEC_2x2.n_sublabels)
-    cfg = TrainConfig(
-        learning_rate=learning_rate,
-        epochs=epochs,
-        batch_size=batch_size,
-        hidden_dim=hidden_dim,
-        seed=seed % 1000,
-    )
-    got = train(X, y, CODEC_2x2, cfg)
-    want = train_reference(X, y, CODEC_2x2, cfg)
-    assert same_bytes(got.epoch_losses, want.epoch_losses)
-    assert list(got.model.params) == list(want.model.params)
-    for name, param in want.model.params.items():
-        assert same_bytes(got.model.params[name], param), name
+    cfgs = [
+        TrainConfig(
+            learning_rate=lr,
+            epochs=epochs,
+            batch_size=batch_size,
+            hidden_dim=hidden_dim,
+            seed=cell_seed,
+        )
+        for lr, cell_seed in zip(learning_rates, cell_seeds)
+    ]
+    grid = train_grid(X, y, CODEC_2x2, cfgs)
+    assert len(grid) == len(cfgs)
+    for got, cfg in zip(grid, cfgs):
+        want = train_reference(X, y, CODEC_2x2, cfg)
+        assert same_bytes(got.epoch_losses, want.epoch_losses), cfg
+        assert list(got.model.params) == list(want.model.params)
+        for name, param in want.model.params.items():
+            assert same_bytes(got.model.params[name], param), (cfg, name)
+
+
+def test_grid_cells_stay_isolated(rng):
+    # the second cell's weights overflow in its first epoch; the first cell
+    # trains as it would alone
+    X, y = blob_dataset(rng, CODEC_2x2)
+    cells = [TrainConfig(learning_rate=lr, epochs=5, seed=i) for i, lr in enumerate((0.01, 1e308))]
+    with np.errstate(all="ignore"):
+        grid = train_grid(X, y, CODEC_2x2, cells)
+    solo = train(X, y, CODEC_2x2, cells[0])
+    assert same_bytes(grid[0].epoch_losses, solo.epoch_losses)
+    for name, param in solo.model.params.items():
+        assert same_bytes(grid[0].model.params[name], param), name
+    assert not np.isfinite(grid[1].epoch_losses[1])
+
+
+def test_grid_cells_must_share_settings(rng):
+    X, y = blob_dataset(rng, CODEC_2x2)
+    with pytest.raises(ConfigError, match="differ only in learning_rate and seed"):
+        train_grid(X, y, CODEC_2x2, [TrainConfig(epochs=1), TrainConfig(epochs=2, seed=1)])
+    with pytest.raises(ConfigError, match="at least one cell"):
+        train_grid(X, y, CODEC_2x2, [])
 
 
 @settings(deadline=None, max_examples=40)

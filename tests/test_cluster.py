@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mridecomp.cluster import elbow_select_k, kmeans, kmeans_restarts
 from mridecomp.errors import EmptyInput, InvalidK, RangeTooShort
 
-from oracles import brute_force_wcss
+from oracles import brute_force_wcss, kmeans_reference, same_bytes
 
 
 def wcss_of(X, assignments, centroids):
@@ -106,6 +108,30 @@ def blobs(rng, g, per=20, sep=10.0, sigma=1.0):
     centers = (sep / np.sqrt(2.0)) * np.eye(g)
     parts = [c + sigma * rng.normal(size=(per, g)) for c in centers]
     return np.vstack(parts)
+
+
+@st.composite
+def clusterings(draw):
+    """(X, k, seed): rows drawn from a few distinct ones, so duplicates are
+    common, and k up to n, so empty clusters must be repaired."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n, m = draw(st.integers(1, 24)), draw(st.integers(1, 4))
+    distinct = rng.normal(size=(draw(st.integers(1, n)), m))
+    X = distinct[rng.integers(len(distinct), size=n)]
+    k = draw(st.one_of(st.integers(1, n), st.integers(max(1, n - 2), n)))
+    return X, k, seed
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=clusterings())
+def test_kmeans_matches_masked_mean_reference_bit_for_bit(case):
+    X, k, seed = case
+    got, want = kmeans(X, k, seed=seed), kmeans_reference(X, k, seed)
+    assert same_bytes(got.centroids, want.centroids)
+    assert same_bytes(got.assignments, want.assignments)
+    assert same_bytes(got.wcss, want.wcss)
+    assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
 
 
 def test_elbow_two_tight_groups(rng):

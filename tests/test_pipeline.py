@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from mridecomp import pipeline, pool
+from mridecomp.classifier import model_to_json, train
 from mridecomp.config import PipelineConfig, SliceSelectionConfig, TrainingConfig
+from mridecomp.decomposition import LabelCodec
 from mridecomp.errors import IoError, ParseError, ShapeMismatch, StageError
 from mridecomp.evaluation import subject_split
 from mridecomp.features import OnnxBackend, RawPixelBackend
@@ -344,6 +346,23 @@ def test_outputs_do_not_depend_on_worker_count(dataset, tmp_path, monkeypatch):
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
             assert a[name].dtype == b[name].dtype
+
+
+def test_train_stage_writes_cells_in_order_until_one_is_not_finite(tmp_path):
+    # the grid trains in lockstep; the stage then checks and writes cell by cell
+    rng = np.random.default_rng(0)
+    codec = LabelCodec(classes=("A", "B"), cluster_counts=(1, 1))
+    X, y = rng.normal(size=(20, 3)), np.arange(20) % 2
+    cfg = PipelineConfig(training=TrainingConfig(learning_rates=(0.01, 1e308), epochs=3))
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
+        pipeline.run_train_stage(X, y, codec, cfg, tmp_path)
+    assert str(err.value) == "cell lr=1e+308: train loss is first not finite at epoch 1"
+    seed = pipeline.derive_seed(cfg.seed, pipeline._TAG_TRAIN, 0)
+    solo = train(X, y, codec, cfg.training.train_config(0.01, seed))
+    model_to_json(solo.model, tmp_path / "solo.json")
+    assert (tmp_path / "models" / "cell-0.json").read_bytes() == (tmp_path / "solo.json").read_bytes()
+    assert not (tmp_path / "models" / "cell-1.json").exists()
+    assert not (tmp_path / "losses.json").exists()
 
 
 def test_run_info_records_stage_times_and_busy_seconds(dataset, tmp_path):
