@@ -140,13 +140,14 @@ def forward(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(Z))
 
 
-def loss(model: ClassifierModel, X: np.ndarray, y: np.ndarray) -> float:
-    """Mean cross-entropy of integer sublabels y under the model."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    Z, _ = _logits(model.params, X)
-    logp = _log_softmax(Z)
-    return float(-logp[np.arange(X.shape[0]), y].mean())
+def _losses(params: dict[str, np.ndarray], X: np.ndarray, y: np.ndarray) -> list[float]:
+    """Mean cross-entropy of integer sublabels y under each model of a stack
+    (see _backprop), X being every row. The gathered log-probabilities are
+    copied contiguous, so that each model's mean sums them pairwise, as the
+    mean of one model's 1-D gather does."""
+    Z, _ = _logits(params, X)
+    logp = np.ascontiguousarray(_log_softmax(Z)[:, np.arange(X.shape[0]), y])
+    return (-logp.mean(axis=-1)).tolist()
 
 
 def _backprop(
@@ -251,7 +252,7 @@ def train_grid(
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     step_count = 0
 
-    epoch_losses = [[loss(model, X, sublabels)] for model in models]
+    epoch_losses = [[first] for first in _losses(params, X, sublabels)]
 
     n = X.shape[0]
     onehot = np.eye(codec.n_sublabels)[sublabels]
@@ -277,8 +278,8 @@ def train_grid(
             denom += cfg.eps
             update /= denom
             theta -= update
-        for losses, model in zip(epoch_losses, models):
-            losses.append(loss(model, X, sublabels))
+        for losses, last in zip(epoch_losses, _losses(params, X, sublabels)):
+            losses.append(last)
 
     return [
         TrainResult(model=model, epoch_losses=losses)

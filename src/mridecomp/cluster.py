@@ -20,6 +20,9 @@ logger = logging.getLogger(__name__)
 # Lloyd iteration limit and the centroid shift below which it stops
 MAX_ITER = 300
 TOL = 1e-8
+# restarts run in groups whose (restarts, n, k, m) distance temporary stays
+# within this many bytes
+_GROUP_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -49,14 +52,19 @@ def _as_seedseq(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
 
 
 def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) squared euclidean distances."""
-    diff = X[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkm,nkm->nk", diff, diff)
+    """(n, k) squared euclidean distances; for a (R, k, m) stack of
+    centroids, (R, n, k)."""
+    *stack, k, m = centroids.shape
+    # every row minus every centroid, subtracted along rows of k*m values
+    # (a (..., n, k, m) broadcast would loop over runs of only m)
+    diff = np.tile(X, k) - centroids.reshape(*stack, 1, k * m)
+    diff = diff.reshape(*stack, X.shape[0], k, m)
+    return np.einsum("...nkm,...nkm->...nk", diff, diff)
 
 
 def nearest_centroid(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(n,) index of each row's nearest centroid; ties go to the lower index."""
-    return _sq_dists(X, centroids).argmin(axis=1)
+    return _sq_dists(X, centroids).argmin(axis=-1)
 
 
 def _means(
@@ -76,33 +84,116 @@ def _means(
     return means
 
 
-def _init_plus_plus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _stacked_means(
+    X: np.ndarray, cells: np.ndarray, centroids: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """_means of every restart of a (R, k, m) stack at once, for m > 1.
+    cells[r, i] is restart r's cluster of row i, counted from r*k.
+
+    np.add.at adds each cluster's members in their order in X into a
+    +0.0-filled buffer, as numpy's axis-0 add.reduce does at m > 1 (it too
+    starts from +0.0, so a column of -0.0 sums to +0.0). At m = 1 that
+    reduce sums pairwise, so only the per-restart _means matches it there."""
+    R, k, m = centroids.shape
+    sums = np.zeros(R * k * m)
+    # one value per (restart, row, column), in that order
+    np.add.at(
+        sums,
+        ((cells * m)[..., None] + np.arange(m)).ravel(),
+        np.broadcast_to(X, (R, *X.shape)).ravel(),
+    )
+    means = centroids.copy()
+    np.divide(sums.reshape(R, k, m), counts[..., None], out=means, where=counts[..., None] > 0)
+    return means
+
+
+def _repair(
+    X: np.ndarray, assignments: np.ndarray, centroids: np.ndarray, counts: np.ndarray
+) -> None:
+    """Fill one restart's empty clusters in place: each seizes the point
+    farthest from its current centroid, then every centroid is its members'
+    mean again."""
+    for j in (counts == 0).nonzero()[0]:
+        diff = X - centroids[assignments]
+        donor = int(np.argmax(np.einsum("nm,nm->n", diff, diff)))
+        assignments[donor] = j
+        centroids[j] = X[donor]
+    counts = np.bincount(assignments, minlength=len(centroids))
+    centroids[:] = _means(X, assignments, centroids, counts)
+
+
+def _init_plus_plus(X: np.ndarray, k: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """k-means++ seeding of R restarts at once, (R, k, m) centroids. Each
+    restart draws from its own generator, in the order it would alone."""
     n = X.shape[0]
-    centroids = np.empty((k, X.shape[1]), dtype=np.float64)
-    centroids[0] = X[rng.integers(n)]
-    diff = X - centroids[0]
-    closest = np.einsum("nm,nm->n", diff, diff)
+    centroids = np.empty((len(rngs), k, X.shape[1]), dtype=np.float64)
+    centroids[:, 0] = X[[rng.integers(n) for rng in rngs]]
+    diff = X - centroids[:, 0, None]
+    closest = np.einsum("rnm,rnm->rn", diff, diff)
     for j in range(1, k):
-        total = closest.sum()
-        if total <= 0.0:
-            # all remaining points coincide with a chosen centroid
-            centroids[j] = X[rng.integers(n)]
-            continue
-        probs = closest / total
-        idx = rng.choice(n, p=probs)
-        centroids[j] = X[idx]
-        diff = X - centroids[j]
-        closest = np.minimum(closest, np.einsum("nm,nm->n", diff, diff))
+        totals = np.add.reduce(closest, axis=1).tolist()
+        # a restart whose remaining points all coincide with chosen
+        # centroids draws one uniformly (its closest row stays all zero)
+        centroids[:, j] = X[
+            [
+                rng.choice(n, p=row / total) if total > 0.0 else rng.integers(n)
+                for rng, row, total in zip(rngs, closest, totals)
+            ]
+        ]
+        diff = X - centroids[:, j, None]
+        np.minimum(closest, np.einsum("rnm,rnm->rn", diff, diff), out=closest)
     return centroids
 
 
-def kmeans(X: np.ndarray, k: int, seed: int | np.random.SeedSequence = 0) -> KMeansResult:
-    """Lloyd's algorithm with k-means++ seeding.
+def _lockstep(X: np.ndarray, k: int, seeds: list) -> list[KMeansResult]:
+    """kmeans of X for each seed, every restart in one loop."""
+    n, m = X.shape
+    centroids = _init_plus_plus(X, k, [np.random.default_rng(seed) for seed in seeds])
+    final = centroids.copy()
+    assignments = np.full((len(seeds), n), -1, dtype=np.int64)
+    labels = assignments.copy()
+    n_iters = np.full(len(seeds), MAX_ITER)
+    converged = np.zeros(len(seeds), dtype=bool)
+    active = np.arange(len(seeds))  # the restarts still iterating
 
-    Stops when assignments are unchanged or the largest centroid shift
-    falls below TOL, or after MAX_ITER iterations. Raises InvalidK unless
-    1 <= k <= n.
-    """
+    for n_iter in range(1, MAX_ITER + 1):
+        new_assign = nearest_centroid(X, centroids)
+        cells = new_assign + (np.arange(len(active)) * k)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=len(active) * k).reshape(-1, k)
+        if m > 1:
+            new_centroids = _stacked_means(X, cells, centroids, counts)
+        else:
+            new_centroids = np.stack(
+                [_means(X, *parts) for parts in zip(new_assign, centroids, counts)]
+            )
+        for r in (counts == 0).any(axis=1).nonzero()[0]:
+            _repair(X, new_assign[r], new_centroids[r], counts[r])
+
+        shift = np.maximum.reduce(
+            np.abs(new_centroids - centroids).reshape(len(active), -1), axis=1
+        )
+        stop = (new_assign == assignments).all(axis=1) | (shift < TOL)
+        centroids, assignments = new_centroids, new_assign
+        stopped = active[stop]
+        final[stopped], labels[stopped] = centroids[stop], assignments[stop]
+        n_iters[stopped], converged[stopped] = n_iter, True
+        active, centroids, assignments = active[~stop], centroids[~stop], assignments[~stop]
+        if not active.size:
+            break
+    final[active], labels[active] = centroids, assignments
+
+    picked = np.take_along_axis(_sq_dists(X, final), labels[..., None], axis=2)[..., 0]
+    wcss = np.add.reduce(picked, axis=1).tolist()
+    return [
+        KMeansResult(*fit)
+        for fit in zip(final, labels, wcss, n_iters.tolist(), converged.tolist())
+    ]
+
+
+def _fit(X: np.ndarray, k: int, seeds: list) -> list[KMeansResult]:
+    """kmeans of X for each seed, in order. The restarts run in groups whose
+    (restarts, n, k, m) distance temporary fits in _GROUP_BYTES, or one
+    restart at a time when a single one does not fit."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise EmptyInput(f"expected a 2-D matrix, got ndim={X.ndim}")
@@ -112,46 +203,24 @@ def kmeans(X: np.ndarray, k: int, seed: int | np.random.SeedSequence = 0) -> KMe
     if k < 1 or k > n:
         raise InvalidK(f"k must be in [1, {n}], got {k}")
 
-    rng = np.random.default_rng(seed)
-    centroids = _init_plus_plus(X, k, rng)
-    assignments = np.full(n, -1, dtype=np.int64)
-    converged = False
-    n_iter = 0
+    group = max(1, _GROUP_BYTES // (n * k * X.shape[1] * X.itemsize))
+    fits = []
+    for start in range(0, len(seeds), group):
+        fits += _lockstep(X, k, seeds[start : start + group])
+    for fit in fits:
+        if not fit.converged:
+            logger.warning("kmeans did not converge in %d iterations", MAX_ITER)
+    return fits
 
-    for n_iter in range(1, MAX_ITER + 1):
-        new_assign = nearest_centroid(X, centroids)
-        counts = np.bincount(new_assign, minlength=k)
-        new_centroids = _means(X, new_assign, centroids, counts)
 
-        # repair empty clusters: seize the point farthest from its centroid
-        empties = (counts == 0).nonzero()[0]
-        if empties.size:
-            for j in empties:
-                diff = X - new_centroids[new_assign]
-                donor = int(np.argmax(np.einsum("nm,nm->n", diff, diff)))
-                new_assign[donor] = j
-                new_centroids[j] = X[donor]
-            counts = np.bincount(new_assign, minlength=k)
-            new_centroids = _means(X, new_assign, new_centroids, counts)
+def kmeans(X: np.ndarray, k: int, seed: int | np.random.SeedSequence = 0) -> KMeansResult:
+    """Lloyd's algorithm with k-means++ seeding.
 
-        shift = float(np.max(np.abs(new_centroids - centroids)))
-        unchanged = bool(np.array_equal(new_assign, assignments))
-        centroids = new_centroids
-        assignments = new_assign
-        if unchanged or shift < TOL:
-            converged = True
-            break
-
-    wcss = float(_sq_dists(X, centroids)[np.arange(n), assignments].sum())
-    if not converged:
-        logger.warning("kmeans did not converge in %d iterations", MAX_ITER)
-    return KMeansResult(
-        centroids=centroids,
-        assignments=assignments,
-        wcss=wcss,
-        n_iter=n_iter,
-        converged=converged,
-    )
+    Stops when assignments are unchanged or the largest centroid shift
+    falls below TOL, or after MAX_ITER iterations. Raises InvalidK unless
+    1 <= k <= n.
+    """
+    return _fit(X, k, [seed])[0]
 
 
 def kmeans_restarts(
@@ -160,13 +229,16 @@ def kmeans_restarts(
     seed: int | np.random.SeedSequence = 0,
     n_init: int = 10,
 ) -> KMeansResult:
-    """Best-of-n restarts; child seeds derive deterministically from seed."""
+    """Best-of-n restarts; child seeds derive deterministically from seed.
+
+    The restarts run in lockstep: each numpy call of the seeding and of a
+    Lloyd iteration works on every restart still iterating, and each
+    restart's arithmetic is that of kmeans with its seed, bit for bit.
+    The best fit is the first with the smallest wcss."""
     if n_init < 1:
         raise InvalidK(f"n_init must be >= 1, got {n_init}")
-    child_seeds = _as_seedseq(seed).spawn(n_init)
     best: KMeansResult | None = None
-    for child in child_seeds:
-        run = kmeans(X, k, seed=child)
+    for run in _fit(X, k, _as_seedseq(seed).spawn(n_init)):
         if best is None or run.wcss < best.wcss:
             best = run
     assert best is not None

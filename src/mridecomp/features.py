@@ -14,6 +14,7 @@ by import is bit-identical.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import minionnx
-from .artifacts import open_input, read_json, write_table
+from .artifacts import open_input, read_json
 from .errors import EmptyFile, InvalidSide, ModelLoadError, ParseError, ShapeMismatch
 
 logger = logging.getLogger(__name__)
@@ -237,16 +238,27 @@ class OnnxBackend(FeatureBackend):
         return features
 
 
+def _csv_fields(fields: list[str]) -> str:
+    """The line csv.writer writes for fields, without its terminator."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(fields)
+    return line.getvalue()[:-1]
+
+
 def save_features(matrix: FeatureMatrix, path) -> None:
-    """Write a FeatureMatrix in the feature CSV interchange format."""
-    write_table(
-        path,
-        ["subject_id", "label"] + [f"f{i}" for i in range(matrix.m)],
-        (
-            [sid, label] + row.tolist()
-            for sid, label, row in zip(matrix.subject_ids, matrix.labels, matrix.values)
-        ),
-    )
+    """Write a FeatureMatrix in the feature CSV interchange format.
+
+    Each line is what csv.writer writes for the row: the subject id and
+    label quoted by csv.writer itself (once per distinct pair), then each
+    feature as the repr csv.writer gives a float."""
+    prefixes: dict[tuple[str, str], str] = {}
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_fields(["subject_id", "label"] + [f"f{i}" for i in range(matrix.m)]) + "\n")
+        for sid, label, row in zip(matrix.subject_ids, matrix.labels, matrix.values):
+            prefix = prefixes.get((sid, label))
+            if prefix is None:
+                prefix = prefixes[sid, label] = _csv_fields([sid, label])
+            fh.write(",".join([prefix, *map(repr, row.tolist())]) + "\n")
 
 
 def load_precomputed(path) -> FeatureMatrix:

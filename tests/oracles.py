@@ -6,10 +6,13 @@ gradient dict and one Adam update per parameter per step, a fancy-indexed
 batch per step), of features.bilinear_resize (one 2-D grid, promoted to
 float64 whole), of OnnxBackend.extract (one slice at a time) and of
 nifti.quantize (the slice promoted to float64 whole, clamped after the
-integer cast). kmeans_reference is cluster.kmeans with a boolean mask and a
-mean per cluster and per iteration. The package's versions must give the
-same bytes.
+integer cast). kmeans_reference is one restart of cluster.kmeans on its own,
+with a boolean mask and a mean per cluster and per iteration, distances from
+sq_dists_reference, seeded by init_plus_plus_reference, and
+kmeans_restarts_reference runs it once per restart. The package's versions must give the same bytes.
 
+loss is one model's mean cross-entropy over every row, from its own 1-D
+gather; train_grid's stacked epoch losses must equal it bit for bit.
 gradient_check compares analytic gradients with central finite differences.
 gradients runs the package's one gradient formula (classifier._backprop) on
 a whole batch. pca_inverse undoes a PCA projection, and aggregate_confusion
@@ -27,18 +30,20 @@ import math
 
 import numpy as np
 
-from mridecomp import minionnx
-from mridecomp.classifier import TrainResult, _backprop, init_model, loss
-from mridecomp.cluster import (
-    MAX_ITER,
-    TOL,
-    KMeansResult,
-    _init_plus_plus,
-    _sq_dists,
-    nearest_centroid,
-)
+from mridecomp import cluster, minionnx
+from mridecomp.classifier import TrainResult, _backprop, _log_softmax, _logits, init_model
+from mridecomp.cluster import KMeansResult
 from mridecomp.errors import DimMismatch, InvalidLevels, MissingSubclass
 from mridecomp.nifti import QuantizedSlice
+
+
+def loss(model, X, y) -> float:
+    """Mean cross-entropy of integer sublabels y under one model."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    Z, _ = _logits(model.params, X)
+    logp = _log_softmax(Z)
+    return float(-logp[np.arange(X.shape[0]), y].mean())
 
 
 def gradients(model, X, y) -> dict[str, np.ndarray]:
@@ -144,17 +149,42 @@ def _masked_means(X, assignments, centroids) -> np.ndarray:
     return means
 
 
+def sq_dists_reference(X, centroids) -> np.ndarray:
+    """(n, k) squared distances from one (n, k, m) broadcast of differences."""
+    diff = X[:, None, :] - centroids[None, :, :]
+    return np.einsum("nkm,nkm->nk", diff, diff)
+
+
+def init_plus_plus_reference(X, k: int, rng) -> np.ndarray:
+    """k-means++ seeding of one restart: the first centroid uniform, each
+    next one drawn with probability proportional to the squared distance to
+    the closest chosen centroid (uniform once every distance is zero)."""
+    n = X.shape[0]
+    centroids = np.empty((k, X.shape[1]), dtype=np.float64)
+    centroids[0] = X[rng.integers(n)]
+    closest = np.einsum("nm,nm->n", X - centroids[0], X - centroids[0])
+    for j in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            centroids[j] = X[rng.integers(n)]
+            continue
+        centroids[j] = X[rng.choice(n, p=closest / total)]
+        closest = np.minimum(closest, np.einsum("nm,nm->n", X - centroids[j], X - centroids[j]))
+    return centroids
+
+
 def kmeans_reference(X, k: int, seed) -> KMeansResult:
-    """Lloyd's iterations from cluster's k-means++ seeding: each cluster's
-    members found by a mask, an empty cluster seizes the point farthest
-    from its centroid, then the means are taken again."""
+    """One restart of Lloyd's iterations from k-means++ seeding: each
+    cluster's members found by a mask, an empty cluster seizes the point
+    farthest from its centroid, then the means are taken again. It reads
+    cluster.MAX_ITER when called, so a test can patch it."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    centroids = _init_plus_plus(X, k, np.random.default_rng(seed))
+    centroids = init_plus_plus_reference(X, k, np.random.default_rng(seed))
     assignments = np.full(n, -1, dtype=np.int64)
     converged = False
-    for n_iter in range(1, MAX_ITER + 1):
-        new_assign = nearest_centroid(X, centroids)
+    for n_iter in range(1, cluster.MAX_ITER + 1):
+        new_assign = sq_dists_reference(X, centroids).argmin(axis=1)
         new_centroids = _masked_means(X, new_assign, centroids)
         empties = [j for j in range(k) if not (new_assign == j).any()]
         if empties:
@@ -169,11 +199,24 @@ def kmeans_reference(X, k: int, seed) -> KMeansResult:
         shift = float(np.max(np.abs(new_centroids - centroids)))
         unchanged = bool(np.array_equal(new_assign, assignments))
         centroids, assignments = new_centroids, new_assign
-        if unchanged or shift < TOL:
+        if unchanged or shift < cluster.TOL:
             converged = True
             break
-    wcss = float(_sq_dists(X, centroids)[np.arange(n), assignments].sum())
+    wcss = float(sq_dists_reference(X, centroids)[np.arange(n), assignments].sum())
     return KMeansResult(centroids, assignments, wcss, n_iter, converged)
+
+
+def kmeans_restarts_reference(X, k: int, seed=0, n_init: int = 10) -> KMeansResult:
+    """cluster.kmeans_restarts as n_init kmeans_reference fits, one after
+    another: the first fit with the smallest wcss."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    best = None
+    for child in seed.spawn(n_init):
+        run = kmeans_reference(X, k, child)
+        if best is None or run.wcss < best.wcss:
+            best = run
+    return best
 
 
 def resize_reference(pixels, out_rows: int, out_cols: int) -> np.ndarray:

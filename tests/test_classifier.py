@@ -11,7 +11,6 @@ from mridecomp.classifier import (
     compose_probabilities,
     forward,
     init_model,
-    loss,
     model_from_json,
     model_to_json,
     train,

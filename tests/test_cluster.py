@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mridecomp import cluster
 from mridecomp.cluster import elbow_select_k, kmeans, kmeans_restarts
 from mridecomp.errors import EmptyInput, InvalidK, RangeTooShort
 
-from oracles import brute_force_wcss, kmeans_reference, same_bytes
+from oracles import brute_force_wcss, kmeans_reference, kmeans_restarts_reference, same_bytes
 
 
 def wcss_of(X, assignments, centroids):
@@ -113,25 +114,74 @@ def blobs(rng, g, per=20, sep=10.0, sigma=1.0):
 @st.composite
 def clusterings(draw):
     """(X, k, seed): rows drawn from a few distinct ones, so duplicates are
-    common, and k up to n, so empty clusters must be repaired."""
+    common; half the time rounded to integers with random signs, so +0.0 and
+    -0.0 both occur; and k up to n, so empty clusters must be repaired."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    n, m = draw(st.integers(1, 24)), draw(st.integers(1, 4))
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 5))
     distinct = rng.normal(size=(draw(st.integers(1, n)), m))
+    if draw(st.booleans()):
+        distinct = np.round(distinct) * rng.choice([-1.0, 1.0], size=distinct.shape)
     X = distinct[rng.integers(len(distinct), size=n)]
     k = draw(st.one_of(st.integers(1, n), st.integers(max(1, n - 2), n)))
     return X, k, seed
 
 
+def same_fit(got, want) -> bool:
+    return (
+        same_bytes(got.centroids, want.centroids)
+        and same_bytes(got.assignments, want.assignments)
+        and same_bytes(got.wcss, want.wcss)
+        and (got.n_iter, got.converged) == (want.n_iter, want.converged)
+    )
+
+
 @settings(deadline=None, max_examples=150)
-@given(case=clusterings())
-def test_kmeans_matches_masked_mean_reference_bit_for_bit(case):
+@given(
+    case=clusterings(),
+    n_init=st.integers(1, 6),
+    group=st.integers(1, 3),
+    max_iter=st.sampled_from([cluster.MAX_ITER, 1]),
+)
+# one feature, where numpy's axis-0 sum of a cluster is pairwise
+@example(
+    case=(np.random.default_rng(0).normal(size=(20, 1)), 1, 0), n_init=2, group=1, max_iter=300
+)
+# a column of -0.0, whose sum is +0.0
+@example(
+    case=(np.array([[-0.0, 1.0], [-0.0, 2.0], [-0.0, 4.0]]), 1, 0), n_init=1, group=1, max_iter=300
+)
+def test_kmeans_matches_masked_mean_reference_bit_for_bit(case, n_init, group, max_iter):
+    """kmeans, and every restart of kmeans_restarts, is kmeans_reference
+    with that restart's seed, bit for bit, whether the restarts run in one
+    group or in groups of at most `group`; the best is the first with the
+    smallest wcss. With MAX_ITER = 1 restarts stop unconverged."""
     X, k, seed = case
-    got, want = kmeans(X, k, seed=seed), kmeans_reference(X, k, seed)
-    assert same_bytes(got.centroids, want.centroids)
-    assert same_bytes(got.assignments, want.assignments)
-    assert same_bytes(got.wcss, want.wcss)
-    assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
+    n, m = X.shape
+    children = np.random.SeedSequence(seed).spawn(n_init)
+    groups = []
+    lockstep = cluster._lockstep
+
+    def recorded(X, k, seeds):
+        groups.append(lockstep(X, k, seeds))
+        return groups[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cluster, "MAX_ITER", max_iter)
+        want = [kmeans_reference(X, k, child) for child in children]
+        want_best = kmeans_restarts_reference(X, k, seed=seed, n_init=n_init)
+        assert same_fit(kmeans(X, k, seed=seed), kmeans_reference(X, k, seed))
+        mp.setattr(cluster, "_lockstep", recorded)
+        best = kmeans_restarts(X, k, seed=seed, n_init=n_init)
+        assert [len(fits) for fits in groups] == [n_init]
+        mp.setattr(cluster, "_GROUP_BYTES", n * k * m * X.itemsize * group)
+        grouped = kmeans_restarts(X, k, seed=seed, n_init=n_init)
+    sizes = [len(fits) for fits in groups[1:]]
+    assert sizes == [min(group, n_init - start) for start in range(0, n_init, group)]
+    for fits in (groups[0], [fit for fits in groups[1:] for fit in fits]):
+        assert all(same_fit(got, ref) for got, ref in zip(fits, want))
+    assert same_fit(best, want_best)
+    assert same_fit(grouped, best)
 
 
 def test_elbow_two_tight_groups(rng):

@@ -193,13 +193,13 @@ def test_elbow_mode_clusters_with_the_elbow_fit(rng, monkeypatch):
     X = two_and_three_groups(rng)
     seed, n_init, (k_min, k_max) = 5, 4, (1, 6)
     runs = Counter()
-    kmeans = cluster.kmeans
+    lockstep = cluster._lockstep
 
-    def counted(rows, k, seed=0):
-        runs[len(rows)] += 1
-        return kmeans(rows, k, seed=seed)
+    def counted(rows, k, seeds):
+        runs[len(rows)] += len(seeds)
+        return lockstep(rows, k, seeds)
 
-    monkeypatch.setattr(cluster, "kmeans", counted)
+    monkeypatch.setattr(cluster, "_lockstep", counted)
     ds = decompose(X, elbow_range=(k_min, k_max), seed=seed, n_init=n_init)
     monkeypatch.undo()
 

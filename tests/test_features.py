@@ -1,5 +1,7 @@
 """Feature backends: bilinear resize, raw pixels, CSV interchange, ONNX."""
 
+import csv
+import io
 import json
 import tracemalloc
 
@@ -180,6 +182,28 @@ def test_feature_csv_round_trip_bit_identical(tmp_path, rng):
     loaded = load_precomputed(tmp_path / "edge.csv").values
     np.testing.assert_array_equal(loaded, E.values)
     np.testing.assert_array_equal(np.signbit(loaded), np.signbit(E.values))
+
+
+def test_feature_csv_lines_are_csv_writer_lines(tmp_path, rng):
+    """Ids and labels that need quoting come out as csv.writer quotes them,
+    and the file reads back."""
+    X = FeatureMatrix(
+        values=rng.normal(size=(4, 3)),
+        labels=('AD, "early"', "CN", 'AD, "early"', "a\nb"),
+        subject_ids=("s,0", 's"1', "s2", ""),
+    )
+    path = tmp_path / "quoted.csv"
+    save_features(X, path)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["subject_id", "label", "f0", "f1", "f2"])
+    writer.writerows(
+        [sid, label] + row.tolist() for sid, label, row in zip(X.subject_ids, X.labels, X.values)
+    )
+    assert path.read_bytes() == want.getvalue().encode()
+    loaded = load_precomputed(path)
+    assert (loaded.subject_ids, loaded.labels) == (X.subject_ids, X.labels)
+    assert same_bytes(loaded.values, X.values)
 
 
 def test_feature_csv_header_contract(tmp_path, rng):

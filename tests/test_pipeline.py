@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mridecomp import pipeline, pool
+from mridecomp import cluster, decomposition, pipeline, pool
 from mridecomp.classifier import model_to_json, train
-from mridecomp.config import PipelineConfig, SliceSelectionConfig, TrainingConfig
+from mridecomp.config import PipelineConfig, SliceSelectionConfig, TrainingConfig, config_from_dict
 from mridecomp.decomposition import LabelCodec
 from mridecomp.errors import IoError, ParseError, ShapeMismatch, StageError
 from mridecomp.evaluation import subject_split
@@ -22,6 +22,7 @@ from mridecomp.pipeline import run_pipeline, run_slices_stage
 from mridecomp.synth import generate_dataset, write_nifti
 
 from conftest import write_conv_style_model, write_sidecar
+from oracles import kmeans_restarts_reference
 
 EXPECTED_FILES = {
     "centroids.json",
@@ -314,6 +315,24 @@ def test_rerun_into_a_run_directory_matches_a_fresh_run(dataset, tmp_path):
     run_pipeline(manifest_path, quick_config(), tmp_path / "rerun")
     run_pipeline(manifest_path, quick_config(), tmp_path / "fresh")
     assert _artifacts(tmp_path / "rerun") == _artifacts(tmp_path / "fresh")
+
+
+def test_elbow_run_matches_one_restart_at_a_time(dataset, tmp_path, monkeypatch):
+    """The elbow / MLP / prob-sum run writes the same bytes when every
+    k-means restart is a kmeans_reference fit, made one after another."""
+    manifest_path, _ = dataset
+    cfg = config_from_dict(
+        {
+            "compose_mode": "prob-sum",
+            "decomposition": {"mode": "elbow", "k_min": 2, "k_max": 6},
+            "training": {"hidden_dim": 32},
+        }
+    )
+    run_pipeline(manifest_path, cfg, tmp_path / "lockstep")
+    monkeypatch.setattr(cluster, "kmeans_restarts", kmeans_restarts_reference)
+    monkeypatch.setattr(decomposition, "kmeans_restarts", kmeans_restarts_reference)
+    run_pipeline(manifest_path, cfg, tmp_path / "one-at-a-time")
+    assert _artifacts(tmp_path / "lockstep") == _artifacts(tmp_path / "one-at-a-time")
 
 
 def test_outputs_do_not_depend_on_worker_count(dataset, tmp_path, monkeypatch):
