@@ -21,7 +21,7 @@ import numpy as np
 
 from .artifacts import read_json_as, write_json
 from .decomposition import LabelCodec
-from .errors import ConfigError, DimMismatch, MissingSubclass
+from .errors import ConfigError, DegenerateInput, ShapeMismatch
 
 COMPOSE_MODES = ("argmax-strip", "prob-sum")
 
@@ -135,7 +135,7 @@ def forward(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
     """Softmax probabilities for a batch, shape (n, output_dim)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise DimMismatch(f"expected (n, {model.input_dim}) inputs, got {X.shape}")
+        raise ShapeMismatch(f"expected (n, {model.input_dim}) inputs, got {X.shape}")
     Z, _ = _logits(model.params, X)
     return np.exp(_log_softmax(Z))
 
@@ -203,7 +203,7 @@ def train_grid(
     The cells share every TrainSettings field (ConfigError otherwise) and
     differ only in learning rate and seed. epoch_losses[0] is a cell's
     pre-training loss; entry e is its full training loss after epoch e.
-    Raises MissingSubclass if any codec id has no training sample.
+    Raises DegenerateInput if any codec id has no training sample.
 
     Every cell steps in lockstep: the parameters and gradients of all C
     cells live in one (C, P) buffer and both Adam moments in one (2, C, P)
@@ -215,14 +215,14 @@ def train_grid(
     X = np.asarray(X, dtype=np.float64)
     sublabels = np.asarray(sublabels, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] != sublabels.shape[0]:
-        raise DimMismatch(
+        raise ShapeMismatch(
             f"feature matrix has {X.shape[0] if X.ndim == 2 else '?'} rows "
             f"but {sublabels.shape[0]} labels"
         )
     present = set(np.unique(sublabels).tolist())
     for sid in range(codec.n_sublabels):
         if sid not in present:
-            raise MissingSubclass(
+            raise DegenerateInput(
                 f"subclass {codec.subclass_name(sid)} has no training samples"
             )
     if not cfgs:
@@ -328,11 +328,11 @@ def model_to_json(model: ClassifierModel, path) -> None:
 def model_from_json(path) -> ClassifierModel:
     """Load a model_to_json file. Undecodable JSON or a missing, unknown or
     mistyped key raises ParseError naming the file; parameters that do not
-    fit the declared dims raise DimMismatch."""
+    fit the declared dims raise ShapeMismatch."""
     model = read_json_as(ClassifierModel, path, "model")
     shapes = {name: p.shape for name, p in model.params.items()}
     if shapes != model.param_shapes() or model.output_dim != model.codec.n_sublabels:
-        raise DimMismatch(
+        raise ShapeMismatch(
             f"{path}: expected params {model.param_shapes()} for {model.codec.n_sublabels} "
             f"subclasses, got {shapes} with output_dim {model.output_dim}"
         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidK, RangeTooShort
+from .errors import ConfigError, EmptyInput, InvalidK, ShapeMismatch
 
 logger = logging.getLogger(__name__)
 
@@ -146,7 +146,7 @@ def _init_plus_plus(X: np.ndarray, k: int, rngs: list[np.random.Generator]) -> n
 
 
 def _lockstep(X: np.ndarray, k: int, seeds: list) -> list[KMeansResult]:
-    """kmeans of X for each seed, every restart in one loop."""
+    """One k-means fit of X per seed, every restart in one loop."""
     n, m = X.shape
     centroids = _init_plus_plus(X, k, [np.random.default_rng(seed) for seed in seeds])
     final = centroids.copy()
@@ -191,12 +191,12 @@ def _lockstep(X: np.ndarray, k: int, seeds: list) -> list[KMeansResult]:
 
 
 def _fit(X: np.ndarray, k: int, seeds: list) -> list[KMeansResult]:
-    """kmeans of X for each seed, in order. The restarts run in groups whose
+    """One k-means fit of X per seed, in order. The restarts run in groups whose
     (restarts, n, k, m) distance temporary fits in _GROUP_BYTES, or one
     restart at a time when a single one does not fit."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
-        raise EmptyInput(f"expected a 2-D matrix, got ndim={X.ndim}")
+        raise ShapeMismatch(f"expected a 2-D matrix, got ndim={X.ndim}")
     n = X.shape[0]
     if n == 0:
         raise EmptyInput("cannot cluster an empty matrix")
@@ -213,27 +213,20 @@ def _fit(X: np.ndarray, k: int, seeds: list) -> list[KMeansResult]:
     return fits
 
 
-def kmeans(X: np.ndarray, k: int, seed: int | np.random.SeedSequence = 0) -> KMeansResult:
-    """Lloyd's algorithm with k-means++ seeding.
-
-    Stops when assignments are unchanged or the largest centroid shift
-    falls below TOL, or after MAX_ITER iterations. Raises InvalidK unless
-    1 <= k <= n.
-    """
-    return _fit(X, k, [seed])[0]
-
-
 def kmeans_restarts(
     X: np.ndarray,
     k: int,
     seed: int | np.random.SeedSequence = 0,
     n_init: int = 10,
 ) -> KMeansResult:
-    """Best-of-n restarts; child seeds derive deterministically from seed.
+    """Lloyd's algorithm with k-means++ seeding, best of n_init restarts;
+    child seeds derive deterministically from seed.
 
-    The restarts run in lockstep: each numpy call of the seeding and of a
-    Lloyd iteration works on every restart still iterating, and each
-    restart's arithmetic is that of kmeans with its seed, bit for bit.
+    A restart stops when assignments are unchanged or the largest centroid
+    shift falls below TOL, or after MAX_ITER iterations. Raises InvalidK
+    unless 1 <= k <= n. The restarts run in lockstep: each numpy call of the
+    seeding and of a Lloyd iteration works on every restart still iterating,
+    and each restart's arithmetic is that of running it alone, bit for bit.
     The best fit is the first with the smallest wcss."""
     if n_init < 1:
         raise InvalidK(f"n_init must be >= 1, got {n_init}")
@@ -258,7 +251,7 @@ def elbow_select_k(
     if k_min < 1:
         raise InvalidK(f"k_min must be >= 1, got {k_min}")
     if k_max - k_min + 1 < 3:
-        raise RangeTooShort(f"elbow needs at least 3 candidate k values, got [{k_min}, {k_max}]")
+        raise ConfigError(f"elbow needs at least 3 candidate k values, got [{k_min}, {k_max}]")
     n = np.asarray(X).shape[0]
     if k_max > n:
         raise InvalidK(f"k_max={k_max} exceeds the number of points ({n})")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .artifacts import read_json_as, write_table
 from .cluster import elbow_select_k, kmeans_restarts, nearest_centroid
-from .errors import ClassTooSmall, EmptyInput, InvalidK, UnknownSublabel
+from .errors import DegenerateInput, EmptyInput, InvalidK, UnknownSublabel
 from .features import FeatureMatrix
 
 logger = logging.getLogger(__name__)
@@ -152,7 +152,7 @@ def decompose(
                 result = elbow.fits[elbow.k]
         else:
             if n_c < k:
-                raise ClassTooSmall(f"class {cls!r} has {n_c} samples, fewer than k={k}")
+                raise DegenerateInput(f"class {cls!r} has {n_c} samples, fewer than k={k}")
             result = kmeans_restarts(rows, k, seed=class_seed, n_init=n_init)
 
         offset = sum(cluster_counts)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGlcm, EmptyInput, InvalidK, NotNormalized, ZeroOffset
+from .errors import ConfigError, EmptyGlcm, EmptyInput, InvalidK, NotNormalized
 from .nifti import QuantizedSlice, Slice2D, quantize
 
 logger = logging.getLogger(__name__)
@@ -54,7 +54,7 @@ def glcm(
     """
     dr, dc = offset
     if (dr, dc) == (0, 0):
-        raise ZeroOffset("co-occurrence offset must not be (0, 0)")
+        raise ConfigError("co-occurrence offset must not be (0, 0)")
     idx = q.indices
     nrows, ncols = idx.shape
     r0, r1 = max(0, -dr), nrows - max(0, dr)

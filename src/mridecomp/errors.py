@@ -1,8 +1,13 @@
 """Exception types raised across the pipeline.
 
 Everything derives from PipelineError, so one except clause catches them all.
-pipeline.stage passes BAD_INPUT through (the CLI exits 1) and wraps any other
-failure as a StageError naming the stage (the CLI exits 2).
+Only a few classes are told apart by code:
+- ConfigError and ParseError (BAD_INPUT): pipeline.stage passes them through
+  and the CLI exits 1;
+- StageError: pipeline.stage wraps any other failure in it, naming the stage,
+  and the CLI exits 2;
+- ModelLoadError and EmptyGlcm, which minionnx and entropy catch by type.
+The other classes group messages for library callers.
 """
 
 
@@ -30,14 +35,6 @@ class DimensionError(PipelineError):
 
 # --- texture / slice ranking -------------------------------------------------
 
-class InvalidLevels(PipelineError):
-    """Grey-level count below 2."""
-
-
-class ZeroOffset(PipelineError):
-    """Co-occurrence offset (0, 0) is meaningless."""
-
-
 class EmptyGlcm(PipelineError):
     """No pixel pair fits the offset within the slice."""
 
@@ -56,25 +53,17 @@ class InvalidK(PipelineError):
 
 # --- features ----------------------------------------------------------------
 
-class InvalidSide(PipelineError):
-    """Resample target side below 2."""
-
-
 class ModelLoadError(PipelineError):
     """External feature model missing or undecodable."""
 
 
 class ShapeMismatch(PipelineError):
-    """Tensor shape incompatible with the declared interface."""
+    """Tensor or matrix shape incompatible with the declared interface."""
 
 
 class ParseError(PipelineError):
-    """An input file cannot be opened, or its CSV or JSON content is undecodable
-    or violates the expected schema."""
-
-
-class EmptyFile(PipelineError):
-    """CSV contains no data rows."""
+    """An input file cannot be opened, or its CSV or JSON content is empty,
+    undecodable or violates the expected schema."""
 
 
 class DegenerateInput(PipelineError):
@@ -83,40 +72,15 @@ class DegenerateInput(PipelineError):
 
 # --- decomposition -----------------------------------------------------------
 
-class RangeTooShort(PipelineError):
-    """Elbow search range shorter than 3 candidate values."""
-
-
-class ClassTooSmall(PipelineError):
-    """A class has too few members to cluster as configured."""
-
-
 class UnknownSublabel(PipelineError):
     """Composite label not covered by the codec."""
-
-
-# --- training / evaluation ---------------------------------------------------
-
-class TooFewSubjects(PipelineError):
-    """Subject-level split needs at least two subjects."""
-
-
-class MissingSubclass(PipelineError):
-    """A codec sub-class has no training samples."""
-
-
-class DimMismatch(PipelineError):
-    """Input vector length differs from the model's input dimension."""
-
-
-class EmptyTestSet(PipelineError):
-    """Evaluation requires at least one sample."""
 
 
 # --- orchestration -----------------------------------------------------------
 
 class ConfigError(PipelineError):
-    """Configuration value or schema invalid."""
+    """Configuration value or schema invalid, or an argument outside its
+    valid range."""
 
 
 class StageError(PipelineError):
@@ -128,4 +92,4 @@ class StageError(PipelineError):
         self.cause = cause
 
 
-BAD_INPUT = (ConfigError, ParseError, EmptyFile)
+BAD_INPUT = (ConfigError, ParseError)

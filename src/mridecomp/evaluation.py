@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ClassifierModel, compose_predictions, forward
-from .errors import ConfigError, EmptyTestSet, TooFewSubjects
+from .errors import ConfigError, DegenerateInput, ShapeMismatch
 
 logger = logging.getLogger(__name__)
 
@@ -32,7 +32,7 @@ def subject_split(
     if not 0.0 < train_frac < 1.0:
         raise ConfigError(f"train_frac must be in (0, 1), got {train_frac}")
     if len(subject_labels) < 2:
-        raise TooFewSubjects(f"need at least 2 subjects to split, got {len(subject_labels)}")
+        raise DegenerateInput(f"need at least 2 subjects to split, got {len(subject_labels)}")
 
     by_class: dict[str, list[str]] = {}
     for sid, label in subject_labels.items():
@@ -68,7 +68,7 @@ def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, n_labels: int) -> n
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     if y_true.shape != y_pred.shape:
-        raise ConfigError(f"shape mismatch: {y_true.shape} vs {y_pred.shape}")
+        raise ShapeMismatch(f"shape mismatch: {y_true.shape} vs {y_pred.shape}")
     matrix = np.zeros((n_labels, n_labels), dtype=np.int64)
     np.add.at(matrix, (y_true, y_pred), 1)
     return matrix
@@ -151,7 +151,7 @@ def evaluate(
     X = np.asarray(X, dtype=np.float64)
     sublabels = np.asarray(sublabels, dtype=np.int64)
     if X.shape[0] == 0:
-        raise EmptyTestSet("evaluation set is empty")
+        raise DegenerateInput("evaluation set is empty")
 
     codec = model.codec
     probs = forward(model, X)

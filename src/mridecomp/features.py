@@ -23,7 +23,7 @@ import numpy as np
 
 from . import minionnx
 from .artifacts import open_input, read_json
-from .errors import EmptyFile, InvalidSide, ModelLoadError, ParseError, ShapeMismatch
+from .errors import ConfigError, ModelLoadError, ParseError, ShapeMismatch
 
 logger = logging.getLogger(__name__)
 
@@ -132,7 +132,7 @@ class RawPixelBackend(FeatureBackend):
 
     def __init__(self, side: int = 16):
         if side < 2:
-            raise InvalidSide(f"side must be >= 2, got {side}")
+            raise ConfigError(f"side must be >= 2, got {side}")
         self.side = side
 
     def extract(self, stack: np.ndarray) -> np.ndarray:
@@ -268,7 +268,7 @@ def load_precomputed(path) -> FeatureMatrix:
         try:
             header = next(reader)
         except StopIteration:
-            raise EmptyFile(f"{path}: no header row") from None
+            raise ParseError(f"{path}: no header row") from None
         if len(header) < 3 or header[0] != "subject_id" or header[1] != "label":
             raise ParseError(f"{path}: header must start with subject_id,label,f0..")
         m = len(header) - 2
@@ -292,7 +292,7 @@ def load_precomputed(path) -> FeatureMatrix:
             labels.append(row[1])
             rows.append(values)
     if not rows:
-        raise EmptyFile(f"{path}: no data rows")
+        raise ParseError(f"{path}: no data rows")
     return FeatureMatrix(
         values=np.asarray(rows, dtype=np.float64),
         labels=tuple(labels),

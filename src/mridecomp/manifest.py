@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .artifacts import open_input, write_table
-from .errors import EmptyFile, ParseError
+from .errors import ParseError
 
 DEFAULT_LABELS = ("CN", "MCI", "AD")
 REQUIRED_COLUMNS = ("subject_id", "label", "path")
@@ -45,7 +45,7 @@ def read_manifest(
         try:
             header = next(reader)
         except StopIteration:
-            raise EmptyFile(f"{path}: manifest has no header") from None
+            raise ParseError(f"{path}: manifest has no header") from None
         header = [h.strip() for h in header]
         if tuple(header[:3]) != REQUIRED_COLUMNS:
             raise ParseError(
@@ -102,7 +102,7 @@ def read_manifest(
             rows.append(ManifestRow(subject_id=subject_id, label=label, path=vol_path, **meta))
 
     if not rows:
-        raise EmptyFile(f"{path}: manifest has no data rows")
+        raise ParseError(f"{path}: manifest has no data rows")
     return rows
 
 

@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionError,
-    InvalidLevels,
     IoError,
     MalformedHeader,
     UnsupportedDatatype,
@@ -226,7 +226,7 @@ def quantize(s: Slice2D, levels: int) -> QuantizedSlice:
     for a slice of a volume).
     """
     if levels < 2:
-        raise InvalidLevels(f"levels must be >= 2, got {levels}")
+        raise ConfigError(f"levels must be >= 2, got {levels}")
     pixels = np.asarray(s.pixels)
     # min and max are exact in the stored dtype, and so is their float64 value
     lo = np.float64(pixels.min())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, ShapeMismatch
+from .errors import ConfigError, DegenerateInput, ShapeMismatch
 from .features import FeatureMatrix
 
 ZERO_STD = 1e-12
@@ -66,7 +66,7 @@ def pca_fit(X: FeatureMatrix, variance_threshold: float = 0.95) -> PcaModel:
     """Fit PCA on (standardized) features, keeping the smallest component
     count whose cumulative explained variance ratio meets the threshold."""
     if not 0.0 < variance_threshold <= 1.0:
-        raise ValueError(f"variance_threshold must be in (0, 1], got {variance_threshold}")
+        raise ConfigError(f"variance_threshold must be in (0, 1], got {variance_threshold}")
     n, m = X.values.shape
     if n < 2:
         raise DegenerateInput(f"PCA needs at least 2 rows, got {n}")

@@ -6,10 +6,11 @@ gradient dict and one Adam update per parameter per step, a fancy-indexed
 batch per step), of features.bilinear_resize (one 2-D grid, promoted to
 float64 whole), of OnnxBackend.extract (one slice at a time) and of
 nifti.quantize (the slice promoted to float64 whole, clamped after the
-integer cast). kmeans_reference is one restart of cluster.kmeans on its own,
-with a boolean mask and a mean per cluster and per iteration, distances from
-sq_dists_reference, seeded by init_plus_plus_reference, and
-kmeans_restarts_reference runs it once per restart. The package's versions must give the same bytes.
+integer cast). kmeans_reference is one restart of cluster.kmeans_restarts on
+its own, with a boolean mask and a mean per cluster and per iteration,
+distances from sq_dists_reference, seeded by init_plus_plus_reference, and
+kmeans_restarts_reference runs it once per restart. The package's versions
+must give the same bytes.
 
 loss is one model's mean cross-entropy over every row, from its own 1-D
 gather; train_grid's stacked epoch losses must equal it bit for bit.
@@ -33,7 +34,7 @@ import numpy as np
 from mridecomp import cluster, minionnx
 from mridecomp.classifier import TrainResult, _backprop, _log_softmax, _logits, init_model
 from mridecomp.cluster import KMeansResult
-from mridecomp.errors import DimMismatch, InvalidLevels, MissingSubclass
+from mridecomp.errors import ConfigError, DegenerateInput
 from mridecomp.nifti import QuantizedSlice
 
 
@@ -110,7 +111,7 @@ def train_reference(X, sublabels, codec, cfg) -> TrainResult:
     present = set(np.unique(sublabels).tolist())
     for sid in range(codec.n_sublabels):
         if sid not in present:
-            raise MissingSubclass(f"subclass {codec.subclass_name(sid)} has no training samples")
+            raise DegenerateInput(f"subclass {codec.subclass_name(sid)} has no training samples")
 
     model = init_model(X.shape[1], codec, hidden_dim=cfg.hidden_dim, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
@@ -267,7 +268,7 @@ def quantize_reference(s, levels: int) -> QuantizedSlice:
     """floor((p - min) / (max - min) * levels) clamped to levels-1, in float64
     (on halved values when max - min overflows)."""
     if levels < 2:
-        raise InvalidLevels(f"levels must be >= 2, got {levels}")
+        raise ConfigError(f"levels must be >= 2, got {levels}")
     pixels = np.asarray(s.pixels, dtype=np.float64)
     lo = pixels.min()
     hi = pixels.max()
@@ -290,7 +291,7 @@ def gradient_check(model, X: np.ndarray, y: np.ndarray, step: float = 1e-5) -> f
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] == 0:
-        raise DimMismatch("gradient check needs a non-empty batch")
+        raise DegenerateInput("gradient check needs a non-empty batch")
     analytic = gradients(model, X, y)
     worst = 0.0
     for name in model.param_shapes():

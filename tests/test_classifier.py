@@ -17,7 +17,7 @@ from mridecomp.classifier import (
     train_grid,
 )
 from mridecomp.decomposition import LabelCodec
-from mridecomp.errors import ConfigError, DimMismatch, MissingSubclass
+from mridecomp.errors import ConfigError, DegenerateInput, ShapeMismatch
 
 from oracles import (
     gradient_check,
@@ -106,9 +106,9 @@ def test_uniform_probabilities_at_zero_weights(rng):
 
 def test_forward_rejects_bad_shapes(rng):
     model = init_model(4, CODEC_2x2, seed=0)
-    with pytest.raises(DimMismatch):
+    with pytest.raises(ShapeMismatch, match=r"^expected \(n, 4\) inputs, got \(3, 5\)$"):
         forward(model, rng.normal(size=(3, 5)))
-    with pytest.raises(DimMismatch):
+    with pytest.raises(ShapeMismatch, match=r"^expected \(n, 4\) inputs, got \(4,\)$"):
         forward(model, rng.normal(size=4))
 
 
@@ -192,14 +192,14 @@ def test_training_bit_reproducible(rng):
 def test_missing_subclass_rejected(rng):
     X = rng.normal(size=(6, 3))
     y = np.array([0, 0, 1, 1, 2, 2])  # id 3 never appears
-    with pytest.raises(MissingSubclass):
+    with pytest.raises(DegenerateInput, match="^subclass B_2 has no training samples$"):
         train(X, y, CODEC_2x2, TrainConfig(epochs=1))
 
 
 def test_train_rejects_mismatched_rows(rng):
     X = rng.normal(size=(6, 3))
     y = np.array([0, 1, 2, 3])
-    with pytest.raises(DimMismatch):
+    with pytest.raises(ShapeMismatch, match="^feature matrix has 6 rows but 4 labels$"):
         train(X, y, CODEC_2x2, TrainConfig(epochs=1))
 
 
@@ -367,5 +367,5 @@ def test_model_json_rejects_wrong_params(tmp_path, rng):
     blob = json.loads(path.read_text())
     del blob["params"]["W2"]
     path.write_text(json.dumps(blob))
-    with pytest.raises(DimMismatch):
+    with pytest.raises(ShapeMismatch, match="model.json: expected params "):
         model_from_json(path)

@@ -425,6 +425,59 @@ def test_unknown_subcommand_exits_1(capsys):
     assert main(["frobnicate"]) == 1
 
 
+_ROWS = "subject_id,label,f0,f1\n"
+
+
+@pytest.mark.parametrize(
+    "files, argv, code, message",
+    [
+        pytest.param(
+            {"features.csv": _ROWS},
+            ["decompose", "--features", "features.csv"],
+            1,
+            "error: features.csv: no data rows",
+            id="header-only-features",
+        ),
+        pytest.param(
+            {"manifest.csv": "subject_id,label,path\n"},
+            ["slices", "--manifest", "manifest.csv"],
+            1,
+            "error: manifest.csv: manifest has no data rows",
+            id="header-only-manifest",
+        ),
+        pytest.param(
+            {"features.csv": _ROWS + "a0,AD,0.5,1.0\nc0,CN,0.0,0.0\nc1,CN,1.0,1.0\nc2,CN,2.0,4.0\n"},
+            ["decompose", "--features", "features.csv"],
+            2,
+            "error: stage 'decompose' failed: class 'AD' has 1 samples, fewer than k=2",
+            id="one-row-class",
+        ),
+        pytest.param(
+            {
+                "codec.json": '{"classes": ["AD", "CN"], "cluster_counts": [2, 1]}',
+                "rows.csv": _ROWS + "a0,AD_1,0.0,1.0\nc0,CN_1,1.0,0.0\n",
+            },
+            ["train", "--features", "rows.csv", "--codec", "codec.json"],
+            2,
+            "error: stage 'train' failed: subclass AD_2 has no training samples",
+            id="missing-subclass",
+        ),
+    ],
+)
+def test_too_few_rows_exit_codes_and_messages(
+    tmp_path, monkeypatch, capsys, files, argv, code, message
+):
+    """An input with no rows, or too few rows for the fit, ends in one stderr
+    line: an empty file is bad input (exit 1), a fit that cannot run is its
+    stage's failure (exit 2)."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    capsys.readouterr()
+    assert main(argv + ["--out", "out"]) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_missing_volume_exits_2(data_dir, tmp_path, capsys):
     broken = tmp_path / "broken.csv"
     lines = (data_dir / "manifest.csv").read_text().splitlines()

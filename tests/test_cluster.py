@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mridecomp import cluster
-from mridecomp.cluster import elbow_select_k, kmeans, kmeans_restarts
-from mridecomp.errors import EmptyInput, InvalidK, RangeTooShort
+from mridecomp.cluster import elbow_select_k, kmeans_restarts
+from mridecomp.errors import ConfigError, EmptyInput, InvalidK, ShapeMismatch
 
 from oracles import brute_force_wcss, kmeans_reference, kmeans_restarts_reference, same_bytes
 
@@ -18,7 +18,7 @@ def wcss_of(X, assignments, centroids):
 
 def test_two_group_hand_example():
     X = np.array([[0.0], [0.1], [10.0], [10.1]])
-    result = kmeans(X, 2, seed=0)
+    result = kmeans_restarts(X, 2, seed=0, n_init=1)
     cents = sorted(result.centroids.ravel().tolist())
     np.testing.assert_allclose(cents, [0.05, 10.05], atol=1e-12)
     assert result.wcss == pytest.approx(0.01, abs=1e-12)
@@ -27,22 +27,22 @@ def test_two_group_hand_example():
 
 def test_k_equals_one_gives_global_mean(rng):
     X = rng.normal(size=(12, 3))
-    result = kmeans(X, 1, seed=3)
+    result = kmeans_restarts(X, 1, seed=3, n_init=1)
     np.testing.assert_allclose(result.centroids[0], X.mean(axis=0), atol=1e-12)
     assert result.wcss == pytest.approx(((X - X.mean(axis=0)) ** 2).sum())
 
 
 def test_k_equals_n_gives_zero_wcss(rng):
     X = rng.normal(size=(6, 2))
-    result = kmeans(X, 6, seed=1)
+    result = kmeans_restarts(X, 6, seed=1, n_init=1)
     assert result.wcss == pytest.approx(0.0, abs=1e-18)
     assert sorted(result.assignments.tolist()) == list(range(6))
 
 
 def test_deterministic_given_seed(rng):
     X = rng.normal(size=(30, 4))
-    a = kmeans(X, 3, seed=42)
-    b = kmeans(X, 3, seed=42)
+    a = kmeans_restarts(X, 3, seed=42, n_init=1)
+    b = kmeans_restarts(X, 3, seed=42, n_init=1)
     np.testing.assert_array_equal(a.assignments, b.assignments)
     np.testing.assert_array_equal(a.centroids, b.centroids)
     assert a.wcss == b.wcss
@@ -50,7 +50,7 @@ def test_deterministic_given_seed(rng):
 
 def test_reported_wcss_matches_final_state(rng):
     X = rng.normal(size=(25, 3))
-    result = kmeans(X, 4, seed=9)
+    result = kmeans_restarts(X, 4, seed=9, n_init=1)
     assert result.wcss == pytest.approx(
         wcss_of(X, result.assignments, result.centroids), abs=1e-12
     )
@@ -58,7 +58,7 @@ def test_reported_wcss_matches_final_state(rng):
 
 def test_every_cluster_non_empty_with_duplicates():
     X = np.array([[0.0], [0.0], [0.0], [10.0]])
-    result = kmeans(X, 3, seed=0)
+    result = kmeans_restarts(X, 3, seed=0, n_init=1)
     assert set(result.assignments.tolist()) == {0, 1, 2}
     assert result.wcss == pytest.approx(
         wcss_of(X, result.assignments, result.centroids), abs=1e-12
@@ -67,21 +67,21 @@ def test_every_cluster_non_empty_with_duplicates():
 
 def test_invalid_inputs(rng):
     X = rng.normal(size=(5, 2))
-    with pytest.raises(InvalidK):
-        kmeans(X, 0)
-    with pytest.raises(InvalidK):
-        kmeans(X, 6)
-    with pytest.raises(EmptyInput):
-        kmeans(np.empty((0, 2)), 1)
-    with pytest.raises(EmptyInput):
-        kmeans(np.zeros(5), 1)
-    with pytest.raises(InvalidK):
+    with pytest.raises(InvalidK, match=r"^k must be in \[1, 5\], got 0$"):
+        kmeans_restarts(X, 0, n_init=1)
+    with pytest.raises(InvalidK, match=r"^k must be in \[1, 5\], got 6$"):
+        kmeans_restarts(X, 6, n_init=1)
+    with pytest.raises(EmptyInput, match="^cannot cluster an empty matrix$"):
+        kmeans_restarts(np.empty((0, 2)), 1, n_init=1)
+    with pytest.raises(ShapeMismatch, match="^expected a 2-D matrix, got ndim=1$"):
+        kmeans_restarts(np.zeros(5), 1, n_init=1)
+    with pytest.raises(InvalidK, match="^n_init must be >= 1, got 0$"):
         kmeans_restarts(X, 2, n_init=0)
 
 
 def test_restarts_never_worse_than_single_run(rng):
     X = rng.normal(size=(20, 2))
-    single = kmeans(X, 3, seed=0)
+    single = kmeans_restarts(X, 3, seed=0, n_init=1)
     best = kmeans_restarts(X, 3, seed=0, n_init=10)
     assert best.wcss <= single.wcss + 1e-12
 
@@ -152,7 +152,7 @@ def same_fit(got, want) -> bool:
     case=(np.array([[-0.0, 1.0], [-0.0, 2.0], [-0.0, 4.0]]), 1, 0), n_init=1, group=1, max_iter=300
 )
 def test_kmeans_matches_masked_mean_reference_bit_for_bit(case, n_init, group, max_iter):
-    """kmeans, and every restart of kmeans_restarts, is kmeans_reference
+    """Every restart of kmeans_restarts, alone or among others, is kmeans_reference
     with that restart's seed, bit for bit, whether the restarts run in one
     group or in groups of at most `group`; the best is the first with the
     smallest wcss. With MAX_ITER = 1 restarts stop unconverged."""
@@ -170,7 +170,7 @@ def test_kmeans_matches_masked_mean_reference_bit_for_bit(case, n_init, group, m
         mp.setattr(cluster, "MAX_ITER", max_iter)
         want = [kmeans_reference(X, k, child) for child in children]
         want_best = kmeans_restarts_reference(X, k, seed=seed, n_init=n_init)
-        assert same_fit(kmeans(X, k, seed=seed), kmeans_reference(X, k, seed))
+        assert same_fit(kmeans_restarts(X, k, seed=seed, n_init=1), want[0])
         mp.setattr(cluster, "_lockstep", recorded)
         best = kmeans_restarts(X, k, seed=seed, n_init=n_init)
         assert [len(fits) for fits in groups] == [n_init]
@@ -211,7 +211,7 @@ def test_elbow_wcss_curve_non_increasing(rng):
 
 def test_elbow_range_validation(rng):
     X = rng.normal(size=(10, 2))
-    with pytest.raises(RangeTooShort):
+    with pytest.raises(ConfigError, match=r"^elbow needs at least 3 candidate k values, got \[2, 3\]$"):
         elbow_select_k(X, 2, 3)
     with pytest.raises(InvalidK):
         elbow_select_k(X, 1, 11)  # k_max beyond n

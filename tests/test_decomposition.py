@@ -18,7 +18,7 @@ from mridecomp.decomposition import (
     decomposition_report,
     write_report_csv,
 )
-from mridecomp.errors import ClassTooSmall, EmptyInput, InvalidK, UnknownSublabel
+from mridecomp.errors import DegenerateInput, EmptyInput, InvalidK, UnknownSublabel
 from mridecomp.features import FeatureMatrix, load_precomputed, save_features
 from mridecomp.pipeline import run_decompose_stage
 
@@ -154,7 +154,7 @@ def test_deterministic_given_seed(rng):
 
 def test_class_too_small(rng):
     X = matrix(rng.normal(size=(4, 2)), ["A", "A", "A", "B"])
-    with pytest.raises(ClassTooSmall):
+    with pytest.raises(DegenerateInput, match="^class 'B' has 1 samples, fewer than k=2$"):
         decompose(X, k=2, seed=0)
 
 

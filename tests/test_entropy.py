@@ -16,7 +16,7 @@ from mridecomp.entropy import (
     select_top_k,
     slice_entropy,
 )
-from mridecomp.errors import EmptyGlcm, EmptyInput, InvalidK, NotNormalized, ZeroOffset
+from mridecomp.errors import ConfigError, EmptyGlcm, EmptyInput, InvalidK, NotNormalized
 from mridecomp.nifti import QuantizedSlice, quantize
 
 from conftest import make_slice
@@ -118,7 +118,7 @@ def test_glcm_matches_brute_force_on_views(seed, nr, nc, levels, dr, dc, layout)
 
 
 def test_zero_offset_rejected():
-    with pytest.raises(ZeroOffset):
+    with pytest.raises(ConfigError, match=r"^co-occurrence offset must not be \(0, 0\)$"):
         glcm(quantized([[0, 1]]), offset=(0, 0))
 
 

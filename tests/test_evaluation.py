@@ -6,7 +6,7 @@ import pytest
 from mridecomp.artifacts import read_json, write_json
 from mridecomp.classifier import TrainConfig, forward, train
 from mridecomp.decomposition import LabelCodec
-from mridecomp.errors import ConfigError, EmptyTestSet, TooFewSubjects
+from mridecomp.errors import ConfigError, DegenerateInput, ShapeMismatch
 from mridecomp.evaluation import (
     EvalReport,
     confusion_matrix,
@@ -70,7 +70,7 @@ def test_split_validation():
         subject_split(subjects({"A": 4}), 1.0)
     with pytest.raises(ConfigError):
         subject_split(subjects({"A": 4}), 0.0)
-    with pytest.raises(TooFewSubjects):
+    with pytest.raises(DegenerateInput, match="^need at least 2 subjects to split, got 1$"):
         subject_split({"only": "A"}, 0.8)
 
 
@@ -84,6 +84,8 @@ def test_confusion_matrix_hand_example():
     m = confusion_matrix(y_true, y_pred, 3)
     np.testing.assert_array_equal(m, [[1, 0, 1], [0, 1, 0], [0, 0, 1]])
     assert m.dtype == np.int64
+    with pytest.raises(ShapeMismatch, match=r"^shape mismatch: \(4,\) vs \(3,\)$"):
+        confusion_matrix(y_true, y_pred[:3], 3)
 
 
 def test_metrics_hand_example():
@@ -184,7 +186,7 @@ def test_evaluate_separable_data_perfect(rng):
 
 def test_evaluate_rejects_empty_and_bad_mode(rng):
     model, X, y = trained_model_and_data(rng)
-    with pytest.raises(EmptyTestSet):
+    with pytest.raises(DegenerateInput, match="^evaluation set is empty$"):
         evaluate(model, np.empty((0, 6)), np.empty(0, dtype=np.int64))
     with pytest.raises(ConfigError):
         evaluate(model, X, y, mode="majority")

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from mridecomp import minionnx
 from mridecomp.errors import (
-    EmptyFile,
-    InvalidSide,
+    ConfigError,
     ModelLoadError,
     ParseError,
     PipelineError,
@@ -141,14 +140,14 @@ def test_extract_raw_shape_and_validation(rng):
     s = make_slice(rng.normal(size=(24, 24)))
     v = RawPixelBackend(side=16).extract(s.pixels[None])
     assert v.shape == (1, 256)
-    with pytest.raises(InvalidSide):
+    with pytest.raises(ConfigError, match="^side must be >= 2, got 1$"):
         RawPixelBackend(side=1)
 
 
 def test_raw_backend_metadata(rng):
     backend = RawPixelBackend(side=8)
     assert backend.extract(make_slice(rng.normal(size=(10, 12))).pixels[None]).shape == (1, 64)
-    with pytest.raises(InvalidSide):
+    with pytest.raises(ConfigError, match="^side must be >= 2, got 0$"):
         RawPixelBackend(side=0)
 
 
@@ -240,10 +239,10 @@ def test_load_rejects_bad_rows(tmp_path):
 def test_load_rejects_empty_inputs(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    with pytest.raises(EmptyFile):
+    with pytest.raises(ParseError, match="empty.csv: no header row$"):
         load_precomputed(path)
     path.write_text("subject_id,label,f0\n")
-    with pytest.raises(EmptyFile):
+    with pytest.raises(ParseError, match="empty.csv: no data rows$"):
         load_precomputed(path)
 
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from mridecomp.entropy import slice_entropy
 from mridecomp.errors import (
+    ConfigError,
     DimensionError,
-    InvalidLevels,
     IoError,
     MalformedHeader,
     PipelineError,
@@ -452,7 +452,7 @@ def test_quantize_span_beyond_float64():
 
 
 def test_quantize_rejects_single_level():
-    with pytest.raises(InvalidLevels):
+    with pytest.raises(ConfigError, match="^levels must be >= 2, got 1$"):
         quantize(make_slice(np.zeros((2, 2))), 1)
 
 

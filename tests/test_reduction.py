@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mridecomp.errors import DegenerateInput, ShapeMismatch
+from mridecomp.errors import ConfigError, DegenerateInput, ShapeMismatch
 from mridecomp.features import FeatureMatrix
 from mridecomp.reduction import (
     PcaModel,
@@ -165,7 +165,7 @@ def test_pca_degenerate_inputs(rng):
         pca_fit(matrix(rng.normal(size=(1, 4))))
     with pytest.raises(DegenerateInput):
         pca_fit(matrix(np.full((5, 3), 2.0)))  # zero variance
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^variance_threshold must be in \(0, 1\], got 0.0$"):
         pca_fit(matrix(rng.normal(size=(5, 3))), variance_threshold=0.0)
 
 
