@@ -7,16 +7,22 @@ Spatial metadata (qform/sform) is deliberately ignored; inputs are assumed
 registered to a common template, and the third header axis is taken as the
 axial axis.
 
+A one-member .nii.gz is inflated into one buffer of the length its trailer
+states, by the system libdeflate (loaded by soname at import) when it is
+installed and by zlib otherwise; both give the bytes gzip.decompress gives,
+and gzip.decompress itself decodes every other layout.
+
 Supported datatype codes: 2 (uint8), 4 (int16), 8 (int32), 16 (float32),
 64 (float64). Stored values are mapped through scl_slope * v + scl_inter
 unless scl_slope == 0, which by convention means "no scaling"; a scaled
 volume is decoded to float64. An unscaled volume keeps its stored dtype, in
-native byte order, and quantize promotes one slice at a time to float64, so
-a 128^3 float32 volume never exists as a 16 MB float64 copy.
+native byte order, and entropy.rank_slices promotes a few slices at a time
+to float64, so a 128^3 float32 volume never exists as a 16 MB float64 copy.
 """
 
 from __future__ import annotations
 
+import ctypes
 import gzip
 import math
 import struct
@@ -88,34 +94,111 @@ class QuantizedSlice:
 # deflate's best case is 1032:1 (RFC 1951: a 258-byte match per ~2 bits), so a
 # gzip trailer claiming more output than this per input byte is forged
 MAX_DEFLATE_RATIO = 1032
+# input bytes, and at most output bytes, per zlib call: the inflate then holds
+# about 60 KB beside the payload buffer, zlib's 32 KB window included
+_ZLIB_CHUNK = 8 * 1024
 
 
-def _gunzip(raw: bytes) -> bytes:
-    """Inflate a gzip file as gzip.decompress does.
+def _load_libdeflate():
+    """The system libdeflate (found by soname), or None when it is not installed."""
+    try:
+        lib = ctypes.CDLL("libdeflate.so.0")
+        lib.libdeflate_alloc_decompressor.argtypes = []
+        lib.libdeflate_alloc_decompressor.restype = ctypes.c_void_p
+        lib.libdeflate_free_decompressor.argtypes = [ctypes.c_void_p]
+        lib.libdeflate_free_decompressor.restype = None
+        lib.libdeflate_gzip_decompress_ex.argtypes = [
+            ctypes.c_void_p,  # decompressor
+            ctypes.c_char_p, ctypes.c_size_t,  # input, its length
+            ctypes.c_void_p, ctypes.c_size_t,  # output buffer, its length
+            ctypes.POINTER(ctypes.c_size_t),  # input bytes consumed
+            ctypes.POINTER(ctypes.c_size_t),  # output bytes written
+        ]
+        lib.libdeflate_gzip_decompress_ex.restype = ctypes.c_int
+    except (OSError, AttributeError):  # not installed, or too old for the _ex call
+        return None
+    return lib
 
-    A single-member file is inflated by one zlib call into a buffer of the
-    size its trailer states (ISIZE, RFC 1952), not grown in blocks and joined
-    into a copy. That result is used only if the file's last 8 bytes are the
-    trailer of the member just inflated (same length and CRC32) and ISIZE
-    lies between a NIfTI header and deflate's ratio times the file size. Any
-    other file (several members, zero padding, trailing bytes, a forged
-    ISIZE, a corrupt stream) decodes or fails in gzip.decompress. A file
-    whose last member repeats the first one's length and CRC32, such as a
-    member concatenated with itself, yields the first member only.
+
+# loaded once; the zlib engine alone runs when this is None
+_LIBDEFLATE = _load_libdeflate()
+
+
+def _libdeflate_one_member(raw: bytes, isize: int) -> bytearray | None:
+    """raw inflated into an isize-byte buffer by libdeflate, which checks the
+    member's CRC32 and length; None unless the call succeeded, consumed all
+    of raw (one member, nothing after it) and wrote exactly isize bytes."""
+    out = bytearray(isize)
+    target = (ctypes.c_char * isize).from_buffer(out)
+    consumed, written = ctypes.c_size_t(), ctypes.c_size_t()
+    # a decompressor holds per-call state, so threads never share one
+    decompressor = _LIBDEFLATE.libdeflate_alloc_decompressor()
+    if not decompressor:  # out of memory: let zlib try
+        return None
+    try:
+        status = _LIBDEFLATE.libdeflate_gzip_decompress_ex(
+            decompressor, raw, len(raw), target, isize,
+            ctypes.byref(consumed), ctypes.byref(written),
+        )
+    finally:
+        _LIBDEFLATE.libdeflate_free_decompressor(decompressor)
+    if status == 0 and consumed.value == len(raw) and written.value == isize:
+        return out
+    return None
+
+
+def _zlib_one_member(raw: bytes, isize: int) -> bytearray | None:
+    """raw inflated into an isize-byte buffer by zlib, which checks the
+    member's CRC32 and length; None when the first member is not isize bytes
+    long or anything follows it. Raises zlib.error on a corrupt member."""
+    out = bytearray(isize)
+    inflater = zlib.decompressobj(wbits=31)
+    view = memoryview(raw)
+    filled = 0
+    for start in range(0, len(raw), _ZLIB_CHUNK):
+        data = view[start : start + _ZLIB_CHUNK]
+        while True:
+            # one byte past the trailer's length is enough to see that it lies
+            piece = inflater.decompress(data, min(isize - filled + 1, _ZLIB_CHUNK))
+            if filled + len(piece) > isize:
+                return None
+            out[filled : filled + len(piece)] = piece
+            filled += len(piece)
+            if inflater.eof:
+                follows = inflater.unused_data or start + _ZLIB_CHUNK < len(raw)
+                return None if follows or filled != isize else out
+            data = inflater.unconsumed_tail
+            if not data and len(piece) < _ZLIB_CHUNK:  # a full piece may leave output pending
+                break
+    return None
+
+
+def _gunzip(raw: bytes) -> bytes | bytearray:
+    """Inflate a gzip file to the bytes gzip.decompress returns.
+
+    A file of one member, whose trailer states a length (ISIZE, RFC 1952)
+    between a NIfTI header and deflate's ratio times the file size, is
+    inflated once into a buffer of that length: by libdeflate when the system
+    library loaded, else by zlib in 8 KB steps. The result is used
+    only when the member filled the buffer exactly, passed its CRC32 and
+    length checks and ended the file. Any other file (several members, zero
+    padding, trailing bytes, a forged ISIZE, a corrupt stream) decodes or
+    fails in gzip.decompress.
     """
-    crc, isize = struct.unpack("<2I", raw[-8:]) if len(raw) >= 8 else (0, 0)
+    isize = struct.unpack("<I", raw[-4:])[0] if len(raw) >= 8 else 0
     if HEADER_SIZE <= isize <= MAX_DEFLATE_RATIO * len(raw):
-        try:
-            out = zlib.decompress(raw, wbits=31, bufsize=isize)
-        except zlib.error:  # gzip.decompress gives the error, or skips a header CRC
-            out = b""
-        if len(out) == isize and zlib.crc32(out) == crc:
+        out = _libdeflate_one_member(raw, isize) if _LIBDEFLATE is not None else None
+        if out is None:
+            try:
+                out = _zlib_one_member(raw, isize)
+            except zlib.error:  # gzip.decompress gives the error, or skips a header CRC
+                pass
+        if out is not None:
             return out
-        del out
     return gzip.decompress(raw)
 
 
-def _read_bytes(path) -> bytes:
+def _read_bytes(path) -> bytes | bytearray:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -143,7 +226,7 @@ def read_nifti(path, subject_id: str | None = None) -> Volume:
         else:
             raise MalformedHeader(f"{path}: sizeof_hdr is not {HEADER_SIZE} in either byte order")
 
-    magic = raw[344:348]
+    magic = bytes(raw[344:348])
     if magic not in MAGIC_VALUES:
         raise MalformedHeader(f"{path}: bad magic {magic!r}")
 
@@ -214,37 +297,42 @@ def extract_axial_slices(volume: Volume) -> list[Slice2D]:
     ]
 
 
-def quantize(s: Slice2D, levels: int) -> QuantizedSlice:
-    """Discretize pixel intensities into `levels` grey levels by min-max binning.
+def quantize_block(block: np.ndarray, levels: int) -> np.ndarray:
+    """Discretize each slice block[:, :, j] into `levels` grey levels by its own
+    min-max binning, overwriting the float64 block; returns the read-only int64
+    indices in the block's shape and memory layout.
 
-    index = floor((p - min) / (max - min) * levels), clamped to levels-1,
-    computed in float64 whatever the stored dtype; a constant slice maps
-    entirely to level 0. Invariant under positive affine intensity maps.
-    When max - min overflows float64, the same map is applied to the halved
-    pixels, min and max, so the indices stay in [0, levels) and keep the
-    pixels' order. The indices keep the slice's memory layout (Fortran order
-    for a slice of a volume).
+    index = floor((p - min) / (max - min) * levels), clamped to levels-1; a
+    constant slice maps entirely to level 0. Invariant under positive affine
+    intensity maps. When a slice's max - min overflows float64, the same map
+    is applied to its halved pixels, min and max, so its indices stay in
+    [0, levels) and keep the pixels' order.
     """
     if levels < 2:
         raise ConfigError(f"levels must be >= 2, got {levels}")
-    pixels = np.asarray(s.pixels)
-    # min and max are exact in the stored dtype, and so is their float64 value
-    lo = np.float64(pixels.min())
-    hi = np.float64(pixels.max())
-    if hi == lo:
-        indices = np.zeros(pixels.shape, dtype=np.int64)
-    else:
-        if math.isinf(float(hi) - float(lo)):
-            # halving is exact above the subnormals and keeps order; the halved span is finite
-            scaled = np.multiply(pixels, 0.5, dtype=np.float64)
-            scaled -= lo * 0.5
-            scaled /= hi * 0.5 - lo * 0.5
-        else:
-            scaled = np.subtract(pixels, lo, dtype=np.float64)
-            scaled /= hi - lo
-        scaled *= levels
-        # scaled >= 0, so clamping first and truncating is min(floor, levels-1)
-        np.minimum(scaled, levels - 1, out=scaled)
-        indices = scaled.astype(np.int64)
+    # min and max of the exactly promoted pixels are the stored ones, exactly
+    lo = block.min(axis=(0, 1))
+    hi = block.max(axis=(0, 1))
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    for j in np.flatnonzero(np.isinf(span)):
+        # halving is exact above the subnormals and keeps order; the halved span is finite
+        block[:, :, j] *= 0.5
+        lo[j], span[j] = lo[j] * 0.5, hi[j] * 0.5 - lo[j] * 0.5
+    span[span == 0.0] = 1.0  # a constant slice: every p - min is 0
+    block -= lo
+    block /= span
+    block *= levels
+    # block >= 0, so clamping first and truncating is min(floor, levels-1)
+    np.minimum(block, levels - 1, out=block)
+    indices = block.astype(np.int64)
     indices.setflags(write=False)
-    return QuantizedSlice(levels=levels, indices=indices)
+    return indices
+
+
+def quantize(s: Slice2D, levels: int) -> QuantizedSlice:
+    """One slice through quantize_block, promoted to float64 in its own memory
+    layout, so the indices keep that layout (Fortran order for a slice of a
+    volume)."""
+    block = np.array(s.pixels, dtype=np.float64)[:, :, None]
+    return QuantizedSlice(levels=levels, indices=quantize_block(block, levels)[:, :, 0])

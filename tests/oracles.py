@@ -1,16 +1,18 @@
 """Reference implementations the tests compare the package against.
 
-train_reference, resize_reference, onnx_features_reference and
-quantize_reference are the straightforward forms of classifier.train (one
-gradient dict and one Adam update per parameter per step, a fancy-indexed
-batch per step), of features.bilinear_resize (one 2-D grid, promoted to
-float64 whole), of OnnxBackend.extract (one slice at a time) and of
-nifti.quantize (the slice promoted to float64 whole, clamped after the
-integer cast). kmeans_reference is one restart of cluster.kmeans_restarts on
-its own, with a boolean mask and a mean per cluster and per iteration,
-distances from sq_dists_reference, seeded by init_plus_plus_reference, and
-kmeans_restarts_reference runs it once per restart. The package's versions
-must give the same bytes.
+train_reference, resize_reference, onnx_features_reference,
+quantize_reference and glcm_reference are the straightforward forms of
+classifier.train (one gradient dict and one Adam update per parameter per
+step, a fancy-indexed batch per step), of features.bilinear_resize (one 2-D
+grid, promoted to float64 whole), of OnnxBackend.extract (one slice at a
+time), of nifti.quantize_block (one slice promoted to float64 whole, clamped
+after the integer cast) and of entropy.glcm_block (one slice's pairs
+counted on their own); slice_entropy_reference chains the last two into
+the score entropy.rank_slices gives each slice. kmeans_reference is one
+restart of cluster.kmeans_restarts on its own, with a boolean mask and a
+mean per cluster and per iteration, distances from sq_dists_reference,
+seeded by init_plus_plus_reference, and kmeans_restarts_reference runs it
+once per restart. The package's versions must give the same bytes.
 
 loss is one model's mean cross-entropy over every row, from its own 1-D
 gather; train_grid's stacked epoch losses must equal it bit for bit.
@@ -34,7 +36,8 @@ import numpy as np
 from mridecomp import cluster, minionnx
 from mridecomp.classifier import TrainResult, _backprop, _log_softmax, _logits, init_model
 from mridecomp.cluster import KMeansResult
-from mridecomp.errors import ConfigError, DegenerateInput
+from mridecomp.entropy import GlcmMatrix, glcm_entropy
+from mridecomp.errors import ConfigError, DegenerateInput, EmptyGlcm
 from mridecomp.nifti import QuantizedSlice
 
 
@@ -274,16 +277,48 @@ def quantize_reference(s, levels: int) -> QuantizedSlice:
     hi = pixels.max()
     if np.isinf(float(hi) - float(lo)):  # max - min overflows float64: halve everything
         pixels, lo, hi = pixels / 2, lo / 2, hi / 2
-    if hi == lo:
-        indices = np.zeros(pixels.shape, dtype=np.int64)
-    else:
-        scaled = pixels - lo
+    scaled = pixels - lo
+    if hi != lo:  # a constant slice stays at level 0
         scaled /= hi - lo
         scaled *= levels
-        indices = scaled.astype(np.int64)  # scaled >= 0, so truncation is floor
-        np.minimum(indices, levels - 1, out=indices)
+    indices = scaled.astype(np.int64)  # scaled >= 0, so truncation is floor
+    np.minimum(indices, levels - 1, out=indices)
     indices.setflags(write=False)
     return QuantizedSlice(levels=levels, indices=indices)
+
+
+def glcm_reference(q: QuantizedSlice, offset=(0, 1), symmetric: bool = True) -> GlcmMatrix:
+    """One slice's co-occurrence probabilities from one bincount of its pair
+    codes, as entropy.glcm counted them before slices were scored in groups."""
+    dr, dc = offset
+    if (dr, dc) == (0, 0):
+        raise ConfigError("co-occurrence offset must not be (0, 0)")
+    idx = q.indices
+    nrows, ncols = idx.shape
+    r0, r1 = max(0, -dr), nrows - max(0, dr)
+    c0, c1 = max(0, -dc), ncols - max(0, dc)
+    if r0 >= r1 or c0 >= c1:
+        raise EmptyGlcm(f"no pixel pair fits offset {offset} in a {idx.shape} slice")
+    levels = q.levels
+    codes = idx[r0:r1, c0:c1] * levels
+    codes += idx[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
+    counts = np.bincount(codes.ravel(order="K"), minlength=levels * levels)
+    matrix = counts.reshape(levels, levels).astype(np.float64)
+    if symmetric:
+        matrix = matrix + matrix.T
+    matrix /= codes.size * (2 if symmetric else 1)
+    return GlcmMatrix(levels=levels, probabilities=matrix)
+
+
+def slice_entropy_reference(s, cfg) -> float:
+    """quantize_reference -> glcm_reference -> entropy.glcm_entropy for one
+    slice on its own; 0.0 when no pixel pair fits cfg.offset."""
+    q = quantize_reference(s, cfg.levels)
+    try:
+        g = glcm_reference(q, cfg.offset, cfg.symmetric)
+    except EmptyGlcm:
+        return 0.0
+    return glcm_entropy(g)
 
 
 def gradient_check(model, X: np.ndarray, y: np.ndarray, step: float = 1e-5) -> float:

@@ -1,12 +1,15 @@
 """Co-occurrence matrices, entropy scoring, and slice ranking."""
 
+import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mridecomp import entropy
 from mridecomp.entropy import (
     EntropyConfig,
     GlcmMatrix,
@@ -17,10 +20,10 @@ from mridecomp.entropy import (
     slice_entropy,
 )
 from mridecomp.errors import ConfigError, EmptyGlcm, EmptyInput, InvalidK, NotNormalized
-from mridecomp.nifti import QuantizedSlice, quantize
+from mridecomp.nifti import QuantizedSlice, Slice2D, quantize
 
 from conftest import make_slice
-from oracles import entropy_brute, glcm_brute
+from oracles import entropy_brute, glcm_brute, slice_entropy_reference
 
 
 def quantized(indices, levels=None):
@@ -189,6 +192,68 @@ def test_rank_slices_rejects_empty_and_mixed_subjects():
     b = make_slice(np.zeros((2, 2)), subject_id="b")
     with pytest.raises(ValueError):
         rank_slices([a, b])
+
+
+def _volume(rng, dtype, shape, layout, constant, overflow):
+    """A volume of random dtype values with some constant slices and, for
+    float64, some slices whose max - min overflows float64."""
+    info = np.iinfo(dtype) if np.dtype(dtype).kind in "iu" else np.finfo(dtype)
+    if np.dtype(dtype).kind in "iu":
+        volume = rng.integers(info.min, info.max, size=shape, dtype=dtype, endpoint=True)
+    else:
+        volume = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 6)).astype(dtype)
+    for j in constant:
+        volume[:, :, j] = volume[0, 0, j]
+    for j in overflow:
+        volume[:, :, j] = rng.choice([info.min, info.max, 0.0, 1.0], size=shape[:2])
+        volume[0, 0, j], volume[-1, -1, j] = info.min, info.max
+    return np.asarray(volume, order=layout)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    dtype=st.sampled_from(["u1", "i2", "f4", "f8"]),
+    shape=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 9)),
+    layout=st.sampled_from(["F", "C"]),
+    per_group=st.integers(1, 10),
+    levels=st.sampled_from([2, 3, 8, 16]),
+    offset=st.sampled_from([(0, 1), (1, 0), (1, 1), (-1, 2)]),
+    symmetric=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grouped_scores_match_per_slice_reference(
+    dtype, shape, layout, per_group, levels, offset, symmetric, seed
+):
+    """rank_slices scores every slice bit for bit as quantize_reference ->
+    glcm_reference -> glcm_entropy scores it alone, however its volume's
+    slices fall into groups."""
+    rng = np.random.default_rng(seed)
+    nz = shape[2]
+    constant = rng.choice(nz, size=rng.integers(0, nz + 1), replace=False)
+    overflow = [j for j in range(nz) if j not in constant and rng.random() < 0.3] if dtype == "f8" else []
+    volume = _volume(rng, dtype, shape, layout, constant, overflow)
+    slices = [Slice2D("s", i, volume[:, :, i]) for i in range(nz)]
+    cfg = EntropyConfig(levels=levels, offset=offset, symmetric=symmetric)
+    # per_group slices fit the patched budget, so groups split mid-volume
+    with mock.patch.object(entropy, "_GROUP_BYTES", per_group * 8 * shape[0] * shape[1]):
+        ranked = rank_slices(slices, cfg)
+    want = [slice_entropy_reference(s, cfg) for s in slices]
+    got = {r.slice_index: r.entropy for r in ranked}
+    assert np.array([got[i] for i in range(nz)]).tobytes() == np.array(want).tobytes()
+    assert [r.slice_index for r in ranked] == sorted(range(nz), key=lambda i: (-want[i], i))
+
+
+def test_slices_without_pairs_warn_and_score_zero_in_order(monkeypatch, caplog):
+    """A 1-pixel-wide slice has no pair at offset (0, 1): each warns once, in
+    slice order, and scores 0, also when its group holds several slices."""
+    monkeypatch.setattr(entropy, "_GROUP_BYTES", 2 * 8 * 5)  # two 5 x 1 slices per group
+    slices = [make_slice(np.arange(5.0)[:, None] * i, subject_id="s", slice_index=i) for i in range(5)]
+    with caplog.at_level(logging.WARNING, logger="mridecomp.entropy"):
+        ranked = rank_slices(slices)
+    assert [(r.slice_index, r.entropy) for r in ranked] == [(i, 0.0) for i in range(5)]
+    assert caplog.messages == [
+        f"slice s/{i} has no co-occurring pairs at offset (0, 1); scoring 0" for i in range(5)
+    ]
 
 
 def test_select_top_k_prefix_and_clamp():

@@ -1,14 +1,17 @@
 """Volume decoding: header parsing, scaling, byte order, quantization."""
 
 import gzip
+import re
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mridecomp import nifti
 from mridecomp.entropy import slice_entropy
 from mridecomp.errors import (
     ConfigError,
@@ -267,6 +270,14 @@ def test_decode_matches_float64_reference(tmp_path, rng, datatype, end, scaling)
     assert not vol.voxels.flags.writeable
 
 
+def _gzip_error_text(path, blob: bytes) -> str:
+    """A pattern for the IoError read_nifti raises on a .nii.gz that
+    gzip.decompress rejects: gzip.decompress's own error, under either engine."""
+    with pytest.raises((OSError, EOFError, zlib.error)) as rejected:
+        gzip.decompress(blob)
+    return f"^{re.escape(f'cannot read {path}: {rejected.value}')}$"
+
+
 def test_corrupt_gzip_raises_io_error(tmp_path):
     hdr = build_header()
     blob = gzip.compress(bytes(hdr) + b"\x00" * 4 + np.arange(48, dtype="<f4").tobytes())
@@ -275,7 +286,7 @@ def test_corrupt_gzip_raises_io_error(tmp_path):
     for name, data in (("truncated", blob[: len(blob) - 12]), ("flipped", bytes(flipped))):
         path = tmp_path / f"{name}.nii.gz"
         path.write_bytes(data)
-        with pytest.raises(IoError):
+        with pytest.raises(IoError, match=_gzip_error_text(path, data)):
             read_nifti(path)
 
 
@@ -324,6 +335,7 @@ def _gz_volume_bytes(rng, dims=(12, 10, 8)) -> bytes:
 
 def _decode_like_gzip_decompress(tmp_path, blob: bytes):
     """read_nifti of blob beside read_nifti of gzip.decompress(blob) as a plain .nii."""
+    assert nifti._gunzip(blob) == gzip.decompress(blob)
     gz_path = tmp_path / "v.nii.gz"
     gz_path.write_bytes(blob)
     plain = tmp_path / "reference.nii"
@@ -331,13 +343,18 @@ def _decode_like_gzip_decompress(tmp_path, blob: bytes):
     return read_nifti(gz_path), read_nifti(plain)
 
 
-@pytest.mark.parametrize("layout", ["two-members", "empty-trailing-member", "zero-padding"])
+@pytest.mark.parametrize(
+    "layout", ["two-members", "empty-trailing-member", "zero-padding", "self-concatenated"]
+)
 def test_gzip_member_layouts_decode_like_gzip_decompress(tmp_path, rng, layout):
     nii = _gz_volume_bytes(rng)
+    half = len(nii) // 2
     if layout == "two-members":
         # equal halves, so the members' ISIZEs agree and only the CRC tells them apart
-        half = len(nii) // 2
         blob = gzip.compress(nii[:half], mtime=0) + gzip.compress(nii[half:], mtime=0)
+    elif layout == "self-concatenated":
+        # both members have one length and CRC32, and the first alone is a truncated volume
+        blob = gzip.compress(nii[:half], mtime=0) * 2
     elif layout == "empty-trailing-member":  # as BGZF ends its files
         blob = gzip.compress(nii, mtime=0) + gzip.compress(b"", mtime=0)
     else:
@@ -358,11 +375,9 @@ def test_empty_leading_member_before_zero_padding_decodes(tmp_path, rng):
 @pytest.mark.parametrize("tail", [b"not gzip", b"trailing garbage after the member", b"\x1f\x8b"])
 def test_trailing_non_gzip_bytes_raise_io_error(tmp_path, rng, tail):
     blob = gzip.compress(_gz_volume_bytes(rng), mtime=0) + tail
-    with pytest.raises((OSError, EOFError)):
-        gzip.decompress(blob)
     path = tmp_path / "tail.nii.gz"
     path.write_bytes(blob)
-    with pytest.raises(IoError):
+    with pytest.raises(IoError, match=_gzip_error_text(path, blob)):
         read_nifti(path)
 
 
@@ -395,7 +410,8 @@ def test_forged_isize_reserves_no_more_than_deflate_allows(tmp_path):
 @pytest.mark.parametrize("isize", [0xFFFFFFF0, None], ids=["over-deflate-ratio", "at-deflate-ratio"])
 def test_forged_isize_is_an_io_error(tmp_path, isize):
     path, _ = _forged_isize_file(tmp_path, isize)
-    with pytest.raises(IoError):  # the real length disagrees with the trailer
+    # the real length disagrees with the trailer
+    with pytest.raises(IoError, match=_gzip_error_text(path, path.read_bytes())):
         read_nifti(path)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mridecomp import cluster, decomposition, pipeline, pool
+from mridecomp import cluster, decomposition, nifti, pipeline, pool
 from mridecomp.classifier import model_to_json, train
 from mridecomp.config import PipelineConfig, SliceSelectionConfig, TrainingConfig, config_from_dict
 from mridecomp.decomposition import LabelCodec
@@ -315,6 +315,31 @@ def test_rerun_into_a_run_directory_matches_a_fresh_run(dataset, tmp_path):
     run_pipeline(manifest_path, quick_config(), tmp_path / "rerun")
     run_pipeline(manifest_path, quick_config(), tmp_path / "fresh")
     assert _artifacts(tmp_path / "rerun") == _artifacts(tmp_path / "fresh")
+
+
+@pytest.mark.skipif(nifti._LIBDEFLATE is None, reason="libdeflate is not installed")
+def test_run_does_not_depend_on_the_gzip_engine(dataset, tmp_path, monkeypatch):
+    """libdeflate and the zlib engine inflate the .nii.gz volumes to the same
+    bytes, so the runs write the same artifacts."""
+    manifest_path, rows = dataset
+    n_gz = sum(str(r.path).endswith(".gz") for r in rows)
+    assert n_gz > 0
+    engines = []
+    for engine in ("_libdeflate_one_member", "_zlib_one_member"):
+        inflate = getattr(nifti, engine)
+
+        def recording(raw, isize, inflate=inflate, engine=engine):
+            engines.append(engine)
+            return inflate(raw, isize)
+
+        monkeypatch.setattr(nifti, engine, recording)
+    run_pipeline(manifest_path, quick_config(), tmp_path / "libdeflate")
+    assert engines == ["_libdeflate_one_member"] * n_gz
+    engines.clear()
+    monkeypatch.setattr(nifti, "_LIBDEFLATE", None)
+    run_pipeline(manifest_path, quick_config(), tmp_path / "zlib")
+    assert engines == ["_zlib_one_member"] * n_gz
+    assert _artifacts(tmp_path / "libdeflate") == _artifacts(tmp_path / "zlib")
 
 
 def test_elbow_run_matches_one_restart_at_a_time(dataset, tmp_path, monkeypatch):
