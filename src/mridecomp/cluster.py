@@ -9,6 +9,7 @@ scores always match the returned centroids.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,22 @@ def _repair(
     centroids[:] = _means(X, assignments, centroids, counts)
 
 
+def _draw(rng: np.random.Generator, weights: np.ndarray, total: float) -> int:
+    """An index drawn with probability weights / total, as
+    rng.choice(len(weights), p=weights / total) draws it: the same index from
+    the same one random() of the stream, without choice's argument checks.
+    Weights whose total is not positive (every remaining point coincides
+    with a chosen centroid) draw an index uniformly; an infinite total
+    raises ValueError, as choice does."""
+    if not total > 0.0:
+        return int(rng.integers(len(weights)))
+    if math.isinf(total):
+        raise ValueError(f"k-means++ weights sum to {total}, which is not finite")
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _init_plus_plus(X: np.ndarray, k: int, rngs: list[np.random.Generator]) -> np.ndarray:
     """k-means++ seeding of R restarts at once, (R, k, m) centroids. Each
     restart draws from its own generator, in the order it would alone."""
@@ -132,14 +149,8 @@ def _init_plus_plus(X: np.ndarray, k: int, rngs: list[np.random.Generator]) -> n
     closest = np.einsum("rnm,rnm->rn", diff, diff)
     for j in range(1, k):
         totals = np.add.reduce(closest, axis=1).tolist()
-        # a restart whose remaining points all coincide with chosen
-        # centroids draws one uniformly (its closest row stays all zero)
-        centroids[:, j] = X[
-            [
-                rng.choice(n, p=row / total) if total > 0.0 else rng.integers(n)
-                for rng, row, total in zip(rngs, closest, totals)
-            ]
-        ]
+        picks = [_draw(rng, row, total) for rng, row, total in zip(rngs, closest, totals)]
+        centroids[:, j] = X[picks]
         diff = X - centroids[:, j, None]
         np.minimum(closest, np.einsum("rnm,rnm->rn", diff, diff), out=closest)
     return centroids

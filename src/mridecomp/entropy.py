@@ -5,28 +5,31 @@ A slice's texture information content is measured as the Shannon entropy
 are ranked by that score and the top K kept. Defaults follow the canonical
 texture setup: 8 grey levels, offset (0, 1), symmetric, normalized.
 
-rank_slices scores a subject's slices in cache-sized groups: one float64
-block per group, quantized slice by slice (nifti.quantize_block) and
-counted in one bincount (glcm_block), then one entropy sum per slice. glcm
-and slice_entropy are the one-slice case, and give the same bits.
+rank_slices scores a volume's slices in one kernel, _score_volume. It takes
+every slice's min and max in one min and one max over the stored voxels. A
+constant slice has one grey level, so one co-occurrence cell of probability
+1 and entropy -0.0, and is neither quantized nor counted. The other slices
+are promoted to float64 a cache-sized group at a time, quantized slice by
+slice (nifti.quantize_block) and counted in one bincount per group
+(glcm_block); then one reduction per count of non-zero cells sums every
+entropy. Each score has the bits of one slice scored on its own.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyGlcm, EmptyInput, InvalidK, NotNormalized
-from .nifti import QuantizedSlice, Slice2D, quantize_block
+from .errors import ConfigError, EmptyGlcm, EmptyInput, InvalidK
+from .nifti import Slice2D, Volume, quantize_block
 
 logger = logging.getLogger(__name__)
 
-# float64 pixel bytes rank_slices scores at once: 4 slices at 128 x 128, or a
-# whole 24 x 24 x 30 volume; a whole 128^3 volume is 16 MB and falls out of cache
+# float64 pixel bytes _score_volume promotes at once: 4 slices at 128 x 128, or
+# a whole 24 x 24 x 30 volume; a whole 128^3 volume is 16 MB and falls out of cache
 _GROUP_BYTES = 512 * 1024
 
 
@@ -40,16 +43,24 @@ class EntropyConfig:
 
 
 @dataclass(frozen=True)
-class GlcmMatrix:
-    levels: int
-    probabilities: np.ndarray
-
-
-@dataclass(frozen=True)
 class RankedSlice:
     subject_id: str
     slice_index: int
     entropy: float
+
+
+def _pair_window(shape: tuple[int, int], offset: tuple[int, int]) -> tuple[int, int, int, int]:
+    """(r0, r1, c0, c1): rows r0:r1 and columns c0:c1 hold the first pixel of
+    every in-bounds pair at offset in a slice of shape (nrows, ncols)."""
+    dr, dc = offset
+    if (dr, dc) == (0, 0):
+        raise ConfigError("co-occurrence offset must not be (0, 0)")
+    nrows, ncols = shape
+    r0, r1 = max(0, -dr), nrows - max(0, dr)
+    c0, c1 = max(0, -dc), ncols - max(0, dc)
+    if r0 >= r1 or c0 >= c1:
+        raise EmptyGlcm(f"no pixel pair fits offset {offset} in a {(nrows, ncols)} slice")
+    return r0, r1, c0, c1
 
 
 def glcm_block(
@@ -65,15 +76,9 @@ def glcm_block(
     q[p + offset] == j at the given (drow, dcol) offset. Symmetric mode adds
     the transpose; the counts are then divided by the slice's pair count.
     """
+    r0, r1, c0, c1 = _pair_window(indices.shape[:2], offset)
     dr, dc = offset
-    if (dr, dc) == (0, 0):
-        raise ConfigError("co-occurrence offset must not be (0, 0)")
-    nrows, ncols, n_slices = indices.shape
-    r0, r1 = max(0, -dr), nrows - max(0, dr)
-    c0, c1 = max(0, -dc), ncols - max(0, dc)
-    if r0 >= r1 or c0 >= c1:
-        raise EmptyGlcm(f"no pixel pair fits offset {offset} in a {(nrows, ncols)} slice")
-
+    n_slices = indices.shape[2]
     # pair codes on the windows keep the block's layout, so the one ravel
     # below is a view; slice j's codes lie in [j * levels^2, (j + 1) * levels^2)
     codes = indices[r0:r1, c0:c1] * levels
@@ -89,77 +94,97 @@ def glcm_block(
     return matrices
 
 
-def glcm(
-    q: QuantizedSlice,
-    offset: tuple[int, int] = (0, 1),
-    symmetric: bool = True,
-) -> GlcmMatrix:
-    """glcm_block of one quantized slice."""
-    probabilities = glcm_block(q.indices[:, :, None], q.levels, offset, symmetric)[0]
-    return GlcmMatrix(levels=q.levels, probabilities=probabilities)
+def _entropies(probabilities: np.ndarray) -> np.ndarray:
+    """-sum P log2 P over the non-zero cells of each matrix probabilities[j].
 
-
-def glcm_entropy(g: GlcmMatrix) -> float:
-    """Shannon entropy in bits of a normalized co-occurrence matrix.
-
-    H = -sum_ij P[i][j] * log2 P[i][j], with 0 * log 0 taken as 0.
+    Slices are sorted by their count K of non-zero cells, so each K's cells
+    form one (slices, K) block, and one reduce over its rows adds each
+    slice's terms in the order a 1-D sum of them does.
     """
-    p = g.probabilities
-    total = p.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise NotNormalized(f"matrix sums to {total!r}, expected 1")
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    flat = probabilities.reshape(len(probabilities), -1)
+    nonzero = flat > 0
+    counts = np.count_nonzero(nonzero, axis=1)
+    order = np.argsort(counts, kind="stable")
+    cells = flat[order][nonzero[order]]  # row-major within a slice
+    terms = cells * np.log2(cells)
+    ks, runs = np.unique(counts[order], return_counts=True)
+    sums = np.empty(len(flat))
+    first = start = 0
+    for k, run in zip(ks.tolist(), runs.tolist()):
+        sums[order[first : first + run]] = np.add.reduce(
+            terms[start : start + run * k].reshape(run, k), axis=-1
+        )
+        first, start = first + run, start + run * k
+    return -sums
 
 
-def _score_group(slices, cfg: EntropyConfig) -> list[float]:
-    """Entropy of each of slices, which share one shape, from one float64
-    block of their pixels; a slice too small to contain any pair at the
-    configured offset scores 0, with a warning."""
-    block = np.empty((*np.shape(slices[0].pixels), len(slices)), order="F")
-    np.stack([s.pixels for s in slices], axis=2, out=block)
-    indices = quantize_block(block, cfg.levels)
-    try:
-        probabilities = glcm_block(indices, cfg.levels, cfg.offset, cfg.symmetric)
-    except EmptyGlcm:
-        for s in slices:
-            logger.warning(
-                "slice %s/%d has no co-occurring pairs at offset %s; scoring 0",
-                s.subject_id, s.slice_index, cfg.offset,
-            )
-        return [0.0] * len(slices)
-    # one sum per slice, so each runs in the order it does for a lone slice
-    return [glcm_entropy(GlcmMatrix(cfg.levels, p)) for p in probabilities]
+def _score_volume(voxels: np.ndarray, cfg: EntropyConfig) -> np.ndarray:
+    """Entropy of each slice voxels[:, :, j], in any real dtype. Raises
+    EmptyGlcm when no pixel pair fits cfg.offset in a slice."""
+    if cfg.levels < 2:
+        raise ConfigError(f"levels must be >= 2, got {cfg.levels}")
+    nrows, ncols, n_slices = voxels.shape
+    _pair_window((nrows, ncols), cfg.offset)
+    # promotion to float64 keeps order, so it commutes with min and max
+    lo = voxels.min(axis=(0, 1)).astype(np.float64)
+    hi = voxels.max(axis=(0, 1)).astype(np.float64)
+    scores = np.full(n_slices, -0.0)  # a constant slice's one cell: -(1.0 * log2 1.0)
+    size = max(1, _GROUP_BYTES // (8 * nrows * ncols))
+    varies = lo != hi
+    groups = []  # [start, stop): consecutive non-constant slices, at most size of them
+    for j in np.flatnonzero(varies).tolist():
+        if groups and groups[-1][1] == j and j - groups[-1][0] < size:
+            groups[-1][1] = j + 1
+        else:
+            groups.append([j, j + 1])
+    if not groups:
+        return scores
+    probabilities = []
+    for start, stop in groups:
+        block = voxels[:, :, start:stop].astype(np.float64, order="F")
+        indices = quantize_block(block, cfg.levels, lo[start:stop], hi[start:stop])
+        probabilities.append(glcm_block(indices, cfg.levels, cfg.offset, cfg.symmetric))
+    scores[varies] = _entropies(np.concatenate(probabilities))
+    return scores
 
 
-def slice_entropy(s: Slice2D, cfg: EntropyConfig = EntropyConfig()) -> float:
-    """Quantize a slice and score it by co-occurrence entropy.
+def rank_slices(
+    slices: Volume | list[Slice2D], cfg: EntropyConfig = EntropyConfig()
+) -> list[RankedSlice]:
+    """Score one subject's slices and sort them by descending entropy.
 
-    Slices too small to contain any pair at the configured offset score 0.
+    slices is a Volume, whose axial slices are scored where they lie, or a
+    list of one subject's Slice2D, whose consecutive slices of one shape are
+    stacked and scored together. A slice too small to hold any pair at the
+    configured offset scores 0, with a warning. Ties break toward the lower
+    slice index so rankings are reproducible.
     """
-    return _score_group([s], cfg)[0]
-
-
-def rank_slices(slices, cfg: EntropyConfig = EntropyConfig()) -> list[RankedSlice]:
-    """Score a single subject's slices and sort them by descending entropy.
-
-    Consecutive slices of one shape are scored together, as many at a time
-    as fit _GROUP_BYTES of float64 pixels, so each group's temporaries stay
-    in cache. Ties break toward the lower slice index so rankings are
-    reproducible.
-    """
-    if not slices:
-        raise EmptyInput("no slices to rank")
-    subjects = {s.subject_id for s in slices}
-    if len(subjects) != 1:
-        raise ValueError(f"rank_slices expects a single subject, got {sorted(subjects)}")
-    scores = []
-    for shape, run in itertools.groupby(slices, key=lambda s: np.shape(s.pixels)):
-        run = list(run)
-        size = max(1, _GROUP_BYTES // max(1, 8 * math.prod(shape)))
-        for start in range(0, len(run), size):
-            scores += _score_group(run[start : start + size], cfg)
-    ranked = [RankedSlice(s.subject_id, s.slice_index, h) for s, h in zip(slices, scores)]
+    if isinstance(slices, Volume):
+        subject_id = slices.subject_id
+        runs = [(range(slices.dims[2]), slices.voxels)]
+    else:
+        if not slices:
+            raise EmptyInput("no slices to rank")
+        subjects = {s.subject_id for s in slices}
+        if len(subjects) != 1:
+            raise ValueError(f"rank_slices expects a single subject, got {sorted(subjects)}")
+        subject_id = slices[0].subject_id
+        runs = []
+        for _, run in itertools.groupby(slices, key=lambda s: np.shape(s.pixels)):
+            run = list(run)
+            runs.append(([s.slice_index for s in run], np.stack([s.pixels for s in run], axis=2)))
+    ranked = []
+    for indices, voxels in runs:
+        try:
+            scores = _score_volume(voxels, cfg).tolist()
+        except EmptyGlcm:
+            for i in indices:
+                logger.warning(
+                    "slice %s/%d has no co-occurring pairs at offset %s; scoring 0",
+                    subject_id, i, cfg.offset,
+                )
+            scores = [0.0] * len(indices)
+        ranked += [RankedSlice(subject_id, i, h) for i, h in zip(indices, scores)]
     return sorted(ranked, key=lambda r: (-r.entropy, r.slice_index))
 
 

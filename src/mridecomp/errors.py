@@ -39,10 +39,6 @@ class EmptyGlcm(PipelineError):
     """No pixel pair fits the offset within the slice."""
 
 
-class NotNormalized(PipelineError):
-    """Co-occurrence matrix does not sum to 1."""
-
-
 class EmptyInput(PipelineError):
     """An operation that needs at least one element got none."""
 

@@ -83,20 +83,14 @@ class Slice2D:
     pixels: np.ndarray
 
 
-@dataclass(frozen=True)
-class QuantizedSlice:
-    """Slice discretized to integer grey levels in [0, levels)."""
-
-    levels: int
-    indices: np.ndarray
-
-
 # deflate's best case is 1032:1 (RFC 1951: a 258-byte match per ~2 bits), so a
 # gzip trailer claiming more output than this per input byte is forged
 MAX_DEFLATE_RATIO = 1032
-# input bytes, and at most output bytes, per zlib call: the inflate then holds
-# about 60 KB beside the payload buffer, zlib's 32 KB window included
-_ZLIB_CHUNK = 8 * 1024
+# input bytes, and at most output bytes, per zlib call: 1/128 of the payload
+# within these bounds, so an 8 MB volume takes 128 output steps, where 8 KB
+# steps took 1,000, each a GIL release; the inflate holds a few steps and
+# zlib's 32 KB window beside the payload buffer (about 360 KB at 64 KB steps)
+_ZLIB_STEP_MIN, _ZLIB_STEP_MAX = 8 * 1024, 64 * 1024
 
 
 def _load_libdeflate():
@@ -124,12 +118,12 @@ def _load_libdeflate():
 _LIBDEFLATE = _load_libdeflate()
 
 
-def _libdeflate_one_member(raw: bytes, isize: int) -> bytearray | None:
+def _libdeflate_one_member(raw: bytes, isize: int) -> memoryview | None:
     """raw inflated into an isize-byte buffer by libdeflate, which checks the
     member's CRC32 and length; None unless the call succeeded, consumed all
     of raw (one member, nothing after it) and wrote exactly isize bytes."""
-    out = bytearray(isize)
-    target = (ctypes.c_char * isize).from_buffer(out)
+    # not zero-filled, a pass that would hold the GIL: a kept result wrote all isize bytes
+    out = np.empty(isize, np.uint8)
     consumed, written = ctypes.c_size_t(), ctypes.c_size_t()
     # a decompressor holds per-call state, so threads never share one
     decompressor = _LIBDEFLATE.libdeflate_alloc_decompressor()
@@ -137,51 +131,52 @@ def _libdeflate_one_member(raw: bytes, isize: int) -> bytearray | None:
         return None
     try:
         status = _LIBDEFLATE.libdeflate_gzip_decompress_ex(
-            decompressor, raw, len(raw), target, isize,
+            decompressor, raw, len(raw), out.ctypes.data, isize,
             ctypes.byref(consumed), ctypes.byref(written),
         )
     finally:
         _LIBDEFLATE.libdeflate_free_decompressor(decompressor)
     if status == 0 and consumed.value == len(raw) and written.value == isize:
-        return out
+        return out.data
     return None
 
 
-def _zlib_one_member(raw: bytes, isize: int) -> bytearray | None:
+def _zlib_one_member(raw: bytes, isize: int) -> memoryview | None:
     """raw inflated into an isize-byte buffer by zlib, which checks the
     member's CRC32 and length; None when the first member is not isize bytes
     long or anything follows it. Raises zlib.error on a corrupt member."""
-    out = bytearray(isize)
+    out = np.empty(isize, np.uint8).data
+    step = min(max(isize // 128, _ZLIB_STEP_MIN), _ZLIB_STEP_MAX)
     inflater = zlib.decompressobj(wbits=31)
     view = memoryview(raw)
     filled = 0
-    for start in range(0, len(raw), _ZLIB_CHUNK):
-        data = view[start : start + _ZLIB_CHUNK]
+    for start in range(0, len(raw), step):
+        data = view[start : start + step]
         while True:
             # one byte past the trailer's length is enough to see that it lies
-            piece = inflater.decompress(data, min(isize - filled + 1, _ZLIB_CHUNK))
+            piece = inflater.decompress(data, min(isize - filled + 1, step))
             if filled + len(piece) > isize:
                 return None
             out[filled : filled + len(piece)] = piece
             filled += len(piece)
             if inflater.eof:
-                follows = inflater.unused_data or start + _ZLIB_CHUNK < len(raw)
+                follows = inflater.unused_data or start + step < len(raw)
                 return None if follows or filled != isize else out
             data = inflater.unconsumed_tail
-            if not data and len(piece) < _ZLIB_CHUNK:  # a full piece may leave output pending
+            if not data and len(piece) < step:  # a full piece may leave output pending
                 break
     return None
 
 
-def _gunzip(raw: bytes) -> bytes | bytearray:
+def _gunzip(raw: bytes) -> bytes | memoryview:
     """Inflate a gzip file to the bytes gzip.decompress returns.
 
     A file of one member, whose trailer states a length (ISIZE, RFC 1952)
     between a NIfTI header and deflate's ratio times the file size, is
     inflated once into a buffer of that length: by libdeflate when the system
-    library loaded, else by zlib in 8 KB steps. The result is used
-    only when the member filled the buffer exactly, passed its CRC32 and
-    length checks and ended the file. Any other file (several members, zero
+    library loaded, else by zlib in steps of 1/128 of that length, 8 to 64 KB.
+    The result is used only when the member filled the buffer exactly, passed
+    its CRC32 and length checks and ended the file. Any other file (several members, zero
     padding, trailing bytes, a forged ISIZE, a corrupt stream) decodes or
     fails in gzip.decompress.
     """
@@ -198,7 +193,7 @@ def _gunzip(raw: bytes) -> bytes | bytearray:
     return gzip.decompress(raw)
 
 
-def _read_bytes(path) -> bytes | bytearray:
+def _read_bytes(path) -> bytes | memoryview:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -297,10 +292,11 @@ def extract_axial_slices(volume: Volume) -> list[Slice2D]:
     ]
 
 
-def quantize_block(block: np.ndarray, levels: int) -> np.ndarray:
-    """Discretize each slice block[:, :, j] into `levels` grey levels by its own
-    min-max binning, overwriting the float64 block; returns the read-only int64
-    indices in the block's shape and memory layout.
+def quantize_block(block: np.ndarray, levels: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Discretize each slice block[:, :, j], whose least and greatest pixel
+    are lo[j] and hi[j], into `levels` (>= 2) grey levels by min-max binning,
+    overwriting the float64 block; returns the read-only int64 indices in the
+    block's shape and memory layout.
 
     index = floor((p - min) / (max - min) * levels), clamped to levels-1; a
     constant slice maps entirely to level 0. Invariant under positive affine
@@ -308,17 +304,15 @@ def quantize_block(block: np.ndarray, levels: int) -> np.ndarray:
     is applied to its halved pixels, min and max, so its indices stay in
     [0, levels) and keep the pixels' order.
     """
-    if levels < 2:
-        raise ConfigError(f"levels must be >= 2, got {levels}")
-    # min and max of the exactly promoted pixels are the stored ones, exactly
-    lo = block.min(axis=(0, 1))
-    hi = block.max(axis=(0, 1))
     with np.errstate(over="ignore"):
         span = hi - lo
-    for j in np.flatnonzero(np.isinf(span)):
-        # halving is exact above the subnormals and keeps order; the halved span is finite
-        block[:, :, j] *= 0.5
-        lo[j], span[j] = lo[j] * 0.5, hi[j] * 0.5 - lo[j] * 0.5
+    wide = np.flatnonzero(np.isinf(span))
+    if wide.size:
+        lo = lo.copy()
+        for j in wide:
+            # halving is exact above the subnormals and keeps order; the halved span is finite
+            block[:, :, j] *= 0.5
+            lo[j], span[j] = lo[j] * 0.5, hi[j] * 0.5 - lo[j] * 0.5
     span[span == 0.0] = 1.0  # a constant slice: every p - min is 0
     block -= lo
     block /= span
@@ -328,11 +322,3 @@ def quantize_block(block: np.ndarray, levels: int) -> np.ndarray:
     indices = block.astype(np.int64)
     indices.setflags(write=False)
     return indices
-
-
-def quantize(s: Slice2D, levels: int) -> QuantizedSlice:
-    """One slice through quantize_block, promoted to float64 in its own memory
-    layout, so the indices keep that layout (Fortran order for a slice of a
-    volume)."""
-    block = np.array(s.pixels, dtype=np.float64)[:, :, None]
-    return QuantizedSlice(levels=levels, indices=quantize_block(block, levels)[:, :, 0])

@@ -46,7 +46,7 @@ from .features import (
     save_features,
 )
 from .manifest import ManifestRow, read_manifest, write_manifest
-from .nifti import extract_axial_slices, read_nifti
+from .nifti import read_nifti
 from .reduction import apply_standardize, fit_standardize, pca_fit, pca_transform
 
 logger = logging.getLogger(__name__)
@@ -102,15 +102,14 @@ def _select_for_subject(row: ManifestRow, scfg: SliceSelectionConfig, busy: dict
     and the ranking of every slice; adds the decode and rank seconds to busy."""
     t0 = time.perf_counter()
     volume = read_nifti(row.path, subject_id=row.subject_id)
-    slices = extract_axial_slices(volume)
     t1 = time.perf_counter()
-    ranked = rank_slices(slices, scfg)
-    chosen_idx = {r.slice_index for r in select_top_k(ranked, min(scfg.top_k, len(ranked)))}
-    chosen = [s for s in slices if s.slice_index in chosen_idx]
-    # one stacked copy in the stored dtype, so the volume is freed on return;
-    # the feature backends promote only what they resample to float64
-    pixels = np.stack([s.pixels for s in chosen])
-    indices = np.asarray([s.slice_index for s in chosen], dtype=np.int64)
+    ranked = rank_slices(volume, scfg)
+    chosen = sorted(r.slice_index for r in select_top_k(ranked, min(scfg.top_k, len(ranked))))
+    # one (k, nx, ny) copy in the stored dtype, so the volume is freed on return;
+    # the feature backends promote only what they resample to float64. An index
+    # list, not take, which first copies the whole volume to C order
+    pixels = volume.voxels.transpose(2, 0, 1)[chosen]
+    indices = np.asarray(chosen, dtype=np.int64)
     busy["decode"] += t1 - t0
     busy["rank"] += time.perf_counter() - t1
     return pixels, indices, ranked
@@ -125,8 +124,8 @@ def run_slices_stage(
     """Rank informative slices per subject, and turn each subject's selected
     slices into feature rows with backend; subject errors are isolated.
 
-    Subjects run on pool.map_in_order, one worker per available CPU (decode,
-    inflate and the numpy kernels release the GIL), so backend.extract is
+    Subjects run on pool.map_in_order, one worker per available CPU (inflate
+    and most of ranking run without the GIL), so backend.extract is
     called from several threads at once, once per subject. Every run decodes
     and ranks each subject's volume once. Each worker keeps only the selected
     slice indices and their feature rows (none without a backend); the pixels

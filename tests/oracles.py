@@ -7,12 +7,13 @@ step, a fancy-indexed batch per step), of features.bilinear_resize (one 2-D
 grid, promoted to float64 whole), of OnnxBackend.extract (one slice at a
 time), of nifti.quantize_block (one slice promoted to float64 whole, clamped
 after the integer cast) and of entropy.glcm_block (one slice's pairs
-counted on their own); slice_entropy_reference chains the last two into
-the score entropy.rank_slices gives each slice. kmeans_reference is one
-restart of cluster.kmeans_restarts on its own, with a boolean mask and a
-mean per cluster and per iteration, distances from sq_dists_reference,
-seeded by init_plus_plus_reference, and kmeans_restarts_reference runs it
-once per restart. The package's versions must give the same bytes.
+counted on their own); slice_entropy_reference chains the last two and
+glcm_entropy, one 1-D sum per slice, into the score entropy.rank_slices
+gives each slice. kmeans_reference is one restart of
+cluster.kmeans_restarts on its own, with a boolean mask and a mean per
+cluster and per iteration, distances from sq_dists_reference, seeded by
+init_plus_plus_reference, and kmeans_restarts_reference runs it once per
+restart. The package's versions must give the same bytes.
 
 loss is one model's mean cross-entropy over every row, from its own 1-D
 gather; train_grid's stacked epoch losses must equal it bit for bit.
@@ -21,9 +22,12 @@ gradients runs the package's one gradient formula (classifier._backprop) on
 a whole batch. pca_inverse undoes a PCA projection, and aggregate_confusion
 sums a subclass confusion matrix into classes cell by cell.
 
-glcm_brute and entropy_brute count co-occurring pairs and score them by
-nested loops, brute_force_wcss finds the k-means optimum by enumerating
-every assignment, and same_bytes compares two arrays bit for bit.
+quantize and glcm run one slice through nifti.quantize_block and
+entropy.glcm_block, and slice_entropy is the score rank_slices gives one
+slice on its own. glcm_brute and entropy_brute count co-occurring pairs and
+score them by nested loops, brute_force_wcss finds the k-means optimum by
+enumerating every assignment, and same_bytes compares two arrays bit for
+bit.
 """
 
 from __future__ import annotations
@@ -33,12 +37,14 @@ import math
 
 import numpy as np
 
+from dataclasses import dataclass
+
 from mridecomp import cluster, minionnx
 from mridecomp.classifier import TrainResult, _backprop, _log_softmax, _logits, init_model
 from mridecomp.cluster import KMeansResult
-from mridecomp.entropy import GlcmMatrix, glcm_entropy
+from mridecomp.entropy import EntropyConfig, glcm_block, rank_slices
 from mridecomp.errors import ConfigError, DegenerateInput, EmptyGlcm
-from mridecomp.nifti import QuantizedSlice
+from mridecomp.nifti import quantize_block
 
 
 def loss(model, X, y) -> float:
@@ -267,6 +273,47 @@ def onnx_features_reference(backend, pixels) -> np.ndarray:
     return np.asarray(minionnx.run_model(backend.model, tensor), dtype=np.float64).reshape(-1)
 
 
+@dataclass(frozen=True)
+class QuantizedSlice:
+    """Slice discretized to integer grey levels in [0, levels)."""
+
+    levels: int
+    indices: np.ndarray
+
+
+@dataclass(frozen=True)
+class GlcmMatrix:
+    levels: int
+    probabilities: np.ndarray
+
+
+def quantize(s, levels: int) -> QuantizedSlice:
+    """One slice through nifti.quantize_block, promoted to float64 in its own
+    memory layout, so the indices keep that layout (Fortran order for a slice
+    of a volume)."""
+    block = np.array(s.pixels, dtype=np.float64)[:, :, None]
+    lo, hi = block.min(axis=(0, 1)), block.max(axis=(0, 1))
+    return QuantizedSlice(levels=levels, indices=quantize_block(block, levels, lo, hi)[:, :, 0])
+
+
+def glcm(q: QuantizedSlice, offset=(0, 1), symmetric: bool = True) -> GlcmMatrix:
+    """entropy.glcm_block of one quantized slice."""
+    probabilities = glcm_block(q.indices[:, :, None], q.levels, offset, symmetric)[0]
+    return GlcmMatrix(levels=q.levels, probabilities=probabilities)
+
+
+def glcm_entropy(g: GlcmMatrix) -> float:
+    """Shannon entropy in bits of one normalized co-occurrence matrix,
+    -sum P log2 P over its non-zero cells in one 1-D sum."""
+    nz = g.probabilities[g.probabilities > 0]
+    return float(-(nz * np.log2(nz)).sum())
+
+
+def slice_entropy(s, cfg=EntropyConfig()) -> float:
+    """The score entropy.rank_slices gives one slice on its own."""
+    return rank_slices([s], cfg)[0].entropy
+
+
 def quantize_reference(s, levels: int) -> QuantizedSlice:
     """floor((p - min) / (max - min) * levels) clamped to levels-1, in float64
     (on halved values when max - min overflows)."""
@@ -311,8 +358,8 @@ def glcm_reference(q: QuantizedSlice, offset=(0, 1), symmetric: bool = True) -> 
 
 
 def slice_entropy_reference(s, cfg) -> float:
-    """quantize_reference -> glcm_reference -> entropy.glcm_entropy for one
-    slice on its own; 0.0 when no pixel pair fits cfg.offset."""
+    """quantize_reference -> glcm_reference -> glcm_entropy for one slice on
+    its own; 0.0 when no pixel pair fits cfg.offset."""
     q = quantize_reference(s, cfg.levels)
     try:
         g = glcm_reference(q, cfg.offset, cfg.symmetric)

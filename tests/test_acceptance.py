@@ -18,10 +18,10 @@ from mridecomp.classifier import TrainConfig, init_model, train
 from mridecomp.cluster import elbow_select_k, kmeans_restarts
 from mridecomp.config import PipelineConfig
 from mridecomp.decomposition import LabelCodec, decompose
-from mridecomp.entropy import EntropyConfig, glcm, glcm_entropy, slice_entropy
+from mridecomp.entropy import EntropyConfig, glcm_block, rank_slices
 from mridecomp.evaluation import evaluate
 from mridecomp.features import FeatureMatrix
-from mridecomp.nifti import Slice2D, quantize, read_nifti
+from mridecomp.nifti import Slice2D, quantize_block, read_nifti
 from mridecomp.pipeline import run_pipeline
 from mridecomp.reduction import pca_fit, pca_transform
 from mridecomp.synth import generate_dataset, write_nifti
@@ -60,17 +60,21 @@ def test_criterion_01_entropy_oracle():
             np.arange(rows * cols, dtype=np.float64).reshape(rows, cols),
         ]
         for pixels, offset, symmetric in itertools.product(fills, offsets, [True, False]):
-            q = quantize(slice_of(pixels), levels=levels)
-            counts = glcm_brute(q.indices, levels, offset, symmetric)
+            block = pixels[:, :, None].copy()
+            lo, hi = block.min(axis=(0, 1)), block.max(axis=(0, 1))
+            indices = quantize_block(block, levels, lo, hi)
+            counts = glcm_brute(indices[:, :, 0], levels, offset, symmetric)
             try:
-                g = glcm(q, offset=offset, symmetric=symmetric)
+                probabilities = glcm_block(indices, levels, offset, symmetric)[0]
             except Exception:
                 # the offset has no in-bounds pairs for this shape; the
                 # brute-force count must agree that the matrix is empty
                 assert counts.sum() == 0
                 continue
-            cell_err = float(np.abs(g.probabilities - counts / counts.sum()).max())
-            entropy_err = abs(glcm_entropy(g) - entropy_brute(counts))
+            cell_err = float(np.abs(probabilities - counts / counts.sum()).max())
+            cfg = EntropyConfig(levels=levels, offset=offset, symmetric=symmetric)
+            score = rank_slices([slice_of(pixels)], cfg)[0].entropy
+            entropy_err = abs(score - entropy_brute(counts))
             max_err = max(max_err, cell_err, entropy_err)
             n_cases += 1
     elapsed = time.monotonic() - start
@@ -91,10 +95,10 @@ def test_criterion_02_affine_invariance():
     worst = 0.0
     for _ in range(100):
         pixels = rng.uniform(-100, 100, size=(12, 12))
-        base = slice_entropy(slice_of(pixels), cfg)
+        base = rank_slices([slice_of(pixels)], cfg)[0].entropy
         for a in (0.5, 3.0):
             for b in (-10.0, 100.0):
-                other = slice_entropy(slice_of(a * pixels + b), cfg)
+                other = rank_slices([slice_of(a * pixels + b)], cfg)[0].entropy
                 worst = max(worst, abs(other - base))
     report(
         2,

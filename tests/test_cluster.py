@@ -184,6 +184,40 @@ def test_kmeans_matches_masked_mean_reference_bit_for_bit(case, n_init, group, m
     assert same_fit(grouped, best)
 
 
+@settings(deadline=None, max_examples=300)
+@given(
+    n=st.integers(1, 60),
+    zeros=st.floats(0.0, 0.9),
+    scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plus_plus_draw_matches_generator_choice(n, zeros, scale, seed):
+    """k-means++ draws the index Generator.choice draws from the same stream,
+    and leaves the stream where choice leaves it."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n) ** rng.integers(1, 6) * scale
+    weights[rng.random(n) < zeros] = 0.0
+    total = float(np.add.reduce(weights))
+    mine, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for _ in range(3):
+        if total > 0.0:
+            want = int(theirs.choice(n, p=weights / total))
+        else:
+            want = int(theirs.integers(n))
+        assert cluster._draw(mine, weights, total) == want
+    assert mine.random() == theirs.random()
+
+
+def test_plus_plus_draw_refuses_weights_that_overflow():
+    weights = np.array([1.7e308, 1.7e308])
+    with np.errstate(over="ignore"):
+        total = float(np.add.reduce(weights))
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(2, p=weights / total)
+    with pytest.raises(ValueError, match="not finite"):
+        cluster._draw(np.random.default_rng(0), weights, total)
+
+
 def test_elbow_two_tight_groups(rng):
     X = blobs(rng, 2, per=15, sep=50.0, sigma=0.5)
     result = elbow_select_k(X, 1, 5, seed=0)

@@ -10,20 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mridecomp import entropy
-from mridecomp.entropy import (
-    EntropyConfig,
-    GlcmMatrix,
-    glcm,
-    glcm_entropy,
-    rank_slices,
-    select_top_k,
-    slice_entropy,
-)
-from mridecomp.errors import ConfigError, EmptyGlcm, EmptyInput, InvalidK, NotNormalized
-from mridecomp.nifti import QuantizedSlice, Slice2D, quantize
+from mridecomp.entropy import EntropyConfig, rank_slices, select_top_k
+from mridecomp.errors import ConfigError, EmptyGlcm, EmptyInput, InvalidK
+from mridecomp.nifti import Slice2D, Volume, extract_axial_slices
 
 from conftest import make_slice
-from oracles import entropy_brute, glcm_brute, slice_entropy_reference
+from oracles import (
+    QuantizedSlice,
+    entropy_brute,
+    glcm,
+    glcm_brute,
+    glcm_entropy,
+    quantize,
+    slice_entropy,
+    slice_entropy_reference,
+)
 
 
 def quantized(indices, levels=None):
@@ -40,11 +41,8 @@ def test_two_by_two_example():
 
 
 def test_known_distribution_entropy():
-    g = GlcmMatrix(
-        levels=2,
-        probabilities=np.array([[0.5, 0.25], [0.25, 0.0]]),
-    )
-    assert glcm_entropy(g) == pytest.approx(1.5, abs=1e-12)
+    probabilities = np.array([[[0.5, 0.25], [0.25, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
+    assert entropy._entropies(probabilities).tobytes() == np.array([1.5, -0.0]).tobytes()
 
 
 def test_asymmetric_counts():
@@ -128,13 +126,6 @@ def test_zero_offset_rejected():
 def test_offset_larger_than_slice_rejected():
     with pytest.raises(EmptyGlcm):
         glcm(quantized([[0, 1], [1, 0]]), offset=(0, 5))
-
-
-def test_unnormalized_matrix_rejected_by_entropy():
-    # pair counts of a hand-built matrix, not divided by their sum
-    g = GlcmMatrix(levels=2, probabilities=np.array([[1.0, 0.0], [0.0, 1.0]]))
-    with pytest.raises(NotNormalized):
-        glcm_entropy(g)
 
 
 def test_entropy_upper_bound():
@@ -241,6 +232,72 @@ def test_grouped_scores_match_per_slice_reference(
     got = {r.slice_index: r.entropy for r in ranked}
     assert np.array([got[i] for i in range(nz)]).tobytes() == np.array(want).tobytes()
     assert [r.slice_index for r in ranked] == sorted(range(nz), key=lambda i: (-want[i], i))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from(["u1", "i2", "i4", "f4", "f8", "scaled"]),
+    shape=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 9)),
+    layout=st.sampled_from(["F", "C"]),
+    per_group=st.integers(1, 10),
+    levels=st.sampled_from([2, 3, 8, 16, 256]),
+    offset=st.sampled_from([(0, 1), (1, 0), (1, 1), (-1, 2), (2, -1)]),
+    symmetric=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_volume_scores_match_per_slice_reference(
+    kind, shape, layout, per_group, levels, offset, symmetric, seed
+):
+    """rank_slices on a Volume scores every slice bit for bit as the one-slice
+    reference does, a constant slice (of mixed +0 and -0 too) as -0.0, and
+    ranks as it does on the volume's axial slices."""
+    rng = np.random.default_rng(seed)
+    nz = shape[2]
+    constant = rng.choice(nz, size=rng.integers(0, nz + 1), replace=False)
+    if kind == "scaled":  # int16 through scl_slope and scl_inter, as read_nifti decodes it
+        stored = rng.integers(-(2**15), 2**15, size=shape).astype(np.float64)
+        voxels = np.asarray(stored * rng.uniform(0.01, 10.0) + rng.uniform(-100.0, 100.0), order=layout)
+        voxels[:, :, constant] = voxels[:1, :1, constant]
+    else:
+        overflow = [j for j in range(nz) if j not in constant and rng.random() < 0.3] if kind == "f8" else []
+        voxels = _volume(rng, kind, shape, layout, constant, overflow)
+    if kind in ("f4", "f8", "scaled"):
+        for j in constant[rng.random(len(constant)) < 0.5]:
+            voxels[:, :, j] = rng.choice([0.0, -0.0], size=shape[:2])
+    volume = Volume("s", shape, voxels, datatype_code=0)
+    slices = extract_axial_slices(volume)
+    cfg = EntropyConfig(levels=levels, offset=offset, symmetric=symmetric)
+    with mock.patch.object(entropy, "_GROUP_BYTES", per_group * 8 * shape[0] * shape[1]):
+        ranked = rank_slices(volume, cfg)
+        from_list = rank_slices(slices, cfg)
+    want = [slice_entropy_reference(s, cfg) for s in slices]
+    got = {r.slice_index: r.entropy for r in ranked}
+    assert np.array([got[i] for i in range(nz)]).tobytes() == np.array(want).tobytes()
+    if abs(offset[0]) < shape[0] and abs(offset[1]) < shape[1]:
+        assert all(got[j].hex() == "-0x0.0p+0" for j in constant)
+    assert [(r.slice_index, r.entropy.hex()) for r in ranked] == [
+        (r.slice_index, r.entropy.hex()) for r in from_list
+    ]
+
+
+def test_one_pixel_wide_volume_warns_per_slice_and_scores_zero(caplog):
+    """No pair fits offset (0, 1) in a 5 x 1 slice: each slice of the volume
+    warns once, in slice order, and scores +0.0."""
+    voxels = np.asfortranarray(np.arange(20.0).reshape(5, 1, 4))
+    with caplog.at_level(logging.WARNING, logger="mridecomp.entropy"):
+        ranked = rank_slices(Volume("v", (5, 1, 4), voxels, datatype_code=64))
+    assert [(r.slice_index, r.entropy.hex()) for r in ranked] == [(i, "0x0.0p+0") for i in range(4)]
+    assert caplog.messages == [
+        f"slice v/{i} has no co-occurring pairs at offset (0, 1); scoring 0" for i in range(4)
+    ]
+
+
+def test_scorer_settings_are_checked_before_constant_slices_are_skipped():
+    volume = Volume("v", (3, 3, 2), np.zeros((3, 3, 2)), datatype_code=64)
+    with pytest.raises(ConfigError, match="^levels must be >= 2, got 1$"):
+        rank_slices(volume, EntropyConfig(levels=1))
+    with pytest.raises(ConfigError, match=r"^co-occurrence offset must not be \(0, 0\)$"):
+        rank_slices(volume, EntropyConfig(offset=(0, 0)))
 
 
 def test_slices_without_pairs_warn_and_score_zero_in_order(monkeypatch, caplog):

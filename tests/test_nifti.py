@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mridecomp import nifti
-from mridecomp.entropy import slice_entropy
+from mridecomp.entropy import EntropyConfig, rank_slices
 from mridecomp.errors import (
     ConfigError,
     DimensionError,
@@ -21,11 +21,11 @@ from mridecomp.errors import (
     PipelineError,
     UnsupportedDatatype,
 )
-from mridecomp.nifti import DATATYPES, Slice2D, extract_axial_slices, quantize, read_nifti
+from mridecomp.nifti import DATATYPES, Slice2D, extract_axial_slices, read_nifti
 from mridecomp.synth import write_nifti
 
 from conftest import make_slice
-from oracles import quantize_reference
+from oracles import quantize, quantize_reference, slice_entropy
 
 
 def build_header(
@@ -468,8 +468,9 @@ def test_quantize_span_beyond_float64():
 
 
 def test_quantize_rejects_single_level():
+    # the scorer checks its settings before it quantizes any slice
     with pytest.raises(ConfigError, match="^levels must be >= 2, got 1$"):
-        quantize(make_slice(np.zeros((2, 2))), 1)
+        rank_slices([make_slice(np.zeros((2, 2)))], EntropyConfig(levels=1))
 
 
 @pytest.mark.parametrize("dtype", ["u1", "i2", "i4", "f4"])
