@@ -17,7 +17,7 @@ from .decomposition import assign_sublabels, decompose
 from .entropy import EntropyConfig, rank_slices, select_top_k
 from .evaluation import evaluate
 from .features import FeatureMatrix, RawPixelBackend
-from .nifti import extract_axial_slices, read_nifti
+from .nifti import read_nifti
 from .pipeline import run_pipeline
 from .synth import generate_dataset
 
@@ -31,7 +31,6 @@ __all__ = [
     "assign_sublabels",
     "decompose",
     "evaluate",
-    "extract_axial_slices",
     "generate_dataset",
     "rank_slices",
     "read_nifti",

@@ -5,7 +5,8 @@ A slice's texture information content is measured as the Shannon entropy
 are ranked by that score and the top K kept. Defaults follow the canonical
 texture setup: 8 grey levels, offset (0, 1), symmetric, normalized.
 
-rank_slices scores a volume's slices in one kernel, _score_volume. It takes
+rank_slices takes a decoded Volume, as the pipeline passes it, and scores
+its axial slices where they lie, in one kernel, _score_volume. It takes
 every slice's min and max in one min and one max over the stored voxels. A
 constant slice has one grey level, so one co-occurrence cell of probability
 1 and entropy -0.0, and is neither quantized nor counted. The other slices
@@ -17,14 +18,13 @@ entropy. Each score has the bits of one slice scored on its own.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyGlcm, EmptyInput, InvalidK
-from .nifti import Slice2D, Volume, quantize_block
+from .errors import ConfigError, EmptyGlcm, InvalidK
+from .nifti import Volume, quantize_block
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +44,6 @@ class EntropyConfig:
 
 @dataclass(frozen=True)
 class RankedSlice:
-    subject_id: str
     slice_index: int
     entropy: float
 
@@ -148,43 +147,24 @@ def _score_volume(voxels: np.ndarray, cfg: EntropyConfig) -> np.ndarray:
     return scores
 
 
-def rank_slices(
-    slices: Volume | list[Slice2D], cfg: EntropyConfig = EntropyConfig()
-) -> list[RankedSlice]:
-    """Score one subject's slices and sort them by descending entropy.
+def rank_slices(volume: Volume, cfg: EntropyConfig = EntropyConfig()) -> list[RankedSlice]:
+    """Score a volume's axial slices where they lie and sort them by
+    descending entropy.
 
-    slices is a Volume, whose axial slices are scored where they lie, or a
-    list of one subject's Slice2D, whose consecutive slices of one shape are
-    stacked and scored together. A slice too small to hold any pair at the
-    configured offset scores 0, with a warning. Ties break toward the lower
-    slice index so rankings are reproducible.
+    A slice too small to hold any pair at the configured offset scores 0,
+    with a warning. Ties break toward the lower slice index so rankings are
+    reproducible.
     """
-    if isinstance(slices, Volume):
-        subject_id = slices.subject_id
-        runs = [(range(slices.dims[2]), slices.voxels)]
-    else:
-        if not slices:
-            raise EmptyInput("no slices to rank")
-        subjects = {s.subject_id for s in slices}
-        if len(subjects) != 1:
-            raise ValueError(f"rank_slices expects a single subject, got {sorted(subjects)}")
-        subject_id = slices[0].subject_id
-        runs = []
-        for _, run in itertools.groupby(slices, key=lambda s: np.shape(s.pixels)):
-            run = list(run)
-            runs.append(([s.slice_index for s in run], np.stack([s.pixels for s in run], axis=2)))
-    ranked = []
-    for indices, voxels in runs:
-        try:
-            scores = _score_volume(voxels, cfg).tolist()
-        except EmptyGlcm:
-            for i in indices:
-                logger.warning(
-                    "slice %s/%d has no co-occurring pairs at offset %s; scoring 0",
-                    subject_id, i, cfg.offset,
-                )
-            scores = [0.0] * len(indices)
-        ranked += [RankedSlice(subject_id, i, h) for i, h in zip(indices, scores)]
+    try:
+        scores = _score_volume(volume.voxels, cfg).tolist()
+    except EmptyGlcm:
+        scores = [0.0] * volume.dims[2]
+        for i in range(volume.dims[2]):
+            logger.warning(
+                "slice %s/%d has no co-occurring pairs at offset %s; scoring 0",
+                volume.subject_id, i, cfg.offset,
+            )
+    ranked = [RankedSlice(i, h) for i, h in enumerate(scores)]
     return sorted(ranked, key=lambda r: (-r.entropy, r.slice_index))
 
 

@@ -1,4 +1,4 @@
-"""NIfTI-1 volume decoding and axial slicing.
+"""NIfTI-1 volume decoding and slice quantization.
 
 Reads single-file NIfTI-1 images (.nii, optionally gzip-compressed) with a
 hand-rolled header parser: 348-byte header, byte order detected by checking
@@ -72,15 +72,6 @@ class Volume:
         if self.voxels.dtype.kind == "f" and not np.isfinite(self.voxels).all():
             raise MalformedHeader("voxel payload contains non-finite values after scaling")
         self.voxels.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class Slice2D:
-    """One axial plane of a volume, pixels shaped (nx, ny)."""
-
-    subject_id: str
-    slice_index: int
-    pixels: np.ndarray
 
 
 # deflate's best case is 1032:1 (RFC 1951: a 258-byte match per ~2 bits), so a
@@ -282,14 +273,6 @@ def _stem(path: Path) -> str:
         if name.endswith(suffix):
             return name[: -len(suffix)]
     return path.stem
-
-
-def extract_axial_slices(volume: Volume) -> list[Slice2D]:
-    """Split a volume into its nz axial slices, ascending slice index."""
-    return [
-        Slice2D(volume.subject_id, i, volume.voxels[:, :, i])
-        for i in range(volume.dims[2])
-    ]
 
 
 def quantize_block(block: np.ndarray, levels: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

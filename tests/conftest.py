@@ -200,13 +200,3 @@ def write_sidecar(model_path: Path, **fields) -> Path:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260813)
-
-
-def make_slice(pixels, subject_id="s0", slice_index=0):
-    from mridecomp.nifti import Slice2D
-
-    return Slice2D(
-        subject_id=subject_id,
-        slice_index=slice_index,
-        pixels=np.asarray(pixels, dtype=np.float64),
-    )

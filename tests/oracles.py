@@ -9,7 +9,7 @@ time), of nifti.quantize_block (one slice promoted to float64 whole, clamped
 after the integer cast) and of entropy.glcm_block (one slice's pairs
 counted on their own); slice_entropy_reference chains the last two and
 glcm_entropy, one 1-D sum per slice, into the score entropy.rank_slices
-gives each slice. kmeans_reference is one restart of
+gives each slice of a volume. kmeans_reference is one restart of
 cluster.kmeans_restarts on its own, with a boolean mask and a mean per
 cluster and per iteration, distances from sq_dists_reference, seeded by
 init_plus_plus_reference, and kmeans_restarts_reference runs it once per
@@ -23,11 +23,11 @@ a whole batch. pca_inverse undoes a PCA projection, and aggregate_confusion
 sums a subclass confusion matrix into classes cell by cell.
 
 quantize and glcm run one slice through nifti.quantize_block and
-entropy.glcm_block, and slice_entropy is the score rank_slices gives one
-slice on its own. glcm_brute and entropy_brute count co-occurring pairs and
-score them by nested loops, brute_force_wcss finds the k-means optimum by
-enumerating every assignment, and same_bytes compares two arrays bit for
-bit.
+entropy.glcm_block, and slice_entropy is the score rank_slices gives a
+one-slice volume; the per-slice helpers take a slice as a 2-D pixel array.
+glcm_brute and entropy_brute count co-occurring pairs and score them by
+nested loops, brute_force_wcss finds the k-means optimum by enumerating
+every assignment, and same_bytes compares two arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from mridecomp.classifier import TrainResult, _backprop, _log_softmax, _logits, 
 from mridecomp.cluster import KMeansResult
 from mridecomp.entropy import EntropyConfig, glcm_block, rank_slices
 from mridecomp.errors import ConfigError, DegenerateInput, EmptyGlcm
-from mridecomp.nifti import quantize_block
+from mridecomp.nifti import Volume, quantize_block
 
 
 def loss(model, X, y) -> float:
@@ -287,11 +287,11 @@ class GlcmMatrix:
     probabilities: np.ndarray
 
 
-def quantize(s, levels: int) -> QuantizedSlice:
+def quantize(pixels, levels: int) -> QuantizedSlice:
     """One slice through nifti.quantize_block, promoted to float64 in its own
     memory layout, so the indices keep that layout (Fortran order for a slice
     of a volume)."""
-    block = np.array(s.pixels, dtype=np.float64)[:, :, None]
+    block = np.array(pixels, dtype=np.float64)[:, :, None]
     lo, hi = block.min(axis=(0, 1)), block.max(axis=(0, 1))
     return QuantizedSlice(levels=levels, indices=quantize_block(block, levels, lo, hi)[:, :, 0])
 
@@ -309,17 +309,18 @@ def glcm_entropy(g: GlcmMatrix) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def slice_entropy(s, cfg=EntropyConfig()) -> float:
-    """The score entropy.rank_slices gives one slice on its own."""
-    return rank_slices([s], cfg)[0].entropy
+def slice_entropy(pixels, cfg=EntropyConfig()) -> float:
+    """The score entropy.rank_slices gives one slice as a one-slice volume."""
+    voxels = np.asarray(pixels)[:, :, None]
+    return rank_slices(Volume("s", voxels.shape, voxels, datatype_code=0), cfg)[0].entropy
 
 
-def quantize_reference(s, levels: int) -> QuantizedSlice:
+def quantize_reference(pixels, levels: int) -> QuantizedSlice:
     """floor((p - min) / (max - min) * levels) clamped to levels-1, in float64
     (on halved values when max - min overflows)."""
     if levels < 2:
         raise ConfigError(f"levels must be >= 2, got {levels}")
-    pixels = np.asarray(s.pixels, dtype=np.float64)
+    pixels = np.asarray(pixels, dtype=np.float64)
     lo = pixels.min()
     hi = pixels.max()
     if np.isinf(float(hi) - float(lo)):  # max - min overflows float64: halve everything
@@ -357,10 +358,10 @@ def glcm_reference(q: QuantizedSlice, offset=(0, 1), symmetric: bool = True) -> 
     return GlcmMatrix(levels=levels, probabilities=matrix)
 
 
-def slice_entropy_reference(s, cfg) -> float:
+def slice_entropy_reference(pixels, cfg) -> float:
     """quantize_reference -> glcm_reference -> glcm_entropy for one slice on
     its own; 0.0 when no pixel pair fits cfg.offset."""
-    q = quantize_reference(s, cfg.levels)
+    q = quantize_reference(pixels, cfg.levels)
     try:
         g = glcm_reference(q, cfg.offset, cfg.symmetric)
     except EmptyGlcm:

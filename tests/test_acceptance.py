@@ -21,7 +21,7 @@ from mridecomp.decomposition import LabelCodec, decompose
 from mridecomp.entropy import EntropyConfig, glcm_block, rank_slices
 from mridecomp.evaluation import evaluate
 from mridecomp.features import FeatureMatrix
-from mridecomp.nifti import Slice2D, quantize_block, read_nifti
+from mridecomp.nifti import Volume, quantize_block, read_nifti
 from mridecomp.pipeline import run_pipeline
 from mridecomp.reduction import pca_fit, pca_transform
 from mridecomp.synth import generate_dataset, write_nifti
@@ -37,9 +37,10 @@ def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def slice_of(pixels) -> Slice2D:
-    pixels = np.asarray(pixels, dtype=np.float64)
-    return Slice2D(subject_id="acc", slice_index=0, pixels=pixels)
+def volume_of(pixels) -> Volume:
+    """A one-slice volume holding the 2-D float64 pixels."""
+    voxels = np.asarray(pixels, dtype=np.float64)[:, :, None]
+    return Volume(subject_id="acc", dims=voxels.shape, voxels=voxels, datatype_code=64)
 
 
 # --- criterion 1: GLCM entropy vs brute-force oracle -------------------------------
@@ -73,7 +74,7 @@ def test_criterion_01_entropy_oracle():
                 continue
             cell_err = float(np.abs(probabilities - counts / counts.sum()).max())
             cfg = EntropyConfig(levels=levels, offset=offset, symmetric=symmetric)
-            score = rank_slices([slice_of(pixels)], cfg)[0].entropy
+            score = rank_slices(volume_of(pixels), cfg)[0].entropy
             entropy_err = abs(score - entropy_brute(counts))
             max_err = max(max_err, cell_err, entropy_err)
             n_cases += 1
@@ -95,10 +96,10 @@ def test_criterion_02_affine_invariance():
     worst = 0.0
     for _ in range(100):
         pixels = rng.uniform(-100, 100, size=(12, 12))
-        base = rank_slices([slice_of(pixels)], cfg)[0].entropy
+        base = rank_slices(volume_of(pixels), cfg)[0].entropy
         for a in (0.5, 3.0):
             for b in (-10.0, 100.0):
-                other = rank_slices([slice_of(a * pixels + b)], cfg)[0].entropy
+                other = rank_slices(volume_of(a * pixels + b), cfg)[0].entropy
                 worst = max(worst, abs(other - base))
     report(
         2,

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from mridecomp import entropy
 from mridecomp.entropy import EntropyConfig, rank_slices, select_top_k
-from mridecomp.errors import ConfigError, EmptyGlcm, EmptyInput, InvalidK
-from mridecomp.nifti import Slice2D, Volume, extract_axial_slices
+from mridecomp.errors import ConfigError, EmptyGlcm, InvalidK
+from mridecomp.nifti import Volume
 
-from conftest import make_slice
 from oracles import (
     QuantizedSlice,
     entropy_brute,
@@ -132,57 +131,46 @@ def test_entropy_upper_bound():
     # at most 2*log2(levels) bits for a levels x levels distribution
     rng = np.random.default_rng(5)
     for levels in (2, 4, 8):
-        s = make_slice(rng.normal(size=(16, 16)))
-        h = slice_entropy(s, EntropyConfig(levels=levels))
+        h = slice_entropy(rng.normal(size=(16, 16)), EntropyConfig(levels=levels))
         assert 0.0 <= h <= 2.0 * math.log2(levels) + 1e-12
 
 
 def test_constant_slice_scores_zero():
-    assert slice_entropy(make_slice(np.full((8, 8), 7.0))) == 0.0
+    assert slice_entropy(np.full((8, 8), 7.0)) == 0.0
 
 
 def test_single_pixel_slice_scores_zero():
     # no pair fits any offset; scorer falls back to 0 with a warning
-    assert slice_entropy(make_slice([[1.0]])) == 0.0
+    assert slice_entropy(np.array([[1.0]])) == 0.0
 
 
 def test_slice_entropy_equals_manual_chain(rng):
-    s = make_slice(rng.normal(size=(12, 12)))
+    pixels = rng.normal(size=(12, 12))
     cfg = EntropyConfig(levels=8, offset=(0, 1), symmetric=True)
-    manual = glcm_entropy(glcm(quantize(s, 8), offset=(0, 1), symmetric=True))
-    assert slice_entropy(s, cfg) == manual
+    manual = glcm_entropy(glcm(quantize(pixels, 8), offset=(0, 1), symmetric=True))
+    assert slice_entropy(pixels, cfg) == manual
 
 
 def test_affine_intensity_invariance(rng):
     cfg = EntropyConfig()
     for _ in range(5):
         pixels = rng.normal(size=(10, 10))
-        base = slice_entropy(make_slice(pixels), cfg)
+        base = slice_entropy(pixels, cfg)
         for a in (0.5, 3.0):
             for b in (-10.0, 100.0):
-                assert slice_entropy(make_slice(a * pixels + b), cfg) == base
+                assert slice_entropy(a * pixels + b, cfg) == base
 
 
 # --- ranking -----------------------------------------------------------------
 
 
 def test_rank_slices_descending_with_index_ties():
-    flat = make_slice(np.zeros((4, 4)), slice_index=0)
-    textured = make_slice(np.arange(16.0).reshape(4, 4), slice_index=1)
-    flat2 = make_slice(np.ones((4, 4)), slice_index=2)
-    ranked = rank_slices([flat, textured, flat2])
+    flat, textured, flat2 = np.zeros((4, 4)), np.arange(16.0).reshape(4, 4), np.ones((4, 4))
+    voxels = np.stack([flat, textured, flat2], axis=2)
+    ranked = rank_slices(Volume("s", (4, 4, 3), voxels, datatype_code=64))
     assert [r.slice_index for r in ranked] == [1, 0, 2]  # tie 0-vs-2 keeps index order
     assert ranked[0].entropy > ranked[1].entropy
     assert ranked[1].entropy == ranked[2].entropy == 0.0
-
-
-def test_rank_slices_rejects_empty_and_mixed_subjects():
-    with pytest.raises(EmptyInput):
-        rank_slices([])
-    a = make_slice(np.zeros((2, 2)), subject_id="a")
-    b = make_slice(np.zeros((2, 2)), subject_id="b")
-    with pytest.raises(ValueError):
-        rank_slices([a, b])
 
 
 def _volume(rng, dtype, shape, layout, constant, overflow):
@@ -222,13 +210,12 @@ def test_grouped_scores_match_per_slice_reference(
     nz = shape[2]
     constant = rng.choice(nz, size=rng.integers(0, nz + 1), replace=False)
     overflow = [j for j in range(nz) if j not in constant and rng.random() < 0.3] if dtype == "f8" else []
-    volume = _volume(rng, dtype, shape, layout, constant, overflow)
-    slices = [Slice2D("s", i, volume[:, :, i]) for i in range(nz)]
+    voxels = _volume(rng, dtype, shape, layout, constant, overflow)
     cfg = EntropyConfig(levels=levels, offset=offset, symmetric=symmetric)
     # per_group slices fit the patched budget, so groups split mid-volume
     with mock.patch.object(entropy, "_GROUP_BYTES", per_group * 8 * shape[0] * shape[1]):
-        ranked = rank_slices(slices, cfg)
-    want = [slice_entropy_reference(s, cfg) for s in slices]
+        ranked = rank_slices(Volume("s", shape, voxels, datatype_code=0), cfg)
+    want = [slice_entropy_reference(voxels[:, :, i], cfg) for i in range(nz)]
     got = {r.slice_index: r.entropy for r in ranked}
     assert np.array([got[i] for i in range(nz)]).tobytes() == np.array(want).tobytes()
     assert [r.slice_index for r in ranked] == sorted(range(nz), key=lambda i: (-want[i], i))
@@ -248,9 +235,10 @@ def test_grouped_scores_match_per_slice_reference(
 def test_volume_scores_match_per_slice_reference(
     kind, shape, layout, per_group, levels, offset, symmetric, seed
 ):
-    """rank_slices on a Volume scores every slice bit for bit as the one-slice
-    reference does, a constant slice (of mixed +0 and -0 too) as -0.0, and
-    ranks as it does on the volume's axial slices."""
+    """rank_slices scores every slice bit for bit as quantize_reference ->
+    glcm_reference -> glcm_entropy scores it alone, however its volume's
+    slices fall into groups, and a constant slice (of mixed +0 and -0 too)
+    as -0.0; it ranks by descending score, ties to the lower index."""
     rng = np.random.default_rng(seed)
     nz = shape[2]
     constant = rng.choice(nz, size=rng.integers(0, nz + 1), replace=False)
@@ -264,20 +252,16 @@ def test_volume_scores_match_per_slice_reference(
     if kind in ("f4", "f8", "scaled"):
         for j in constant[rng.random(len(constant)) < 0.5]:
             voxels[:, :, j] = rng.choice([0.0, -0.0], size=shape[:2])
-    volume = Volume("s", shape, voxels, datatype_code=0)
-    slices = extract_axial_slices(volume)
     cfg = EntropyConfig(levels=levels, offset=offset, symmetric=symmetric)
+    # per_group slices fit the patched budget, so groups split mid-volume
     with mock.patch.object(entropy, "_GROUP_BYTES", per_group * 8 * shape[0] * shape[1]):
-        ranked = rank_slices(volume, cfg)
-        from_list = rank_slices(slices, cfg)
-    want = [slice_entropy_reference(s, cfg) for s in slices]
+        ranked = rank_slices(Volume("s", shape, voxels, datatype_code=0), cfg)
+    want = [slice_entropy_reference(voxels[:, :, i], cfg) for i in range(nz)]
     got = {r.slice_index: r.entropy for r in ranked}
     assert np.array([got[i] for i in range(nz)]).tobytes() == np.array(want).tobytes()
     if abs(offset[0]) < shape[0] and abs(offset[1]) < shape[1]:
         assert all(got[j].hex() == "-0x0.0p+0" for j in constant)
-    assert [(r.slice_index, r.entropy.hex()) for r in ranked] == [
-        (r.slice_index, r.entropy.hex()) for r in from_list
-    ]
+    assert [r.slice_index for r in ranked] == sorted(range(nz), key=lambda i: (-want[i], i))
 
 
 def test_one_pixel_wide_volume_warns_per_slice_and_scores_zero(caplog):
@@ -302,11 +286,11 @@ def test_scorer_settings_are_checked_before_constant_slices_are_skipped():
 
 def test_slices_without_pairs_warn_and_score_zero_in_order(monkeypatch, caplog):
     """A 1-pixel-wide slice has no pair at offset (0, 1): each warns once, in
-    slice order, and scores 0, also when its group holds several slices."""
+    slice order, and scores 0, whatever the group size."""
     monkeypatch.setattr(entropy, "_GROUP_BYTES", 2 * 8 * 5)  # two 5 x 1 slices per group
-    slices = [make_slice(np.arange(5.0)[:, None] * i, subject_id="s", slice_index=i) for i in range(5)]
+    voxels = np.stack([np.arange(5.0)[:, None] * i for i in range(5)], axis=2)
     with caplog.at_level(logging.WARNING, logger="mridecomp.entropy"):
-        ranked = rank_slices(slices)
+        ranked = rank_slices(Volume("s", (5, 1, 5), voxels, datatype_code=64))
     assert [(r.slice_index, r.entropy) for r in ranked] == [(i, 0.0) for i in range(5)]
     assert caplog.messages == [
         f"slice s/{i} has no co-occurring pairs at offset (0, 1); scoring 0" for i in range(5)
@@ -314,8 +298,8 @@ def test_slices_without_pairs_warn_and_score_zero_in_order(monkeypatch, caplog):
 
 
 def test_select_top_k_prefix_and_clamp():
-    slices = [make_slice(np.random.default_rng(i).normal(size=(6, 6)), slice_index=i) for i in range(10)]
-    ranked = rank_slices(slices)
+    voxels = np.stack([np.random.default_rng(i).normal(size=(6, 6)) for i in range(10)], axis=2)
+    ranked = rank_slices(Volume("s", (6, 6, 10), voxels, datatype_code=64))
     top3 = select_top_k(ranked, 3)
     assert top3 == ranked[:3]
     assert select_top_k(ranked, 99) == ranked

@@ -28,7 +28,6 @@ from mridecomp.features import (
 )
 
 import conftest as ob  # the test-side ONNX builder
-from conftest import make_slice
 from oracles import onnx_features_reference, resize_reference, same_bytes
 
 
@@ -137,8 +136,7 @@ def test_extract_rejects_a_single_slice(rng):
 
 
 def test_extract_raw_shape_and_validation(rng):
-    s = make_slice(rng.normal(size=(24, 24)))
-    v = RawPixelBackend(side=16).extract(s.pixels[None])
+    v = RawPixelBackend(side=16).extract(rng.normal(size=(1, 24, 24)))
     assert v.shape == (1, 256)
     with pytest.raises(ConfigError, match="^side must be >= 2, got 1$"):
         RawPixelBackend(side=1)
@@ -146,7 +144,7 @@ def test_extract_raw_shape_and_validation(rng):
 
 def test_raw_backend_metadata(rng):
     backend = RawPixelBackend(side=8)
-    assert backend.extract(make_slice(rng.normal(size=(10, 12))).pixels[None]).shape == (1, 64)
+    assert backend.extract(rng.normal(size=(1, 10, 12))).shape == (1, 64)
     with pytest.raises(ConfigError, match="^side must be >= 2, got 0$"):
         RawPixelBackend(side=0)
 
@@ -384,10 +382,10 @@ def test_onnx_backend_rank2_linear(tmp_path, rng):
 
     backend = OnnxBackend(path)
     assert backend.output_dim == 5
-    s = make_slice(rng.normal(size=(9, 9)))
-    got = backend.extract(s.pixels[None])[0]
+    pixels = rng.normal(size=(9, 9))
+    got = backend.extract(pixels[None])[0]
     # oracle: resize slice to the declared (1, 16) strip, then affine map
-    strip = bilinear_resize(s.pixels, 1, 16)
+    strip = bilinear_resize(pixels, 1, 16)
     np.testing.assert_allclose(got, (strip @ W + b).ravel(), atol=1e-10)
 
 
@@ -402,10 +400,10 @@ def test_onnx_backend_rank4_with_channel_replication(tmp_path, rng):
 
     backend = OnnxBackend(path)
     assert backend.output_dim == out_dim
-    s = make_slice(rng.normal(size=(7, 7)))
-    got = backend.extract(s.pixels[None])[0]
+    pixels = rng.normal(size=(7, 7))
+    got = backend.extract(pixels[None])[0]
 
-    image = bilinear_resize(s.pixels, side, side)
+    image = bilinear_resize(pixels, side, side)
     stacked = np.stack([(image - m) / sd for m, sd in zip(mean, std)])
     expected = np.maximum(stacked.reshape(1, -1) @ W.T + b, 0.0).ravel()
     np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-8)
@@ -443,9 +441,9 @@ def test_extract_external_one_shot(tmp_path, rng):
     W = np.eye(16)
     path = ob.write_linear_model(tmp_path / "id.onnx", W, np.zeros(16))
     ob.write_sidecar(path, input_shape=[1, 16])
-    s = make_slice(rng.normal(size=(4, 4)))
-    got = OnnxBackend(path).extract(s.pixels[None])[0]
-    np.testing.assert_allclose(got, bilinear_resize(s.pixels, 1, 16).ravel(), atol=1e-12)
+    pixels = rng.normal(size=(4, 4))
+    got = OnnxBackend(path).extract(pixels[None])[0]
+    np.testing.assert_allclose(got, bilinear_resize(pixels, 1, 16).ravel(), atol=1e-12)
 
 
 @pytest.mark.parametrize("rank", [2, 4])

@@ -21,10 +21,9 @@ from mridecomp.errors import (
     PipelineError,
     UnsupportedDatatype,
 )
-from mridecomp.nifti import DATATYPES, Slice2D, extract_axial_slices, read_nifti
+from mridecomp.nifti import DATATYPES, Volume, read_nifti
 from mridecomp.synth import write_nifti
 
-from conftest import make_slice
 from oracles import quantize, quantize_reference, slice_entropy
 
 
@@ -229,6 +228,20 @@ def test_nontrivial_trailing_dim_rejected(tmp_path):
         read_nifti(path)
 
 
+def test_volume_without_slices_rejected(tmp_path):
+    """A 0 in any spatial dim fails in read_nifti or Volume, so no empty
+    volume reaches rank_slices."""
+    for dims in [(0, 4, 3), (4, 0, 3), (4, 4, 0)]:
+        path = tmp_path / "empty.nii"
+        path.write_bytes(bytes(build_header(dims=dims)) + b"\x00" * 4)
+        message = f"{path}: non-positive spatial dims {dims}"
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            read_nifti(path)
+    message = "voxel grid (4, 4, 0) does not match dims (4, 4, 0)"
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        Volume("v", (4, 4, 0), np.zeros((4, 4, 0)), datatype_code=64)
+
+
 def test_truncated_payload_rejected(tmp_path):
     hdr = build_header()
     path = tmp_path / "trunc.nii"
@@ -427,25 +440,11 @@ def test_single_member_inflates_into_one_exact_buffer(tmp_path, rng):
     assert peak < compressed + 1.1 * decompressed
 
 
-def test_extract_axial_slices(tmp_path, rng):
-    source = rng.normal(size=(6, 5, 4))
-    path = tmp_path / "v.nii"
-    write_nifti(path, source, datatype_code=64)
-    vol = read_nifti(path)
-    slices = extract_axial_slices(vol)
-    assert [s.slice_index for s in slices] == [0, 1, 2, 3]
-    assert all(s.subject_id == "v" for s in slices)
-    for i, s in enumerate(slices):
-        np.testing.assert_allclose(s.pixels, source[:, :, i])
-        assert s.pixels.shape == (6, 5)
-
-
 # --- quantization -----------------------------------------------------------
 
 
 def test_quantize_known_values():
-    s = make_slice(np.arange(256, dtype=np.float64).reshape(16, 16))
-    q = quantize(s, 8)
+    q = quantize(np.arange(256, dtype=np.float64).reshape(16, 16), 8)
     flat = q.indices.ravel()
     assert flat[0] == 0
     assert flat[128] == 4  # 128/255*8 = 4.01...
@@ -454,23 +453,24 @@ def test_quantize_known_values():
 
 
 def test_quantize_constant_slice_all_zero():
-    q = quantize(make_slice(np.full((4, 4), 3.14)), 8)
+    q = quantize(np.full((4, 4), 3.14), 8)
     assert (q.indices == 0).all()
 
 
 def test_quantize_span_beyond_float64():
     """max - min overflows float64: the indices still rank the pixels within [0, levels)."""
-    s = make_slice(np.array([[-1.7e308, 1.7e308], [0.0, 1.0]]))
+    pixels = np.array([[-1.7e308, 1.7e308], [0.0, 1.0]])
     with np.errstate(all="raise"):
-        q = quantize(s, 8)
+        q = quantize(pixels, 8)
     np.testing.assert_array_equal(q.indices, [[0, 7], [4, 4]])
-    assert slice_entropy(s) > 0.0
+    assert slice_entropy(pixels) > 0.0
 
 
 def test_quantize_rejects_single_level():
     # the scorer checks its settings before it quantizes any slice
     with pytest.raises(ConfigError, match="^levels must be >= 2, got 1$"):
-        rank_slices([make_slice(np.zeros((2, 2)))], EntropyConfig(levels=1))
+        volume = Volume("s", (2, 2, 1), np.zeros((2, 2, 1)), datatype_code=64)
+        rank_slices(volume, EntropyConfig(levels=1))
 
 
 @pytest.mark.parametrize("dtype", ["u1", "i2", "i4", "f4"])
@@ -478,10 +478,10 @@ def test_quantize_rejects_single_level():
 def test_quantize_narrow_dtype_matches_float64(dtype, levels, rng):
     stored = rng.integers(0, 250, size=(9, 7, 3)).astype(dtype, order="F")
     stored[0, 0, 1] = 3  # keep the middle slice non-constant
-    narrow = Slice2D("s", 1, stored[:, :, 1])
-    wide = Slice2D("s", 1, stored[:, :, 1].astype(np.float64))
+    narrow = stored[:, :, 1]
+    wide = stored[:, :, 1].astype(np.float64)
     np.testing.assert_array_equal(quantize(narrow, levels).indices, quantize(wide, levels).indices)
-    flat = Slice2D("s", 0, np.full((4, 4), 7, dtype=dtype))
+    flat = np.full((4, 4), 7, dtype=dtype)
     assert (quantize(flat, levels).indices == 0).all()
 
 
@@ -492,21 +492,21 @@ def test_quantize_narrow_dtype_matches_float64(dtype, levels, rng):
 )
 def test_quantize_bounds_and_extremes(seed, levels):
     rng = np.random.default_rng(seed)
-    s = make_slice(rng.normal(size=(5, 5)))
-    q = quantize(s, levels)
+    pixels = rng.normal(size=(5, 5))
+    q = quantize(pixels, levels)
     assert q.indices.min() >= 0
     assert q.indices.max() <= levels - 1
-    assert q.indices[np.unravel_index(np.argmin(s.pixels), s.pixels.shape)] == 0
-    assert q.indices[np.unravel_index(np.argmax(s.pixels), s.pixels.shape)] == levels - 1
+    assert q.indices[np.unravel_index(np.argmin(pixels), pixels.shape)] == 0
+    assert q.indices[np.unravel_index(np.argmax(pixels), pixels.shape)] == levels - 1
 
 
 @settings(deadline=None, max_examples=50)
 @given(seed=st.integers(0, 10_000))
 def test_quantize_preserves_pixel_order(seed):
     rng = np.random.default_rng(seed)
-    s = make_slice(rng.normal(size=(4, 4)))
-    q = quantize(s, 8)
-    flat_p = s.pixels.ravel()
+    pixels = rng.normal(size=(4, 4))
+    q = quantize(pixels, 8)
+    flat_p = pixels.ravel()
     flat_q = q.indices.ravel()
     order = np.argsort(flat_p)
     assert (np.diff(flat_q[order]) >= 0).all()
@@ -542,9 +542,8 @@ def test_quantize_matches_reference_bytes_and_layout(dtype, shape, levels, layou
     else:
         volume = np.asarray(volume, order=layout)
     for i in range(volume.shape[2]):
-        s = Slice2D("s", i, volume[:, :, i])
-        got = quantize(s, levels).indices
-        want = quantize_reference(s, levels).indices
+        got = quantize(volume[:, :, i], levels).indices
+        want = quantize_reference(volume[:, :, i], levels).indices
         assert got.dtype == want.dtype == np.int64
         assert got.strides == want.strides
         assert got.flags.c_contiguous == want.flags.c_contiguous

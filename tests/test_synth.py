@@ -11,7 +11,7 @@ from mridecomp import pool
 from mridecomp.entropy import rank_slices
 from mridecomp.errors import ConfigError, IoError
 from mridecomp.manifest import read_manifest
-from mridecomp.nifti import extract_axial_slices, read_nifti
+from mridecomp.nifti import read_nifti
 from mridecomp.synth import generate_dataset
 
 
@@ -72,12 +72,12 @@ def test_peripheral_slices_carry_no_texture(tmp_path):
 def test_entropy_ranking_prefers_central_slices(tmp_path):
     _, rows = generate_dataset(tmp_path, subjects_per_class=2, nz=16, seed=3)
     volume = read_nifti(rows[0].path)
-    slices = extract_axial_slices(volume)
-    ranked = rank_slices(slices)
-    margin = max(1, len(slices) // 8)
-    n_central = len(slices) - 2 * margin
+    ranked = rank_slices(volume)
+    nz = volume.dims[2]
+    margin = max(1, nz // 8)
+    n_central = nz - 2 * margin
     top = {r.slice_index for r in ranked[:n_central]}
-    assert top == set(range(margin, len(slices) - margin))
+    assert top == set(range(margin, nz - margin))
 
 
 def test_volume_shape_and_dtype(tmp_path):
