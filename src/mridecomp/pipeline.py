@@ -1,17 +1,18 @@
-"""End-to-end pipeline: manifest -> slices -> features -> split -> scaler/PCA
--> class decomposition -> training grid -> evaluation, with every artifact
-written into the run directory as plain CSV/JSON. Nothing is kept between
-runs: every run decodes and ranks each volume itself, so a rerun into a
-used run directory computes what a fresh run does.
+"""End-to-end pipeline: run_pipeline goes manifest -> slices -> features ->
+split -> fit_and_evaluate (scaler/PCA -> class decomposition -> training
+grid -> evaluation), writing every artifact into the run directory as plain
+CSV/JSON. Nothing is kept between runs: each run decodes and ranks every
+volume, so a rerun into a used run directory computes what a fresh run does.
 
 Leakage policy: the scaler, PCA, per-class clustering and classifiers are
 fit on training subjects only. Test subjects receive sublabels by nearest
 class-consistent centroid. Hyperparameter cells are ranked by final
 training loss.
 
-The decompose and train subcommands call the same stage functions
-(run_decompose_stage, run_train_stage) with the same derived seeds, so a
-standalone chain fed the train rows reproduces a pipeline run.
+The slices, features, decompose and train subcommands call the same stage
+functions (run_slices_stage, run_decompose_stage, run_train_stage) with the
+same derived seeds, so a standalone chain fed the train rows reproduces a
+pipeline run.
 """
 
 from __future__ import annotations
@@ -216,10 +217,6 @@ def extract_feature_matrix(rows: list[ManifestRow], stage: SliceStage) -> Featur
     )
 
 
-def _subject_mask(X: FeatureMatrix, subjects: set[str]) -> np.ndarray:
-    return np.asarray([sid in subjects for sid in X.subject_ids], dtype=bool)
-
-
 @dataclass
 class DecomposeStage:
     reduced: FeatureMatrix  # every input row, standardized and projected
@@ -313,6 +310,69 @@ class RunResult:
     cell_results: dict[str, TrainResult]
 
 
+def fit_and_evaluate(
+    X: FeatureMatrix,
+    train_mask: np.ndarray,
+    test_mask: np.ndarray,
+    cfg: PipelineConfig,
+    out_dir: Path,
+    seeds: dict,
+    stage_seconds: dict[str, float],
+) -> RunResult:
+    """Run decompose and train on X's train_mask rows, then evaluate every cell
+    on its test_mask rows and report the best one. Each stage writes its
+    artifacts into out_dir, which must exist; train writes seeds.json (seeds
+    plus the decompose and train seeds), so it is there before evaluate runs."""
+    with stage("decompose", stage_seconds):
+        dec = run_decompose_stage(X, train_mask, cfg, out_dir)
+        ds = dec.decomposed
+        R_test = dec.reduced.rows(test_mask)
+        save_features(ds.codec.relabel(ds.features, ds.sublabels), out_dir / "sublabeled_train.csv")
+        y_test = assign_sublabels(R_test, ds.codec, ds.centroids)
+        save_features(ds.codec.relabel(R_test, y_test), out_dir / "sublabeled_test.csv")
+
+    with stage("train", stage_seconds):
+        grid = run_train_stage(ds.features.values, ds.sublabels, ds.codec, cfg, out_dir)
+        write_json(seeds | dict(decompose=dec.seed, train_cells=grid.seeds), out_dir / "seeds.json")
+
+    with stage("evaluate", stage_seconds):
+        cell_reports = {
+            cell: evaluate(result.model, R_test.values, y_test, cfg.compose_mode)
+            for cell, result in grid.results.items()
+        }
+        report = cell_reports[grid.best_cell]
+
+        metrics = {
+            "selected_cell": grid.best_cell,
+            "selection_rule": "lowest final training loss",
+            "cells": {
+                cell: {"final_train_loss": result.final_loss, "test": cell_reports[cell]}
+                for cell, result in grid.results.items()
+            },
+        }
+        write_json(metrics, out_dir / "metrics.json")
+
+        marked = {c + (" *" if c == grid.best_cell else ""): r for c, r in cell_reports.items()}
+        lines = [
+            "Composed-class test metrics per hyperparameter cell",
+            "(* = selected by lowest final training loss)",
+            "",
+            render_metrics_table(marked),
+            "",
+            f"Selected cell: {grid.best_cell}",
+            f"Test subjects: {len(set(R_test.subject_ids))}; test slices: {R_test.n}",
+        ]
+        for kind, names, matrix in (
+            ("Composed", "classes: " + ", ".join(report.classes), report.composed_confusion),
+            ("Subclass", "subclasses: " + ", ".join(report.subclass_names), report.sub_confusion),
+        ):
+            lines += ["", f"{kind} confusion matrix (rows true, columns predicted):", "  " + names]
+            lines += ["  " + " ".join(f"{v:5d}" for v in row) for row in matrix.tolist()]
+        (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
+
+    return RunResult(out_dir, report, grid.best_cell, grid.results)
+
+
 def run_pipeline(manifest_path, cfg: PipelineConfig, run_dir) -> RunResult:
     """Execute every stage under stage(): bad input, such as an unreadable
     manifest, raises as it is; any other failure as StageError(stage, cause).
@@ -353,67 +413,10 @@ def run_pipeline(manifest_path, cfg: PipelineConfig, run_dir) -> RunResult:
             subject_labels, cfg.split.train_frac, seed=seeds["split"]
         )
         write_json({"train": train_subjects, "test": test_subjects}, run_dir / "split.json")
-        train_mask = _subject_mask(X, set(train_subjects))
-        test_mask = _subject_mask(X, set(test_subjects))
+        train_mask = np.isin(X.subject_ids, train_subjects)
+        test_mask = np.isin(X.subject_ids, test_subjects)
 
-    with stage("decompose", stage_seconds):
-        dec = run_decompose_stage(X, train_mask, cfg, run_dir)
-        ds = dec.decomposed
-        R_train = ds.features
-        R_test = dec.reduced.rows(test_mask)
-        save_features(ds.codec.relabel(R_train, ds.sublabels), run_dir / "sublabeled_train.csv")
-        y_test = assign_sublabels(R_test, ds.codec, ds.centroids)
-        if R_test.n > 0:
-            save_features(ds.codec.relabel(R_test, y_test), run_dir / "sublabeled_test.csv")
-
-    with stage("train", stage_seconds):
-        grid = run_train_stage(R_train.values, ds.sublabels, ds.codec, cfg, run_dir)
-        cell_results, best_cell = grid.results, grid.best_cell
-        seeds.update(decompose=dec.seed, train_cells=grid.seeds)
-        write_json(seeds, run_dir / "seeds.json")
-
-    with stage("evaluate", stage_seconds):
-        if R_test.n == 0:
-            raise ValueError("test set is empty after the subject split")
-        cell_reports: dict[str, EvalReport] = {}
-        for cell, result in cell_results.items():
-            cell_reports[cell] = evaluate(result.model, R_test.values, y_test, cfg.compose_mode)
-        report = cell_reports[best_cell]
-
-        metrics = {
-            "selected_cell": best_cell,
-            "selection_rule": "lowest final training loss",
-            "cells": {
-                cell: {
-                    "final_train_loss": cell_results[cell].final_loss,
-                    "test": cell_reports[cell],
-                }
-                for cell in cell_results
-            },
-        }
-        write_json(metrics, run_dir / "metrics.json")
-
-        marked = {c + (" *" if c == best_cell else ""): r for c, r in cell_reports.items()}
-        lines = [
-            "Composed-class test metrics per hyperparameter cell",
-            "(* = selected by lowest final training loss)",
-            "",
-            render_metrics_table(marked),
-            "",
-            f"Selected cell: {best_cell}",
-            f"Test subjects: {len(test_subjects)}; test slices: {R_test.n}",
-            "",
-            "Composed confusion matrix (rows true, columns predicted):",
-            "  classes: " + ", ".join(report.classes),
-        ]
-        for row in report.composed_confusion.tolist():
-            lines.append("  " + " ".join(f"{v:5d}" for v in row))
-        lines.append("")
-        lines.append("Subclass confusion matrix (rows true, columns predicted):")
-        lines.append("  subclasses: " + ", ".join(report.subclass_names))
-        for row in report.sub_confusion.tolist():
-            lines.append("  " + " ".join(f"{v:5d}" for v in row))
-        (run_dir / "report.txt").write_text("\n".join(lines) + "\n")
+    result = fit_and_evaluate(X, train_mask, test_mask, cfg, run_dir, seeds, stage_seconds)
 
     run_info = {
         "package_version": __version__,
@@ -421,13 +424,10 @@ def run_pipeline(manifest_path, cfg: PipelineConfig, run_dir) -> RunResult:
         "elapsed_seconds": time.time() - started,
         "n_subjects": len(rows),
         "n_slices": X.n,
-        "reduced_dim": R_train.m,
+        "reduced_dim": result.cell_results[result.best_cell].model.input_dim,
         "stage_seconds": stage_seconds,
         "slice_workers": slice_stage.workers,
         "slice_busy_seconds": slice_stage.busy_seconds,
     }
     write_json(run_info, run_dir / "run_info.json")
-
-    return RunResult(
-        run_dir=run_dir, report=report, best_cell=best_cell, cell_results=cell_results
-    )
+    return result

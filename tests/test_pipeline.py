@@ -16,7 +16,7 @@ from mridecomp.config import PipelineConfig, SliceSelectionConfig, TrainingConfi
 from mridecomp.decomposition import LabelCodec
 from mridecomp.errors import IoError, ParseError, ShapeMismatch, StageError
 from mridecomp.evaluation import subject_split
-from mridecomp.features import OnnxBackend, RawPixelBackend
+from mridecomp.features import OnnxBackend, RawPixelBackend, load_precomputed
 from mridecomp.manifest import ManifestRow, read_manifest
 from mridecomp.pipeline import run_pipeline, run_slices_stage
 from mridecomp.synth import generate_dataset, write_nifti
@@ -45,6 +45,17 @@ EXPECTED_FILES = {
 }
 
 TRAIN_ARTIFACTS = ["scaler.json", "pca.json", "codec.json", "centroids.json", "losses.json"]
+
+# what fit_and_evaluate writes, apart from models/cell-*.json
+FIT_AND_EVALUATE_ARTIFACTS = [
+    *TRAIN_ARTIFACTS,
+    "decomposition_report.csv",
+    "sublabeled_train.csv",
+    "sublabeled_test.csv",
+    "seeds.json",
+    "metrics.json",
+    "report.txt",
+]
 
 
 def quick_config(**overrides) -> PipelineConfig:
@@ -461,6 +472,51 @@ def test_seeds_recorded(dataset, tmp_path):
     seeds = json.loads((tmp_path / "run" / "seeds.json").read_text())
     assert set(seeds) == {"base", "split", "decompose", "train_cells"}
     assert set(seeds["train_cells"]) == {"lr=0.01"}
+
+
+def test_fit_and_evaluate_reproduces_a_run_from_its_features_and_split(dataset, tmp_path):
+    """Fed a finished run's features.csv, and the subject masks of its
+    split.json, fit_and_evaluate writes that run's artifacts byte for byte
+    into a fresh directory and selects the same cell."""
+    manifest_path, _ = dataset
+    cfg = PipelineConfig(training=TrainingConfig(learning_rates=(0.01, 0.001, 0.1), epochs=40))
+    run_dir, out_dir = tmp_path / "run", tmp_path / "refit"
+    run = run_pipeline(manifest_path, cfg, run_dir)
+
+    X = load_precomputed(run_dir / "features.csv")
+    split = json.loads((run_dir / "split.json").read_text())
+    train_mask, test_mask = (np.isin(X.subject_ids, split[side]) for side in ("train", "test"))
+    run_seeds = json.loads((run_dir / "seeds.json").read_text())
+    seeds = {"base": run_seeds["base"], "split": run_seeds["split"]}
+    out_dir.mkdir()
+    result = pipeline.fit_and_evaluate(X, train_mask, test_mask, cfg, out_dir, seeds, {})
+
+    assert result.best_cell == run.best_cell
+    assert result.run_dir == out_dir
+    models = [f"models/cell-{i}.json" for i in range(3)]
+    written = sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*") if p.is_file())
+    assert written == sorted(FIT_AND_EVALUATE_ARTIFACTS + models)
+    for name in FIT_AND_EVALUATE_ARTIFACTS + models:
+        assert (out_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def test_failed_evaluate_keeps_what_train_wrote(dataset, tmp_path, monkeypatch):
+    """seeds.json, losses.json and the models are written in the train stage,
+    before evaluate runs; metrics.json and report.txt only once it succeeds."""
+    manifest_path, _ = dataset
+
+    def failing_evaluate(*args, **kwargs):
+        raise RuntimeError("evaluation failed")
+
+    monkeypatch.setattr(pipeline, "evaluate", failing_evaluate)
+    run_dir = tmp_path / "run"
+    with pytest.raises(StageError) as excinfo:
+        run_pipeline(manifest_path, quick_config(), run_dir)
+    assert excinfo.value.stage == "evaluate"
+    for name in ("seeds.json", "losses.json", "models/cell-0.json"):
+        assert (run_dir / name).is_file(), name
+    for name in ("metrics.json", "report.txt", "run_info.json"):
+        assert not (run_dir / name).exists(), name
 
 
 def test_metrics_shape(dataset, tmp_path):
