@@ -125,10 +125,13 @@ def run_slices_stage(
     """Rank informative slices per subject, and turn each subject's selected
     slices into feature rows with backend; subject errors are isolated.
 
-    Subjects run on pool.map_in_order, one worker per available CPU (inflate
-    and most of ranking run without the GIL), so backend.extract is
-    called from several threads at once, once per subject. Every run decodes
-    and ranks each subject's volume once. Each worker keeps only the selected
+    Subjects run on pool.map_in_order: the calling thread plus one thread per
+    further available CPU (inflate and most of ranking run without the GIL).
+    The caller takes a share so that the volumes it decodes are freed into
+    the main malloc arena, which the later stages reuse, not into a pool
+    thread's, which glibc keeps per thread. backend.extract is called from
+    several threads at once, once per subject. Every run decodes and ranks
+    each subject's volume once. Each worker keeps only the selected
     slice indices and their feature rows (none without a backend); the pixels
     are dropped. Results are merged in manifest order, so the outcome does
     not depend on the worker count. A PipelineError or OSError while decoding

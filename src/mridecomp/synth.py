@@ -7,12 +7,14 @@ Classes differ in checkerboard block size and amplitude. Files alternate
 between plain .nii and .nii.gz; gzip members are written with mtime=0 so
 identical seeds produce byte-identical files.
 
-generate_dataset builds and writes subjects on the slice stage's thread pool
-(pool.map_in_order: one worker per available CPU, no setting for it; deflate
-and most numpy kernels release the GIL). Each subject draws from its own
-SeedSequence([seed, class_index, subject_index]) and rows come back in
-class-then-subject order, so every file, manifest.csv included, is the same
-byte for byte for any worker count.
+generate_dataset builds and writes subjects on the slice stage's pool
+(pool.map_in_order: the calling thread plus one thread per further available
+CPU, no setting for it; deflate and most numpy kernels release the GIL, and
+the caller's own share frees its buffers into the main malloc arena, not a
+pool thread's, so later work in the process can reuse them). Each subject
+draws from its own SeedSequence([seed, class_index, subject_index]) and rows
+come back in class-then-subject order, so every file, manifest.csv included,
+is the same byte for byte for any worker count.
 """
 
 from __future__ import annotations

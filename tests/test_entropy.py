@@ -266,15 +266,20 @@ def test_volume_scores_match_per_slice_reference(
 
 def test_one_pixel_wide_volume_warns_per_slice_and_scores_zero(caplog):
     """No pair fits offset (0, 1) in a 5 x 1 slice: each slice of the volume,
-    the constant one too, warns once, in slice order, and scores +0.0."""
-    voxels = np.asfortranarray(np.arange(20.0).reshape(5, 1, 4))
+    the constant one too, warns once, in slice order, and scores +0.0, in
+    either memory layout."""
+    voxels = np.arange(20.0).reshape(5, 1, 4)
     voxels[:, :, 1] = 7.0  # constant: where pairs fit, it scores -0.0 without a GLCM
-    with caplog.at_level(logging.WARNING, logger="mridecomp.entropy"):
-        ranked = rank_slices(Volume("v", (5, 1, 4), voxels, datatype_code=64))
-    assert [(r.slice_index, r.entropy.hex()) for r in ranked] == [(i, "0x0.0p+0") for i in range(4)]
-    assert caplog.messages == [
-        f"slice v/{i} has no co-occurring pairs at offset (0, 1); scoring 0" for i in range(4)
-    ]
+    for layout in (np.asfortranarray, np.ascontiguousarray):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="mridecomp.entropy"):
+            ranked = rank_slices(Volume("v", (5, 1, 4), layout(voxels), datatype_code=64))
+        assert [(r.slice_index, r.entropy.hex()) for r in ranked] == [
+            (i, "0x0.0p+0") for i in range(4)
+        ]
+        assert caplog.messages == [
+            f"slice v/{i} has no co-occurring pairs at offset (0, 1); scoring 0" for i in range(4)
+        ]
 
 
 def test_scorer_settings_are_checked_before_constant_slices_are_skipped():
