@@ -1,4 +1,7 @@
-"""The one writer and reader of the run directory's JSON and CSV artifacts.
+"""The writer and reader of the run directory's JSON artifacts, and the
+writer of its CSV tables other than the feature CSVs (features.csv,
+sublabeled_*.csv), which features.save_features and features.load_precomputed
+write and read.
 
 A JSON artifact holds a dataclass as an object of its fields and an ndarray
 as nested lists, has sorted keys, a two-space indent and a trailing newline,

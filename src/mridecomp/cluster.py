@@ -41,10 +41,6 @@ class ElbowResult:
     fits: dict[int, KMeansResult]  # best-of-n_init fit per candidate k
     scores: dict[int, float]  # second difference per interior k
 
-    @property
-    def wcss_curve(self) -> dict[int, float]:
-        return {k: fit.wcss for k, fit in self.fits.items()}
-
 
 def _as_seedseq(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):

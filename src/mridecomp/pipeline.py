@@ -105,7 +105,7 @@ def _select_for_subject(row: ManifestRow, scfg: SliceSelectionConfig, busy: dict
     volume = read_nifti(row.path, subject_id=row.subject_id)
     t1 = time.perf_counter()
     ranked = rank_slices(volume, scfg)
-    chosen = sorted(r.slice_index for r in select_top_k(ranked, min(scfg.top_k, len(ranked))))
+    chosen = sorted(r.slice_index for r in select_top_k(ranked, scfg.top_k))
     # one (k, nx, ny) copy in the stored dtype, so the volume is freed on return;
     # the feature backends promote only what they resample to float64. An index
     # list, not take, which first copies the whole volume to C order

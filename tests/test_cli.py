@@ -391,6 +391,7 @@ def test_flags_a_subcommand_ignores_are_rejected(argv, tmp_path, monkeypatch, ca
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unsafe_subject_id_exits_1(tmp_path, capsys):

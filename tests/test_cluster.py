@@ -223,7 +223,8 @@ def test_elbow_two_tight_groups(rng):
     result = elbow_select_k(X, 1, 5, seed=0)
     assert result.k == 2
     assert set(result.scores) == {2, 3, 4}
-    assert set(result.wcss_curve) == {1, 2, 3, 4, 5}
+    curve = {k: f.wcss for k, f in result.fits.items()}
+    assert set(curve) == {1, 2, 3, 4, 5}
 
 
 def test_elbow_recovers_three_groups(rng):
@@ -238,7 +239,8 @@ def test_elbow_recovers_four_groups(rng):
 
 def test_elbow_wcss_curve_non_increasing(rng):
     X = blobs(rng, 3, per=10, sep=10.0, sigma=1.0)
-    curve = elbow_select_k(X, 1, 6, seed=2).wcss_curve
+    result = elbow_select_k(X, 1, 6, seed=2)
+    curve = {k: f.wcss for k, f in result.fits.items()}
     values = [curve[k] for k in sorted(curve)]
     assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
@@ -258,4 +260,4 @@ def test_elbow_deterministic(rng):
     a = elbow_select_k(X, 1, 5, seed=7)
     b = elbow_select_k(X, 1, 5, seed=7)
     assert a.k == b.k
-    assert a.wcss_curve == b.wcss_curve
+    assert {k: f.wcss for k, f in a.fits.items()} == {k: f.wcss for k, f in b.fits.items()}

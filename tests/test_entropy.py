@@ -290,10 +290,9 @@ def test_scorer_settings_are_checked_before_constant_slices_are_skipped():
         rank_slices(volume, EntropyConfig(offset=(0, 0)))
 
 
-def test_slices_without_pairs_warn_and_score_zero_in_order(monkeypatch, caplog):
+def test_slices_without_pairs_warn_and_score_zero_in_order(caplog):
     """A 1-pixel-wide slice has no pair at offset (0, 1): each warns once, in
-    slice order, and scores 0, whatever the group size."""
-    monkeypatch.setattr(entropy, "_GROUP_BYTES", 2 * 8 * 5)  # two 5 x 1 slices per group
+    slice order, and scores 0."""
     voxels = np.stack([np.arange(5.0)[:, None] * i for i in range(5)], axis=2)
     with caplog.at_level(logging.WARNING, logger="mridecomp.entropy"):
         ranked = rank_slices(Volume("s", (5, 1, 5), voxels, datatype_code=64))

@@ -12,7 +12,13 @@ import pytest
 
 from mridecomp import cluster, decomposition, nifti, pipeline, pool
 from mridecomp.classifier import model_to_json, train
-from mridecomp.config import PipelineConfig, SliceSelectionConfig, TrainingConfig, config_from_dict
+from mridecomp.config import (
+    DecompositionConfig,
+    PipelineConfig,
+    SliceSelectionConfig,
+    TrainingConfig,
+    config_from_dict,
+)
 from mridecomp.decomposition import LabelCodec
 from mridecomp.errors import IoError, ParseError, ShapeMismatch, StageError
 from mridecomp.evaluation import subject_split
@@ -387,20 +393,26 @@ def test_outputs_do_not_depend_on_worker_count(dataset, tmp_path, monkeypatch):
         return pixels, indices, ranked
 
     monkeypatch.setattr(pipeline, "_select_for_subject", recording_select)
-    for cpus in (1, 3):
-        monkeypatch.setattr(pool, "_available_cpus", lambda: cpus)
-        runs[cpus] = tmp_path / f"cpus{cpus}"
-        selections[cpus] = {}
-        run_pipeline(manifest_path, quick_config(), runs[cpus])
-        info = json.loads((runs[cpus] / "run_info.json").read_text())
-        assert info["slice_workers"] == cpus
-    assert _artifacts(runs[1]) == _artifacts(runs[3])
-    for row in rows:
-        a, b = selections[1][row.subject_id], selections[3][row.subject_id]
-        assert a.keys() == b.keys()
-        for name in a:
-            np.testing.assert_array_equal(a[name], b[name])
-            assert a[name].dtype == b[name].dtype
+    # elbow k-selection, an MLP head and prob-sum composition
+    elbow = quick_config(
+        compose_mode="prob-sum", decomposition=DecompositionConfig(mode="elbow", k_min=2, k_max=6)
+    )
+    elbow = dataclasses.replace(elbow, training=dataclasses.replace(elbow.training, hidden_dim=32))
+    for tag, cfg in (("default", quick_config()), ("elbow", elbow)):
+        for cpus in (1, 3):
+            monkeypatch.setattr(pool, "_available_cpus", lambda: cpus)
+            runs[cpus] = tmp_path / f"{tag}-cpus{cpus}"
+            selections[cpus] = {}
+            run_pipeline(manifest_path, cfg, runs[cpus])
+            info = json.loads((runs[cpus] / "run_info.json").read_text())
+            assert info["slice_workers"] == cpus
+        assert _artifacts(runs[1]) == _artifacts(runs[3])
+        for row in rows:
+            a, b = selections[1][row.subject_id], selections[3][row.subject_id]
+            assert a.keys() == b.keys()
+            for name in a:
+                np.testing.assert_array_equal(a[name], b[name])
+                assert a[name].dtype == b[name].dtype
 
 
 def test_train_stage_writes_cells_in_order_until_one_is_not_finite(tmp_path):
