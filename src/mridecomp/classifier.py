@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .artifacts import read_json_as, write_json
+from .artifacts import write_json
 from .decomposition import LabelCodec
 from .errors import ConfigError, DegenerateInput, ShapeMismatch
 
@@ -324,16 +324,3 @@ def model_to_json(model: ClassifierModel, path) -> None:
     # a function of its own, so that the benchmark can time writing checkpoints
     write_json(model, path)
 
-
-def model_from_json(path) -> ClassifierModel:
-    """Load a model_to_json file. Undecodable JSON or a missing, unknown or
-    mistyped key raises ParseError naming the file; parameters that do not
-    fit the declared dims raise ShapeMismatch."""
-    model = read_json_as(ClassifierModel, path, "model")
-    shapes = {name: p.shape for name, p in model.params.items()}
-    if shapes != model.param_shapes() or model.output_dim != model.codec.n_sublabels:
-        raise ShapeMismatch(
-            f"{path}: expected params {model.param_shapes()} for {model.codec.n_sublabels} "
-            f"subclasses, got {shapes} with output_dim {model.output_dim}"
-        )
-    return model

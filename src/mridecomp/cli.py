@@ -1,11 +1,12 @@
 """Command-line interface.
 
-Subcommands: synth, slices, features, decompose, train, evaluate, pipeline,
-each run as pipeline.stage(<subcommand>). Exit codes: 0 success, 1 bad input
-(bad flags, or errors.BAD_INPUT: config and input files), 2 a failed subject
-or any other failure, which reads "stage '<name>' failed: <cause>".
-slices, features and pipeline decode and rank every volume on each run;
-nothing is cached between runs.
+Subcommands: synth, slices, features, fit, pipeline, each run as
+pipeline.stage(<subcommand>); fit and pipeline name the inner stage that
+failed (split, decompose, train, evaluate, ...). Exit codes: 0 success, 1
+bad input (bad flags, or errors.BAD_INPUT: config and input files), 2 a
+failed subject or any other failure, which reads "stage '<name>' failed:
+<cause>". slices, features and pipeline decode and rank every volume on each
+run; nothing is cached between runs.
 """
 
 from __future__ import annotations
@@ -17,23 +18,18 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from .artifacts import write_json
-from .classifier import model_from_json, model_to_json
 from .config import PipelineConfig, load_config
-from .decomposition import codec_from_json, decomposition_report
 from .errors import BAD_INPUT, PipelineError
-from .evaluation import evaluate, render_metrics_table
 from .features import load_precomputed, save_features
 from .manifest import read_manifest
 from .pipeline import (
     build_backend,
     extract_feature_matrix,
-    run_decompose_stage,
+    fit_and_evaluate,
+    read_split,
     run_pipeline,
     run_slices_stage,
-    run_train_stage,
+    run_split_stage,
     stage,
 )
 from .synth import generate_dataset
@@ -73,19 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_manifest(p)
 
-    p = sub.add_parser("decompose", help="standardize, reduce, and cluster a feature CSV")
+    p = sub.add_parser("fit", help="split, decompose, train and evaluate a feature CSV")
     _add_common(p)
-    p.add_argument("--features", type=Path, required=True, help="feature CSV to decompose")
-
-    p = sub.add_parser("train", help="train the classifier grid on a sublabeled feature CSV")
-    _add_common(p)
-    p.add_argument("--features", type=Path, required=True, help="sublabeled reduced feature CSV")
-    p.add_argument("--codec", type=Path, required=True, help="codec JSON from decompose")
-
-    p = sub.add_parser("evaluate", help="evaluate a trained model on a sublabeled feature CSV")
-    _add_common(p)
-    p.add_argument("--features", type=Path, required=True, help="sublabeled reduced feature CSV")
-    p.add_argument("--model", type=Path, required=True, help="model checkpoint JSON")
+    p.add_argument("--features", type=Path, required=True, help="feature CSV to fit")
+    p.add_argument("--split", type=Path, help="split.json to fit on (default: a seeded split)")
 
     p = sub.add_parser("pipeline", help="run the full pipeline end to end")
     _add_common(p, out_required=False)
@@ -138,68 +125,33 @@ def cmd_features(args) -> int:
     return 2 if sliced.errors else 0
 
 
-def cmd_decompose(args) -> int:
-    cfg = _load_cfg(args)
-    X = load_precomputed(args.features)
-    args.out.mkdir(parents=True, exist_ok=True)
-
-    ds = run_decompose_stage(X, np.ones(X.n, dtype=bool), cfg, args.out).decomposed
-    save_features(ds.codec.relabel(ds.features, ds.sublabels), args.out / "sublabeled_features.csv")
-    counts = {row["subclass"]: row["count"] for row in decomposition_report(ds)}
-    print(f"decomposed into {ds.codec.n_sublabels} subclasses: {counts}")
+def _print_result(result) -> int:
+    print(f"run directory: {result.run_dir}")
+    print(f"selected cell: {result.best_cell}")
+    print(f"composed test accuracy: {result.report.composed_accuracy:.4f}")
     return 0
 
 
-def cmd_train(args) -> int:
+def cmd_fit(args) -> int:
     cfg = _load_cfg(args)
-    codec = codec_from_json(args.codec)
     X = load_precomputed(args.features)
-    y = codec.parse_labels(X.labels)
+    split = read_split(args.split, X.subject_ids) if args.split else None
     args.out.mkdir(parents=True, exist_ok=True)
-
-    grid = run_train_stage(X.values, y, codec, cfg, args.out)
-    best = grid.results[grid.best_cell]
-    model_to_json(best.model, args.out / "model.json")
-    print(
-        f"trained {len(grid.results)} cells; best {grid.best_cell} "
-        f"(final loss {best.final_loss:.6f})"
-    )
-    return 0
-
-
-def cmd_evaluate(args) -> int:
-    cfg = _load_cfg(args)
-    model = model_from_json(args.model)
-    X = load_precomputed(args.features)
-    y = model.codec.parse_labels(X.labels)
-    args.out.mkdir(parents=True, exist_ok=True)
-
-    report = evaluate(model, X.values, y, cfg.compose_mode)
-    write_json(report, args.out / "metrics.json")
-    table = render_metrics_table({"composed": report})
-    (args.out / "report.txt").write_text(table + "\n")
-    print(table)
-    return 0
+    train_mask, test_mask = run_split_stage(X, cfg, args.out, split)
+    return _print_result(fit_and_evaluate(X, train_mask, test_mask, cfg, args.out))
 
 
 def cmd_pipeline(args) -> int:
     cfg = _load_cfg(args)
     out = args.out if args.out else Path("runs") / f"run-{time.strftime('%Y%m%d-%H%M%S')}"
-    result = run_pipeline(args.manifest, cfg, out)
-    acc = result.report.composed_accuracy
-    print(f"run directory: {result.run_dir}")
-    print(f"selected cell: {result.best_cell}")
-    print(f"composed test accuracy: {acc:.4f}")
-    return 0
+    return _print_result(run_pipeline(args.manifest, cfg, out))
 
 
 _HANDLERS = {
     "synth": cmd_synth,
     "slices": cmd_slices,
     "features": cmd_features,
-    "decompose": cmd_decompose,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
+    "fit": cmd_fit,
     "pipeline": cmd_pipeline,
 }
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import read_json_as, write_table
+from .artifacts import write_table
 from .cluster import elbow_select_k, kmeans_restarts, nearest_centroid
 from .errors import DegenerateInput, EmptyInput, InvalidK, UnknownSublabel
 from .features import FeatureMatrix
@@ -73,19 +73,9 @@ class LabelCodec:
         cls, cluster = self.decode(sublabel)
         return f"{cls}_{cluster + 1}"
 
-    def parse_subclass_name(self, name: str) -> int:
-        cls, _, suffix = name.rpartition("_")
-        if not cls or not suffix.isdigit():
-            raise UnknownSublabel(f"malformed subclass name {name!r}")
-        return self.encode(cls, int(suffix) - 1)
-
     def relabel(self, X: FeatureMatrix, sublabels) -> FeatureMatrix:
         """X with the subclass name of each row's sublabel id in the label column."""
         return replace(X, labels=tuple(self.subclass_name(int(s)) for s in sublabels))
-
-    def parse_labels(self, names) -> np.ndarray:
-        """Sublabel ids of subclass names, e.g. the labels of a sublabeled CSV."""
-        return np.asarray([self.parse_subclass_name(name) for name in names], dtype=np.int64)
 
     def class_indices(self) -> np.ndarray:
         """Index into classes of every sublabel id, in id order."""
@@ -189,28 +179,12 @@ def assign_sublabels(
     return sublabels
 
 
-def decomposition_report(ds: DecomposedDataset) -> list[dict]:
-    """Per-subclass summary rows: name, parent class, sample count, wcss."""
-    counts = np.bincount(ds.sublabels, minlength=ds.codec.n_sublabels)
-    rows = []
-    for sid in range(ds.codec.n_sublabels):
-        cls, _ = ds.codec.decode(sid)
-        rows.append(
-            {
-                "subclass": ds.codec.subclass_name(sid),
-                "class": cls,
-                "count": int(counts[sid]),
-                "class_wcss": ds.wcss[cls],
-            }
-        )
-    return rows
-
-
 def write_report_csv(ds: DecomposedDataset, path) -> None:
-    header = ["subclass", "class", "count", "class_wcss"]
-    write_table(path, header, ([row[k] for k in header] for row in decomposition_report(ds)))
-
-
-def codec_from_json(path) -> LabelCodec:
-    """The codec.json file at path; a bad file raises ParseError naming it."""
-    return read_json_as(LabelCodec, path, "codec")
+    """decomposition_report.csv: per subclass its name, parent class, row count
+    and the parent class's WCSS."""
+    counts = np.bincount(ds.sublabels, minlength=ds.codec.n_sublabels).tolist()
+    rows = []
+    for sid, count in enumerate(counts):
+        cls, _ = ds.codec.decode(sid)
+        rows.append([ds.codec.subclass_name(sid), cls, count, ds.wcss[cls]])
+    write_table(path, ["subclass", "class", "count", "class_wcss"], rows)

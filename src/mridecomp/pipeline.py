@@ -9,10 +9,10 @@ fit on training subjects only. Test subjects receive sublabels by nearest
 class-consistent centroid. Hyperparameter cells are ranked by final
 training loss.
 
-The slices, features, decompose and train subcommands call the same stage
-functions (run_slices_stage, run_decompose_stage, run_train_stage) with the
-same derived seeds, so a standalone chain fed the train rows reproduces a
-pipeline run.
+The slices, features and fit subcommands call the same stage functions with
+the same derived seeds: fit is run_split_stage then fit_and_evaluate on a
+features.csv, so fed a run's features.csv (and its split.json, or none) it
+reproduces that run's fitted artifacts.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, pool
-from .artifacts import write_json, write_table
+from .artifacts import read_json_as, write_json, write_table
 from .classifier import TrainResult, model_to_json, train_grid
 from .config import PipelineConfig, SliceSelectionConfig
 from .decomposition import (
@@ -37,7 +37,7 @@ from .decomposition import (
     write_report_csv,
 )
 from .entropy import RankedSlice, rank_slices, select_top_k
-from .errors import BAD_INPUT, PipelineError, StageError
+from .errors import BAD_INPUT, ParseError, PipelineError, StageError
 from .evaluation import EvalReport, evaluate, render_metrics_table, subject_split
 from .features import (
     FeatureBackend,
@@ -305,6 +305,53 @@ def run_train_stage(
     return TrainStage(results=results, seeds=seeds, best_cell=best_cell)
 
 
+@dataclass(frozen=True)
+class SubjectSplit:
+    """split.json: the subjects fit on and the subjects held out."""
+
+    train: tuple[str, ...]
+    test: tuple[str, ...]
+
+
+def read_split(path, subject_ids) -> SubjectSplit:
+    """The split.json at path, for a feature matrix of the rows of subject_ids.
+    Besides read_json_as's key and type checks, an empty side, a subject on
+    both sides, a subject not in subject_ids, and one of subject_ids on
+    neither side each raise ParseError naming the file."""
+    split = read_json_as(SubjectSplit, path, "split")
+    if not split.train or not split.test:
+        raise ParseError(f"{path}: train and test must each name a subject")
+    train, test, known = set(split.train), set(split.test), set(subject_ids)
+    for problem, subjects in (
+        ("in both train and test", train & test),
+        ("not in the feature rows", (train | test) - known),
+        ("in neither train nor test", known - train - test),
+    ):
+        if subjects:
+            raise ParseError(f"{path}: subjects {problem}: {sorted(subjects)}")
+    return split
+
+
+def run_split_stage(
+    X: FeatureMatrix,
+    cfg: PipelineConfig,
+    out_dir: Path,
+    split: SubjectSplit | None = None,
+    stage_seconds: dict[str, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (train, test) row masks of X from split, or else from subject_split
+    of X's subjects and labels with the split seed. Writes split.json into
+    out_dir, which must exist."""
+    with stage("split", stage_seconds):
+        if split is None:
+            subject_labels = dict(zip(X.subject_ids, X.labels))
+            seed = derive_seed(cfg.seed, _TAG_SPLIT)
+            train, test = subject_split(subject_labels, cfg.split.train_frac, seed=seed)
+            split = SubjectSplit(train=tuple(train), test=tuple(test))
+        write_json(split, out_dir / "split.json")
+        return np.isin(X.subject_ids, split.train), np.isin(X.subject_ids, split.test)
+
+
 @dataclass
 class RunResult:
     run_dir: Path
@@ -319,13 +366,13 @@ def fit_and_evaluate(
     test_mask: np.ndarray,
     cfg: PipelineConfig,
     out_dir: Path,
-    seeds: dict,
-    stage_seconds: dict[str, float],
+    stage_seconds: dict[str, float] | None = None,
 ) -> RunResult:
     """Run decompose and train on X's train_mask rows, then evaluate every cell
     on its test_mask rows and report the best one. Each stage writes its
-    artifacts into out_dir, which must exist; train writes seeds.json (seeds
-    plus the decompose and train seeds), so it is there before evaluate runs."""
+    artifacts into out_dir, which must exist; train writes seeds.json (the
+    base seed and every seed derived from it), so it is there before evaluate
+    runs."""
     with stage("decompose", stage_seconds):
         dec = run_decompose_stage(X, train_mask, cfg, out_dir)
         ds = dec.decomposed
@@ -336,6 +383,7 @@ def fit_and_evaluate(
 
     with stage("train", stage_seconds):
         grid = run_train_stage(ds.features.values, ds.sublabels, ds.codec, cfg, out_dir)
+        seeds = {"base": cfg.seed, "split": derive_seed(cfg.seed, _TAG_SPLIT)}
         write_json(seeds | dict(decompose=dec.seed, train_cells=grid.seeds), out_dir / "seeds.json")
 
     with stage("evaluate", stage_seconds):
@@ -386,8 +434,6 @@ def run_pipeline(manifest_path, cfg: PipelineConfig, run_dir) -> RunResult:
     started = time.time()
     run_dir = Path(run_dir)
 
-    seeds = {"base": cfg.seed, "split": derive_seed(cfg.seed, _TAG_SPLIT)}
-
     stage_seconds: dict[str, float] = {}
     with stage("manifest", stage_seconds):
         rows = read_manifest(manifest_path, allowed_labels=cfg.classes)
@@ -410,16 +456,8 @@ def run_pipeline(manifest_path, cfg: PipelineConfig, run_dir) -> RunResult:
         X = extract_feature_matrix(rows, slice_stage)
         save_features(X, run_dir / "features.csv")
 
-    with stage("split", stage_seconds):
-        subject_labels = {row.subject_id: row.label for row in rows}
-        train_subjects, test_subjects = subject_split(
-            subject_labels, cfg.split.train_frac, seed=seeds["split"]
-        )
-        write_json({"train": train_subjects, "test": test_subjects}, run_dir / "split.json")
-        train_mask = np.isin(X.subject_ids, train_subjects)
-        test_mask = np.isin(X.subject_ids, test_subjects)
-
-    result = fit_and_evaluate(X, train_mask, test_mask, cfg, run_dir, seeds, stage_seconds)
+    train_mask, test_mask = run_split_stage(X, cfg, run_dir, stage_seconds=stage_seconds)
+    result = fit_and_evaluate(X, train_mask, test_mask, cfg, run_dir, stage_seconds)
 
     run_info = {
         "package_version": __version__,

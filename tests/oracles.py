@@ -28,6 +28,10 @@ one-slice volume; the per-slice helpers take a slice as a 2-D pixel array.
 glcm_brute and entropy_brute count co-occurring pairs and score them by
 nested loops, brute_force_wcss finds the k-means optimum by enumerating
 every assignment, and same_bytes compares two arrays bit for bit.
+
+model_from_json and codec_from_json read a models/cell-*.json and a
+codec.json back; parse_subclass_name and parse_labels invert
+LabelCodec.subclass_name, so tests can check that names round-trip.
 """
 
 from __future__ import annotations
@@ -40,10 +44,19 @@ import numpy as np
 from dataclasses import dataclass
 
 from mridecomp import cluster, minionnx
-from mridecomp.classifier import TrainResult, _backprop, _log_softmax, _logits, init_model
+from mridecomp.artifacts import read_json_as
+from mridecomp.classifier import (
+    ClassifierModel,
+    TrainResult,
+    _backprop,
+    _log_softmax,
+    _logits,
+    init_model,
+)
 from mridecomp.cluster import KMeansResult
+from mridecomp.decomposition import LabelCodec
 from mridecomp.entropy import EntropyConfig, glcm_block, rank_slices
-from mridecomp.errors import ConfigError, DegenerateInput, EmptyGlcm
+from mridecomp.errors import ConfigError, DegenerateInput, EmptyGlcm, ShapeMismatch, UnknownSublabel
 from mridecomp.nifti import Volume, quantize_block
 
 
@@ -437,3 +450,35 @@ def brute_force_wcss(X, k: int) -> float:
                 total += ((members - members.mean(axis=0)) ** 2).sum()
         best = min(best, total)
     return best
+
+
+def model_from_json(path) -> ClassifierModel:
+    """A model_to_json file read back. Undecodable JSON or a missing, unknown
+    or mistyped key raises ParseError naming the file; parameters that do not
+    fit the declared dims raise ShapeMismatch."""
+    model = read_json_as(ClassifierModel, path, "model")
+    shapes = {name: p.shape for name, p in model.params.items()}
+    if shapes != model.param_shapes() or model.output_dim != model.codec.n_sublabels:
+        raise ShapeMismatch(
+            f"{path}: expected params {model.param_shapes()} for {model.codec.n_sublabels} "
+            f"subclasses, got {shapes} with output_dim {model.output_dim}"
+        )
+    return model
+
+
+def codec_from_json(path) -> LabelCodec:
+    """The codec.json file at path; a bad file raises ParseError naming it."""
+    return read_json_as(LabelCodec, path, "codec")
+
+
+def parse_subclass_name(codec: LabelCodec, name: str) -> int:
+    """The sublabel id codec names name ("AD_2"); UnknownSublabel otherwise."""
+    cls, _, suffix = name.rpartition("_")
+    if not cls or not suffix.isdigit():
+        raise UnknownSublabel(f"malformed subclass name {name!r}")
+    return codec.encode(cls, int(suffix) - 1)
+
+
+def parse_labels(codec: LabelCodec, names) -> np.ndarray:
+    """Sublabel ids of subclass names, e.g. the labels of a sublabeled CSV."""
+    return np.asarray([parse_subclass_name(codec, name) for name in names], dtype=np.int64)

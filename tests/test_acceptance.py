@@ -26,7 +26,13 @@ from mridecomp.pipeline import run_pipeline
 from mridecomp.reduction import pca_fit, pca_transform
 from mridecomp.synth import generate_dataset, write_nifti
 
-from oracles import brute_force_wcss, entropy_brute, glcm_brute, gradient_check
+from oracles import (
+    brute_force_wcss,
+    entropy_brute,
+    glcm_brute,
+    gradient_check,
+    parse_subclass_name,
+)
 
 
 def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -275,7 +281,7 @@ def test_criterion_07_decomposition_conservation():
             if ds.codec.encode(cls, cluster) != sid:
                 ok = False
                 detail = f"codec round trip broke at id {sid}"
-            if ds.codec.parse_subclass_name(ds.codec.subclass_name(sid)) != sid:
+            if parse_subclass_name(ds.codec, ds.codec.subclass_name(sid)) != sid:
                 ok = False
                 detail = f"name round trip broke at id {sid}"
     report(

@@ -117,6 +117,15 @@ _MODEL = {
         ({**_MODEL, "params": {"W": [[None]]}}, "params.W must be a rectangular array"),
         ({**_MODEL, "params": {"W": 0.5}}, "params.W must be a rectangular array"),
         ({**_MODEL, "params": {"W": [10**400]}}, "params.W must be a rectangular array"),
+        ({**_MODEL, "codec": {"classes": "AD", "cluster_counts": [1, 1]}}, "codec.classes must be a list"),
+        (
+            {**_MODEL, "codec": {"classes": ["A"], "cluster_counts": [2.7]}},
+            r"codec.cluster_counts\[0\] must be an integer, got 2.7",
+        ),
+        (
+            {**_MODEL, "codec": {"classes": ["A"], "cluster_counts": [2], "note": "x"}},
+            r"unknown model key\(s\) in codec: \['note'\]",
+        ),
     ],
 )
 def test_a_bad_model_document_is_a_parse_error_naming_the_key(document, message):

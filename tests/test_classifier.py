@@ -11,7 +11,6 @@ from mridecomp.classifier import (
     compose_probabilities,
     forward,
     init_model,
-    model_from_json,
     model_to_json,
     train,
     train_grid,
@@ -23,6 +22,7 @@ from oracles import (
     gradient_check,
     gradients,
     gradients_reference,
+    model_from_json,
     same_bytes,
     train_reference,
 )

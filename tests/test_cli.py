@@ -31,6 +31,27 @@ def test_synth_writes_dataset(data_dir):
     assert len(lines) == 13  # header + 4 subjects x 3 classes
 
 
+# what fit writes, apart from models/cell-*.json: the fitted files of a pipeline run
+FIT_FILES = [
+    "centroids.json",
+    "codec.json",
+    "decomposition_report.csv",
+    "losses.json",
+    "metrics.json",
+    "pca.json",
+    "report.txt",
+    "scaler.json",
+    "seeds.json",
+    "split.json",
+    "sublabeled_test.csv",
+    "sublabeled_train.csv",
+]
+
+
+def _files(directory):
+    return sorted(p.relative_to(directory).as_posix() for p in directory.rglob("*") if p.is_file())
+
+
 def test_full_standalone_chain(data_dir, tmp_path, capsys):
     work = tmp_path / "work"
     assert main(["slices", "--manifest", str(data_dir / "manifest.csv"), "--out", str(work)]) == 0
@@ -41,48 +62,13 @@ def test_full_standalone_chain(data_dir, tmp_path, capsys):
     assert main(["features", "--manifest", str(data_dir / "manifest.csv"), "--out", str(work)]) == 0
     assert (work / "features.csv").exists()
 
-    dec = tmp_path / "dec"
-    assert main(["decompose", "--features", str(work / "features.csv"), "--out", str(dec)]) == 0
-    assert sorted(p.name for p in dec.iterdir()) == [
-        "centroids.json",
-        "codec.json",
-        "decomposition_report.csv",
-        "pca.json",
-        "scaler.json",
-        "sublabeled_features.csv",
-    ]
-
-    tr = tmp_path / "tr"
-    assert (
-        main(
-            [
-                "train",
-                "--features", str(dec / "sublabeled_features.csv"),
-                "--codec", str(dec / "codec.json"),
-                "--out", str(tr),
-            ]
-        )
-        == 0
-    )
-    assert (tr / "model.json").exists()
-    assert (tr / "losses.json").exists()
-    assert list((tr / "models").glob("cell-*.json"))
-
-    ev = tmp_path / "ev"
-    assert (
-        main(
-            [
-                "evaluate",
-                "--features", str(dec / "sublabeled_features.csv"),
-                "--model", str(tr / "model.json"),
-                "--out", str(ev),
-            ]
-        )
-        == 0
-    )
-    metrics = json.loads((ev / "metrics.json").read_text())
-    assert "composed_metrics" in metrics
-    assert "Accuracy (%)" in (ev / "report.txt").read_text()
+    fit = tmp_path / "fit"
+    assert main(["fit", "--features", str(work / "features.csv"), "--out", str(fit)]) == 0
+    assert _files(fit) == sorted([*FIT_FILES, "models/cell-0.json", "models/cell-1.json"])
+    assert "composed test accuracy" in capsys.readouterr().out
+    metrics = json.loads((fit / "metrics.json").read_text())
+    assert metrics["selected_cell"] in metrics["cells"]
+    assert "Accuracy (%)" in (fit / "report.txt").read_text()
 
 
 def test_pipeline_subcommand(data_dir, tmp_path, capsys):
@@ -104,109 +90,72 @@ def test_pipeline_subcommand(data_dir, tmp_path, capsys):
 
 
 def test_standalone_chain_reproduces_pipeline(data_dir, tmp_path):
-    """decompose + train on the train rows rebuild the pipeline's artifacts."""
+    """fit on a run's features.csv, given its split.json or not, writes every
+    file the run fitted, byte for byte, and nothing else."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"training": {"learning_rates": [0.01, 0.001], "epochs": 30}}))
+    rates = [0.01, 0.001, 0.1]
+    cfg_path.write_text(json.dumps({"training": {"learning_rates": rates, "epochs": 30}}))
     run = tmp_path / "run"
     common = ["--config", str(cfg_path)]
     manifest = str(data_dir / "manifest.csv")
     assert main(["pipeline", "--manifest", manifest, "--out", str(run), *common]) == 0
 
-    train = set(json.loads((run / "split.json").read_text())["train"])
-    header, *rows = (run / "features.csv").read_text().splitlines(keepends=True)
-    train_csv = tmp_path / "train_features.csv"
-    train_csv.write_text(header + "".join(r for r in rows if r.split(",", 1)[0] in train))
-
-    dec, tr = tmp_path / "dec", tmp_path / "tr"
-    assert main(["decompose", "--features", str(train_csv), "--out", str(dec), *common]) == 0
-    assert main(
-        [
-            "train",
-            "--features", str(dec / "sublabeled_features.csv"),
-            "--codec", str(dec / "codec.json"),
-            "--out", str(tr),
-            *common,
-        ]
-    ) == 0
-
-    fitted = ["scaler.json", "pca.json", "codec.json", "centroids.json", "decomposition_report.csv"]
-    for name in fitted:
-        assert (dec / name).read_bytes() == (run / name).read_bytes(), name
-    assert (dec / "sublabeled_features.csv").read_bytes() == (
-        run / "sublabeled_train.csv"
-    ).read_bytes()
-    models = sorted(p.name for p in (run / "models").glob("cell-*.json"))
-    assert models == sorted(p.name for p in (tr / "models").glob("cell-*.json"))
-    assert len(models) == 2
-    for name in models:
-        assert (tr / "models" / name).read_bytes() == (run / "models" / name).read_bytes(), name
-
-
-_CODEC = {"classes": ["A"], "cluster_counts": [2]}
-_MODEL = {
-    "input_dim": 1,
-    "hidden_dim": 0,
-    "output_dim": 2,
-    "codec": _CODEC,
-    "params": {"W": [[0.5, -0.5]], "b": [0.0, 0.0]},
-}
+    fitted = sorted([*FIT_FILES, "models/cell-0.json", "models/cell-1.json", "models/cell-2.json"])
+    features = ["--features", str(run / "features.csv")]
+    for name, split in (("refit", ["--split", str(run / "split.json")]), ("fit", [])):
+        out = tmp_path / name
+        assert main(["fit", *features, *split, "--out", str(out), *common]) == 0
+        assert _files(out) == fitted
+        for path in fitted:
+            assert (out / path).read_bytes() == (run / path).read_bytes(), (name, path)
 
 
 @pytest.mark.parametrize(
-    "flag, document, code",
+    "document, message",
     [
-        pytest.param("--model", "{not json", 1, id="model-not-json"),
-        pytest.param("--codec", "{not json", 1, id="codec-not-json"),
-        pytest.param("--codec", {"classes": ["A"]}, 1, id="codec-without-cluster_counts"),
-        pytest.param("--codec", {**_CODEC, "cluster_counts": ["two"]}, 1, id="codec-mistyped"),
-        pytest.param("--codec", {"classes": "AD", "cluster_counts": [1, 1]}, 1, id="codec-str-classes"),
-        pytest.param("--codec", {**_CODEC, "cluster_counts": [2.7]}, 1, id="codec-float-count"),
+        pytest.param("{not json", "invalid JSON: ", id="not-json"),
+        pytest.param({"train": ["s0"]}, "missing split key(s): ['test']", id="missing-key"),
         pytest.param(
-            "--model",
-            {k: v for k, v in _MODEL.items() if k != "input_dim"},
-            1,
-            id="model-without-input_dim",
+            {"train": ["s0"], "test": ["s1", "s2"], "note": "x"},
+            "unknown split key(s): ['note']",
+            id="unknown-key",
         ),
-        pytest.param("--model", {**_MODEL, "codec": {"classes": "A"}}, 1, id="model-bad-codec"),
-        pytest.param("--model", {**_MODEL, "input_dim": 1.0}, 1, id="model-float-input_dim"),
-        pytest.param("--model", {**_MODEL, "note": "x"}, 1, id="model-unknown-key"),
+        pytest.param({"train": "s0", "test": ["s1", "s2"]}, "train must be a list", id="not-a-list"),
+        pytest.param({"train": ["s0", "s1"], "test": [2]}, "test[0] must be a string", id="not-a-str"),
         pytest.param(
-            "--model",
-            {**_MODEL, "params": {"W": [[float("nan"), -0.5]], "b": [0.0, 0.0]}},
-            1,
-            id="model-NaN-weight",
+            {"train": [], "test": ["s0", "s1", "s2"]},
+            "train and test must each name a subject",
+            id="empty-side",
         ),
         pytest.param(
-            "--model",
-            {**_MODEL, "params": {"W": [[0.5, -0.5]], "b": [float("inf"), 0.0]}},
-            1,
-            id="model-Infinity-bias",
+            {"train": ["s0", "s1"], "test": ["s1", "s2"]},
+            "subjects in both train and test: ['s1']",
+            id="on-both-sides",
         ),
-        pytest.param("--codec", '{"classes": ["A"], "cluster_counts": [1e999]}', 1, id="codec-1e999"),
-        pytest.param("--codec", {**_CODEC, "note": "x"}, 1, id="codec-unknown-key"),
         pytest.param(
-            "--model",
-            {**_MODEL, "params": {"W": [[0.5, -0.5, 0.0]], "b": [0.0, 0.0]}},
-            2,
-            id="model-W-shape",
+            {"train": ["s0", "s1"], "test": ["s2", "s9"]},
+            "subjects not in the feature rows: ['s9']",
+            id="absent-from-features",
+        ),
+        pytest.param(
+            {"train": ["s0"], "test": ["s2"]},
+            "subjects in neither train nor test: ['s1']",
+            id="on-neither-side",
         ),
     ],
 )
-def test_malformed_model_or_codec_exits_without_traceback(tmp_path, capsys, flag, document, code):
-    """evaluate --model / train --codec: a bad file is an error naming it, not a crash."""
-    features = tmp_path / "sublabeled.csv"
-    features.write_text("subject_id,label,f0\ns0,A_1,-1.0\ns1,A_2,1.0\n")
-    bad = tmp_path / "bad.json"
-    bad.write_text(document if isinstance(document, str) else json.dumps(document))
-    command = "evaluate" if flag == "--model" else "train"
-    argv = [command, "--features", str(features), flag, str(bad), "--out", str(tmp_path / "out")]
-    assert main(argv) == code
+def test_bad_split_exits_1(tmp_path, monkeypatch, capsys, document, message):
+    """fit --split: a file that is not a split of the feature rows' subjects
+    is bad input, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.csv").write_text("subject_id,label,f0\ns0,A,0.0\ns1,A,1.0\ns2,B,2.0\n")
+    split = tmp_path / "split.json"
+    split.write_text(document if isinstance(document, str) else json.dumps(document))
+    assert main(["fit", "--features", "f.csv", "--split", str(split), "--out", "out"]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if code == 1:
-        assert f"error: {bad}" in err
-    else:  # the model loads, so its shapes fail inside the evaluate stage
-        assert err.startswith(f"error: stage 'evaluate' failed: {bad}: expected params ")
+    assert err.startswith(f"error: {split}: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_override_is_deterministic(data_dir, tmp_path):
@@ -214,12 +163,11 @@ def test_seed_override_is_deterministic(data_dir, tmp_path):
     main(["features", "--manifest", str(data_dir / "manifest.csv"), "--out", str(work)])
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        code = main(
-            ["decompose", "--features", str(work / "features.csv"), "--out", str(out), "--seed", "5"]
-        )
+        code = main(["fit", "--features", str(work / "features.csv"), "--out", str(out), "--seed", "5"])
         assert code == 0
-    assert (a / "codec.json").read_bytes() == (b / "codec.json").read_bytes()
-    assert (a / "centroids.json").read_bytes() == (b / "centroids.json").read_bytes()
+    assert json.loads((a / "seeds.json").read_text())["base"] == 5
+    for name in ("split.json", "codec.json", "centroids.json", "metrics.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_bad_config_exits_1(data_dir, tmp_path, capsys):
@@ -312,9 +260,7 @@ def test_missing_required_flag_exits_1(capsys):
     "argv",
     [
         ["slices", "--manifest", "m.csv"],
-        ["decompose", "--features", "f.csv"],
-        ["train", "--features", "f.csv", "--codec", "c.json"],
-        ["evaluate", "--features", "f.csv", "--model", "m.json"],
+        ["fit", "--features", "f.csv"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -354,14 +300,13 @@ def test_mistyped_config_value_exits_1(data_dir, tmp_path, capsys, document):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["decompose", "--features", "missing.csv", "--config", "missing.json"],
-        ["decompose", "--features", "missing.csv"],
-        ["train", "--features", "f.csv", "--codec", "missing.json"],
-        ["evaluate", "--features", "f.csv", "--model", "missing.json"],
+        ["fit", "--features", "missing.csv", "--config", "missing.json"],
+        ["fit", "--features", "missing.csv"],
+        ["fit", "--features", "f.csv", "--split", "missing.json"],
         ["slices", "--manifest", "missing.csv"],
         ["pipeline", "--manifest", "missing.csv"],
     ],
-    ids=["config", "features", "codec", "model", "manifest", "pipeline-manifest"],
+    ids=["config", "features", "split", "manifest", "pipeline-manifest"],
 )
 def test_missing_input_file_exits_1(argv, tmp_path, monkeypatch, capsys):
     """An input file named by a flag that cannot be opened is a bad argument."""
@@ -379,9 +324,9 @@ def test_missing_input_file_exits_1(argv, tmp_path, monkeypatch, capsys):
     [
         ["synth", "--out", "x", "--config", "cfg.json"],
         ["synth", "--out", "x", "--force"],
-        ["decompose", "--features", "f.csv", "--out", "x", "--manifest", "m.csv"],
-        ["train", "--features", "f.csv", "--codec", "c.json", "--out", "x", "--force"],
-        ["evaluate", "--features", "f.csv", "--model", "m.json", "--out", "x", "--force"],
+        ["fit", "--features", "f.csv", "--out", "x", "--manifest", "m.csv"],
+        ["fit", "--features", "f.csv", "--out", "x", "--codec", "c.json"],
+        ["fit", "--features", "f.csv", "--out", "x", "--model", "m.json"],
         ["slices", "--manifest", "m.csv", "--out", "x", "--force"],
         ["features", "--manifest", "m.csv", "--out", "x", "--force"],
         ["pipeline", "--manifest", "m.csv", "--out", "x", "--force"],
@@ -424,6 +369,9 @@ def test_synth_rejects_unusable_class_names(tmp_path, capsys, classes, message):
 
 def test_unknown_subcommand_exits_1(capsys):
     assert main(["frobnicate"]) == 1
+    for removed in ("decompose", "train", "evaluate"):  # fit replaced them
+        assert main([removed, "--features", "f.csv", "--out", "x"]) == 1
+        assert f"invalid choice: '{removed}'" in capsys.readouterr().err
 
 
 _ROWS = "subject_id,label,f0,f1\n"
@@ -434,7 +382,7 @@ _ROWS = "subject_id,label,f0,f1\n"
     [
         pytest.param(
             {"features.csv": _ROWS},
-            ["decompose", "--features", "features.csv"],
+            ["fit", "--features", "features.csv"],
             1,
             "error: features.csv: no data rows",
             id="header-only-features",
@@ -448,20 +396,10 @@ _ROWS = "subject_id,label,f0,f1\n"
         ),
         pytest.param(
             {"features.csv": _ROWS + "a0,AD,0.5,1.0\nc0,CN,0.0,0.0\nc1,CN,1.0,1.0\nc2,CN,2.0,4.0\n"},
-            ["decompose", "--features", "features.csv"],
+            ["fit", "--features", "features.csv"],
             2,
             "error: stage 'decompose' failed: class 'AD' has 1 samples, fewer than k=2",
             id="one-row-class",
-        ),
-        pytest.param(
-            {
-                "codec.json": '{"classes": ["AD", "CN"], "cluster_counts": [2, 1]}',
-                "rows.csv": _ROWS + "a0,AD_1,0.0,1.0\nc0,CN_1,1.0,0.0\n",
-            },
-            ["train", "--features", "rows.csv", "--codec", "codec.json"],
-            2,
-            "error: stage 'train' failed: subclass AD_2 has no training samples",
-            id="missing-subclass",
         ),
     ],
 )
@@ -603,22 +541,24 @@ def test_non_finite_loss_exits_2_and_leaves_no_invalid_json(tmp_path, capsys):
         assert "Infinity" not in text and "NaN" not in text, path
 
 
-def test_train_with_a_non_finite_loss_exits_2(tmp_path, capsys):
-    # finite rows near float64's limit: each row's loss is finite, their sum is not
-    (tmp_path / "codec.json").write_text('{"classes": ["A", "B"], "cluster_counts": [1, 1]}')
-    rows = ["subject_id,label,f0,f1"]
-    rows += [f"a{i},A_1,1.7e308,-1.7e308" for i in range(500)]
-    rows += [f"b{i},B_1,-1.7e308,1.7e308" for i in range(500)]
-    (tmp_path / "rows.csv").write_text("\n".join(rows) + "\n")
+def test_train_with_a_non_finite_loss_exits_2(data_dir, tmp_path, capsys):
+    # fit reports a training loss that is not finite as the pipeline does
+    work = tmp_path / "work"
+    assert main(["features", "--manifest", str(data_dir / "manifest.csv"), "--out", str(work)]) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"training": {"learning_rates": [1e308]}}))
+    capsys.readouterr()
+
     out = tmp_path / "fit"
-    argv = ["train", "--features", str(tmp_path / "rows.csv"), "--codec", str(tmp_path / "codec.json")]
+    argv = ["fit", "--features", str(work / "features.csv"), "--config", str(cfg_path)]
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(
-        "error: stage 'train' failed: cell lr=0.01: train loss is first not finite at epoch 0"
+        "error: stage 'train' failed: cell lr=1e+308: train loss is first not finite at epoch 1"
     )
-    assert not list(out.rglob("*.json"))
+    assert not (out / "losses.json").exists()
+    assert not list((out / "models").iterdir())
 
 
 def _huge_features(data_dir, tmp_path):
@@ -637,16 +577,16 @@ def _huge_features(data_dir, tmp_path):
         ("synth", "synth"),
         ("slices", "slices"),
         ("features", "features"),
-        ("decompose", "decompose"),
+        ("fit", "decompose"),
         ("pipeline", "manifest"),
     ],
 )
 def test_failure_inside_a_subcommand_exits_2(data_dir, tmp_path, capsys, command, stage):
     """Every subcommand reports a failure inside it as its stage's, as the pipeline does."""
     manifest = ["--manifest", str(data_dir / "manifest.csv")]
-    if command == "decompose":
-        argv = ["decompose", "--features", str(_huge_features(data_dir, tmp_path))]
-        out = tmp_path / "dec"
+    if command == "fit":
+        argv = ["fit", "--features", str(_huge_features(data_dir, tmp_path))]
+        out = tmp_path / "fit"
     else:
         (tmp_path / "file").write_text("")
         argv = [command] if command == "synth" else [command, *manifest]
@@ -661,11 +601,11 @@ def test_failure_inside_a_subcommand_exits_2(data_dir, tmp_path, capsys, command
 
 def test_decompose_names_the_feature_column_that_overflows(data_dir, tmp_path, capsys):
     huge = _huge_features(data_dir, tmp_path)
-    out = tmp_path / "dec"
+    out = tmp_path / "fit"
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["decompose", "--features", str(huge), "--out", str(out)])
+        code = main(["fit", "--features", str(huge), "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == (
         "error: stage 'decompose' failed: feature column f0 overflows float64: "

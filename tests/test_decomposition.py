@@ -10,17 +10,12 @@ from hypothesis import strategies as st
 from mridecomp import cluster
 from mridecomp.artifacts import read_json, write_json
 from mridecomp.config import PipelineConfig
-from mridecomp.decomposition import (
-    LabelCodec,
-    assign_sublabels,
-    codec_from_json,
-    decompose,
-    decomposition_report,
-    write_report_csv,
-)
+from mridecomp.decomposition import LabelCodec, assign_sublabels, decompose, write_report_csv
 from mridecomp.errors import DegenerateInput, EmptyInput, InvalidK, UnknownSublabel
 from mridecomp.features import FeatureMatrix, load_precomputed, save_features
 from mridecomp.pipeline import run_decompose_stage
+
+from oracles import codec_from_json, parse_labels, parse_subclass_name
 
 
 def matrix(values, labels, subjects=None):
@@ -65,7 +60,7 @@ def test_codec_round_trip_all_ids():
     for sid in range(codec.n_sublabels):
         cls, cluster = codec.decode(sid)
         assert codec.encode(cls, cluster) == sid
-        assert codec.parse_subclass_name(codec.subclass_name(sid)) == sid
+        assert parse_subclass_name(codec, codec.subclass_name(sid)) == sid
         assert codec.decode(sid)[0] == cls
 
 
@@ -80,9 +75,9 @@ def test_codec_rejects_bad_lookups():
     with pytest.raises(UnknownSublabel):
         codec.decode(-1)
     with pytest.raises(UnknownSublabel):
-        codec.parse_subclass_name("nounderscorename")
+        parse_subclass_name(codec, "nounderscorename")
     with pytest.raises(UnknownSublabel):
-        codec.parse_subclass_name("A_0")  # clusters are 1-based in names
+        parse_subclass_name(codec, "A_0")  # clusters are 1-based in names
 
 
 def test_codec_validation():
@@ -292,16 +287,15 @@ def test_assign_sublabels_unknown_class(rng):
 def test_report_and_csv(tmp_path, rng):
     X = three_class_data(rng)
     ds = decompose(X, k=2, seed=0)
-    rows = decomposition_report(ds)
-    assert len(rows) == 6
-    assert [r["subclass"] for r in rows] == ["AD_1", "AD_2", "CN_1", "CN_2", "MCI_1", "MCI_2"]
-    assert sum(r["count"] for r in rows) == X.n
-
-    path = tmp_path / "report.csv"
+    path = tmp_path / "decomposition_report.csv"
     write_report_csv(ds, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "subclass,class,count,class_wcss"
-    assert len(lines) == 7
+    header, *lines = path.read_text().splitlines()
+    assert header == "subclass,class,count,class_wcss"
+    rows = [line.split(",") for line in lines]
+    assert [r[0] for r in rows] == ["AD_1", "AD_2", "CN_1", "CN_2", "MCI_1", "MCI_2"]
+    assert [r[1] for r in rows] == ["AD", "AD", "CN", "CN", "MCI", "MCI"]
+    assert sum(int(r[2]) for r in rows) == X.n
+    assert [float(r[3]) for r in rows] == [ds.wcss[r[1]] for r in rows]
 
 
 def test_sublabeled_csv_loads_back(tmp_path, rng):
@@ -314,7 +308,7 @@ def test_sublabeled_csv_loads_back(tmp_path, rng):
     np.testing.assert_array_equal(loaded.values, X.values)
     assert list(loaded.labels) == names
     assert loaded.subject_ids == X.subject_ids
-    np.testing.assert_array_equal(ds.codec.parse_labels(loaded.labels), ds.sublabels)
+    np.testing.assert_array_equal(parse_labels(ds.codec, loaded.labels), ds.sublabels)
 
 
 def test_centroids_json_round_trip(tmp_path, rng):

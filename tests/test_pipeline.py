@@ -498,10 +498,8 @@ def test_fit_and_evaluate_reproduces_a_run_from_its_features_and_split(dataset, 
     X = load_precomputed(run_dir / "features.csv")
     split = json.loads((run_dir / "split.json").read_text())
     train_mask, test_mask = (np.isin(X.subject_ids, split[side]) for side in ("train", "test"))
-    run_seeds = json.loads((run_dir / "seeds.json").read_text())
-    seeds = {"base": run_seeds["base"], "split": run_seeds["split"]}
     out_dir.mkdir()
-    result = pipeline.fit_and_evaluate(X, train_mask, test_mask, cfg, out_dir, seeds, {})
+    result = pipeline.fit_and_evaluate(X, train_mask, test_mask, cfg, out_dir)
 
     assert result.best_cell == run.best_cell
     assert result.run_dir == out_dir

@@ -1,23 +1,25 @@
-"""The README's library example runs as written, and the package's top level
-exports exactly the names it imports."""
+"""The README's library example and CLI commands run as written, and the
+package's top level exports exactly the names the example imports."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import mridecomp
+from mridecomp.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def python_block(after: str) -> str:
-    """The first python code block of the README after the text after."""
+def code_block(after: str, language: str = "python") -> str:
+    """The first code block in language of the README after the text after."""
     section = README.read_text().split(after, 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
 
 
 def library_example() -> str:
-    return python_block("## Library use")
+    return code_block("## Library use")
 
 
 def test_readme_library_example_runs_and_matches_exports(tmp_path, monkeypatch):
@@ -36,3 +38,13 @@ def test_readme_library_example_runs_and_matches_exports(tmp_path, monkeypatch):
     }
     assert set(mridecomp.__all__) == imported | {"__version__"}
 
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch):
+    """The quick start's commands, then the partial-run commands, each exit 0."""
+    monkeypatch.chdir(tmp_path)
+    commands = code_block("## Quick start (CLI)", "sh") + code_block("for partial runs:", "sh")
+    lines = [shlex.split(line, comments=True) for line in commands.splitlines()]
+    assert [argv[1] for argv in lines] == ["synth", "pipeline", "slices", "features", "fit", "fit"]
+    for argv in lines:
+        assert argv[0] == "mridecomp"
+        assert main(argv[1:]) == 0, argv
