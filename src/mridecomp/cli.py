@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Subcommands: synth, slices, features, fit, pipeline, each run as
-pipeline.stage(<subcommand>); fit and pipeline name the inner stage that
-failed (split, decompose, train, evaluate, ...). Exit codes: 0 success, 1
-bad input (bad flags, or errors.BAD_INPUT: config and input files), 2 a
-failed subject or any other failure, which reads "stage '<name>' failed:
-<cause>". slices, features and pipeline decode and rank every volume on each
-run; nothing is cached between runs.
+Subcommands: synth, features, fit, pipeline, each run as
+pipeline.stage(<subcommand>); features, fit and pipeline name the inner
+stage that failed (manifest, slices, split, decompose, ...). pipeline is
+features then fit into one directory: features is pipeline.run_features,
+and fit is run_split_stage then fit_and_evaluate on a feature CSV. Exit
+codes: 0 success, 1 bad input (bad flags, or errors.BAD_INPUT: config and
+input files), 2 any other failure, which reads "stage '<name>' failed:
+<cause>". features and pipeline decode and rank every volume on each run;
+nothing is cached between runs.
 """
 
 from __future__ import annotations
@@ -18,17 +20,15 @@ import sys
 import time
 from pathlib import Path
 
+from .artifacts import write_json
 from .config import PipelineConfig, load_config
 from .errors import BAD_INPUT, PipelineError
-from .features import load_precomputed, save_features
-from .manifest import read_manifest
+from .features import load_precomputed
 from .pipeline import (
-    build_backend,
-    extract_feature_matrix,
     fit_and_evaluate,
     read_split,
+    run_features,
     run_pipeline,
-    run_slices_stage,
     run_split_stage,
     stage,
 )
@@ -61,11 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nz", type=int, default=30, help="axial slices per volume (default 30)")
     p.add_argument("--classes", default="CN,MCI,AD", help="comma-separated class names")
 
-    p = sub.add_parser("slices", help="rank slices by texture entropy and write entropies.csv")
-    _add_common(p)
-    _add_manifest(p)
-
-    p = sub.add_parser("features", help="extract per-slice feature vectors")
+    p = sub.add_parser("features", help="rank slices and extract per-slice feature vectors")
     _add_common(p)
     _add_manifest(p)
 
@@ -98,31 +94,10 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _slices(args, cfg: PipelineConfig, backend=None):
-    """(rows of the subjects that did not fail, SliceStage) after running the slice
-    stage into --out; each failed subject is reported on stderr."""
-    rows = read_manifest(args.manifest, allowed_labels=cfg.classes)
-    sliced = run_slices_stage(rows, cfg, args.out, backend)
-    for sid, msg in sorted(sliced.errors.items()):
-        print(f"error: subject {sid}: {msg}", file=sys.stderr)
-    return [r for r in rows if r.subject_id not in sliced.errors], sliced
-
-
-def cmd_slices(args) -> int:
-    _, sliced = _slices(args, _load_cfg(args))
-    n_slices = sum(len(v) for v in sliced.selected.values())
-    print(f"selected {n_slices} slices across {len(sliced.selected)} subjects")
-    return 2 if sliced.errors else 0
-
-
 def cmd_features(args) -> int:
-    cfg = _load_cfg(args)
-    ok_rows, sliced = _slices(args, cfg, build_backend(cfg))
-    if ok_rows:
-        X = extract_feature_matrix(ok_rows, sliced)
-        save_features(X, args.out / "features.csv")
-        print(f"wrote {X.n} x {X.m} feature matrix to {args.out / 'features.csv'}")
-    return 2 if sliced.errors else 0
+    X, _ = run_features(args.manifest, _load_cfg(args), args.out)
+    print(f"wrote {X.n} x {X.m} feature matrix to {args.out / 'features.csv'}")
+    return 0
 
 
 def _print_result(result) -> int:
@@ -137,6 +112,7 @@ def cmd_fit(args) -> int:
     X = load_precomputed(args.features)
     split = read_split(args.split, X.subject_ids) if args.split else None
     args.out.mkdir(parents=True, exist_ok=True)
+    write_json(cfg, args.out / "config.json")
     train_mask, test_mask = run_split_stage(X, cfg, args.out, split)
     return _print_result(fit_and_evaluate(X, train_mask, test_mask, cfg, args.out))
 
@@ -149,7 +125,6 @@ def cmd_pipeline(args) -> int:
 
 _HANDLERS = {
     "synth": cmd_synth,
-    "slices": cmd_slices,
     "features": cmd_features,
     "fit": cmd_fit,
     "pipeline": cmd_pipeline,

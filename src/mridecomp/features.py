@@ -148,7 +148,8 @@ class OnnxBackend(FeatureBackend):
     preprocessing:
       input_shape  rank-2/3/4 shape the model expects, e.g. [1, 3, 224, 224]
       mean, std    per-channel (or scalar) normalization constants
-      output_dim   optional expected feature length, checked at load
+      output_dim   optional expected feature length (an integer), checked at load
+    Any other key is a ModelLoadError.
     Single-channel slices are replicated across the channel axis when the
     model wants more channels. A stack is resampled and normalised at once;
     the model then runs on one slice at a time.
@@ -165,6 +166,14 @@ class OnnxBackend(FeatureBackend):
             raise ModelLoadError(f"cannot read sidecar: {exc}") from exc
         if not isinstance(sidecar, dict):
             raise ModelLoadError(f"sidecar {sidecar_path} must be a JSON object")
+        unknown = sorted(set(sidecar) - {"input_shape", "mean", "std", "output_dim"})
+        if unknown:
+            raise ModelLoadError(f"sidecar {sidecar_path}: unknown key(s): {unknown}")
+        declared_dim = sidecar.get("output_dim")
+        if declared_dim is not None and type(declared_dim) is not int:
+            raise ModelLoadError(
+                f"sidecar {sidecar_path}: output_dim must be an integer, got {declared_dim!r}"
+            )
 
         shape = sidecar.get("input_shape")
         declared = self.model.inputs.get(self.model.feed_names[0]) or []
@@ -199,7 +208,6 @@ class OnnxBackend(FeatureBackend):
         # the feature length, found by pushing a zero tensor through the model
         zeros = np.zeros(self.input_shape, dtype=np.float64)
         probe = int(np.asarray(minionnx.run_model(self.model, zeros)).size)
-        declared_dim = sidecar.get("output_dim")
         if declared_dim is not None and declared_dim != probe:
             raise ShapeMismatch(
                 f"model produces {probe} features, sidecar declares {declared_dim!r}"

@@ -1,18 +1,19 @@
-"""End-to-end pipeline: run_pipeline goes manifest -> slices -> features ->
-split -> fit_and_evaluate (scaler/PCA -> class decomposition -> training
-grid -> evaluation), writing every artifact into the run directory as plain
-CSV/JSON. Nothing is kept between runs: each run decodes and ranks every
-volume, so a rerun into a used run directory computes what a fresh run does.
+"""End-to-end pipeline: run_pipeline goes run_features (manifest -> slices
+-> features) -> split -> fit_and_evaluate (scaler/PCA -> decomposition ->
+training grid -> evaluation), writing every artifact into the run directory
+as plain CSV/JSON. Nothing is kept between runs: each run decodes and ranks
+every volume, so a rerun into a used run directory computes what a fresh
+run does.
 
 Leakage policy: the scaler, PCA, per-class clustering and classifiers are
 fit on training subjects only. Test subjects receive sublabels by nearest
 class-consistent centroid. Hyperparameter cells are ranked by final
 training loss.
 
-The slices, features and fit subcommands call the same stage functions with
-the same derived seeds: fit is run_split_stage then fit_and_evaluate on a
-features.csv, so fed a run's features.csv (and its split.json, or none) it
-reproduces that run's fitted artifacts.
+The features subcommand is run_features, and fit is run_split_stage then
+fit_and_evaluate on a features.csv, with the same derived seeds: fed a
+run's features.csv (and its split.json, or none), fit reproduces that
+run's fitted artifacts, and features then fit write what run_pipeline does.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ _BUSY_PARTS = ("decode", "rank", "features")  # parts of the slice stage's busy 
 @dataclass
 class SliceStage:
     """What the slice stage keeps of each subject: the selected slice indices
-    and, when it ran a feature backend, their feature rows; never the pixels."""
+    and their feature rows; never the pixels."""
 
     selected: dict[str, np.ndarray]  # selected slice indices, in volume order
     features: dict[str, np.ndarray]  # one feature row per selected slice, same order
@@ -120,7 +121,7 @@ def run_slices_stage(
     rows: list[ManifestRow],
     cfg: PipelineConfig,
     out_dir: Path,
-    backend: FeatureBackend | None = None,
+    backend: FeatureBackend,
 ) -> SliceStage:
     """Rank informative slices per subject, and turn each subject's selected
     slices into feature rows with backend; subject errors are isolated.
@@ -132,9 +133,9 @@ def run_slices_stage(
     thread's, which glibc keeps per thread. backend.extract is called from
     several threads at once, once per subject. Every run decodes and ranks
     each subject's volume once. Each worker keeps only the selected
-    slice indices and their feature rows (none without a backend); the pixels
-    are dropped. Results are merged in manifest order, so the outcome does
-    not depend on the worker count. A PipelineError or OSError while decoding
+    slice indices and their feature rows; the pixels are dropped. Results
+    are merged in manifest order, so the outcome does not depend on the
+    worker count. A PipelineError or OSError while decoding
     or ranking, and feature rows that are not all finite, become
     errors[subject_id]; any exception from the backend raises
     StageError("features"), and any other exception propagates. Each
@@ -153,18 +154,16 @@ def run_slices_stage(
             pixels, indices, ranked = _select_for_subject(row, cfg.slice_selection, busy)
         except (PipelineError, OSError) as exc:
             return None, str(exc), busy
-        features = None
-        if backend is not None:
-            t0 = time.perf_counter()
-            try:
-                features = backend.extract(pixels)
-            except Exception as exc:
-                # a backend fault fails the run's features stage, not one subject
-                raise StageError("features", exc) from exc
-            busy["features"] += time.perf_counter() - t0
-            if not np.isfinite(features).all():
-                # finite voxels can still resample to inf or nan (spans beyond float64)
-                return None, f"{row.path}: feature rows are not finite", busy
+        t0 = time.perf_counter()
+        try:
+            features = backend.extract(pixels)
+        except Exception as exc:
+            # a backend fault fails the run's features stage, not one subject
+            raise StageError("features", exc) from exc
+        busy["features"] += time.perf_counter() - t0
+        if not np.isfinite(features).all():
+            # finite voxels can still resample to inf or nan (spans beyond float64)
+            return None, f"{row.path}: feature rows are not finite", busy
         return (indices, features, ranked), None, busy
 
     outcomes, workers = pool.map_in_order(attempt, rows)
@@ -179,12 +178,10 @@ def run_slices_stage(
             logger.error("subject %s failed: %s", sid, error)
             stage.errors[sid] = error
             continue
-        stage.selected[sid], features, ranked = done
+        stage.selected[sid], stage.features[sid], ranked = done
         stage.ranked_all[sid] = ranked
         if len(ranked) < top_k:
             logger.warning("subject %s has only %d slices, below top_k=%d", sid, len(ranked), top_k)
-        if features is not None:
-            stage.features[sid] = features
 
     def entropy_rows():
         for subject_id in sorted(stage.ranked_all):
@@ -424,22 +421,19 @@ def fit_and_evaluate(
     return RunResult(out_dir, report, grid.best_cell, grid.results)
 
 
-def run_pipeline(manifest_path, cfg: PipelineConfig, run_dir) -> RunResult:
-    """Execute every stage under stage(): bad input, such as an unreadable
-    manifest, raises as it is; any other failure as StageError(stage, cause).
-
-    Nothing is written until the manifest has been read; after that, partial
-    outputs are retained in the run directory for debugging.
-    """
-    started = time.time()
-    run_dir = Path(run_dir)
-
-    stage_seconds: dict[str, float] = {}
+def run_features(
+    manifest_path, cfg: PipelineConfig, out_dir, stage_seconds: dict[str, float] | None = None
+) -> tuple[FeatureMatrix, SliceStage]:
+    """The manifest, slices and features stages of run_pipeline: writes
+    config.json, manifest.csv, entropies.csv and features.csv into out_dir,
+    nothing before the manifest has been read. Failed subjects fail the
+    slices stage, naming them all, once entropies.csv is written."""
+    out_dir = Path(out_dir)
     with stage("manifest", stage_seconds):
         rows = read_manifest(manifest_path, allowed_labels=cfg.classes)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        write_json(cfg, run_dir / "config.json")
-        write_manifest(rows, run_dir / "manifest.csv")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_json(cfg, out_dir / "config.json")
+        write_manifest(rows, out_dir / "manifest.csv")
 
     # the slice stage extracts each subject's features as soon as its slices
     # are selected; loading the backend, and any fault of it, belong to "features"
@@ -447,15 +441,27 @@ def run_pipeline(manifest_path, cfg: PipelineConfig, run_dir) -> RunResult:
         backend = build_backend(cfg)
 
     with stage("slices", stage_seconds):
-        slice_stage = run_slices_stage(rows, cfg, run_dir, backend)
+        slice_stage = run_slices_stage(rows, cfg, out_dir, backend)
         if slice_stage.errors:
             failed = ", ".join(sorted(slice_stage.errors))
             raise ValueError(f"subjects failed slice selection or feature extraction: {failed}")
 
     with stage("features", stage_seconds):
         X = extract_feature_matrix(rows, slice_stage)
-        save_features(X, run_dir / "features.csv")
+        save_features(X, out_dir / "features.csv")
+    return X, slice_stage
 
+
+def run_pipeline(manifest_path, cfg: PipelineConfig, run_dir) -> RunResult:
+    """run_features, run_split_stage and fit_and_evaluate into run_dir, then
+    run_info.json. Bad input, such as an unreadable manifest, raises as it
+    is; any other failure as StageError(stage, cause), and the partial
+    outputs are retained in run_dir for debugging."""
+    started = time.time()
+    run_dir = Path(run_dir)
+
+    stage_seconds: dict[str, float] = {}
+    X, slice_stage = run_features(manifest_path, cfg, run_dir, stage_seconds)
     train_mask, test_mask = run_split_stage(X, cfg, run_dir, stage_seconds=stage_seconds)
     result = fit_and_evaluate(X, train_mask, test_mask, cfg, run_dir, stage_seconds)
 
@@ -463,7 +469,7 @@ def run_pipeline(manifest_path, cfg: PipelineConfig, run_dir) -> RunResult:
         "package_version": __version__,
         "started_unix": started,
         "elapsed_seconds": time.time() - started,
-        "n_subjects": len(rows),
+        "n_subjects": len(slice_stage.selected),
         "n_slices": X.n,
         "reduced_dim": result.cell_results[result.best_cell].model.input_dim,
         "stage_seconds": stage_seconds,

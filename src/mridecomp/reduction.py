@@ -38,8 +38,10 @@ class PcaModel:
 
 
 def fit_standardize(X: FeatureMatrix) -> ScalerParams:
-    """Column means and population stds; DegenerateInput names the first
-    column (f<j>) whose mean or std overflows float64."""
+    """Column means and population stds; DegenerateInput for a matrix with no
+    rows, or naming the first column (f<j>) whose mean or std overflows float64."""
+    if X.n == 0:
+        raise DegenerateInput("cannot standardize an empty feature matrix")
     with np.errstate(over="ignore", invalid="ignore"):
         means = X.values.mean(axis=0)
         stds = X.values.std(axis=0)

@@ -31,10 +31,11 @@ def test_synth_writes_dataset(data_dir):
     assert len(lines) == 13  # header + 4 subjects x 3 classes
 
 
-# what fit writes, apart from models/cell-*.json: the fitted files of a pipeline run
+# what fit writes, apart from models/cell-*.json: the config and fitted files of a pipeline run
 FIT_FILES = [
     "centroids.json",
     "codec.json",
+    "config.json",
     "decomposition_report.csv",
     "losses.json",
     "metrics.json",
@@ -54,13 +55,9 @@ def _files(directory):
 
 def test_full_standalone_chain(data_dir, tmp_path, capsys):
     work = tmp_path / "work"
-    assert main(["slices", "--manifest", str(data_dir / "manifest.csv"), "--out", str(work)]) == 0
-    assert sorted(p.name for p in work.iterdir()) == ["entropies.csv"]
-    out = capsys.readouterr().out
-    assert "selected" in out
-
     assert main(["features", "--manifest", str(data_dir / "manifest.csv"), "--out", str(work)]) == 0
-    assert (work / "features.csv").exists()
+    assert _files(work) == ["config.json", "entropies.csv", "features.csv", "manifest.csv"]
+    assert "feature matrix" in capsys.readouterr().out
 
     fit = tmp_path / "fit"
     assert main(["fit", "--features", str(work / "features.csv"), "--out", str(fit)]) == 0
@@ -90,8 +87,8 @@ def test_pipeline_subcommand(data_dir, tmp_path, capsys):
 
 
 def test_standalone_chain_reproduces_pipeline(data_dir, tmp_path):
-    """fit on a run's features.csv, given its split.json or not, writes every
-    file the run fitted, byte for byte, and nothing else."""
+    """fit on a run's features.csv, given its split.json or not, writes the
+    run's config and every file the run fitted, byte for byte, and nothing else."""
     cfg_path = tmp_path / "cfg.json"
     rates = [0.01, 0.001, 0.1]
     cfg_path.write_text(json.dumps({"training": {"learning_rates": rates, "epochs": 30}}))
@@ -108,6 +105,28 @@ def test_standalone_chain_reproduces_pipeline(data_dir, tmp_path):
         assert _files(out) == fitted
         for path in fitted:
             assert (out / path).read_bytes() == (run / path).read_bytes(), (name, path)
+
+
+def test_features_then_fit_into_one_directory_is_the_pipeline(data_dir, tmp_path):
+    """pipeline is features then fit: run into one directory, with the same
+    config and seed, they write the pipeline run's files byte for byte, all
+    but run_info.json."""
+    cfg_path = tmp_path / "cfg.json"
+    rates = [0.01, 0.001, 0.1]
+    cfg_path.write_text(json.dumps({"training": {"learning_rates": rates, "epochs": 30}}))
+    common = ["--config", str(cfg_path), "--seed", "3"]
+    manifest = ["--manifest", str(data_dir / "manifest.csv")]
+    run, chain = tmp_path / "run", tmp_path / "chain"
+    assert main(["pipeline", *manifest, "--out", str(run), *common]) == 0
+    assert main(["features", *manifest, "--out", str(chain), *common]) == 0
+    features = ["--features", str(chain / "features.csv")]
+    assert main(["fit", *features, "--out", str(chain), *common]) == 0
+
+    written = _files(chain)
+    assert written == [path for path in _files(run) if path != "run_info.json"]
+    assert len(written) == 19
+    for path in written:
+        assert (chain / path).read_bytes() == (run / path).read_bytes(), path
 
 
 @pytest.mark.parametrize(
@@ -252,14 +271,14 @@ def test_unknown_config_key_exits_1(data_dir, tmp_path, capsys):
 
 
 def test_missing_required_flag_exits_1(capsys):
-    assert main(["slices", "--out", "/tmp/x"]) == 1
+    assert main(["features", "--out", "out"]) == 1
     assert "--manifest" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["slices", "--manifest", "m.csv"],
+        ["features", "--manifest", "m.csv"],
         ["fit", "--features", "f.csv"],
     ],
     ids=lambda argv: argv[0],
@@ -303,7 +322,7 @@ def test_mistyped_config_value_exits_1(data_dir, tmp_path, capsys, document):
         ["fit", "--features", "missing.csv", "--config", "missing.json"],
         ["fit", "--features", "missing.csv"],
         ["fit", "--features", "f.csv", "--split", "missing.json"],
-        ["slices", "--manifest", "missing.csv"],
+        ["features", "--manifest", "missing.csv"],
         ["pipeline", "--manifest", "missing.csv"],
     ],
     ids=["config", "features", "split", "manifest", "pipeline-manifest"],
@@ -327,7 +346,7 @@ def test_missing_input_file_exits_1(argv, tmp_path, monkeypatch, capsys):
         ["fit", "--features", "f.csv", "--out", "x", "--manifest", "m.csv"],
         ["fit", "--features", "f.csv", "--out", "x", "--codec", "c.json"],
         ["fit", "--features", "f.csv", "--out", "x", "--model", "m.json"],
-        ["slices", "--manifest", "m.csv", "--out", "x", "--force"],
+        ["features", "--manifest", "m.csv", "--out", "x", "--split", "s.json"],
         ["features", "--manifest", "m.csv", "--out", "x", "--force"],
         ["pipeline", "--manifest", "m.csv", "--out", "x", "--force"],
     ],
@@ -342,7 +361,7 @@ def test_flags_a_subcommand_ignores_are_rejected(argv, tmp_path, monkeypatch, ca
 def test_unsafe_subject_id_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("subject_id,label,path\nCN00,CN,a.nii\n../escape,CN,b.nii\n")
-    assert main(["slices", "--manifest", str(bad), "--out", str(tmp_path / "work")]) == 1
+    assert main(["features", "--manifest", str(bad), "--out", str(tmp_path / "work")]) == 1
     err = capsys.readouterr().err
     assert ":3:" in err and "../escape" in err
     assert not (tmp_path / "work").exists()
@@ -369,7 +388,7 @@ def test_synth_rejects_unusable_class_names(tmp_path, capsys, classes, message):
 
 def test_unknown_subcommand_exits_1(capsys):
     assert main(["frobnicate"]) == 1
-    for removed in ("decompose", "train", "evaluate"):  # fit replaced them
+    for removed in ("slices", "decompose", "train", "evaluate"):  # features and fit replaced them
         assert main([removed, "--features", "f.csv", "--out", "x"]) == 1
         assert f"invalid choice: '{removed}'" in capsys.readouterr().err
 
@@ -389,7 +408,7 @@ _ROWS = "subject_id,label,f0,f1\n"
         ),
         pytest.param(
             {"manifest.csv": "subject_id,label,path\n"},
-            ["slices", "--manifest", "manifest.csv"],
+            ["features", "--manifest", "manifest.csv"],
             1,
             "error: manifest.csv: manifest has no data rows",
             id="header-only-manifest",
@@ -417,27 +436,47 @@ def test_too_few_rows_exit_codes_and_messages(
     assert capsys.readouterr().err == message + "\n"
 
 
+def _absolute_manifest_lines(data_dir):
+    """The fixture manifest's lines with absolute volume paths, for a copy
+    of the manifest written elsewhere."""
+    lines = (data_dir / "manifest.csv").read_text().splitlines()
+    for i in range(1, len(lines)):
+        volume = lines[i].split(",")[2]
+        lines[i] = lines[i].replace(volume, str(data_dir / volume))
+    return lines
+
+
+def _assert_subjects_failed(err, work, manifest_lines, failed):
+    """The failed subjects end the run in the slices stage, with one error
+    naming them all, after every other subject of the manifest was ranked
+    into entropies.csv; no features.csv is written."""
+    assert "Traceback" not in err
+    assert err == (
+        "error: stage 'slices' failed: subjects failed slice selection or feature extraction: "
+        + ", ".join(sorted(failed))
+        + "\n"
+    )
+    subjects = {line.split(",", 1)[0] for line in manifest_lines[1:]}
+    ranked_lines = (work / "entropies.csv").read_text().splitlines()[1:]
+    ranked = {line.split(",", 1)[0] for line in ranked_lines}
+    assert ranked == subjects - set(failed)
+    assert not (work / "features.csv").exists()
+
+
 def test_missing_volume_exits_2(data_dir, tmp_path, capsys):
     broken = tmp_path / "broken.csv"
-    lines = (data_dir / "manifest.csv").read_text().splitlines()
+    lines = _absolute_manifest_lines(data_dir)
     first_file = lines[1].split(",")[2]
     lines[1] = lines[1].replace(first_file, "missing.nii")
     broken.write_text("\n".join(lines) + "\n")
 
     work = tmp_path / "work"
-    code = main(["slices", "--manifest", str(broken), "--out", str(work)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "error: subject" in err
-    # the healthy subjects were still processed
-    assert (work / "entropies.csv").exists()
+    assert main(["features", "--manifest", str(broken), "--out", str(work)]) == 2
+    _assert_subjects_failed(capsys.readouterr().err, work, lines, [lines[1].split(",")[0]])
 
 
 def test_corrupt_gzip_volume_exits_2(data_dir, tmp_path, capsys):
-    lines = (data_dir / "manifest.csv").read_text().splitlines()
-    for i in range(1, len(lines)):  # the manifest is written elsewhere: absolute paths
-        volume = lines[i].split(",")[2]
-        lines[i] = lines[i].replace(volume, str(data_dir / volume))
+    lines = _absolute_manifest_lines(data_dir)
     gz_lines = [i for i, line in enumerate(lines) if ".nii.gz" in line][:2]
     for i, cut in zip(gz_lines, ("truncated", "flipped")):
         volume = lines[i].split(",")[2]
@@ -452,13 +491,9 @@ def test_corrupt_gzip_volume_exits_2(data_dir, tmp_path, capsys):
     broken.write_text("\n".join(lines) + "\n")
 
     work = tmp_path / "work"
-    assert main(["slices", "--manifest", str(broken), "--out", str(work)]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    for i in gz_lines:
-        assert f"error: subject {lines[i].split(',')[0]}" in err
-    ranked = (work / "entropies.csv").read_text().splitlines()[1:]
-    assert len({line.split(",", 1)[0] for line in ranked}) == len(lines) - 1 - len(gz_lines)
+    assert main(["features", "--manifest", str(broken), "--out", str(work)]) == 2
+    failed = [lines[i].split(",")[0] for i in gz_lines]
+    _assert_subjects_failed(capsys.readouterr().err, work, lines, failed)
 
 
 @pytest.mark.parametrize("command", ["features", "pipeline"])
@@ -505,17 +540,9 @@ def test_subject_with_non_finite_feature_rows_exits_2(data_dir, tmp_path, capsys
 
     out = tmp_path / "out"
     assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    if command == "features":
-        assert f"error: subject {subject}: " in err
-        assert "feature rows are not finite" in err
-        written = load_precomputed(out / "features.csv")
-        assert subject not in written.subject_ids
-        assert len(set(written.subject_ids)) == len(lines) - 2
-    else:
-        assert f"feature extraction: {subject}" in err
-        assert "feature rows are not finite" in caplog.text
+    _assert_subjects_failed(capsys.readouterr().err, out, lines, [subject])
+    assert f"subject {subject} failed: " in caplog.text
+    assert "feature rows are not finite" in caplog.text
 
 
 def test_non_finite_loss_exits_2_and_leaves_no_invalid_json(tmp_path, capsys):
@@ -575,8 +602,7 @@ def _huge_features(data_dir, tmp_path):
     "command, stage",
     [
         ("synth", "synth"),
-        ("slices", "slices"),
-        ("features", "features"),
+        ("features", "manifest"),
         ("fit", "decompose"),
         ("pipeline", "manifest"),
     ],
@@ -617,14 +643,14 @@ def test_decompose_names_the_feature_column_that_overflows(data_dir, tmp_path, c
 
 def test_pipeline_stage_failure_exits_2(data_dir, tmp_path, capsys):
     broken = tmp_path / "broken.csv"
-    lines = (data_dir / "manifest.csv").read_text().splitlines()
+    lines = _absolute_manifest_lines(data_dir)
     first_file = lines[1].split(",")[2]
     lines[1] = lines[1].replace(first_file, "missing.nii")
     broken.write_text("\n".join(lines) + "\n")
 
-    code = main(["pipeline", "--manifest", str(broken), "--out", str(tmp_path / "run")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: stage 'slices' failed: ")
+    run = tmp_path / "run"
+    assert main(["pipeline", "--manifest", str(broken), "--out", str(run)]) == 2
+    _assert_subjects_failed(capsys.readouterr().err, run, lines, [lines[1].split(",")[0]])
 
 
 def test_console_script_installed(tmp_path):

@@ -489,6 +489,25 @@ def test_any_json_sidecar_loads_or_raises_a_pipeline_error(tmp_path, sidecar):
     assert features.shape == (2, 4)
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"stdev": 50.0}, "unknown key(s): ['stdev']"),
+        ({"output_dim": 1.0}, "output_dim must be an integer, got 1.0"),
+        ({"output_dim": True}, "output_dim must be an integer, got True"),
+    ],
+    ids=["unknown-key", "float-output-dim", "bool-output-dim"],
+)
+def test_sidecar_key_the_backend_does_not_read_is_a_model_load_error(tmp_path, extra, message):
+    """A misspelt key, or an output_dim that only compares equal to the
+    model's one feature, is rejected rather than ignored."""
+    path = ob.write_linear_model(tmp_path / "lin.onnx", np.eye(4)[:, :1], np.zeros(1))
+    ob.write_sidecar(path, input_shape=[1, 4], **extra)
+    with pytest.raises(ModelLoadError) as excinfo:
+        OnnxBackend(path)
+    assert str(excinfo.value) == f"sidecar {path}.json: {message}"
+
+
 def test_sidecar_that_is_not_an_object_is_a_model_load_error(tmp_path):
     path = ob.write_linear_model(tmp_path / "lin.onnx", np.eye(4), np.zeros(4))
     (tmp_path / "lin.onnx.json").write_text("[]")

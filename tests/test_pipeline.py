@@ -5,6 +5,7 @@ import itertools
 import json
 import logging
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,9 @@ from mridecomp.config import (
     config_from_dict,
 )
 from mridecomp.decomposition import LabelCodec
-from mridecomp.errors import IoError, ParseError, ShapeMismatch, StageError
+from mridecomp.errors import DegenerateInput, IoError, ParseError, ShapeMismatch, StageError
 from mridecomp.evaluation import subject_split
-from mridecomp.features import OnnxBackend, RawPixelBackend, load_precomputed
+from mridecomp.features import FeatureMatrix, OnnxBackend, RawPixelBackend, load_precomputed
 from mridecomp.manifest import ManifestRow, read_manifest
 from mridecomp.pipeline import run_pipeline, run_slices_stage
 from mridecomp.synth import generate_dataset, write_nifti
@@ -207,7 +208,8 @@ def test_slice_stage_logs_in_manifest_order(dataset, tmp_path, monkeypatch, capl
     monkeypatch.setattr(pipeline, "read_nifti", slow_first_failing_last)
     monkeypatch.setattr(pool, "_available_cpus", lambda: 2)
     with caplog.at_level(logging.WARNING, logger="mridecomp.pipeline"):
-        assert run_slices_stage(rows, quick_config(), tmp_path).workers == 2
+        stage = run_slices_stage(rows, quick_config(), tmp_path, RawPixelBackend(side=4))
+    assert stage.workers == 2
     expected = [f"subject {r.subject_id} has only 8 slices, below top_k=20" for r in rows[:-1]]
     expected.append(f"subject {rows[-1].subject_id} failed: cannot read {rows[-1].path}")
     assert [r.getMessage() for r in caplog.records if r.name == pipeline.__name__] == expected
@@ -449,13 +451,14 @@ def test_run_info_records_stage_times_and_busy_seconds(dataset, tmp_path):
 
 def test_unexpected_subject_error_propagates(dataset, tmp_path, monkeypatch):
     manifest_path, _ = dataset
+    rows = read_manifest(manifest_path)
 
     def broken_read_nifti(*args, **kwargs):
         raise RuntimeError("not a pipeline error")
 
     monkeypatch.setattr(pipeline, "read_nifti", broken_read_nifti)
     with pytest.raises(RuntimeError, match="not a pipeline error"):
-        run_slices_stage(read_manifest(manifest_path), quick_config(), tmp_path)
+        run_slices_stage(rows, quick_config(), tmp_path, RawPixelBackend(side=4))
 
 
 def test_missing_manifest_fails_in_manifest_stage(tmp_path):
@@ -527,6 +530,28 @@ def test_failed_evaluate_keeps_what_train_wrote(dataset, tmp_path, monkeypatch):
         assert (run_dir / name).is_file(), name
     for name in ("metrics.json", "report.txt", "run_info.json"):
         assert not (run_dir / name).exists(), name
+
+
+def test_empty_train_mask_fails_decompose_as_an_empty_input(tmp_path):
+    """An all-False train mask fails the decompose stage naming the empty
+    input, before any numpy reduction warns about the missing rows."""
+    X = FeatureMatrix(
+        values=np.arange(12.0).reshape(6, 2),
+        labels=("A",) * 3 + ("B",) * 3,
+        subject_ids=tuple(f"s{i}" for i in range(6)),
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(StageError) as excinfo:
+            train, test = np.zeros(6, bool), np.ones(6, bool)
+            pipeline.fit_and_evaluate(X, train, test, quick_config(), tmp_path)
+    assert excinfo.value.stage == "decompose"
+    assert isinstance(excinfo.value.cause, DegenerateInput)
+    assert str(excinfo.value) == (
+        "stage 'decompose' failed: cannot standardize an empty feature matrix"
+    )
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_metrics_shape(dataset, tmp_path):

@@ -44,7 +44,7 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     commands = code_block("## Quick start (CLI)", "sh") + code_block("for partial runs:", "sh")
     lines = [shlex.split(line, comments=True) for line in commands.splitlines()]
-    assert [argv[1] for argv in lines] == ["synth", "pipeline", "slices", "features", "fit", "fit"]
+    assert [argv[1] for argv in lines] == ["synth", "pipeline", "features", "fit", "fit"]
     for argv in lines:
         assert argv[0] == "mridecomp"
         assert main(argv[1:]) == 0, argv
