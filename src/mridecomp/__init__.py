@@ -11,7 +11,7 @@ else is imported from its submodule (mridecomp.pipeline, mridecomp.features,
 
 __version__ = "0.1.0"
 
-from .classifier import TrainConfig, train
+from .classifier import TrainingConfig, train
 from .config import PipelineConfig
 from .decomposition import assign_sublabels, decompose
 from .entropy import EntropyConfig, rank_slices, select_top_k
@@ -27,7 +27,7 @@ __all__ = [
     "FeatureMatrix",
     "PipelineConfig",
     "RawPixelBackend",
-    "TrainConfig",
+    "TrainingConfig",
     "assign_sublabels",
     "decompose",
     "evaluate",

@@ -3,9 +3,10 @@
 The model is a softmax head, optionally preceded by one hidden ReLU layer
 (hidden_dim > 0). Training minimizes cross-entropy with mini-batch Adam;
 shuffling and initialization are seeded so runs are bit-reproducible.
-train_grid trains a grid of cells (learning rate and seed) in one lockstep
-loop: every numpy call works on all cells' stacked parameters, with each
-cell's arithmetic exactly that of train, which is a one-cell grid.
+TrainingConfig holds the learning-rate grid and the settings its cells
+share, and train trains every cell (one learning rate and one seed) in one
+lockstep loop: every numpy call works on all cells' stacked parameters, and
+each cell's arithmetic is exactly that of training it alone.
 Predictions over subclasses compose back to original classes either by
 stripping the cluster index from the argmax subclass (default) or by
 summing subclass probabilities per class.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +28,10 @@ COMPOSE_MODES = ("argmax-strip", "prob-sum")
 
 
 @dataclass(frozen=True)
-class TrainSettings:
-    """The training settings every learning-rate cell shares: epochs, batch
-    size, hidden width (0 = plain softmax head) and the Adam constants.
-    config.TrainingConfig extends it with the grid's learning rates."""
+class TrainingConfig:
+    """The learning-rate grid plus the settings its cells share: epochs,
+    batch size, hidden width (0 = plain softmax head) and the Adam
+    constants. It is checked by validate, not when constructed."""
 
     epochs: int = 200
     batch_size: int = 64
@@ -38,28 +39,27 @@ class TrainSettings:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    learning_rates: tuple[float, ...] = (0.01, 0.001)
 
-
-@dataclass(frozen=True)
-class TrainConfig(TrainSettings):
-    """One training run's settings, checked when constructed."""
-
-    learning_rate: float = 0.01
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+    def validate(self) -> None:
+        rates = list(self.learning_rates)
+        if not rates:
+            raise ConfigError("training.learning_rates must be non-empty")
+        if len(set(rates)) != len(rates):
+            # cells are named lr=<value>, so equal rates would share one name
+            raise ConfigError(f"training.learning_rates must be distinct, got {rates}")
+        if not all(lr > 0 for lr in rates):
+            raise ConfigError(f"training.learning_rates must be > 0, got {rates}")
         if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigError(f"training.epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"training.batch_size must be >= 1, got {self.batch_size}")
         if self.hidden_dim < 0:
-            raise ConfigError(f"hidden_dim must be >= 0, got {self.hidden_dim}")
+            raise ConfigError(f"training.hidden_dim must be >= 0, got {self.hidden_dim}")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ConfigError("Adam betas must lie in [0, 1)")
+            raise ConfigError("training.beta1 and training.beta2 must lie in [0, 1)")
         if not self.eps > 0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
+            raise ConfigError(f"training.eps must be > 0, got {self.eps}")
 
 
 @dataclass
@@ -187,23 +187,21 @@ def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np
     return views
 
 
-def _settings(cfg: TrainSettings) -> tuple:
-    return tuple(getattr(cfg, f.name) for f in fields(TrainSettings))
-
-
-def train_grid(
+def train(
     X: np.ndarray,
     sublabels: np.ndarray,
     codec: LabelCodec,
-    cfgs: Sequence[TrainConfig],
+    cfg: TrainingConfig,
+    seeds: Sequence[int],
 ) -> list[TrainResult]:
     """Mini-batch Adam on cross-entropy over the subclass label space, one
-    result per cell of cfgs, in order.
+    result per learning rate of cfg, in order; seeds[i] seeds cell i's
+    initial weights and shuffles.
 
-    The cells share every TrainSettings field (ConfigError otherwise) and
-    differ only in learning rate and seed. epoch_losses[0] is a cell's
-    pre-training loss; entry e is its full training loss after epoch e.
-    Raises DegenerateInput if any codec id has no training sample.
+    Raises ConfigError if cfg is invalid or there is not one seed per
+    learning rate, and DegenerateInput if any codec id has no training
+    sample. epoch_losses[0] is a cell's pre-training loss; entry e is its
+    full training loss after epoch e.
 
     Every cell steps in lockstep: the parameters and gradients of all C
     cells live in one (C, P) buffer and both Adam moments in one (2, C, P)
@@ -212,6 +210,12 @@ def train_grid(
     stacked gradient pass and one Adam update of every cell, and each cell's
     arithmetic is what training it alone would do, bit for bit.
     """
+    cfg.validate()
+    if len(seeds) != len(cfg.learning_rates):
+        raise ConfigError(
+            f"train needs one seed per learning rate, got {len(seeds)} for "
+            f"{len(cfg.learning_rates)}"
+        )
     X = np.asarray(X, dtype=np.float64)
     sublabels = np.asarray(sublabels, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] != sublabels.shape[0]:
@@ -225,13 +229,8 @@ def train_grid(
             raise DegenerateInput(
                 f"subclass {codec.subclass_name(sid)} has no training samples"
             )
-    if not cfgs:
-        raise ConfigError("train_grid needs at least one cell")
-    cfg = cfgs[0]
-    if any(_settings(other) != _settings(cfg) for other in cfgs):
-        raise ConfigError("the cells of a grid must differ only in learning_rate and seed")
 
-    models = [init_model(X.shape[1], codec, hidden_dim=cfg.hidden_dim, seed=c.seed) for c in cfgs]
+    models = [init_model(X.shape[1], codec, hidden_dim=cfg.hidden_dim, seed=seed) for seed in seeds]
     shapes = models[0].param_shapes()
     theta = np.stack([np.concatenate([m.params[name].ravel() for name in shapes]) for m in models])
     for row, model in zip(theta, models):
@@ -248,8 +247,8 @@ def train_grid(
     betas = np.array([cfg.beta1, cfg.beta2]).reshape(2, 1, 1)
     gains = np.array([1.0 - cfg.beta1, 1.0 - cfg.beta2]).reshape(2, 1, 1)
     corrections = np.empty((2, 1, 1))
-    rates = np.array([c.learning_rate for c in cfgs])[:, None]
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    rates = np.array(cfg.learning_rates)[:, None]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     step_count = 0
 
     epoch_losses = [[first] for first in _losses(params, X, sublabels)]
@@ -285,11 +284,6 @@ def train_grid(
         TrainResult(model=model, epoch_losses=losses)
         for model, losses in zip(models, epoch_losses)
     ]
-
-
-def train(X: np.ndarray, sublabels: np.ndarray, codec: LabelCodec, cfg: TrainConfig) -> TrainResult:
-    """One cell of train_grid: mini-batch Adam with cfg's settings."""
-    return train_grid(X, sublabels, codec, [cfg])[0]
 
 
 def compose_probabilities(codec: LabelCodec, probs: np.ndarray) -> np.ndarray:

@@ -2,15 +2,16 @@
 
 The config file is a single JSON document with a versioned schema. Unknown
 keys are errors, and every numeric field is validated up front so a bad
-config fails before any work starts.
+config fails before any work starts. The training section is
+classifier.TrainingConfig, the settings classifier.train takes and checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .artifacts import from_json, read_json
-from .classifier import COMPOSE_MODES, TrainConfig, TrainSettings
+from .classifier import COMPOSE_MODES, TrainingConfig
 from .entropy import EntropyConfig
 from .errors import ConfigError, ParseError
 
@@ -89,33 +90,6 @@ class DecompositionConfig:
                 )
         if self.n_init < 1:
             raise ConfigError(f"decomposition.n_init must be >= 1, got {self.n_init}")
-
-
-@dataclass(frozen=True)
-class TrainingConfig(TrainSettings):
-    """The learning-rate grid plus the settings its cells share; unlike
-    TrainConfig it is checked by validate, not when constructed."""
-
-    learning_rates: tuple[float, ...] = (0.01, 0.001)
-
-    def train_config(self, learning_rate: float, seed: int) -> TrainConfig:
-        """Classifier settings of one learning-rate cell; TrainConfig checks them."""
-        shared = {f.name: getattr(self, f.name) for f in fields(TrainSettings)}
-        return TrainConfig(learning_rate=learning_rate, seed=seed, **shared)
-
-    def validate(self) -> None:
-        if not self.learning_rates:
-            raise ConfigError("training.learning_rates must be non-empty")
-        if len(set(self.learning_rates)) != len(self.learning_rates):
-            # cells are named lr=<value>, so equal rates would share one name
-            raise ConfigError(
-                f"training.learning_rates must be distinct, got {list(self.learning_rates)}"
-            )
-        try:
-            for lr in self.learning_rates:
-                self.train_config(lr, seed=0)
-        except ConfigError as exc:
-            raise ConfigError(f"training: {exc}") from None
 
 
 @dataclass(frozen=True)

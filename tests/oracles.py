@@ -16,7 +16,7 @@ init_plus_plus_reference, and kmeans_restarts_reference runs it once per
 restart. The package's versions must give the same bytes.
 
 loss is one model's mean cross-entropy over every row, from its own 1-D
-gather; train_grid's stacked epoch losses must equal it bit for bit.
+gather; train's stacked epoch losses must equal it bit for bit.
 gradient_check compares analytic gradients with central finite differences.
 gradients runs the package's one gradient formula (classifier._backprop) on
 a whole batch. pca_inverse undoes a PCA projection, and aggregate_confusion
@@ -126,8 +126,9 @@ def gradients_reference(model, X, y) -> dict[str, np.ndarray]:
     return {"W": X.T @ dZ, "b": dZ.sum(axis=0)}
 
 
-def train_reference(X, sublabels, codec, cfg) -> TrainResult:
-    """Mini-batch Adam, one gradient dict and one update per parameter per step."""
+def train_reference(X, sublabels, codec, cfg, learning_rate, seed) -> TrainResult:
+    """One cell of classifier.train, the one with learning_rate and seed:
+    mini-batch Adam, one gradient dict and one update per parameter per step."""
     X = np.asarray(X, dtype=np.float64)
     sublabels = np.asarray(sublabels, dtype=np.int64)
     present = set(np.unique(sublabels).tolist())
@@ -135,8 +136,8 @@ def train_reference(X, sublabels, codec, cfg) -> TrainResult:
         if sid not in present:
             raise DegenerateInput(f"subclass {codec.subclass_name(sid)} has no training samples")
 
-    model = init_model(X.shape[1], codec, hidden_dim=cfg.hidden_dim, seed=cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
+    model = init_model(X.shape[1], codec, hidden_dim=cfg.hidden_dim, seed=seed)
+    rng = np.random.default_rng(seed)
     m1 = {k: np.zeros_like(v) for k, v in model.params.items()}
     m2 = {k: np.zeros_like(v) for k, v in model.params.items()}
     step_count = 0
@@ -157,7 +158,7 @@ def train_reference(X, sublabels, codec, cfg) -> TrainResult:
                 m2[name] = cfg.beta2 * m2[name] + (1.0 - cfg.beta2) * (g * g)
                 m_hat = m1[name] / bc1
                 v_hat = m2[name] / bc2
-                model.params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+                model.params[name] -= learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
         epoch_losses.append(loss(model, X, sublabels))
 
     return TrainResult(model=model, epoch_losses=epoch_losses)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from mridecomp.classifier import TrainConfig, init_model, train
+from mridecomp.classifier import TrainingConfig, init_model, train
 from mridecomp.cluster import elbow_select_k, kmeans_restarts
 from mridecomp.config import PipelineConfig
 from mridecomp.decomposition import LabelCodec, decompose
@@ -297,6 +297,7 @@ def test_criterion_07_decomposition_conservation():
 
 def test_criterion_08_composition_dominance():
     codec = LabelCodec(classes=("AD", "CN", "MCI"), cluster_counts=(2, 2, 2))
+    cfg = TrainingConfig(epochs=60, learning_rates=(0.01,))
     ok = True
     margins = []
     for trial in range(6):
@@ -308,7 +309,7 @@ def test_criterion_08_composition_dominance():
             X.append(center + (2.0 + trial) * rng.normal(size=(12, 6)))
             y += [sid] * 12
         X, y = np.vstack(X), np.asarray(y)
-        model = train(X, y, codec, TrainConfig(epochs=60, seed=trial)).model
+        model = train(X, y, codec, cfg, [trial])[0].model
         rep = evaluate(model, X, y, mode="argmax-strip")
         subclass_accuracy = rep.sub_metrics["accuracy"]
         margins.append(rep.composed_accuracy - subclass_accuracy)

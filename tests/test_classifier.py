@@ -1,19 +1,20 @@
 """Softmax/MLP classifier: gradients, Adam training, composed prediction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mridecomp.classifier import (
-    TrainConfig,
+    TrainingConfig,
     compose_predictions,
     compose_probabilities,
     forward,
     init_model,
     model_to_json,
     train,
-    train_grid,
 )
 from mridecomp.decomposition import LabelCodec
 from mridecomp.errors import ConfigError, DegenerateInput, ShapeMismatch
@@ -56,35 +57,6 @@ def widened(model, std):
     for param in model.params.values():
         param *= std / 0.01
     return model
-
-
-# --- config validation ---------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"learning_rate": 0.0},
-        {"learning_rate": -1.0},
-        {"epochs": 0},
-        {"batch_size": 0},
-        {"hidden_dim": -1},
-        {"beta1": 1.0},
-        {"beta2": -0.1},
-        {"eps": 0.0},
-    ],
-)
-def test_train_config_rejects_bad_values(kwargs):
-    with pytest.raises(ConfigError):
-        TrainConfig(**kwargs)
-
-
-def test_train_config_defaults_valid():
-    cfg = TrainConfig()
-    assert cfg.learning_rate == 0.01
-    assert cfg.epochs == 200
-    assert cfg.batch_size == 64
-    assert cfg.hidden_dim == 0
 
 
 # --- forward pass ----------------------------------------------------------------
@@ -165,7 +137,7 @@ def test_gradient_check_does_not_perturb_model(rng):
 
 def test_training_separates_blobs(rng):
     X, y = blob_dataset(rng, CODEC_3x2)
-    result = train(X, y, CODEC_3x2, TrainConfig(epochs=200, seed=0))
+    [result] = train(X, y, CODEC_3x2, TrainingConfig(epochs=200, learning_rates=(0.01,)), [0])
     preds = forward(result.model, X).argmax(axis=1)
     assert (preds == y).mean() == 1.0
     assert result.final_loss < result.epoch_losses[0]
@@ -174,17 +146,17 @@ def test_training_separates_blobs(rng):
 
 def test_training_hidden_layer_separates_blobs(rng):
     X, y = blob_dataset(rng, CODEC_2x2)
-    cfg = TrainConfig(epochs=150, hidden_dim=16, seed=0)
-    result = train(X, y, CODEC_2x2, cfg)
+    cfg = TrainingConfig(epochs=150, hidden_dim=16, learning_rates=(0.01,))
+    [result] = train(X, y, CODEC_2x2, cfg, [0])
     preds = forward(result.model, X).argmax(axis=1)
     assert (preds == y).mean() == 1.0
 
 
 def test_training_bit_reproducible(rng):
     X, y = blob_dataset(rng, CODEC_2x2)
-    cfg = TrainConfig(epochs=30, seed=9)
-    a = train(X, y, CODEC_2x2, cfg)
-    b = train(X, y, CODEC_2x2, cfg)
+    cfg = TrainingConfig(epochs=30, learning_rates=(0.01,))
+    [a] = train(X, y, CODEC_2x2, cfg, [9])
+    [b] = train(X, y, CODEC_2x2, cfg, [9])
     assert a.epoch_losses == b.epoch_losses
     for name in a.model.param_shapes():
         np.testing.assert_array_equal(a.model.params[name], b.model.params[name])
@@ -194,14 +166,14 @@ def test_missing_subclass_rejected(rng):
     X = rng.normal(size=(6, 3))
     y = np.array([0, 0, 1, 1, 2, 2])  # id 3 never appears
     with pytest.raises(DegenerateInput, match="^subclass B_2 has no training samples$"):
-        train(X, y, CODEC_2x2, TrainConfig(epochs=1))
+        train(X, y, CODEC_2x2, TrainingConfig(epochs=1), [0, 1])
 
 
 def test_train_rejects_mismatched_rows(rng):
     X = rng.normal(size=(6, 3))
     y = np.array([0, 1, 2, 3])
     with pytest.raises(ShapeMismatch, match="^feature matrix has 6 rows but 4 labels$"):
-        train(X, y, CODEC_2x2, TrainConfig(epochs=1))
+        train(X, y, CODEC_2x2, TrainingConfig(epochs=1), [0, 1])
 
 
 # --- bit identity with the per-parameter Adam loop ---------------------------------
@@ -246,46 +218,43 @@ def test_train_matches_per_parameter_loop_bit_for_bit(
     rng = np.random.default_rng(seed)
     X = rng.normal(scale=3.0, size=(n, dim))
     y = rng.permutation(np.arange(n) % codec.n_sublabels)
-    cfgs = [
-        TrainConfig(
-            learning_rate=lr,
-            epochs=epochs,
-            batch_size=batch_size,
-            hidden_dim=hidden_dim,
-            seed=cell_seed,
-        )
-        for lr, cell_seed in zip(learning_rates, cell_seeds)
-    ]
-    grid = train_grid(X, y, codec, cfgs)
-    assert len(grid) == len(cfgs)
-    for got, cfg in zip(grid, cfgs):
-        want = train_reference(X, y, codec, cfg)
-        assert same_bytes(got.epoch_losses, want.epoch_losses), cfg
+    cfg = TrainingConfig(
+        learning_rates=tuple(learning_rates),
+        epochs=epochs,
+        batch_size=batch_size,
+        hidden_dim=hidden_dim,
+    )
+    seeds = cell_seeds[: len(learning_rates)]
+    grid = train(X, y, codec, cfg, seeds)
+    assert len(grid) == len(learning_rates)
+    for got, lr, cell_seed in zip(grid, learning_rates, seeds):
+        want = train_reference(X, y, codec, cfg, lr, cell_seed)
+        assert same_bytes(got.epoch_losses, want.epoch_losses), (lr, cell_seed)
         assert list(got.model.params) == list(want.model.params)
         for name, param in want.model.params.items():
-            assert same_bytes(got.model.params[name], param), (cfg, name)
+            assert same_bytes(got.model.params[name], param), (lr, cell_seed, name)
 
 
 def test_grid_cells_stay_isolated(rng):
     # the second cell's weights overflow in its first epoch; the first cell
     # trains as it would alone
     X, y = blob_dataset(rng, CODEC_2x2)
-    cells = [TrainConfig(learning_rate=lr, epochs=5, seed=i) for i, lr in enumerate((0.01, 1e308))]
+    cfg = TrainingConfig(epochs=5, learning_rates=(0.01, 1e308))
     with np.errstate(all="ignore"):
-        grid = train_grid(X, y, CODEC_2x2, cells)
-    solo = train(X, y, CODEC_2x2, cells[0])
+        grid = train(X, y, CODEC_2x2, cfg, [0, 1])
+    [solo] = train(X, y, CODEC_2x2, replace(cfg, learning_rates=(0.01,)), [0])
     assert same_bytes(grid[0].epoch_losses, solo.epoch_losses)
     for name, param in solo.model.params.items():
         assert same_bytes(grid[0].model.params[name], param), name
     assert not np.isfinite(grid[1].epoch_losses[1])
 
 
-def test_grid_cells_must_share_settings(rng):
+def test_train_needs_rates_and_one_seed_per_rate(rng):
     X, y = blob_dataset(rng, CODEC_2x2)
-    with pytest.raises(ConfigError, match="differ only in learning_rate and seed"):
-        train_grid(X, y, CODEC_2x2, [TrainConfig(epochs=1), TrainConfig(epochs=2, seed=1)])
-    with pytest.raises(ConfigError, match="at least one cell"):
-        train_grid(X, y, CODEC_2x2, [])
+    with pytest.raises(ConfigError, match="^training.learning_rates must be non-empty$"):
+        train(X, y, CODEC_2x2, TrainingConfig(learning_rates=()), [])
+    with pytest.raises(ConfigError, match="^train needs one seed per learning rate, got 1 for 2$"):
+        train(X, y, CODEC_2x2, TrainingConfig(epochs=1), [0])
 
 
 @settings(deadline=None, max_examples=40)
@@ -351,7 +320,7 @@ def test_unknown_compose_mode_rejected():
 
 def test_model_json_round_trip(tmp_path, rng):
     X, y = blob_dataset(rng, CODEC_2x2)
-    result = train(X, y, CODEC_2x2, TrainConfig(epochs=10, seed=0))
+    [result] = train(X, y, CODEC_2x2, TrainingConfig(epochs=10, learning_rates=(0.01,)), [0])
     path = tmp_path / "model.json"
     model_to_json(result.model, path)
     loaded = model_from_json(path)

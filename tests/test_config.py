@@ -30,6 +30,8 @@ def test_defaults_are_valid():
     assert cfg.slice_selection.top_k == 20
     assert cfg.pca.variance_threshold == 0.95
     assert cfg.split.train_frac == 0.8
+    assert cfg.training.learning_rates == (0.01, 0.001)
+    assert (cfg.training.epochs, cfg.training.batch_size, cfg.training.hidden_dim) == (200, 64, 0)
 
 
 def test_dict_round_trip():
@@ -115,12 +117,14 @@ def test_tuple_fields_coerced_from_lists():
         DecompositionConfig(n_init=0),
         TrainingConfig(learning_rates=()),
         TrainingConfig(learning_rates=(0.1, -0.1)),
+        TrainingConfig(learning_rates=(0.0,)),
         TrainingConfig(epochs=0),
         TrainingConfig(batch_size=0),
         TrainingConfig(hidden_dim=-2),
         TrainingConfig(beta1=1.0),
         TrainingConfig(eps=0.0),
         TrainingConfig(beta2=1.0),
+        TrainingConfig(beta2=-0.1),
         SplitConfig(train_frac=0.0),
         SplitConfig(train_frac=1.0),
         TrainingConfig(learning_rates=(0.01, 0.001, 0.01)),

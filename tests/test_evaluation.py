@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mridecomp.artifacts import read_json, write_json
-from mridecomp.classifier import TrainConfig, forward, train
+from mridecomp.classifier import TrainingConfig, forward, train
 from mridecomp.decomposition import LabelCodec
 from mridecomp.errors import ConfigError, DegenerateInput, ShapeMismatch
 from mridecomp.evaluation import (
@@ -146,7 +146,7 @@ def trained_model_and_data(rng, noise=1.0):
         X.append(center + noise * rng.normal(size=(10, 6)))
         y += [sid] * 10
     X, y = np.vstack(X), np.asarray(y)
-    result = train(X, y, CODEC_3x2, TrainConfig(epochs=100, seed=0))
+    [result] = train(X, y, CODEC_3x2, TrainingConfig(epochs=100, learning_rates=(0.01,)), [0])
     return result.model, X, y
 
 

@@ -427,7 +427,7 @@ def test_train_stage_writes_cells_in_order_until_one_is_not_finite(tmp_path):
         pipeline.run_train_stage(X, y, codec, cfg, tmp_path)
     assert str(err.value) == "cell lr=1e+308: train loss is first not finite at epoch 1"
     seed = pipeline.derive_seed(cfg.seed, pipeline._TAG_TRAIN, 0)
-    solo = train(X, y, codec, cfg.training.train_config(0.01, seed))
+    [solo] = train(X, y, codec, dataclasses.replace(cfg.training, learning_rates=(0.01,)), [seed])
     model_to_json(solo.model, tmp_path / "solo.json")
     assert (tmp_path / "models" / "cell-0.json").read_bytes() == (tmp_path / "solo.json").read_bytes()
     assert not (tmp_path / "models" / "cell-1.json").exists()
