@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .classifier import TrainingConfig, train
 from .config import PipelineConfig
 from .decomposition import assign_sublabels, decompose
-from .entropy import EntropyConfig, rank_slices, select_top_k
+from .entropy import SliceSelectionConfig, rank_slices, select_top_k
 from .evaluation import evaluate
 from .features import FeatureMatrix, RawPixelBackend
 from .nifti import read_nifti
@@ -23,10 +23,10 @@ from .synth import generate_dataset
 
 __all__ = [
     "__version__",
-    "EntropyConfig",
     "FeatureMatrix",
     "PipelineConfig",
     "RawPixelBackend",
+    "SliceSelectionConfig",
     "TrainingConfig",
     "assign_sublabels",
     "decompose",

@@ -2,8 +2,9 @@
 
 The config file is a single JSON document with a versioned schema. Unknown
 keys are errors, and every numeric field is validated up front so a bad
-config fails before any work starts. The training section is
-classifier.TrainingConfig, the settings classifier.train takes and checks.
+config fails before any work starts. The slice_selection and training
+sections are entropy.SliceSelectionConfig and classifier.TrainingConfig,
+the settings rank_slices and train take and check.
 """
 
 from __future__ import annotations
@@ -12,29 +13,12 @@ from dataclasses import dataclass, field
 
 from .artifacts import from_json, read_json
 from .classifier import COMPOSE_MODES, TrainingConfig
-from .entropy import EntropyConfig
+from .entropy import SliceSelectionConfig
 from .errors import ConfigError, ParseError
 
 DECOMPOSITION_MODES = ("fixed", "elbow")
 FEATURE_BACKENDS = ("raw", "onnx")
 CONFIG_VERSION = 1
-
-
-@dataclass(frozen=True)
-class SliceSelectionConfig(EntropyConfig):
-    """The slice scorer's settings plus how many ranked slices to keep."""
-
-    top_k: int = 20
-
-    def validate(self) -> None:
-        if self.levels < 2:
-            raise ConfigError(f"slice_selection.levels must be >= 2, got {self.levels}")
-        if self.offset == (0, 0):
-            raise ConfigError("slice_selection.offset must be non-zero")
-        if len(self.offset) != 2:
-            raise ConfigError(f"slice_selection.offset must have 2 entries, got {self.offset}")
-        if self.top_k < 1:
-            raise ConfigError(f"slice_selection.top_k must be >= 1, got {self.top_k}")
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,20 @@
-"""Grey-level co-occurrence entropy and informative-slice ranking.
+"""Informative-slice selection by grey-level co-occurrence entropy.
 
 A slice's texture information content is measured as the Shannon entropy
-(base 2) of its normalized grey-level co-occurrence matrix; subjects' slices
-are ranked by that score and the top K kept. Defaults follow the canonical
-texture setup: 8 grey levels, offset (0, 1), symmetric, normalized.
+(base 2) of its normalized grey-level co-occurrence matrix, and the top K
+slices by that score are kept. Defaults follow the canonical texture setup:
+8 grey levels, offset (0, 1), symmetric, normalized.
 
-rank_slices takes a decoded Volume, as the pipeline passes it, and scores
-its axial slices where they lie, in one kernel, _score_volume. It takes
-every slice's min and max in one min and one max over the stored voxels. A
-constant slice has one grey level, so one co-occurrence cell of probability
-1 and entropy -0.0, and is neither quantized nor counted. The other slices
-are promoted to float64 a cache-sized group at a time, quantized slice by
-slice (nifti.quantize_block) and counted in one bincount per group
-(glcm_block); then one reduction per count of non-zero cells sums every
-entropy. Each score has the bits of one slice scored on its own.
+rank_slices takes a decoded Volume, as the pipeline passes it, and returns
+one score per axial slice, in slice order, from one kernel, _score_volume.
+It takes every slice's min and max in one min and one max over the stored
+voxels. A constant slice has one grey level, so one co-occurrence cell of
+probability 1 and entropy -0.0, and is neither quantized nor counted. The
+other slices are promoted to float64 a cache-sized group at a time,
+quantized slice by slice (quantize_block) and counted in one bincount per
+group (glcm_block); then one reduction per count of non-zero cells sums
+every entropy. Each score has the bits of one slice scored on its own.
+select_top_k picks the K highest of any such vector of scores.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EmptyGlcm, InvalidK
-from .nifti import Volume, quantize_block
+from .nifti import Volume
 
 logger = logging.getLogger(__name__)
 
@@ -34,18 +35,61 @@ _GROUP_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
-class EntropyConfig:
-    """Quantization and co-occurrence settings for slice scoring."""
+class SliceSelectionConfig:
+    """Quantization and co-occurrence settings for slice scoring, and how
+    many of the highest-scoring slices to keep. levels is at most 256, the
+    grey levels of 8-bit data: scoring holds float64 copies of each textured
+    slice's levels x levels matrix, at the bound n_slices x 256^2 x 8 B per
+    copy, 50 MB for the 96 textured slices of a 128^3 volume."""
 
     levels: int = 8
     offset: tuple[int, int] = (0, 1)
     symmetric: bool = True
+    top_k: int = 20
+
+    def validate(self) -> None:
+        if self.levels < 2:
+            raise ConfigError(f"slice_selection.levels must be >= 2, got {self.levels}")
+        if self.levels > 256:
+            raise ConfigError(f"slice_selection.levels must be <= 256, got {self.levels}")
+        if self.offset == (0, 0):
+            raise ConfigError("slice_selection.offset must be non-zero")
+        if len(self.offset) != 2:
+            raise ConfigError(f"slice_selection.offset must have 2 entries, got {self.offset}")
+        if self.top_k < 1:
+            raise ConfigError(f"slice_selection.top_k must be >= 1, got {self.top_k}")
 
 
-@dataclass(frozen=True)
-class RankedSlice:
-    slice_index: int
-    entropy: float
+def quantize_block(block: np.ndarray, levels: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Discretize each slice block[:, :, j], whose least and greatest pixel
+    are lo[j] and hi[j], into `levels` (>= 2) grey levels by min-max binning,
+    overwriting the float64 block; returns the read-only int64 indices in the
+    block's shape and memory layout.
+
+    index = floor((p - min) / (max - min) * levels), clamped to levels-1; a
+    constant slice maps entirely to level 0. Invariant under positive affine
+    intensity maps. When a slice's max - min overflows float64, the same map
+    is applied to its halved pixels, min and max, so its indices stay in
+    [0, levels) and keep the pixels' order.
+    """
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    wide = np.flatnonzero(np.isinf(span))
+    if wide.size:
+        lo = lo.copy()
+        for j in wide:
+            # halving is exact above the subnormals and keeps order; the halved span is finite
+            block[:, :, j] *= 0.5
+            lo[j], span[j] = lo[j] * 0.5, hi[j] * 0.5 - lo[j] * 0.5
+    span[span == 0.0] = 1.0  # a constant slice: every p - min is 0
+    block -= lo
+    block /= span
+    block *= levels
+    # block >= 0, so clamping first and truncating is min(floor, levels-1)
+    np.minimum(block, levels - 1, out=block)
+    indices = block.astype(np.int64)
+    indices.setflags(write=False)
+    return indices
 
 
 def _pair_window(shape: tuple[int, int], offset: tuple[int, int]) -> tuple[int, int, int, int]:
@@ -117,11 +161,9 @@ def _entropies(probabilities: np.ndarray) -> np.ndarray:
     return -sums
 
 
-def _score_volume(voxels: np.ndarray, cfg: EntropyConfig) -> np.ndarray:
+def _score_volume(voxels: np.ndarray, cfg: SliceSelectionConfig) -> np.ndarray:
     """Entropy of each slice voxels[:, :, j], in any real dtype. Raises
     EmptyGlcm when no pixel pair fits cfg.offset in a slice."""
-    if cfg.levels < 2:
-        raise ConfigError(f"levels must be >= 2, got {cfg.levels}")
     nrows, ncols, n_slices = voxels.shape
     _pair_window((nrows, ncols), cfg.offset)
     # promotion to float64 keeps order, so it commutes with min and max
@@ -147,29 +189,28 @@ def _score_volume(voxels: np.ndarray, cfg: EntropyConfig) -> np.ndarray:
     return scores
 
 
-def rank_slices(volume: Volume, cfg: EntropyConfig = EntropyConfig()) -> list[RankedSlice]:
-    """Score a volume's axial slices where they lie and sort them by
-    descending entropy.
+def rank_slices(volume: Volume, cfg: SliceSelectionConfig = SliceSelectionConfig()) -> np.ndarray:
+    """The (nz,) float64 entropies of a volume's axial slices, in slice order,
+    scored where they lie; cfg is validated first.
 
     A slice too small to hold any pair at the configured offset scores 0,
-    with a warning. Ties break toward the lower slice index so rankings are
-    reproducible.
+    with a warning.
     """
+    cfg.validate()
     try:
-        scores = _score_volume(volume.voxels, cfg).tolist()
+        return _score_volume(volume.voxels, cfg)
     except EmptyGlcm:
-        scores = [0.0] * volume.dims[2]
         for i in range(volume.dims[2]):
             logger.warning(
                 "slice %s/%d has no co-occurring pairs at offset %s; scoring 0",
                 volume.subject_id, i, cfg.offset,
             )
-    ranked = [RankedSlice(i, h) for i, h in enumerate(scores)]
-    return sorted(ranked, key=lambda r: (-r.entropy, r.slice_index))
+        return np.zeros(volume.dims[2])
 
 
-def select_top_k(ranked: list[RankedSlice], k: int = 20) -> list[RankedSlice]:
-    """Keep the first min(k, len) entries of an already-ranked list."""
+def select_top_k(entropies: np.ndarray, k: int = 20) -> np.ndarray:
+    """The int64 indices of the min(k, len) highest scores, in ascending
+    order; of equal scores, the lower index is kept."""
     if k < 1:
         raise InvalidK(f"k must be >= 1, got {k}")
-    return list(ranked[:k])
+    return np.sort(np.argsort(-entropies, kind="stable")[:k])

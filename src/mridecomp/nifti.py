@@ -1,4 +1,4 @@
-"""NIfTI-1 volume decoding and slice quantization.
+"""NIfTI-1 volume decoding.
 
 Reads single-file NIfTI-1 images (.nii, optionally gzip-compressed) with a
 hand-rolled header parser: 348-byte header, byte order detected by checking
@@ -273,35 +273,3 @@ def _stem(path: Path) -> str:
         if name.endswith(suffix):
             return name[: -len(suffix)]
     return path.stem
-
-
-def quantize_block(block: np.ndarray, levels: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Discretize each slice block[:, :, j], whose least and greatest pixel
-    are lo[j] and hi[j], into `levels` (>= 2) grey levels by min-max binning,
-    overwriting the float64 block; returns the read-only int64 indices in the
-    block's shape and memory layout.
-
-    index = floor((p - min) / (max - min) * levels), clamped to levels-1; a
-    constant slice maps entirely to level 0. Invariant under positive affine
-    intensity maps. When a slice's max - min overflows float64, the same map
-    is applied to its halved pixels, min and max, so its indices stay in
-    [0, levels) and keep the pixels' order.
-    """
-    with np.errstate(over="ignore"):
-        span = hi - lo
-    wide = np.flatnonzero(np.isinf(span))
-    if wide.size:
-        lo = lo.copy()
-        for j in wide:
-            # halving is exact above the subnormals and keeps order; the halved span is finite
-            block[:, :, j] *= 0.5
-            lo[j], span[j] = lo[j] * 0.5, hi[j] * 0.5 - lo[j] * 0.5
-    span[span == 0.0] = 1.0  # a constant slice: every p - min is 0
-    block -= lo
-    block /= span
-    block *= levels
-    # block >= 0, so clamping first and truncating is min(floor, levels-1)
-    np.minimum(block, levels - 1, out=block)
-    indices = block.astype(np.int64)
-    indices.setflags(write=False)
-    return indices

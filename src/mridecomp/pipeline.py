@@ -1,9 +1,9 @@
 """End-to-end pipeline: run_pipeline goes run_features (manifest -> slices
 -> features) -> split -> fit_and_evaluate (scaler/PCA -> decomposition ->
 training grid -> evaluation), writing every artifact into the run directory
-as plain CSV/JSON. Nothing is kept between runs: each run decodes and ranks
-every volume, so a rerun into a used run directory computes what a fresh
-run does.
+as plain CSV/JSON. Nothing is kept between runs: each run decodes every
+volume and scores its slices (entropy.rank_slices, then select_top_k), so a
+rerun into a used run directory computes what a fresh run does.
 
 Leakage policy: the scaler, PCA, per-class clustering and classifiers are
 fit on training subjects only. Test subjects receive sublabels by nearest
@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, pool
 from .artifacts import read_json_as, write_json, write_table
 from .classifier import TrainResult, model_to_json, train
-from .config import PipelineConfig, SliceSelectionConfig
+from .config import PipelineConfig
 from .decomposition import (
     DecomposedDataset,
     LabelCodec,
@@ -37,7 +37,7 @@ from .decomposition import (
     decompose,
     write_report_csv,
 )
-from .entropy import RankedSlice, rank_slices, select_top_k
+from .entropy import SliceSelectionConfig, rank_slices, select_top_k
 from .errors import BAD_INPUT, ParseError, PipelineError, StageError
 from .evaluation import EvalReport, evaluate, render_metrics_table, subject_split
 from .features import (
@@ -92,7 +92,7 @@ class SliceStage:
 
     selected: dict[str, np.ndarray]  # selected slice indices, in volume order
     features: dict[str, np.ndarray]  # one feature row per selected slice, same order
-    ranked_all: dict[str, list[RankedSlice]]
+    entropies: dict[str, np.ndarray]  # every slice's entropy, in volume order
     errors: dict[str, str]
     workers: int = 1  # threads the stage ran subjects on
     # per-subject seconds in each _BUSY_PARTS part, summed over workers
@@ -100,21 +100,20 @@ class SliceStage:
 
 
 def _select_for_subject(row: ManifestRow, scfg: SliceSelectionConfig, busy: dict[str, float]):
-    """(pixels, indices, ranked): the selected slices stacked in volume order
-    and the ranking of every slice; adds the decode and rank seconds to busy."""
+    """(pixels, indices, entropies): the selected slices in volume order, their
+    indices and every slice's entropy; adds decode and rank seconds to busy."""
     t0 = time.perf_counter()
     volume = read_nifti(row.path, subject_id=row.subject_id)
     t1 = time.perf_counter()
-    ranked = rank_slices(volume, scfg)
-    chosen = sorted(r.slice_index for r in select_top_k(ranked, scfg.top_k))
+    entropies = rank_slices(volume, scfg)
+    indices = select_top_k(entropies, scfg.top_k)
     # one (k, nx, ny) copy in the stored dtype, so the volume is freed on return;
-    # the feature backends promote only what they resample to float64. An index
-    # list, not take, which first copies the whole volume to C order
-    pixels = volume.voxels.transpose(2, 0, 1)[chosen]
-    indices = np.asarray(chosen, dtype=np.int64)
+    # the feature backends promote only what they resample to float64. Indexing,
+    # not take, which first copies the whole volume to C order
+    pixels = volume.voxels.transpose(2, 0, 1)[indices]
     busy["decode"] += t1 - t0
     busy["rank"] += time.perf_counter() - t1
-    return pixels, indices, ranked
+    return pixels, indices, entropies
 
 
 def run_slices_stage(
@@ -143,15 +142,15 @@ def run_slices_stage(
     workers, so the log is in manifest order too.
 
     Writes entropies.csv (subject_id,slice_index,entropy,selected: every
-    ranked slice of every subject that did not fail) into out_dir, and
-    nothing else.
+    slice of every subject that did not fail) into out_dir, and nothing
+    else.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def attempt(row: ManifestRow):
         busy = dict.fromkeys(_BUSY_PARTS, 0.0)
         try:
-            pixels, indices, ranked = _select_for_subject(row, cfg.slice_selection, busy)
+            pixels, indices, entropies = _select_for_subject(row, cfg.slice_selection, busy)
         except (PipelineError, OSError) as exc:
             return None, str(exc), busy
         t0 = time.perf_counter()
@@ -164,11 +163,11 @@ def run_slices_stage(
         if not np.isfinite(features).all():
             # finite voxels can still resample to inf or nan (spans beyond float64)
             return None, f"{row.path}: feature rows are not finite", busy
-        return (indices, features, ranked), None, busy
+        return (indices, features, entropies), None, busy
 
     outcomes, workers = pool.map_in_order(attempt, rows)
 
-    stage = SliceStage(selected={}, features={}, ranked_all={}, errors={}, workers=workers)
+    stage = SliceStage(selected={}, features={}, entropies={}, errors={}, workers=workers)
     top_k = cfg.slice_selection.top_k
     for row, (done, error, busy) in zip(rows, outcomes):
         sid = row.subject_id
@@ -178,16 +177,16 @@ def run_slices_stage(
             logger.error("subject %s failed: %s", sid, error)
             stage.errors[sid] = error
             continue
-        stage.selected[sid], stage.features[sid], ranked = done
-        stage.ranked_all[sid] = ranked
-        if len(ranked) < top_k:
-            logger.warning("subject %s has only %d slices, below top_k=%d", sid, len(ranked), top_k)
+        stage.selected[sid], stage.features[sid], stage.entropies[sid] = done
+        nz = len(stage.entropies[sid])
+        if nz < top_k:
+            logger.warning("subject %s has only %d slices, below top_k=%d", sid, nz, top_k)
 
     def entropy_rows():
-        for subject_id in sorted(stage.ranked_all):
+        for subject_id in sorted(stage.entropies):
             chosen = set(stage.selected[subject_id].tolist())
-            for r in sorted(stage.ranked_all[subject_id], key=lambda r: r.slice_index):
-                yield [subject_id, r.slice_index, r.entropy, int(r.slice_index in chosen)]
+            for i, h in enumerate(stage.entropies[subject_id].tolist()):
+                yield [subject_id, i, h, int(i in chosen)]
 
     header = ["subject_id", "slice_index", "entropy", "selected"]
     write_table(out_dir / "entropies.csv", header, entropy_rows())

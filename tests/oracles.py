@@ -5,15 +5,17 @@ quantize_reference and glcm_reference are the straightforward forms of
 classifier.train (one gradient dict and one Adam update per parameter per
 step, a fancy-indexed batch per step), of features.bilinear_resize (one 2-D
 grid, promoted to float64 whole), of OnnxBackend.extract (one slice at a
-time), of nifti.quantize_block (one slice promoted to float64 whole, clamped
-after the integer cast) and of entropy.glcm_block (one slice's pairs
+time), of entropy.quantize_block (one slice promoted to float64 whole,
+clamped after the integer cast) and of entropy.glcm_block (one slice's pairs
 counted on their own); slice_entropy_reference chains the last two and
 glcm_entropy, one 1-D sum per slice, into the score entropy.rank_slices
-gives each slice of a volume. kmeans_reference is one restart of
-cluster.kmeans_restarts on its own, with a boolean mask and a mean per
-cluster and per iteration, distances from sq_dists_reference, seeded by
-init_plus_plus_reference, and kmeans_restarts_reference runs it once per
-restart. The package's versions must give the same bytes.
+gives each slice of a volume, and top_k_reference is entropy.select_top_k
+as a sort of slice indices by descending score, then index.
+kmeans_reference is one restart of cluster.kmeans_restarts on its own, with
+a boolean mask and a mean per cluster and per iteration, distances from
+sq_dists_reference, seeded by init_plus_plus_reference, and
+kmeans_restarts_reference runs it once per restart. The package's versions
+must give the same bytes.
 
 loss is one model's mean cross-entropy over every row, from its own 1-D
 gather; train's stacked epoch losses must equal it bit for bit.
@@ -22,7 +24,7 @@ gradients runs the package's one gradient formula (classifier._backprop) on
 a whole batch. pca_inverse undoes a PCA projection, and aggregate_confusion
 sums a subclass confusion matrix into classes cell by cell.
 
-quantize and glcm run one slice through nifti.quantize_block and
+quantize and glcm run one slice through entropy.quantize_block and
 entropy.glcm_block, and slice_entropy is the score rank_slices gives a
 one-slice volume; the per-slice helpers take a slice as a 2-D pixel array.
 glcm_brute and entropy_brute count co-occurring pairs and score them by
@@ -55,9 +57,9 @@ from mridecomp.classifier import (
 )
 from mridecomp.cluster import KMeansResult
 from mridecomp.decomposition import LabelCodec
-from mridecomp.entropy import EntropyConfig, glcm_block, rank_slices
+from mridecomp.entropy import SliceSelectionConfig, glcm_block, quantize_block, rank_slices
 from mridecomp.errors import ConfigError, DegenerateInput, EmptyGlcm, ShapeMismatch, UnknownSublabel
-from mridecomp.nifti import Volume, quantize_block
+from mridecomp.nifti import Volume
 
 
 def loss(model, X, y) -> float:
@@ -302,7 +304,7 @@ class GlcmMatrix:
 
 
 def quantize(pixels, levels: int) -> QuantizedSlice:
-    """One slice through nifti.quantize_block, promoted to float64 in its own
+    """One slice through entropy.quantize_block, promoted to float64 in its own
     memory layout, so the indices keep that layout (Fortran order for a slice
     of a volume)."""
     block = np.array(pixels, dtype=np.float64)[:, :, None]
@@ -323,10 +325,17 @@ def glcm_entropy(g: GlcmMatrix) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def slice_entropy(pixels, cfg=EntropyConfig()) -> float:
+def slice_entropy(pixels, cfg=SliceSelectionConfig()) -> float:
     """The score entropy.rank_slices gives one slice as a one-slice volume."""
     voxels = np.asarray(pixels)[:, :, None]
-    return rank_slices(Volume("s", voxels.shape, voxels, datatype_code=0), cfg)[0].entropy
+    return float(rank_slices(Volume("s", voxels.shape, voxels, datatype_code=0), cfg)[0])
+
+
+def top_k_reference(entropies, k: int) -> list[int]:
+    """The indices of the k first slices sorted by (-entropy, index), in
+    ascending order."""
+    ranked = sorted(range(len(entropies)), key=lambda i: (-entropies[i], i))
+    return sorted(ranked[:k])
 
 
 def quantize_reference(pixels, levels: int) -> QuantizedSlice:

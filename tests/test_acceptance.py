@@ -18,10 +18,10 @@ from mridecomp.classifier import TrainingConfig, init_model, train
 from mridecomp.cluster import elbow_select_k, kmeans_restarts
 from mridecomp.config import PipelineConfig
 from mridecomp.decomposition import LabelCodec, decompose
-from mridecomp.entropy import EntropyConfig, glcm_block, rank_slices
+from mridecomp.entropy import SliceSelectionConfig, glcm_block, quantize_block, rank_slices
 from mridecomp.evaluation import evaluate
 from mridecomp.features import FeatureMatrix
-from mridecomp.nifti import Volume, quantize_block, read_nifti
+from mridecomp.nifti import Volume, read_nifti
 from mridecomp.pipeline import run_pipeline
 from mridecomp.reduction import pca_fit, pca_transform
 from mridecomp.synth import generate_dataset, write_nifti
@@ -79,8 +79,8 @@ def test_criterion_01_entropy_oracle():
                 assert counts.sum() == 0
                 continue
             cell_err = float(np.abs(probabilities - counts / counts.sum()).max())
-            cfg = EntropyConfig(levels=levels, offset=offset, symmetric=symmetric)
-            score = rank_slices(volume_of(pixels), cfg)[0].entropy
+            cfg = SliceSelectionConfig(levels=levels, offset=offset, symmetric=symmetric)
+            score = rank_slices(volume_of(pixels), cfg)[0]
             entropy_err = abs(score - entropy_brute(counts))
             max_err = max(max_err, cell_err, entropy_err)
             n_cases += 1
@@ -98,14 +98,14 @@ def test_criterion_01_entropy_oracle():
 
 def test_criterion_02_affine_invariance():
     rng = np.random.default_rng(202)
-    cfg = EntropyConfig()
+    cfg = SliceSelectionConfig()
     worst = 0.0
     for _ in range(100):
         pixels = rng.uniform(-100, 100, size=(12, 12))
-        base = rank_slices(volume_of(pixels), cfg)[0].entropy
+        base = rank_slices(volume_of(pixels), cfg)[0]
         for a in (0.5, 3.0):
             for b in (-10.0, 100.0):
-                other = rank_slices(volume_of(a * pixels + b), cfg)[0].entropy
+                other = rank_slices(volume_of(a * pixels + b), cfg)[0]
                 worst = max(worst, abs(other - base))
     report(
         2,

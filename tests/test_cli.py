@@ -191,17 +191,22 @@ def test_seed_override_is_deterministic(data_dir, tmp_path):
 
 def test_bad_config_exits_1(data_dir, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"split": {"train_frac": 1.0}}))
-    code = main(
-        [
-            "pipeline",
-            "--manifest", str(data_dir / "manifest.csv"),
-            "--config", str(cfg_path),
-            "--out", str(tmp_path / "run"),
-        ]
-    )
-    assert code == 1
-    assert "train_frac" in capsys.readouterr().err
+    for document, message in (
+        ({"split": {"train_frac": 1.0}}, "train_frac"),
+        ({"slice_selection": {"levels": 257}}, "error: slice_selection.levels must be <= 256"),
+    ):
+        cfg_path.write_text(json.dumps(document))
+        code = main(
+            [
+                "pipeline",
+                "--manifest", str(data_dir / "manifest.csv"),
+                "--config", str(cfg_path),
+                "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("number", ["1e999", "NaN", "-Infinity"])

@@ -128,6 +128,7 @@ def test_tuple_fields_coerced_from_lists():
         SplitConfig(train_frac=0.0),
         SplitConfig(train_frac=1.0),
         TrainingConfig(learning_rates=(0.01, 0.001, 0.01)),
+        SliceSelectionConfig(levels=257),
     ],
 )
 def test_section_validation_rejects(section):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mridecomp import entropy
-from mridecomp.entropy import EntropyConfig, rank_slices, select_top_k
+from mridecomp.entropy import SliceSelectionConfig, rank_slices, select_top_k
 from mridecomp.errors import ConfigError, EmptyGlcm, InvalidK
 from mridecomp.nifti import Volume
 
@@ -23,6 +23,7 @@ from oracles import (
     quantize,
     slice_entropy,
     slice_entropy_reference,
+    top_k_reference,
 )
 
 
@@ -131,7 +132,7 @@ def test_entropy_upper_bound():
     # at most 2*log2(levels) bits for a levels x levels distribution
     rng = np.random.default_rng(5)
     for levels in (2, 4, 8):
-        h = slice_entropy(rng.normal(size=(16, 16)), EntropyConfig(levels=levels))
+        h = slice_entropy(rng.normal(size=(16, 16)), SliceSelectionConfig(levels=levels))
         assert 0.0 <= h <= 2.0 * math.log2(levels) + 1e-12
 
 
@@ -146,13 +147,13 @@ def test_single_pixel_slice_scores_zero():
 
 def test_slice_entropy_equals_manual_chain(rng):
     pixels = rng.normal(size=(12, 12))
-    cfg = EntropyConfig(levels=8, offset=(0, 1), symmetric=True)
+    cfg = SliceSelectionConfig(levels=8, offset=(0, 1), symmetric=True)
     manual = glcm_entropy(glcm(quantize(pixels, 8), offset=(0, 1), symmetric=True))
     assert slice_entropy(pixels, cfg) == manual
 
 
 def test_affine_intensity_invariance(rng):
-    cfg = EntropyConfig()
+    cfg = SliceSelectionConfig()
     for _ in range(5):
         pixels = rng.normal(size=(10, 10))
         base = slice_entropy(pixels, cfg)
@@ -164,13 +165,28 @@ def test_affine_intensity_invariance(rng):
 # --- ranking -----------------------------------------------------------------
 
 
-def test_rank_slices_descending_with_index_ties():
-    flat, textured, flat2 = np.zeros((4, 4)), np.arange(16.0).reshape(4, 4), np.ones((4, 4))
-    voxels = np.stack([flat, textured, flat2], axis=2)
-    ranked = rank_slices(Volume("s", (4, 4, 3), voxels, datatype_code=64))
-    assert [r.slice_index for r in ranked] == [1, 0, 2]  # tie 0-vs-2 keeps index order
-    assert ranked[0].entropy > ranked[1].entropy
-    assert ranked[1].entropy == ranked[2].entropy == 0.0
+@settings(deadline=None, max_examples=300)
+@given(
+    scores=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+            st.floats(-8.0, 8.0, allow_nan=False, allow_subnormal=False),
+        ),
+        max_size=12,
+    ),
+    data=st.data(),
+)
+def test_select_top_k_matches_reference(scores, data):
+    """select_top_k keeps the k highest scores, the lower index first among
+    equal ones (+0.0 and -0.0 are equal), and returns their int64 indices in
+    ascending order; k below 1 is rejected."""
+    entropies = np.array(scores, dtype=np.float64)
+    k = data.draw(st.integers(1, len(scores) + 2), label="k")
+    got = select_top_k(entropies, k)
+    assert got.dtype == np.int64
+    assert got.tolist() == top_k_reference(scores, k)
+    with pytest.raises(InvalidK):
+        select_top_k(entropies, data.draw(st.integers(-3, 0), label="bad k"))
 
 
 def _volume(rng, dtype, shape, layout, constant, overflow):
@@ -211,14 +227,14 @@ def test_grouped_scores_match_per_slice_reference(
     constant = rng.choice(nz, size=rng.integers(0, nz + 1), replace=False)
     overflow = [j for j in range(nz) if j not in constant and rng.random() < 0.3] if dtype == "f8" else []
     voxels = _volume(rng, dtype, shape, layout, constant, overflow)
-    cfg = EntropyConfig(levels=levels, offset=offset, symmetric=symmetric)
+    cfg = SliceSelectionConfig(levels=levels, offset=offset, symmetric=symmetric)
     # per_group slices fit the patched budget, so groups split mid-volume
     with mock.patch.object(entropy, "_GROUP_BYTES", per_group * 8 * shape[0] * shape[1]):
-        ranked = rank_slices(Volume("s", shape, voxels, datatype_code=0), cfg)
+        got = rank_slices(Volume("s", shape, voxels, datatype_code=0), cfg)
     want = [slice_entropy_reference(voxels[:, :, i], cfg) for i in range(nz)]
-    got = {r.slice_index: r.entropy for r in ranked}
-    assert np.array([got[i] for i in range(nz)]).tobytes() == np.array(want).tobytes()
-    assert [r.slice_index for r in ranked] == sorted(range(nz), key=lambda i: (-want[i], i))
+    assert got.tobytes() == np.array(want).tobytes()
+    for k in range(1, nz + 1):
+        assert select_top_k(got, k).tolist() == top_k_reference(want, k)
 
 
 @settings(deadline=None, max_examples=200)
@@ -238,7 +254,7 @@ def test_volume_scores_match_per_slice_reference(
     """rank_slices scores every slice bit for bit as quantize_reference ->
     glcm_reference -> glcm_entropy scores it alone, however its volume's
     slices fall into groups, and a constant slice (of mixed +0 and -0 too)
-    as -0.0; it ranks by descending score, ties to the lower index."""
+    as -0.0; select_top_k keeps the highest scores, ties to the lower index."""
     rng = np.random.default_rng(seed)
     nz = shape[2]
     constant = rng.choice(nz, size=rng.integers(0, nz + 1), replace=False)
@@ -252,16 +268,16 @@ def test_volume_scores_match_per_slice_reference(
     if kind in ("f4", "f8", "scaled"):
         for j in constant[rng.random(len(constant)) < 0.5]:
             voxels[:, :, j] = rng.choice([0.0, -0.0], size=shape[:2])
-    cfg = EntropyConfig(levels=levels, offset=offset, symmetric=symmetric)
+    cfg = SliceSelectionConfig(levels=levels, offset=offset, symmetric=symmetric)
     # per_group slices fit the patched budget, so groups split mid-volume
     with mock.patch.object(entropy, "_GROUP_BYTES", per_group * 8 * shape[0] * shape[1]):
-        ranked = rank_slices(Volume("s", shape, voxels, datatype_code=0), cfg)
+        got = rank_slices(Volume("s", shape, voxels, datatype_code=0), cfg)
     want = [slice_entropy_reference(voxels[:, :, i], cfg) for i in range(nz)]
-    got = {r.slice_index: r.entropy for r in ranked}
-    assert np.array([got[i] for i in range(nz)]).tobytes() == np.array(want).tobytes()
+    assert got.tobytes() == np.array(want).tobytes()
     if abs(offset[0]) < shape[0] and abs(offset[1]) < shape[1]:
-        assert all(got[j].hex() == "-0x0.0p+0" for j in constant)
-    assert [r.slice_index for r in ranked] == sorted(range(nz), key=lambda i: (-want[i], i))
+        assert all(float(got[j]).hex() == "-0x0.0p+0" for j in constant)
+    for k in range(1, nz + 1):
+        assert select_top_k(got, k).tolist() == top_k_reference(want, k)
 
 
 def test_one_pixel_wide_volume_warns_per_slice_and_scores_zero(caplog):
@@ -273,10 +289,8 @@ def test_one_pixel_wide_volume_warns_per_slice_and_scores_zero(caplog):
     for layout in (np.asfortranarray, np.ascontiguousarray):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="mridecomp.entropy"):
-            ranked = rank_slices(Volume("v", (5, 1, 4), layout(voxels), datatype_code=64))
-        assert [(r.slice_index, r.entropy.hex()) for r in ranked] == [
-            (i, "0x0.0p+0") for i in range(4)
-        ]
+            scores = rank_slices(Volume("v", (5, 1, 4), layout(voxels), datatype_code=64))
+        assert [h.hex() for h in scores.tolist()] == ["0x0.0p+0"] * 4
         assert caplog.messages == [
             f"slice v/{i} has no co-occurring pairs at offset (0, 1); scoring 0" for i in range(4)
         ]
@@ -284,10 +298,10 @@ def test_one_pixel_wide_volume_warns_per_slice_and_scores_zero(caplog):
 
 def test_scorer_settings_are_checked_before_constant_slices_are_skipped():
     volume = Volume("v", (3, 3, 2), np.zeros((3, 3, 2)), datatype_code=64)
-    with pytest.raises(ConfigError, match="^levels must be >= 2, got 1$"):
-        rank_slices(volume, EntropyConfig(levels=1))
-    with pytest.raises(ConfigError, match=r"^co-occurrence offset must not be \(0, 0\)$"):
-        rank_slices(volume, EntropyConfig(offset=(0, 0)))
+    with pytest.raises(ConfigError, match="^slice_selection.levels must be >= 2, got 1$"):
+        rank_slices(volume, SliceSelectionConfig(levels=1))
+    with pytest.raises(ConfigError, match="^slice_selection.offset must be non-zero$"):
+        rank_slices(volume, SliceSelectionConfig(offset=(0, 0)))
 
 
 def test_slices_without_pairs_warn_and_score_zero_in_order(caplog):
@@ -295,8 +309,8 @@ def test_slices_without_pairs_warn_and_score_zero_in_order(caplog):
     slice order, and scores 0."""
     voxels = np.stack([np.arange(5.0)[:, None] * i for i in range(5)], axis=2)
     with caplog.at_level(logging.WARNING, logger="mridecomp.entropy"):
-        ranked = rank_slices(Volume("s", (5, 1, 5), voxels, datatype_code=64))
-    assert [(r.slice_index, r.entropy) for r in ranked] == [(i, 0.0) for i in range(5)]
+        scores = rank_slices(Volume("s", (5, 1, 5), voxels, datatype_code=64))
+    assert scores.tolist() == [0.0] * 5
     assert caplog.messages == [
         f"slice s/{i} has no co-occurring pairs at offset (0, 1); scoring 0" for i in range(5)
     ]
@@ -304,9 +318,9 @@ def test_slices_without_pairs_warn_and_score_zero_in_order(caplog):
 
 def test_select_top_k_prefix_and_clamp():
     voxels = np.stack([np.random.default_rng(i).normal(size=(6, 6)) for i in range(10)], axis=2)
-    ranked = rank_slices(Volume("s", (6, 6, 10), voxels, datatype_code=64))
-    top3 = select_top_k(ranked, 3)
-    assert top3 == ranked[:3]
-    assert select_top_k(ranked, 99) == ranked
+    scores = rank_slices(Volume("s", (6, 6, 10), voxels, datatype_code=64))
+    top3 = select_top_k(scores, 3)
+    assert top3.tolist() == top_k_reference(scores.tolist(), 3)
+    assert select_top_k(scores, 99).tolist() == list(range(10))
     with pytest.raises(InvalidK):
-        select_top_k(ranked, 0)
+        select_top_k(scores, 0)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mridecomp import nifti
-from mridecomp.entropy import EntropyConfig, rank_slices
+from mridecomp.entropy import SliceSelectionConfig, rank_slices
 from mridecomp.errors import (
     ConfigError,
     DimensionError,
@@ -468,9 +468,9 @@ def test_quantize_span_beyond_float64():
 
 def test_quantize_rejects_single_level():
     # the scorer checks its settings before it quantizes any slice
-    with pytest.raises(ConfigError, match="^levels must be >= 2, got 1$"):
+    with pytest.raises(ConfigError, match="^slice_selection.levels must be >= 2, got 1$"):
         volume = Volume("s", (2, 2, 1), np.zeros((2, 2, 1)), datatype_code=64)
-        rank_slices(volume, EntropyConfig(levels=1))
+        rank_slices(volume, SliceSelectionConfig(levels=1))
 
 
 @pytest.mark.parametrize("dtype", ["u1", "i2", "i4", "f4"])

@@ -313,8 +313,7 @@ def test_float64_volume_beyond_float64_span_is_ranked(tmp_path):
     cfg = PipelineConfig(slice_selection=SliceSelectionConfig(top_k=3))
     stage = run_slices_stage(rows, cfg, tmp_path / "out", RawPixelBackend(side=4))
     assert not stage.errors
-    entropy = {r.slice_index: r.entropy for r in stage.ranked_all["wide"]}
-    assert 0.0 < entropy[2] < 6.0
+    assert 0.0 < stage.entropies["wide"][2] < 6.0
     assert np.isfinite(stage.features["wide"]).all()
 
 
@@ -385,14 +384,13 @@ def test_outputs_do_not_depend_on_worker_count(dataset, tmp_path, monkeypatch):
     runs, selections = {}, {}
 
     def recording_select(row, scfg, busy):
-        pixels, indices, ranked = select(row, scfg, busy)
+        pixels, indices, entropies = select(row, scfg, busy)
         selections[cpus][row.subject_id] = {
             "pixels": pixels,
             "indices": indices,
-            "all_indices": np.asarray([r.slice_index for r in ranked], dtype=np.int64),
-            "all_entropies": np.asarray([r.entropy for r in ranked], dtype=np.float64),
+            "entropies": entropies,
         }
-        return pixels, indices, ranked
+        return pixels, indices, entropies
 
     monkeypatch.setattr(pipeline, "_select_for_subject", recording_select)
     # elbow k-selection, an MLP head and prob-sum composition
