@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .classifier import TrainingConfig, train
 from .config import PipelineConfig
-from .decomposition import assign_sublabels, decompose
+from .decomposition import DecompositionConfig, assign_sublabels, decompose
 from .entropy import SliceSelectionConfig, rank_slices, select_top_k
 from .evaluation import evaluate
 from .features import FeatureMatrix, RawPixelBackend
@@ -23,6 +23,7 @@ from .synth import generate_dataset
 
 __all__ = [
     "__version__",
+    "DecompositionConfig",
     "FeatureMatrix",
     "PipelineConfig",
     "RawPixelBackend",

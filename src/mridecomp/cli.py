@@ -110,7 +110,7 @@ def _print_result(result) -> int:
 def cmd_fit(args) -> int:
     cfg = _load_cfg(args)
     X = load_precomputed(args.features)
-    split = read_split(args.split, X.subject_ids) if args.split else None
+    split = read_split(args.split, X) if args.split else None
     args.out.mkdir(parents=True, exist_ok=True)
     write_json(cfg, args.out / "config.json")
     train_mask, test_mask = run_split_stage(X, cfg, args.out, split)

@@ -2,41 +2,24 @@
 
 The config file is a single JSON document with a versioned schema. Unknown
 keys are errors, and every numeric field is validated up front so a bad
-config fails before any work starts. The slice_selection and training
-sections are entropy.SliceSelectionConfig and classifier.TrainingConfig,
-the settings rank_slices and train take and check.
+config fails before any work starts. Each section checks itself. The
+slice_selection, features, decomposition and training sections are defined
+beside what takes and checks them (rank_slices, build_backend, decompose,
+train) and the mode lists they validate; pca and split are defined here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 
 from .artifacts import from_json, read_json
 from .classifier import COMPOSE_MODES, TrainingConfig
+from .decomposition import DecompositionConfig
 from .entropy import SliceSelectionConfig
 from .errors import ConfigError, ParseError
+from .features import FeatureConfig
 
-DECOMPOSITION_MODES = ("fixed", "elbow")
-FEATURE_BACKENDS = ("raw", "onnx")
 CONFIG_VERSION = 1
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    backend: str = "raw"
-    side: int = 16  # raw backend: slices are resized to side x side
-    model_path: str | None = None  # onnx backend
-    sidecar_path: str | None = None
-
-    def validate(self) -> None:
-        if self.backend not in FEATURE_BACKENDS:
-            raise ConfigError(
-                f"features.backend must be one of {FEATURE_BACKENDS}, got {self.backend!r}"
-            )
-        if self.backend == "raw" and self.side < 2:
-            raise ConfigError(f"features.side must be >= 2, got {self.side}")
-        if self.backend == "onnx" and not self.model_path:
-            raise ConfigError("features.model_path is required for the onnx backend")
 
 
 @dataclass(frozen=True)
@@ -48,32 +31,6 @@ class PcaConfig:
             raise ConfigError(
                 f"pca.variance_threshold must be in (0, 1], got {self.variance_threshold}"
             )
-
-
-@dataclass(frozen=True)
-class DecompositionConfig:
-    mode: str = "fixed"
-    k: int = 2
-    k_min: int = 2
-    k_max: int = 6
-    n_init: int = 10
-
-    def validate(self) -> None:
-        if self.mode not in DECOMPOSITION_MODES:
-            raise ConfigError(
-                f"decomposition.mode must be one of {DECOMPOSITION_MODES}, got {self.mode!r}"
-            )
-        if self.mode == "fixed" and self.k < 1:
-            raise ConfigError(f"decomposition.k must be >= 1, got {self.k}")
-        if self.mode == "elbow":
-            if self.k_min < 1:
-                raise ConfigError(f"decomposition.k_min must be >= 1, got {self.k_min}")
-            if self.k_max - self.k_min + 1 < 3:
-                raise ConfigError(
-                    f"decomposition elbow range [{self.k_min}, {self.k_max}] needs >= 3 values"
-                )
-        if self.n_init < 1:
-            raise ConfigError(f"decomposition.n_init must be >= 1, got {self.n_init}")
 
 
 @dataclass(frozen=True)
@@ -111,12 +68,9 @@ class PipelineConfig:
             raise ConfigError(
                 f"compose_mode must be one of {COMPOSE_MODES}, got {self.compose_mode!r}"
             )
-        self.slice_selection.validate()
-        self.features.validate()
-        self.pca.validate()
-        self.decomposition.validate()
-        self.training.validate()
-        self.split.validate()
+        for section in vars(self).values():
+            if is_dataclass(section):
+                section.validate()
 
 
 def config_from_dict(obj: dict) -> PipelineConfig:

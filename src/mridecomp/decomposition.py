@@ -4,7 +4,8 @@ Each original class is clustered independently; the (class, cluster) pairs
 are mapped to a dense id space by LabelCodec. Subclass names follow the
 ``{class}_{cluster+1}`` pattern (e.g. CN_1, CN_2). LabelCodec.decode returns
 the original class with the cluster index, so per-class sample counts are
-conserved by construction.
+conserved by construction. The config's decomposition section,
+DecompositionConfig, and its DECOMPOSITION_MODES sit beside decompose.
 """
 
 from __future__ import annotations
@@ -16,10 +17,38 @@ import numpy as np
 
 from .artifacts import write_table
 from .cluster import elbow_select_k, kmeans_restarts, nearest_centroid
-from .errors import DegenerateInput, EmptyInput, InvalidK, UnknownSublabel
+from .errors import ConfigError, DegenerateInput, EmptyInput, InvalidK, UnknownSublabel
 from .features import FeatureMatrix
 
 logger = logging.getLogger(__name__)
+
+DECOMPOSITION_MODES = ("fixed", "elbow")
+
+
+@dataclass(frozen=True)
+class DecompositionConfig:
+    mode: str = "fixed"
+    k: int = 2
+    k_min: int = 2
+    k_max: int = 6
+    n_init: int = 10
+
+    def validate(self) -> None:
+        if self.mode not in DECOMPOSITION_MODES:
+            raise ConfigError(
+                f"decomposition.mode must be one of {DECOMPOSITION_MODES}, got {self.mode!r}"
+            )
+        if self.mode == "fixed" and self.k < 1:
+            raise ConfigError(f"decomposition.k must be >= 1, got {self.k}")
+        if self.mode == "elbow":
+            if self.k_min < 1:
+                raise ConfigError(f"decomposition.k_min must be >= 1, got {self.k_min}")
+            if self.k_max - self.k_min + 1 < 3:
+                raise ConfigError(
+                    f"decomposition elbow range [{self.k_min}, {self.k_max}] needs >= 3 values"
+                )
+        if self.n_init < 1:
+            raise ConfigError(f"decomposition.n_init must be >= 1, got {self.n_init}")
 
 
 @dataclass(frozen=True)
@@ -92,24 +121,20 @@ class DecomposedDataset:
 
 
 def decompose(
-    X: FeatureMatrix,
-    k: int = 2,
-    elbow_range: tuple[int, int] | None = None,
-    seed: int = 0,
-    n_init: int = 10,
+    X: FeatureMatrix, cfg: DecompositionConfig = DecompositionConfig(), seed: int = 0
 ) -> DecomposedDataset:
     """Cluster each class separately and relabel rows with subclass ids.
 
-    With elbow_range=(k_min, k_max) the per-class k is chosen by the elbow
-    rule instead of the fixed value, and the class is clustered with the
-    elbow search's own best-of-n_init fit for that k; the range is clamped
-    so k_max never exceeds the class size (a class too small for any valid
+    cfg is validated first. In fixed mode every class gets cfg.k clusters.
+    In elbow mode the per-class k is chosen by the elbow rule over
+    [cfg.k_min, cfg.k_max], and the class is clustered with the elbow
+    search's own best-of-n_init fit for that k; the range is clamped so
+    k_max never exceeds the class size (a class too small for any valid
     range falls back to a single cluster).
     """
+    cfg.validate()
     if X.n == 0:
         raise EmptyInput("cannot decompose an empty feature matrix")
-    if elbow_range is None and k < 1:
-        raise InvalidK(f"k must be >= 1, got {k}")
 
     classes = tuple(sorted(set(X.labels)))
     labels_arr = np.asarray(X.labels)
@@ -124,29 +149,27 @@ def decompose(
         n_c = rows.shape[0]
         class_seed = np.random.SeedSequence([seed, class_index])
 
-        if elbow_range is not None:
-            k_min, k_max = elbow_range
-            k_max_eff = min(k_max, n_c)
-            if k_max_eff - k_min + 1 < 3:
+        if cfg.mode == "fixed":
+            if n_c < cfg.k:
+                raise DegenerateInput(f"class {cls!r} has {n_c} samples, fewer than k={cfg.k}")
+            result = kmeans_restarts(rows, cfg.k, seed=class_seed, n_init=cfg.n_init)
+        else:
+            k_max = min(cfg.k_max, n_c)
+            if k_max - cfg.k_min + 1 < 3:
                 logger.warning(
                     "class %s has %d samples, too few for elbow range [%d, %d]; using k=1",
-                    cls, n_c, k_min, k_max,
+                    cls, n_c, cfg.k_min, cfg.k_max,
                 )
-                result = kmeans_restarts(rows, 1, seed=class_seed, n_init=n_init)
+                result = kmeans_restarts(rows, 1, seed=class_seed, n_init=cfg.n_init)
             else:
-                if k_max_eff != k_max:
+                if k_max != cfg.k_max:
                     logger.warning(
-                        "class %s: clamping elbow k_max from %d to %d", cls, k_max, k_max_eff
+                        "class %s: clamping elbow k_max from %d to %d", cls, cfg.k_max, k_max
                     )
-                elbow = elbow_select_k(rows, k_min, k_max_eff, seed=class_seed, n_init=n_init)
+                elbow = elbow_select_k(rows, cfg.k_min, k_max, seed=class_seed, n_init=cfg.n_init)
                 result = elbow.fits[elbow.k]
-        else:
-            if n_c < k:
-                raise DegenerateInput(f"class {cls!r} has {n_c} samples, fewer than k={k}")
-            result = kmeans_restarts(rows, k, seed=class_seed, n_init=n_init)
 
-        offset = sum(cluster_counts)
-        sublabels[mask] = offset + result.assignments
+        sublabels[mask] = sum(cluster_counts) + result.assignments
         centroids[cls] = result.centroids
         wcss[cls] = result.wcss
         cluster_counts.append(len(result.centroids))

@@ -27,7 +27,8 @@ def subject_split(
 
     Per class, floor(train_frac * n + 0.5) subjects go to train (rounding
     toward train). If either side ends up empty overall, one subject is
-    moved across from the largest class on the other side.
+    moved across from the largest class on the other side. A class then left
+    with no train subject, which decomposition cannot fit, is DegenerateInput.
     """
     if not 0.0 < train_frac < 1.0:
         raise ConfigError(f"train_frac must be in (0, 1), got {train_frac}")
@@ -45,21 +46,21 @@ def subject_split(
         ids = sorted(by_class[label])
         order = rng.permutation(len(ids))
         n_train = int(math.floor(train_frac * len(ids) + 0.5))
-        n_train = min(n_train, len(ids))
         shuffled = [ids[i] for i in order]
         train.extend(shuffled[:n_train])
         test.extend(shuffled[n_train:])
 
-    if not test:
-        donor_class = max(sorted(by_class), key=lambda c: sum(s in train for s in by_class[c]))
-        moved = sorted(s for s in by_class[donor_class] if s in train)[0]
-        train.remove(moved)
-        test.append(moved)
-    if not train:
-        donor_class = max(sorted(by_class), key=lambda c: sum(s in test for s in by_class[c]))
-        moved = sorted(s for s in by_class[donor_class] if s in test)[0]
-        test.remove(moved)
-        train.append(moved)
+    for empty, donor in ((test, train), (train, test)):
+        if not empty:
+            donor_class = max(sorted(by_class), key=lambda c: sum(s in donor for s in by_class[c]))
+            moved = min(s for s in by_class[donor_class] if s in donor)
+            donor.remove(moved)
+            empty.append(moved)
+    untrained = set(by_class) - {subject_labels[s] for s in train}
+    if untrained:
+        raise DegenerateInput(
+            f"classes with no train subject at train_frac={train_frac}: {sorted(untrained)}"
+        )
     return sorted(train), sorted(test)
 
 

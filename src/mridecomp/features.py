@@ -4,7 +4,8 @@ Every backend is a deterministic map from a stack of 2-D slices to one
 fixed-length vector per slice: the raw-pixel baseline (bilinear resample +
 flatten) or an external ONNX model with a JSON sidecar describing
 preprocessing. Features computed elsewhere enter through the CSV
-interchange instead (load_precomputed).
+interchange instead (load_precomputed). The config's features section,
+FeatureConfig, and its FEATURE_BACKENDS sit beside build_backend.
 
 Feature CSV schema: header ``subject_id,label,f0..f{m-1}``, one row per
 slice. Floats are written with shortest round-trip repr so export followed
@@ -26,6 +27,26 @@ from .artifacts import open_input, read_json
 from .errors import ConfigError, ModelLoadError, ParseError, ShapeMismatch
 
 logger = logging.getLogger(__name__)
+
+FEATURE_BACKENDS = ("raw", "onnx")
+
+
+@dataclass(frozen=True)
+class FeatureConfig:
+    backend: str = "raw"
+    side: int = 16  # raw backend: slices are resized to side x side
+    model_path: str | None = None  # onnx backend
+    sidecar_path: str | None = None
+
+    def validate(self) -> None:
+        if self.backend not in FEATURE_BACKENDS:
+            raise ConfigError(
+                f"features.backend must be one of {FEATURE_BACKENDS}, got {self.backend!r}"
+            )
+        if self.backend == "raw" and self.side < 2:
+            raise ConfigError(f"features.side must be >= 2, got {self.side}")
+        if self.backend == "onnx" and not self.model_path:
+            raise ConfigError("features.model_path is required for the onnx backend")
 
 
 @dataclass(frozen=True)
@@ -244,6 +265,14 @@ class OnnxBackend(FeatureBackend):
                 )
             features[i] = vector
         return features
+
+
+def build_backend(cfg: FeatureConfig) -> FeatureBackend:
+    """The backend cfg.backend names, made from cfg once cfg is validated."""
+    cfg.validate()
+    if cfg.backend == "raw":
+        return RawPixelBackend(side=cfg.side)
+    return OnnxBackend(cfg.model_path, cfg.sidecar_path)
 
 
 def _csv_fields(fields: list[str]) -> str:

@@ -3,7 +3,8 @@
 training grid -> evaluation), writing every artifact into the run directory
 as plain CSV/JSON. Nothing is kept between runs: each run decodes every
 volume and scores its slices (entropy.rank_slices, then select_top_k), so a
-rerun into a used run directory computes what a fresh run does.
+rerun into a used run directory computes what a fresh run does. No mode is
+chosen here: each stage hands its config section to the function that owns it.
 
 Leakage policy: the scaler, PCA, per-class clustering and classifiers are
 fit on training subjects only. Test subjects receive sublabels by nearest
@@ -40,13 +41,7 @@ from .decomposition import (
 from .entropy import SliceSelectionConfig, rank_slices, select_top_k
 from .errors import BAD_INPUT, ParseError, PipelineError, StageError
 from .evaluation import EvalReport, evaluate, render_metrics_table, subject_split
-from .features import (
-    FeatureBackend,
-    FeatureMatrix,
-    OnnxBackend,
-    RawPixelBackend,
-    save_features,
-)
+from .features import FeatureBackend, FeatureMatrix, build_backend, save_features
 from .manifest import ManifestRow, read_manifest, write_manifest
 from .nifti import read_nifti
 from .reduction import apply_standardize, fit_standardize, pca_fit, pca_transform
@@ -193,12 +188,6 @@ def run_slices_stage(
     return stage
 
 
-def build_backend(cfg: PipelineConfig) -> FeatureBackend:
-    if cfg.features.backend == "raw":
-        return RawPixelBackend(side=cfg.features.side)
-    return OnnxBackend(cfg.features.model_path, cfg.features.sidecar_path)
-
-
 def extract_feature_matrix(rows: list[ManifestRow], stage: SliceStage) -> FeatureMatrix:
     """The feature rows the slice stage extracted, subjects in row order."""
     values = []
@@ -240,15 +229,8 @@ def run_decompose_stage(
     write_json(pca, out_dir / "pca.json")
     reduced = pca_transform(X_scaled, pca)
 
-    dcfg = cfg.decomposition
     seed = derive_seed(cfg.seed, _TAG_DECOMPOSE)
-    ds = decompose(
-        reduced.rows(fit_rows),
-        k=dcfg.k,
-        elbow_range=(dcfg.k_min, dcfg.k_max) if dcfg.mode == "elbow" else None,
-        seed=seed,
-        n_init=dcfg.n_init,
-    )
+    ds = decompose(reduced.rows(fit_rows), cfg.decomposition, seed=seed)
     write_json(ds.codec, out_dir / "codec.json")
     write_json(ds.centroids, out_dir / "centroids.json")
     write_report_csv(ds, out_dir / "decomposition_report.csv")
@@ -309,15 +291,16 @@ class SubjectSplit:
     test: tuple[str, ...]
 
 
-def read_split(path, subject_ids) -> SubjectSplit:
-    """The split.json at path, for a feature matrix of the rows of subject_ids.
-    Besides read_json_as's key and type checks, an empty side, a subject on
-    both sides, a subject not in subject_ids, and one of subject_ids on
-    neither side each raise ParseError naming the file."""
+def read_split(path, X: FeatureMatrix) -> SubjectSplit:
+    """The split.json at path, for the feature matrix X. Besides read_json_as's
+    key and type checks, an empty side, a subject on both sides, a subject
+    not in X, one of X's subjects on neither side, and a class of X with no
+    train subject each raise ParseError naming the file."""
     split = read_json_as(SubjectSplit, path, "split")
     if not split.train or not split.test:
         raise ParseError(f"{path}: train and test must each name a subject")
-    train, test, known = set(split.train), set(split.test), set(subject_ids)
+    labels = dict(zip(X.subject_ids, X.labels))
+    train, test, known = set(split.train), set(split.test), set(labels)
     for problem, subjects in (
         ("in both train and test", train & test),
         ("not in the feature rows", (train | test) - known),
@@ -325,6 +308,9 @@ def read_split(path, subject_ids) -> SubjectSplit:
     ):
         if subjects:
             raise ParseError(f"{path}: subjects {problem}: {sorted(subjects)}")
+    untrained = set(labels.values()) - {labels[s] for s in train}
+    if untrained:
+        raise ParseError(f"{path}: classes with no train subject: {sorted(untrained)}")
     return split
 
 
@@ -437,7 +423,7 @@ def run_features(
     # the slice stage extracts each subject's features as soon as its slices
     # are selected; loading the backend, and any fault of it, belong to "features"
     with stage("features", stage_seconds):
-        backend = build_backend(cfg)
+        backend = build_backend(cfg.features)
 
     with stage("slices", stage_seconds):
         slice_stage = run_slices_stage(rows, cfg, out_dir, backend)

@@ -267,7 +267,7 @@ def test_criterion_07_decomposition_conservation():
             labels=tuple(labels),
             subject_ids=tuple(f"s{i}" for i in range(len(labels))),
         )
-        ds = decompose(X, k=2, seed=trial)
+        ds = decompose(X, seed=trial)
         for cls in ds.codec.classes:
             expected = labels.count(cls)
             got = sum(

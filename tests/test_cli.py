@@ -161,6 +161,11 @@ def test_features_then_fit_into_one_directory_is_the_pipeline(data_dir, tmp_path
             "subjects in neither train nor test: ['s1']",
             id="on-neither-side",
         ),
+        pytest.param(
+            {"train": ["s0", "s1"], "test": ["s2"]},
+            "classes with no train subject: ['B']",
+            id="class-not-in-train",
+        ),
     ],
 )
 def test_bad_split_exits_1(tmp_path, monkeypatch, capsys, document, message):

@@ -1,6 +1,7 @@
 """Pipeline configuration: parsing, validation, round trips."""
 
 import json
+import re
 from dataclasses import asdict
 
 import pytest
@@ -20,6 +21,7 @@ from mridecomp.config import (
     load_config,
 )
 from mridecomp.errors import ConfigError
+from mridecomp.features import build_backend
 
 
 def test_defaults_are_valid():
@@ -98,42 +100,63 @@ def test_tuple_fields_coerced_from_lists():
     assert cfg.training.learning_rates == (0.1,)
 
 
-@pytest.mark.parametrize(
-    "section",
-    [
-        SliceSelectionConfig(levels=1),
-        SliceSelectionConfig(offset=(0, 0)),
-        SliceSelectionConfig(offset=(1, 2, 3)),
-        SliceSelectionConfig(top_k=0),
-        FeatureConfig(backend="mystery"),
-        FeatureConfig(side=1),
-        FeatureConfig(backend="onnx", model_path=None),
-        PcaConfig(variance_threshold=0.0),
-        PcaConfig(variance_threshold=1.5),
-        DecompositionConfig(mode="magic"),
-        DecompositionConfig(k=0),
-        DecompositionConfig(mode="elbow", k_min=0),
-        DecompositionConfig(mode="elbow", k_min=5, k_max=4),
-        DecompositionConfig(n_init=0),
-        TrainingConfig(learning_rates=()),
-        TrainingConfig(learning_rates=(0.1, -0.1)),
-        TrainingConfig(learning_rates=(0.0,)),
-        TrainingConfig(epochs=0),
-        TrainingConfig(batch_size=0),
-        TrainingConfig(hidden_dim=-2),
-        TrainingConfig(beta1=1.0),
-        TrainingConfig(eps=0.0),
-        TrainingConfig(beta2=1.0),
-        TrainingConfig(beta2=-0.1),
-        SplitConfig(train_frac=0.0),
-        SplitConfig(train_frac=1.0),
-        TrainingConfig(learning_rates=(0.01, 0.001, 0.01)),
-        SliceSelectionConfig(levels=257),
-    ],
-)
+# each rejected section with its full message; new cases go last, so that the
+# ids section0.. keep naming the same cases
+_REJECTED = {
+    SliceSelectionConfig(levels=1): "slice_selection.levels must be >= 2, got 1",
+    SliceSelectionConfig(offset=(0, 0)): "slice_selection.offset must be non-zero",
+    SliceSelectionConfig(offset=(1, 2, 3)): (
+        "slice_selection.offset must have 2 entries, got (1, 2, 3)"
+    ),
+    SliceSelectionConfig(top_k=0): "slice_selection.top_k must be >= 1, got 0",
+    FeatureConfig(backend="mystery"): (
+        "features.backend must be one of ('raw', 'onnx'), got 'mystery'"
+    ),
+    FeatureConfig(side=1): "features.side must be >= 2, got 1",
+    FeatureConfig(backend="onnx", model_path=None): (
+        "features.model_path is required for the onnx backend"
+    ),
+    PcaConfig(variance_threshold=0.0): "pca.variance_threshold must be in (0, 1], got 0.0",
+    PcaConfig(variance_threshold=1.5): "pca.variance_threshold must be in (0, 1], got 1.5",
+    DecompositionConfig(mode="magic"): (
+        "decomposition.mode must be one of ('fixed', 'elbow'), got 'magic'"
+    ),
+    DecompositionConfig(k=0): "decomposition.k must be >= 1, got 0",
+    DecompositionConfig(mode="elbow", k_min=0): "decomposition.k_min must be >= 1, got 0",
+    DecompositionConfig(mode="elbow", k_min=5, k_max=4): (
+        "decomposition elbow range [5, 4] needs >= 3 values"
+    ),
+    DecompositionConfig(n_init=0): "decomposition.n_init must be >= 1, got 0",
+    TrainingConfig(learning_rates=()): "training.learning_rates must be non-empty",
+    TrainingConfig(learning_rates=(0.1, -0.1)): (
+        "training.learning_rates must be > 0, got [0.1, -0.1]"
+    ),
+    TrainingConfig(learning_rates=(0.0,)): "training.learning_rates must be > 0, got [0.0]",
+    TrainingConfig(epochs=0): "training.epochs must be >= 1, got 0",
+    TrainingConfig(batch_size=0): "training.batch_size must be >= 1, got 0",
+    TrainingConfig(hidden_dim=-2): "training.hidden_dim must be >= 0, got -2",
+    TrainingConfig(beta1=1.0): "training.beta1 and training.beta2 must lie in [0, 1)",
+    TrainingConfig(eps=0.0): "training.eps must be > 0, got 0.0",
+    TrainingConfig(beta2=1.0): "training.beta1 and training.beta2 must lie in [0, 1)",
+    TrainingConfig(beta2=-0.1): "training.beta1 and training.beta2 must lie in [0, 1)",
+    SplitConfig(train_frac=0.0): "split.train_frac must be in (0, 1), got 0.0",
+    SplitConfig(train_frac=1.0): "split.train_frac must be in (0, 1), got 1.0",
+    TrainingConfig(learning_rates=(0.01, 0.001, 0.01)): (
+        "training.learning_rates must be distinct, got [0.01, 0.001, 0.01]"
+    ),
+    SliceSelectionConfig(levels=257): "slice_selection.levels must be <= 256, got 257",
+}
+
+
+@pytest.mark.parametrize("section", list(_REJECTED))
 def test_section_validation_rejects(section):
-    with pytest.raises(ConfigError):
+    match = f"^{re.escape(_REJECTED[section])}$"
+    with pytest.raises(ConfigError, match=match):
         section.validate()
+    if isinstance(section, FeatureConfig):
+        # build_backend checks its section before it loads anything
+        with pytest.raises(ConfigError, match=match):
+            build_backend(section)
 
 
 def test_root_validation_rejects():

@@ -10,8 +10,14 @@ from hypothesis import strategies as st
 from mridecomp import cluster
 from mridecomp.artifacts import read_json, write_json
 from mridecomp.config import PipelineConfig
-from mridecomp.decomposition import LabelCodec, assign_sublabels, decompose, write_report_csv
-from mridecomp.errors import DegenerateInput, EmptyInput, InvalidK, UnknownSublabel
+from mridecomp.decomposition import (
+    DecompositionConfig,
+    LabelCodec,
+    assign_sublabels,
+    decompose,
+    write_report_csv,
+)
+from mridecomp.errors import ConfigError, DegenerateInput, EmptyInput, InvalidK, UnknownSublabel
 from mridecomp.features import FeatureMatrix, load_precomputed, save_features
 from mridecomp.pipeline import run_decompose_stage
 
@@ -101,7 +107,7 @@ def test_codec_json_round_trip(tmp_path):
 
 def test_count_conservation(rng):
     X = three_class_data(rng)
-    ds = decompose(X, k=2, seed=0)
+    ds = decompose(X, seed=0)
     labels_arr = np.asarray(X.labels)
     for cls in ds.codec.classes:
         class_total = int((labels_arr == cls).sum())
@@ -114,14 +120,14 @@ def test_count_conservation(rng):
 
 def test_sublabels_consistent_with_original_class(rng):
     X = three_class_data(rng)
-    ds = decompose(X, k=2, seed=1)
+    ds = decompose(X, seed=1)
     for label, sub in zip(X.labels, ds.sublabels):
         assert ds.codec.decode(int(sub))[0] == label
 
 
 def test_separated_subgroups_recovered_exactly(rng):
     X = three_class_data(rng, per_class=16, spread=0.1)
-    ds = decompose(X, k=2, seed=3)
+    ds = decompose(X, seed=3)
     # within each class the first 8 rows and last 8 rows were generated
     # around different centers, so they must land in different clusters
     labels_arr = np.asarray(X.labels)
@@ -134,14 +140,14 @@ def test_separated_subgroups_recovered_exactly(rng):
 
 def test_classes_sorted_for_determinism(rng):
     X = three_class_data(rng)
-    ds = decompose(X, k=2, seed=0)
+    ds = decompose(X, seed=0)
     assert ds.codec.classes == ("AD", "CN", "MCI")
 
 
 def test_deterministic_given_seed(rng):
     X = three_class_data(rng)
-    a = decompose(X, k=2, seed=11)
-    b = decompose(X, k=2, seed=11)
+    a = decompose(X, seed=11)
+    b = decompose(X, seed=11)
     np.testing.assert_array_equal(a.sublabels, b.sublabels)
     for cls in a.codec.classes:
         np.testing.assert_array_equal(a.centroids[cls], b.centroids[cls])
@@ -150,15 +156,15 @@ def test_deterministic_given_seed(rng):
 def test_class_too_small(rng):
     X = matrix(rng.normal(size=(4, 2)), ["A", "A", "A", "B"])
     with pytest.raises(DegenerateInput, match="^class 'B' has 1 samples, fewer than k=2$"):
-        decompose(X, k=2, seed=0)
+        decompose(X, DecompositionConfig(k=2), seed=0)
 
 
 def test_empty_input_rejected():
     X = matrix(np.empty((0, 2)), [])
     with pytest.raises(EmptyInput):
-        decompose(X, k=2)
-    with pytest.raises(InvalidK):
-        decompose(matrix(np.zeros((2, 1)), ["A", "A"]), k=0)
+        decompose(X)
+    with pytest.raises(ConfigError, match="^decomposition.k must be >= 1, got 0$"):
+        decompose(matrix(np.zeros((2, 1)), ["A", "A"]), DecompositionConfig(k=0))
 
 
 def two_and_three_groups(rng):
@@ -178,7 +184,8 @@ def two_and_three_groups(rng):
 
 
 def test_elbow_mode_per_class_counts(rng):
-    ds = decompose(two_and_three_groups(rng), elbow_range=(1, 6), seed=5)
+    cfg = DecompositionConfig("elbow", k_min=1, k_max=6)
+    ds = decompose(two_and_three_groups(rng), cfg, seed=5)
     assert ds.codec.cluster_counts == (2, 3)
 
 
@@ -195,7 +202,8 @@ def test_elbow_mode_clusters_with_the_elbow_fit(rng, monkeypatch):
         return lockstep(rows, k, seeds)
 
     monkeypatch.setattr(cluster, "_lockstep", counted)
-    ds = decompose(X, elbow_range=(k_min, k_max), seed=seed, n_init=n_init)
+    cfg = DecompositionConfig("elbow", k_min=k_min, k_max=k_max, n_init=n_init)
+    ds = decompose(X, cfg, seed=seed)
     monkeypatch.undo()
 
     labels = np.asarray(X.labels)
@@ -214,14 +222,14 @@ def test_elbow_mode_clusters_with_the_elbow_fit(rng, monkeypatch):
 def test_elbow_mode_small_class_falls_back(rng, caplog):
     X = matrix(rng.normal(size=(4, 2)), ["A", "A", "A", "A"])
     with caplog.at_level("WARNING"):
-        ds = decompose(X, elbow_range=(3, 9), seed=0)
+        ds = decompose(X, DecompositionConfig("elbow", k_min=3, k_max=9), seed=0)
     assert ds.codec.cluster_counts == (1,)
     assert "too few" in caplog.text
 
 
 def test_assign_sublabels_nearest_in_class(rng):
     X = three_class_data(rng, per_class=16, spread=0.1)
-    ds = decompose(X, k=2, seed=7)
+    ds = decompose(X, seed=7)
     # points at the exact generating centers must map to that center's cluster
     probe_values, probe_labels = [], []
     for ci, cls in enumerate(["AD", "CN", "MCI"]):
@@ -278,7 +286,7 @@ def test_assign_sublabels_matches_per_row_rule(seed, counts, n, dim, grid):
 
 def test_assign_sublabels_unknown_class(rng):
     X = three_class_data(rng)
-    ds = decompose(X, k=2, seed=0)
+    ds = decompose(X, seed=0)
     probe = matrix(np.zeros((1, 3)), ["XX"])
     with pytest.raises(UnknownSublabel):
         assign_sublabels(probe, ds.codec, ds.centroids)
@@ -286,7 +294,7 @@ def test_assign_sublabels_unknown_class(rng):
 
 def test_report_and_csv(tmp_path, rng):
     X = three_class_data(rng)
-    ds = decompose(X, k=2, seed=0)
+    ds = decompose(X, seed=0)
     path = tmp_path / "decomposition_report.csv"
     write_report_csv(ds, path)
     header, *lines = path.read_text().splitlines()
@@ -300,7 +308,7 @@ def test_report_and_csv(tmp_path, rng):
 
 def test_sublabeled_csv_loads_back(tmp_path, rng):
     X = three_class_data(rng)
-    ds = decompose(X, k=2, seed=0)
+    ds = decompose(X, seed=0)
     names = [ds.codec.subclass_name(int(s)) for s in ds.sublabels]
     path = tmp_path / "sub.csv"
     save_features(ds.codec.relabel(X, ds.sublabels), path)

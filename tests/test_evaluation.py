@@ -72,6 +72,10 @@ def test_split_validation():
         subject_split(subjects({"A": 4}), 0.0)
     with pytest.raises(DegenerateInput, match="^need at least 2 subjects to split, got 1$"):
         subject_split({"only": "A"}, 0.8)
+    # no class gets a train subject, and the repair gives AD one
+    no_train = r"^classes with no train subject at train_frac=0.2: \['CN', 'MCI'\]$"
+    with pytest.raises(DegenerateInput, match=no_train):
+        subject_split(subjects({"AD": 2, "CN": 2, "MCI": 2}), 0.2, seed=0)
 
 
 # --- confusion and metrics -------------------------------------------------------
