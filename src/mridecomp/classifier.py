@@ -27,6 +27,12 @@ from .errors import ConfigError, DegenerateInput, ShapeMismatch
 COMPOSE_MODES = ("argmax-strip", "prob-sum")
 
 
+def check_compose_mode(mode: str) -> None:
+    """The one check of a compose mode, for the config and compose_predictions."""
+    if mode not in COMPOSE_MODES:
+        raise ConfigError(f"compose_mode must be one of {COMPOSE_MODES}, got {mode!r}")
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     """The learning-rate grid plus the settings its cells share: epochs,
@@ -307,8 +313,7 @@ def compose_predictions(
     prob-sum: argmax over the per-class probability totals.
     Ties break toward the first subclass or class in codec order.
     """
-    if mode not in COMPOSE_MODES:
-        raise ConfigError(f"unknown compose mode {mode!r}; expected one of {COMPOSE_MODES}")
+    check_compose_mode(mode)
     if mode == "argmax-strip":
         return codec.class_indices()[np.argmax(probs, axis=1)]
     return np.argmax(compose_probabilities(codec, probs), axis=1)

@@ -4,9 +4,9 @@ Subcommands: synth, features, fit, pipeline, each run as
 pipeline.stage(<subcommand>); features, fit and pipeline name the inner
 stage that failed (manifest, slices, split, decompose, ...). pipeline is
 features then fit into one directory: features is pipeline.run_features,
-and fit is run_split_stage then fit_and_evaluate on a feature CSV. Exit
-codes: 0 success, 1 bad input (bad flags, or errors.BAD_INPUT: config and
-input files), 2 any other failure, which reads "stage '<name>' failed:
+and fit is one fit_and_evaluate call on a feature CSV and its --split.
+Exit codes: 0 success, 1 bad input (bad flags, or errors.BAD_INPUT: config
+and input files), 2 any other failure, which reads "stage '<name>' failed:
 <cause>". features and pipeline decode and rank every volume on each run;
 nothing is cached between runs.
 """
@@ -24,14 +24,7 @@ from .artifacts import write_json
 from .config import PipelineConfig, load_config
 from .errors import BAD_INPUT, PipelineError
 from .features import load_precomputed
-from .pipeline import (
-    fit_and_evaluate,
-    read_split,
-    run_features,
-    run_pipeline,
-    run_split_stage,
-    stage,
-)
+from .pipeline import fit_and_evaluate, read_split, run_features, run_pipeline, stage
 from .synth import generate_dataset
 
 logger = logging.getLogger(__name__)
@@ -113,8 +106,7 @@ def cmd_fit(args) -> int:
     split = read_split(args.split, X) if args.split else None
     args.out.mkdir(parents=True, exist_ok=True)
     write_json(cfg, args.out / "config.json")
-    train_mask, test_mask = run_split_stage(X, cfg, args.out, split)
-    return _print_result(fit_and_evaluate(X, train_mask, test_mask, cfg, args.out))
+    return _print_result(fit_and_evaluate(X, cfg, args.out, split))
 
 
 def cmd_pipeline(args) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, is_dataclass
 
 from .artifacts import from_json, read_json
-from .classifier import COMPOSE_MODES, TrainingConfig
+from .classifier import TrainingConfig, check_compose_mode
 from .decomposition import DecompositionConfig
 from .entropy import SliceSelectionConfig
 from .errors import ConfigError, ParseError
@@ -64,10 +64,7 @@ class PipelineConfig:
             raise ConfigError(f"duplicate class names in {self.classes}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.compose_mode not in COMPOSE_MODES:
-            raise ConfigError(
-                f"compose_mode must be one of {COMPOSE_MODES}, got {self.compose_mode!r}"
-            )
+        check_compose_mode(self.compose_mode)
         for section in vars(self).values():
             if is_dataclass(section):
                 section.validate()

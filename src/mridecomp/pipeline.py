@@ -11,10 +11,10 @@ fit on training subjects only. Test subjects receive sublabels by nearest
 class-consistent centroid. Hyperparameter cells are ranked by final
 training loss.
 
-The features subcommand is run_features, and fit is run_split_stage then
-fit_and_evaluate on a features.csv, with the same derived seeds: fed a
-run's features.csv (and its split.json, or none), fit reproduces that
-run's fitted artifacts, and features then fit write what run_pipeline does.
+The features subcommand is run_features, and fit is fit_and_evaluate, which
+splits and derives every seed itself, on a features.csv: fed a run's
+features.csv (and its split.json, or none), fit reproduces that run's
+fitted artifacts, and features then fit write what run_pipeline does.
 """
 
 from __future__ import annotations
@@ -209,14 +209,13 @@ def extract_feature_matrix(rows: list[ManifestRow], stage: SliceStage) -> Featur
 class DecomposeStage:
     reduced: FeatureMatrix  # every input row, standardized and projected
     decomposed: DecomposedDataset  # the fit rows with their sublabels
-    seed: int
 
 
 def run_decompose_stage(
-    X: FeatureMatrix, fit_rows: np.ndarray, cfg: PipelineConfig, out_dir: Path
+    X: FeatureMatrix, fit_rows: np.ndarray, cfg: PipelineConfig, out_dir: Path, seed: int
 ) -> DecomposeStage:
-    """Fit the scaler, PCA and per-class k-means on X's fit_rows (a boolean
-    mask) and project every row.
+    """Fit the scaler, PCA and per-class k-means (seeded with seed) on X's
+    fit_rows (a boolean mask) and project every row.
 
     Writes scaler.json, pca.json, codec.json, centroids.json and
     decomposition_report.csv into out_dir; the projected rows are returned,
@@ -229,18 +228,16 @@ def run_decompose_stage(
     write_json(pca, out_dir / "pca.json")
     reduced = pca_transform(X_scaled, pca)
 
-    seed = derive_seed(cfg.seed, _TAG_DECOMPOSE)
     ds = decompose(reduced.rows(fit_rows), cfg.decomposition, seed=seed)
     write_json(ds.codec, out_dir / "codec.json")
     write_json(ds.centroids, out_dir / "centroids.json")
     write_report_csv(ds, out_dir / "decomposition_report.csv")
-    return DecomposeStage(reduced=reduced, decomposed=ds, seed=seed)
+    return DecomposeStage(reduced=reduced, decomposed=ds)
 
 
 @dataclass
 class TrainStage:
     results: dict[str, TrainResult]
-    seeds: dict[str, int]
     best_cell: str
 
 
@@ -249,25 +246,25 @@ def run_train_stage(
     y: np.ndarray,
     codec: LabelCodec,
     cfg: PipelineConfig,
+    seeds: dict[str, int],
     out_dir: Path,
 ) -> TrainStage:
     """Train one model per learning rate on sublabels y, every cell in one
-    train call; the best cell has the lowest final training loss. The
-    cells are then checked and written in order: a training loss that is not
-    finite raises ValueError naming the cell and the epoch, so no JSON
-    artifact is written with it.
+    train call; seeds maps each cell's name to its seed, in grid order. The
+    best cell has the lowest final training loss. The cells are then checked
+    and written in order: a training loss that is not finite raises
+    ValueError naming the cell and the epoch, so no JSON artifact is written
+    with it.
 
     Writes models/cell-<i>.json and losses.json into out_dir, and removes any
     other models/cell-*.json, such as one a larger grid left there.
     """
     models_dir = out_dir / "models"
     models_dir.mkdir(exist_ok=True)
-    cells = {f"cell-{i}.json" for i in range(len(cfg.training.learning_rates))}
+    cells = {f"cell-{i}.json" for i in range(len(seeds))}
     for stale in models_dir.glob("cell-*.json"):
         if stale.name not in cells:
             stale.unlink()
-    rates = cfg.training.learning_rates
-    seeds = {f"lr={lr!r}": derive_seed(cfg.seed, _TAG_TRAIN, i) for i, lr in enumerate(rates)}
     # positional, as the benchmark's span counter reads train's X and cfg
     results = dict(zip(seeds, train(X, y, codec, cfg.training, list(seeds.values()))))
     losses = {}
@@ -280,7 +277,7 @@ def run_train_stage(
         losses[cell] = {"train": result.epoch_losses}
     write_json(losses, out_dir / "losses.json")
     best_cell = min(results, key=lambda c: results[c].final_loss)
-    return TrainStage(results=results, seeds=seeds, best_cell=best_cell)
+    return TrainStage(results=results, best_cell=best_cell)
 
 
 @dataclass(frozen=True)
@@ -314,26 +311,6 @@ def read_split(path, X: FeatureMatrix) -> SubjectSplit:
     return split
 
 
-def run_split_stage(
-    X: FeatureMatrix,
-    cfg: PipelineConfig,
-    out_dir: Path,
-    split: SubjectSplit | None = None,
-    stage_seconds: dict[str, float] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (train, test) row masks of X from split, or else from subject_split
-    of X's subjects and labels with the split seed. Writes split.json into
-    out_dir, which must exist."""
-    with stage("split", stage_seconds):
-        if split is None:
-            subject_labels = dict(zip(X.subject_ids, X.labels))
-            seed = derive_seed(cfg.seed, _TAG_SPLIT)
-            train, test = subject_split(subject_labels, cfg.split.train_frac, seed=seed)
-            split = SubjectSplit(train=tuple(train), test=tuple(test))
-        write_json(split, out_dir / "split.json")
-        return np.isin(X.subject_ids, split.train), np.isin(X.subject_ids, split.test)
-
-
 @dataclass
 class RunResult:
     run_dir: Path
@@ -344,19 +321,39 @@ class RunResult:
 
 def fit_and_evaluate(
     X: FeatureMatrix,
-    train_mask: np.ndarray,
-    test_mask: np.ndarray,
     cfg: PipelineConfig,
     out_dir: Path,
+    split: SubjectSplit | None = None,
     stage_seconds: dict[str, float] | None = None,
 ) -> RunResult:
-    """Run decompose and train on X's train_mask rows, then evaluate every cell
-    on its test_mask rows and report the best one. Each stage writes its
-    artifacts into out_dir, which must exist; train writes seeds.json (the
-    base seed and every seed derived from it), so it is there before evaluate
-    runs."""
+    """Split X's subjects by split, or else by subject_split with the split
+    seed; run decompose and train on the train subjects' rows, then evaluate
+    every cell on the test subjects' rows and report the best one. Every seed
+    is derived here, once. Each stage writes its artifacts into out_dir,
+    which must exist; train writes seeds.json (the base seed and every seed
+    derived from it), so it is there before evaluate runs."""
+    base = cfg.seed
+    cells = {
+        f"lr={lr!r}": derive_seed(base, _TAG_TRAIN, i)
+        for i, lr in enumerate(cfg.training.learning_rates)
+    }
+    seeds = {
+        "base": base,
+        "split": derive_seed(base, _TAG_SPLIT),
+        "decompose": derive_seed(base, _TAG_DECOMPOSE),
+        "train_cells": cells,
+    }
+
+    with stage("split", stage_seconds):
+        if split is None:
+            subject_labels = dict(zip(X.subject_ids, X.labels))
+            drawn = subject_split(subject_labels, cfg.split.train_frac, seed=seeds["split"])
+            split = SubjectSplit(train=tuple(drawn[0]), test=tuple(drawn[1]))
+        write_json(split, out_dir / "split.json")
+        train_mask, test_mask = (np.isin(X.subject_ids, s) for s in (split.train, split.test))
+
     with stage("decompose", stage_seconds):
-        dec = run_decompose_stage(X, train_mask, cfg, out_dir)
+        dec = run_decompose_stage(X, train_mask, cfg, out_dir, seeds["decompose"])
         ds = dec.decomposed
         R_test = dec.reduced.rows(test_mask)
         save_features(ds.codec.relabel(ds.features, ds.sublabels), out_dir / "sublabeled_train.csv")
@@ -364,9 +361,8 @@ def fit_and_evaluate(
         save_features(ds.codec.relabel(R_test, y_test), out_dir / "sublabeled_test.csv")
 
     with stage("train", stage_seconds):
-        grid = run_train_stage(ds.features.values, ds.sublabels, ds.codec, cfg, out_dir)
-        seeds = {"base": cfg.seed, "split": derive_seed(cfg.seed, _TAG_SPLIT)}
-        write_json(seeds | dict(decompose=dec.seed, train_cells=grid.seeds), out_dir / "seeds.json")
+        grid = run_train_stage(ds.features.values, ds.sublabels, ds.codec, cfg, cells, out_dir)
+        write_json(seeds, out_dir / "seeds.json")
 
     with stage("evaluate", stage_seconds):
         cell_reports = {
@@ -438,17 +434,16 @@ def run_features(
 
 
 def run_pipeline(manifest_path, cfg: PipelineConfig, run_dir) -> RunResult:
-    """run_features, run_split_stage and fit_and_evaluate into run_dir, then
-    run_info.json. Bad input, such as an unreadable manifest, raises as it
-    is; any other failure as StageError(stage, cause), and the partial
-    outputs are retained in run_dir for debugging."""
+    """run_features and fit_and_evaluate into run_dir, then run_info.json.
+    Bad input, such as an unreadable manifest, raises as it is; any other
+    failure as StageError(stage, cause), and the partial outputs are
+    retained in run_dir for debugging."""
     started = time.time()
     run_dir = Path(run_dir)
 
     stage_seconds: dict[str, float] = {}
     X, slice_stage = run_features(manifest_path, cfg, run_dir, stage_seconds)
-    train_mask, test_mask = run_split_stage(X, cfg, run_dir, stage_seconds=stage_seconds)
-    result = fit_and_evaluate(X, train_mask, test_mask, cfg, run_dir, stage_seconds)
+    result = fit_and_evaluate(X, cfg, run_dir, stage_seconds=stage_seconds)
 
     run_info = {
         "package_version": __version__,

@@ -1,5 +1,6 @@
 """Softmax/MLP classifier: gradients, Adam training, composed prediction."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -311,7 +312,9 @@ def test_compose_modes_agree_when_concentrated():
 
 def test_unknown_compose_mode_rejected():
     model = probability_model(CODEC_2x2, [0.25, 0.25, 0.25, 0.25])
-    with pytest.raises(ConfigError):
+    # the message PipelineConfig.validate gives, from the one check of a mode
+    message = "compose_mode must be one of ('argmax-strip', 'prob-sum'), got 'vote'"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         composed_class(model, "vote")
 
 

@@ -160,14 +160,17 @@ def test_section_validation_rejects(section):
 
 
 def test_root_validation_rejects():
-    with pytest.raises(ConfigError):
-        PipelineConfig(version=2).validate()
-    with pytest.raises(ConfigError):
-        PipelineConfig(classes=("A",)).validate()
-    with pytest.raises(ConfigError):
-        PipelineConfig(classes=("A", "A")).validate()
-    with pytest.raises(ConfigError):
-        PipelineConfig(compose_mode="vote").validate()
+    for cfg, message in (
+        (PipelineConfig(version=2), "unsupported config version 2"),
+        (PipelineConfig(classes=("A",)), "need at least 2 classes, got ('A',)"),
+        (PipelineConfig(classes=("A", "A")), "duplicate class names in ('A', 'A')"),
+        (
+            PipelineConfig(compose_mode="vote"),
+            "compose_mode must be one of ('argmax-strip', 'prob-sum'), got 'vote'",
+        ),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            cfg.validate()
 
 
 def test_validate_recurses_into_sections():

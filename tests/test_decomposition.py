@@ -322,7 +322,7 @@ def test_sublabeled_csv_loads_back(tmp_path, rng):
 def test_centroids_json_round_trip(tmp_path, rng):
     X = three_class_data(rng)
     fit_rows = np.ones(X.n, dtype=bool)
-    stage = run_decompose_stage(X, fit_rows, PipelineConfig(), tmp_path)
+    stage = run_decompose_stage(X, fit_rows, PipelineConfig(), tmp_path, 0)
     centroids = stage.decomposed.centroids
     loaded = read_json(tmp_path / "centroids.json")
     assert set(loaded) == set(centroids)

@@ -55,6 +55,7 @@ TRAIN_ARTIFACTS = ["scaler.json", "pca.json", "codec.json", "centroids.json", "l
 
 # what fit_and_evaluate writes, apart from models/cell-*.json
 FIT_AND_EVALUATE_ARTIFACTS = [
+    "split.json",
     *TRAIN_ARTIFACTS,
     "decomposition_report.csv",
     "sublabeled_train.csv",
@@ -421,11 +422,11 @@ def test_train_stage_writes_cells_in_order_until_one_is_not_finite(tmp_path):
     codec = LabelCodec(classes=("A", "B"), cluster_counts=(1, 1))
     X, y = rng.normal(size=(20, 3)), np.arange(20) % 2
     cfg = PipelineConfig(training=TrainingConfig(learning_rates=(0.01, 1e308), epochs=3))
+    seeds = {"lr=0.01": 11, "lr=1e+308": 12}
     with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
-        pipeline.run_train_stage(X, y, codec, cfg, tmp_path)
+        pipeline.run_train_stage(X, y, codec, cfg, seeds, tmp_path)
     assert str(err.value) == "cell lr=1e+308: train loss is first not finite at epoch 1"
-    seed = pipeline.derive_seed(cfg.seed, pipeline._TAG_TRAIN, 0)
-    [solo] = train(X, y, codec, dataclasses.replace(cfg.training, learning_rates=(0.01,)), [seed])
+    [solo] = train(X, y, codec, dataclasses.replace(cfg.training, learning_rates=(0.01,)), [11])
     model_to_json(solo.model, tmp_path / "solo.json")
     assert (tmp_path / "models" / "cell-0.json").read_bytes() == (tmp_path / "solo.json").read_bytes()
     assert not (tmp_path / "models" / "cell-1.json").exists()
@@ -480,27 +481,34 @@ def test_missing_volume_fails_in_slices_stage(dataset, tmp_path):
 
 
 def test_seeds_recorded(dataset, tmp_path):
+    """seeds.json holds every seed of the run, each derived from the base seed
+    with its stage's tag; a tag is never renumbered, so these values are fixed."""
     manifest_path, _ = dataset
-    run_pipeline(manifest_path, quick_config(), tmp_path / "run")
+    cfg = PipelineConfig(seed=7, training=TrainingConfig(learning_rates=(0.01, 0.1), epochs=5))
+    run_pipeline(manifest_path, cfg, tmp_path / "run")
     seeds = json.loads((tmp_path / "run" / "seeds.json").read_text())
-    assert set(seeds) == {"base", "split", "decompose", "train_cells"}
-    assert set(seeds["train_cells"]) == {"lr=0.01"}
+    derive = pipeline.derive_seed
+    assert seeds == {
+        "base": 7,
+        "split": derive(7, 1),
+        "decompose": derive(7, 3),
+        "train_cells": {"lr=0.01": derive(7, 4, 0), "lr=0.1": derive(7, 4, 1)},
+    }
 
 
 def test_fit_and_evaluate_reproduces_a_run_from_its_features_and_split(dataset, tmp_path):
-    """Fed a finished run's features.csv, and the subject masks of its
-    split.json, fit_and_evaluate writes that run's artifacts byte for byte
-    into a fresh directory and selects the same cell."""
+    """Fed a finished run's features.csv and its split.json, fit_and_evaluate
+    writes that run's artifacts byte for byte into a fresh directory and
+    selects the same cell."""
     manifest_path, _ = dataset
     cfg = PipelineConfig(training=TrainingConfig(learning_rates=(0.01, 0.001, 0.1), epochs=40))
     run_dir, out_dir = tmp_path / "run", tmp_path / "refit"
     run = run_pipeline(manifest_path, cfg, run_dir)
 
     X = load_precomputed(run_dir / "features.csv")
-    split = json.loads((run_dir / "split.json").read_text())
-    train_mask, test_mask = (np.isin(X.subject_ids, split[side]) for side in ("train", "test"))
+    split = pipeline.read_split(run_dir / "split.json", X)
     out_dir.mkdir()
-    result = pipeline.fit_and_evaluate(X, train_mask, test_mask, cfg, out_dir)
+    result = pipeline.fit_and_evaluate(X, cfg, out_dir, split)
 
     assert result.best_cell == run.best_cell
     assert result.run_dir == out_dir
@@ -530,9 +538,9 @@ def test_failed_evaluate_keeps_what_train_wrote(dataset, tmp_path, monkeypatch):
         assert not (run_dir / name).exists(), name
 
 
-def test_empty_train_mask_fails_decompose_as_an_empty_input(tmp_path):
-    """An all-False train mask fails the decompose stage naming the empty
-    input, before any numpy reduction warns about the missing rows."""
+def test_empty_train_side_fails_decompose_as_an_empty_input(tmp_path):
+    """A split with no train subject fails the decompose stage naming the
+    empty input, before any numpy reduction warns about the missing rows."""
     X = FeatureMatrix(
         values=np.arange(12.0).reshape(6, 2),
         labels=("A",) * 3 + ("B",) * 3,
@@ -541,15 +549,15 @@ def test_empty_train_mask_fails_decompose_as_an_empty_input(tmp_path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(StageError) as excinfo:
-            train, test = np.zeros(6, bool), np.ones(6, bool)
-            pipeline.fit_and_evaluate(X, train, test, quick_config(), tmp_path)
+            split = pipeline.SubjectSplit(train=(), test=X.subject_ids)
+            pipeline.fit_and_evaluate(X, quick_config(), tmp_path, split)
     assert excinfo.value.stage == "decompose"
     assert isinstance(excinfo.value.cause, DegenerateInput)
     assert str(excinfo.value) == (
         "stage 'decompose' failed: cannot standardize an empty feature matrix"
     )
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert list(tmp_path.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["split.json"]
 
 
 def test_metrics_shape(dataset, tmp_path):
