@@ -299,7 +299,8 @@ def save_features(matrix: FeatureMatrix, path) -> None:
 
 
 def load_precomputed(path) -> FeatureMatrix:
-    """Load a feature CSV written by this tool or an external extractor."""
+    """Load a feature CSV written by this tool or an external extractor.
+    A subject has one diagnosis, so every row of a subject carries one label."""
     with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -314,6 +315,7 @@ def load_precomputed(path) -> FeatureMatrix:
             raise ParseError(f"{path}: feature columns must be named f0..f{m - 1}")
 
         subject_ids, labels, rows = [], [], []
+        first_label = {}  # subject id -> (label, line) of its first row
         for lineno, row in enumerate(reader, start=2):
             if len(row) != m + 2:
                 raise ParseError(
@@ -325,6 +327,12 @@ def load_precomputed(path) -> FeatureMatrix:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
             if not all(np.isfinite(values)):
                 raise ParseError(f"{path}: line {lineno}: non-finite feature value")
+            label, line = first_label.setdefault(row[0], (row[1], lineno))
+            if row[1] != label:
+                raise ParseError(
+                    f"{path}: line {lineno}: subject {row[0]!r} is labelled {row[1]!r},"
+                    f" but {label!r} on line {line}"
+                )
             subject_ids.append(row[0])
             labels.append(row[1])
             rows.append(values)

@@ -598,6 +598,25 @@ def test_train_with_a_non_finite_loss_exits_2(data_dir, tmp_path, capsys):
     assert not list((out / "models").iterdir())
 
 
+def test_fit_rejects_a_subject_with_two_labels(data_dir, tmp_path, capsys):
+    """One AD00 row of a run's features.csv relabelled CN: fit exits 1 naming
+    the file, the subject, both labels and the line, and writes nothing."""
+    work = tmp_path / "work"
+    assert main(["features", "--manifest", str(data_dir / "manifest.csv"), "--out", str(work)]) == 0
+    lines = (work / "features.csv").read_text().splitlines(keepends=True)
+    rows = [i for i, line in enumerate(lines) if line.startswith("AD00,AD,")]
+    lines[rows[1]] = lines[rows[1]].replace("AD00,AD,", "AD00,CN,", 1)
+    (work / "features.csv").write_text("".join(lines))
+    out = tmp_path / "fit"
+    capsys.readouterr()
+    assert main(["fit", "--features", str(work / "features.csv"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {work / 'features.csv'}: line {rows[1] + 1}: subject 'AD00' is labelled 'CN',"
+        f" but 'AD' on line {rows[0] + 1}\n"
+    )
+    assert not out.exists()
+
+
 def _huge_features(data_dir, tmp_path):
     """The fixture's features.csv scaled by 5e305: finite feature rows whose
     standard deviations overflow float64."""

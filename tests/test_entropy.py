@@ -189,9 +189,13 @@ def test_select_top_k_matches_reference(scores, data):
         select_top_k(entropies, data.draw(st.integers(-3, 0), label="bad k"))
 
 
-def _volume(rng, dtype, shape, layout, constant, overflow):
-    """A volume of random dtype values with some constant slices and, for
-    float64, some slices whose max - min overflows float64."""
+def _volume(rng, dtype, shape, layout, constant, overflow, levels):
+    """A volume of random dtype values with some constant slices; for
+    float64, some slices whose max - min overflows float64; and for float32
+    and float64, some slices whose pixels are subnormals of the dtype and
+    some whose max - min lies just above levels times the dtype's least
+    normal number. In float64, (max - min) / levels is then subnormal, or a
+    normal number close to the least."""
     info = np.iinfo(dtype) if np.dtype(dtype).kind in "iu" else np.finfo(dtype)
     if np.dtype(dtype).kind in "iu":
         volume = rng.integers(info.min, info.max, size=shape, dtype=dtype, endpoint=True)
@@ -202,6 +206,17 @@ def _volume(rng, dtype, shape, layout, constant, overflow):
     for j in overflow:
         volume[:, :, j] = rng.choice([info.min, info.max, 0.0, 1.0], size=shape[:2])
         volume[0, 0, j], volume[-1, -1, j] = info.min, info.max
+    if np.dtype(dtype).kind == "f":
+        for j in range(shape[2]):
+            if j in constant or j in overflow or rng.random() >= 0.3:
+                continue
+            if rng.random() < 0.5:  # float64: {0, 5e-324, 1e-323, 2e-323}
+                values = np.array([0, 1, 2, 4]) * info.smallest_subnormal
+            else:
+                span = np.nextafter(info.tiny * levels, np.inf) * rng.choice([1, 1 + info.eps, 3])
+                values = np.concatenate([np.arange(levels + 1) * (span / levels), rng.uniform(0, span, 8)])
+            volume[:, :, j] = rng.choice(values.astype(dtype), size=shape[:2])
+            volume[0, 0, j], volume[-1, -1, j] = values.min(), values.max()
     return np.asarray(volume, order=layout)
 
 
@@ -226,7 +241,7 @@ def test_grouped_scores_match_per_slice_reference(
     nz = shape[2]
     constant = rng.choice(nz, size=rng.integers(0, nz + 1), replace=False)
     overflow = [j for j in range(nz) if j not in constant and rng.random() < 0.3] if dtype == "f8" else []
-    voxels = _volume(rng, dtype, shape, layout, constant, overflow)
+    voxels = _volume(rng, dtype, shape, layout, constant, overflow, levels)
     cfg = SliceSelectionConfig(levels=levels, offset=offset, symmetric=symmetric)
     # per_group slices fit the patched budget, so groups split mid-volume
     with mock.patch.object(entropy, "_GROUP_BYTES", per_group * 8 * shape[0] * shape[1]):
@@ -264,7 +279,7 @@ def test_volume_scores_match_per_slice_reference(
         voxels[:, :, constant] = voxels[:1, :1, constant]
     else:
         overflow = [j for j in range(nz) if j not in constant and rng.random() < 0.3] if kind == "f8" else []
-        voxels = _volume(rng, kind, shape, layout, constant, overflow)
+        voxels = _volume(rng, kind, shape, layout, constant, overflow, levels)
     if kind in ("f4", "f8", "scaled"):
         for j in constant[rng.random(len(constant)) < 0.5]:
             voxels[:, :, j] = rng.choice([0.0, -0.0], size=shape[:2])
@@ -278,6 +293,25 @@ def test_volume_scores_match_per_slice_reference(
         assert all(float(got[j]).hex() == "-0x0.0p+0" for j in constant)
     for k in range(1, nz + 1):
         assert select_top_k(got, k).tolist() == top_k_reference(want, k)
+
+
+def test_full_size_scores_match_per_slice_reference():
+    """At the default group size, 128 x 128 slices: runs of textured slices
+    split by constant ones, groups of several slices, interleaved counts at
+    3 and 8 levels and uint32 pair codes at 256, in float32 and in int16."""
+    rng = np.random.default_rng(12)
+    rows, cols = np.meshgrid(np.arange(128), np.arange(128), indexing="ij")
+    board = ((rows // 16 + cols // 16) % 2).astype(np.float64)
+    voxels = np.zeros((128, 128, 12), dtype=np.float32, order="F")
+    for j in (1, 2, 3, 5, 6, 7, 8, 9, 10, 11):
+        voxels[:, :, j] = board * rng.uniform(50.0, 200.0) + rng.normal(0.0, 10.0, size=(128, 128))
+    voxels[:, :, 7] = 3.5
+    for volume in (voxels, np.round(voxels).astype(np.int16)):
+        for levels in (8, 3, 256):
+            cfg = SliceSelectionConfig(levels=levels)
+            got = rank_slices(Volume("s", volume.shape, volume, datatype_code=0), cfg)
+            want = [slice_entropy_reference(volume[:, :, j], cfg) for j in range(12)]
+            assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_one_pixel_wide_volume_warns_per_slice_and_scores_zero(caplog):

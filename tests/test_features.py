@@ -155,7 +155,7 @@ def test_raw_backend_metadata(rng):
 def make_matrix(rng, n=6, m=4):
     return FeatureMatrix(
         values=rng.normal(size=(n, m)),
-        labels=tuple(["CN", "MCI", "AD"][i % 3] for i in range(n)),
+        labels=tuple(["CN", "MCI", "AD"][i // 2 % 3] for i in range(n)),
         subject_ids=tuple(f"s{i // 2}" for i in range(n)),
     )
 
@@ -232,6 +232,14 @@ def test_load_rejects_bad_rows(tmp_path):
     path.write_text("subject_id,label,f0,f1\ns0,CN,1.0,nan\n")  # non-finite
     with pytest.raises(ParseError, match="line 2"):
         load_precomputed(path)
+
+
+def test_load_rejects_a_subject_with_two_labels(tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("subject_id,label,f0\ns0,AD,1.0\ns1,CN,2.0\ns0,AD,3.0\ns0,CN,4.0\ns0,MCI,5.0\n")
+    with pytest.raises(ParseError) as err:
+        load_precomputed(path)
+    assert str(err.value) == f"{path}: line 5: subject 's0' is labelled 'CN', but 'AD' on line 2"
 
 
 def test_load_rejects_empty_inputs(tmp_path):

@@ -525,7 +525,8 @@ _QUANTIZE_DTYPES = ["u1", "i2", "i4", "f4", "f8"]
     seed=st.integers(0, 2**32 - 1),
 )
 def test_quantize_matches_reference_bytes_and_layout(dtype, shape, levels, layout, fill, seed):
-    """quantize gives the reference's int64 indices byte for byte, in the same memory layout."""
+    """quantize gives the reference's indices byte for byte, in the narrowest
+    unsigned dtype that holds levels - 1 and in the same memory layout."""
     rng = np.random.default_rng(seed)
     info = np.iinfo(dtype) if np.dtype(dtype).kind in "iu" else np.finfo(dtype)
     extremes = np.array([info.min, info.max, 0, 1], dtype=dtype)
@@ -544,7 +545,9 @@ def test_quantize_matches_reference_bytes_and_layout(dtype, shape, levels, layou
     for i in range(volume.shape[2]):
         got = quantize(volume[:, :, i], levels).indices
         want = quantize_reference(volume[:, :, i], levels).indices
-        assert got.dtype == want.dtype == np.int64
+        assert want.dtype == np.int64
+        assert got.dtype == (np.uint8 if levels <= 256 else np.uint16)
+        want = want.astype(got.dtype)  # in [0, levels), so exact; keeps the layout
         assert got.strides == want.strides
         assert got.flags.c_contiguous == want.flags.c_contiguous
         assert got.flags.f_contiguous == want.flags.f_contiguous

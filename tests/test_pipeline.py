@@ -1,6 +1,7 @@
 """End-to-end pipeline runs: artifacts, determinism, leakage, reruns."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import logging
@@ -78,6 +79,24 @@ def dataset(tmp_path_factory):
     data_dir = tmp_path_factory.mktemp("data")
     manifest_path, rows = generate_dataset(data_dir, subjects_per_class=4, nz=8, seed=0)
     return manifest_path, rows
+
+
+# the slice-stage files of the default fixture (3 x 6 subjects, 24 x 24 x 30,
+# seed 0, default config); no other OpenBLAS kernel, nor numpy without its
+# AVX-512 loops, changed them, so every machine writes these bytes
+PINNED_SLICE_STAGE_SHA256 = {
+    "entropies.csv": "6577c6e682e8783f0d463efeafa4135a9d8e4f7fb3cd7bc645b8e57c9b0ef02d",
+    "features.csv": "95375e06ffd3ba465391e20262ae2ab7f140698feef9843830ce528f3d463156",
+}
+
+
+def test_slice_stage_files_are_pinned(tmp_path):
+    manifest_path, _ = generate_dataset(tmp_path / "data", subjects_per_class=6, nz=30, seed=0)
+    pipeline.run_features(manifest_path, PipelineConfig(), tmp_path / "run")
+    assert {
+        name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+        for name in PINNED_SLICE_STAGE_SHA256
+    } == PINNED_SLICE_STAGE_SHA256
 
 
 def test_run_produces_expected_artifacts(dataset, tmp_path):
